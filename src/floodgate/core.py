@@ -6,6 +6,7 @@ aggregation."""
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Sequence
@@ -24,16 +25,120 @@ MMSE_GAP_SCALE_FREE = "MMSE_GAP_SCALE_FREE"
 MACM_GAP = "MACM_GAP"
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+def philox_rng(seed: int | np.random.Generator) -> np.random.Generator:
+    """A Philox generator keyed by an integer seed; a Generator passes
+    through, so a caller can continue one stream across several draws.
+
+    Philox is counter based, so a vectorized draw from a fresh generator
+    is reproducible independent of thread count, and k rows drawn in
+    blocks equal the same k rows drawn at once.
+    """
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
+
+
+# Coefficients of Cody's (1969) rational Chebyshev approximations to
+# erfc (netlib specfun CALERF): |x| <= 0.46875, 0.46875 < |x| <= 4, |x| > 4.
+_ERF_A = (3.16112374387056560e+00, 1.13864154151050156e+02,
+          3.77485237685302021e+02, 3.20937758913846947e+03,
+          1.85777706184603153e-01)
+_ERF_B = (2.36012909523441209e+01, 2.44024637934444173e+02,
+          1.28261652607737228e+03, 2.84423683343917062e+03)
+_ERF_C = (5.64188496988670089e-01, 8.88314979438837594e+00,
+          6.61191906371416295e+01, 2.98635138197400131e+02,
+          8.81952221241769090e+02, 1.71204761263407058e+03,
+          2.05107837782607147e+03, 1.23033935479799725e+03,
+          2.15311535474403846e-08)
+_ERF_D = (1.57449261107098347e+01, 1.17693950891312499e+02,
+          5.37181101862009858e+02, 1.62138957456669019e+03,
+          3.29079923573345963e+03, 4.36261909014324716e+03,
+          3.43936767414372164e+03, 1.23033935480374942e+03)
+_ERF_P = (3.05326634961232344e-01, 3.60344899949804439e-01,
+          1.25781726111229246e-01, 1.60837851487422766e-02,
+          6.58749161529837803e-04, 1.63153871373020978e-02)
+_ERF_Q = (2.56852019228982242e+00, 1.87295284992346725e+00,
+          5.27905102951428412e-01, 6.05183413124413191e-02,
+          2.33520497626869185e-03)
+_ERF_THRESH = 0.46875
+_INV_SQRT_PI = 5.6418958354775628695e-01
+# erfc(x) is below the smallest subnormal double from here on.
+_ERFC_ZERO = 27.3
+# Elements per slice: the branch temporaries of one slice stay in cache.
+_SLICE = 1 << 16
+
+
+def _erfc_slice(x: np.ndarray, out: np.ndarray) -> None:
+    y = np.abs(x)
+    small = y <= _ERF_THRESH
+    # Integer gathers and scatters: boolean masks branch per element.
+    idx = np.flatnonzero(small)
+    if len(idx):
+        xs = x.take(idx)
+        ysq = xs * xs
+        num = _ERF_A[4] * ysq
+        den = ysq
+        for a, b in zip(_ERF_A[:3], _ERF_B[:3]):
+            num = (num + a) * ysq
+            den = (den + b) * ysq
+        out[idx] = 1.0 - xs * (num + _ERF_A[3]) / (den + _ERF_B[3])
+    idx = np.flatnonzero(~small)
+    if not len(idx):
+        return
+    # fmin maps nan to the zero tail; _erfc restores it.
+    ym = np.fmin(y.take(idx), _ERFC_ZERO)
+    res = np.empty_like(ym)
+    mid = ym <= 4.0
+    for sel, tail in ((np.flatnonzero(mid), False),
+                      (np.flatnonzero(~mid), True)):
+        if not len(sel):
+            continue
+        v = ym.take(sel)
+        if tail:
+            vsq = 1.0 / (v * v)
+            num = _ERF_P[5] * vsq
+            den = vsq
+            for p, q in zip(_ERF_P[:4], _ERF_Q[:4]):
+                num = (num + p) * vsq
+                den = (den + q) * vsq
+            res[sel] = (_INV_SQRT_PI
+                        - vsq * (num + _ERF_P[4]) / (den + _ERF_Q[4])) / v
+        else:
+            num = _ERF_C[8] * v
+            den = v
+            for c, d in zip(_ERF_C[:7], _ERF_D[:7]):
+                num = (num + c) * v
+                den = (den + d) * v
+            res[sel] = (num + _ERF_C[7]) / (den + _ERF_D[7])
+    # exp(-y^2) as exp(-t^2) exp(-(y - t)(y + t)) with t = y truncated to
+    # a multiple of 1/16 keeps full relative accuracy far out.
+    t = np.floor(ym * 16.0) / 16.0
+    res *= np.exp(-t * t) * np.exp(-(ym - t) * (ym + t))
+    res[ym >= _ERFC_ZERO] = 0.0
+    neg = np.flatnonzero(x.take(idx) < 0.0)
+    res[neg] = 2.0 - res[neg]
+    out[idx] = res
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Complementary error function of a float array, elementwise."""
+    flat = np.ascontiguousarray(x, dtype=float).ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _SLICE):
+        stop = start + _SLICE
+        _erfc_slice(flat[start:stop], out[start:stop])
+    out[np.isnan(flat)] = np.nan
+    return out.reshape(np.shape(x))
+
+
+def normal_cdf(x):
+    """Standard normal CDF, elementwise on arrays; a scalar gives a float."""
+    arr = np.asarray(x, dtype=float)
+    out = 0.5 * _erfc(-arr / math.sqrt(2.0))
+    return float(out) if out.ndim == 0 else out
 
 
 _NORMAL_PDF_CONST = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _normal_pdf(x: float) -> float:
-    return _NORMAL_PDF_CONST * math.exp(-0.5 * x * x)
 
 
 # Coefficients of Acklam's rational approximation to the inverse normal CDF.
@@ -48,41 +153,61 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
-def _normal_sf(x: float) -> float:
-    """Standard normal survival function P(Z > x), accurate in the far tail."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
+def _poly(coefs, r):
+    acc = coefs[0] * r + coefs[1]
+    for c in coefs[2:]:
+        acc = acc * r + c
+    return acc
 
 
-def normal_quantile(p: float) -> float:
-    """Upper-tail quantile: the z with P(Z > z) = p for standard normal Z.
+def normal_quantile(p):
+    """Upper-tail quantile: the z with P(Z > z) = p for standard normal Z,
+    elementwise on arrays; a scalar gives a float.
 
-    Rational-approximation inversion refined by one Newton step on the
+    Acklam's rational approximation refined by two Newton steps on the
     survival function; absolute error below 1e-9 for p in
     [1e-8, 1 - 1e-8] (outside that range the representation of p itself
     limits the attainable accuracy). The
     whole computation is phrased in terms of the tail probability p so
     no accuracy is lost to 1 - p cancellation for tiny p.
     """
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"quantile probability must lie in (0,1), got {p}")
-    if p < _P_LOW:
-        r = math.sqrt(-2.0 * math.log(p))
-        x = -((((((_C[0] * r + _C[1]) * r + _C[2]) * r + _C[3]) * r + _C[4]) * r + _C[5])
-              / ((((_D[0] * r + _D[1]) * r + _D[2]) * r + _D[3]) * r + 1.0))
-    elif p <= 1.0 - _P_LOW:
-        r = 0.5 - p
+    if np.ndim(p) == 0:
+        return _scalar_quantile(float(p))
+    return _quantile(np.asarray(p, dtype=float))
+
+
+# Scalar callers ask for the z of a few confidence levels, once per
+# bound; the array path costs far more per call than per element.
+@functools.lru_cache(maxsize=64)
+def _scalar_quantile(p: float) -> float:
+    return float(_quantile(np.array([p]))[0])
+
+
+def _quantile(arr: np.ndarray) -> np.ndarray:
+    inside = (arr > 0.0) & (arr < 1.0)
+    if not inside.all():
+        bad = arr[~inside].flat[0]
+        raise ValidationError(f"quantile probability must lie in (0,1), got {bad}")
+    p = arr.ravel()
+    x = np.empty_like(p)
+    low = p < _P_LOW
+    high = p > 1.0 - _P_LOW
+    central = ~(low | high)
+    if low.any():
+        r = np.sqrt(-2.0 * np.log(p[low]))
+        x[low] = -(_poly(_C, r) / _poly(_D + (1.0,), r))
+    if central.any():
+        r = 0.5 - p[central]
         t = r * r
-        x = ((((((_A[0] * t + _A[1]) * t + _A[2]) * t + _A[3]) * t + _A[4]) * t + _A[5]) * r
-             / (((((_B[0] * t + _B[1]) * t + _B[2]) * t + _B[3]) * t + _B[4]) * t + 1.0))
-    else:
-        q = 1.0 - p
-        r = math.sqrt(-2.0 * math.log(q))
-        x = ((((((_C[0] * r + _C[1]) * r + _C[2]) * r + _C[3]) * r + _C[4]) * r + _C[5])
-             / ((((_D[0] * r + _D[1]) * r + _D[2]) * r + _D[3]) * r + 1.0))
+        x[central] = _poly(_A, t) * r / _poly(_B + (1.0,), t)
+    if high.any():
+        r = np.sqrt(-2.0 * np.log(1.0 - p[high]))
+        x[high] = _poly(_C, r) / _poly(_D + (1.0,), r)
     # Two Newton refinements against the high-accuracy erfc-based tail.
     for _ in range(2):
-        x += (_normal_sf(x) - p) / _normal_pdf(x)
-    return x
+        pdf = _NORMAL_PDF_CONST * np.exp(-0.5 * x * x)
+        x += (normal_cdf(-x) - p) / pdf
+    return x.reshape(arr.shape)
 
 
 @dataclass(frozen=True)

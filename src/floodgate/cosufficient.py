@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, LcbReport, MMSE_GAP, as_confidence_level, ratio_lcb
+from .core import (Dataset, LcbReport, MMSE_GAP, as_confidence_level,
+                   philox_rng, ratio_lcb)
 from .covariates import DiscreteMarkovChain, GaussianLinearModel
 from .errors import (ShapeError, SingularDesignError, SizeError,
                      UnsupportedClosedFormError, ValidationError)
@@ -58,10 +59,6 @@ def make_batch_plan(n: int, n2: int) -> BatchPlan:
     return BatchPlan(n2=n2, n1=n1, dropped=n - n1 * n2)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
-
-
 def hat_matrix(z: np.ndarray) -> np.ndarray:
     """Projection onto the column space of U = (1, Z) for one batch."""
     u = np.hstack([np.ones((len(z), 1)), z])
@@ -85,7 +82,7 @@ def gaussian_conditional_resample(x: np.ndarray, z: np.ndarray, sigma2: float,
         raise ValidationError("sigma2 must be nonnegative")
     h = hat_matrix(z)
     hx = h @ x
-    eps = math.sqrt(sigma2) * _rng(seed).standard_normal((copies, len(x)))
+    eps = math.sqrt(sigma2) * philox_rng(seed).standard_normal((copies, len(x)))
     return hx[None, :] + eps - eps @ h.T
 
 
@@ -105,7 +102,7 @@ def dmc_conditional_resample(model: DiscreteMarkovChain, x: np.ndarray,
     """Uniformly permutes the observed focal values within each
     neighbor-pair stratum; preserves the count table exactly."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    rng = _rng(seed)
+    rng = philox_rng(seed)
     out = np.tile(x, (copies, 1))
     for stratum in dmc_strata(model, z):
         if len(stratum) < 2:
@@ -187,7 +184,7 @@ def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
             "co-sufficient inference supports GaussianLinearModel or "
             "DiscreteMarkovChain")
     plan = make_batch_plan(n, n2)
-    rng = _rng(seed)
+    rng = philox_rng(seed)
     order = rng.permutation(n)
     r = np.empty(plan.n1)
     v = np.empty(plan.n1)

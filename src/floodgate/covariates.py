@@ -14,22 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import normal_cdf, normal_quantile
+from .core import normal_cdf, normal_quantile, philox_rng
 from .errors import (ShapeError, UnsupportedClosedFormError, ValidationError)
-
-_PHI = np.vectorize(normal_cdf, otypes=[float])
-
-
-def _rng(seed: int) -> np.random.Generator:
-    # Philox is counter based, so a full vectorized draw from a fresh
-    # generator is reproducible independent of thread count.
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
-
-
-def _normal_quantile_vec(p: np.ndarray) -> np.ndarray:
-    flat = np.asarray(p, dtype=float).ravel()
-    out = np.array([-normal_quantile(v) for v in flat])
-    return out.reshape(np.shape(p))
 
 
 @dataclass(frozen=True)
@@ -59,8 +45,14 @@ class CovariateModel(ABC):
         """Draw n i.i.d. rows; returns (x, z) with shapes (n,d_x), (n,d_z)."""
 
     @abstractmethod
-    def sample_null_copies(self, z: np.ndarray, big_k: int, seed: int) -> NullCopies:
-        """Draw big_k conditionally independent copies of X given each z row."""
+    def sample_null_copies(self, z: np.ndarray, big_k: int,
+                           seed: int | np.random.Generator) -> NullCopies:
+        """Draw big_k conditionally independent copies of X given each z row.
+
+        A Generator seed is advanced in place, so successive calls on one
+        generator continue its stream: drawing a then b copies equals
+        drawing a + b copies at once, row for row.
+        """
 
     def conditional_x_moments(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row conditional mean (n, d_x) and the conditional covariance
@@ -127,7 +119,7 @@ class GaussianLinearModel(CovariateModel):
     def sample_joint(self, n, seed):
         if n < 1:
             raise ValidationError("n must be >= 1")
-        rng = _rng(seed)
+        rng = philox_rng(seed)
         if self.d_z:
             chol = np.linalg.cholesky(self.z_cov)
             z = self.z_mean + rng.standard_normal((n, self.d_z)) @ chol.T
@@ -141,7 +133,7 @@ class GaussianLinearModel(CovariateModel):
             raise ValidationError("big_k must be >= 1")
         z = self._check_z(z)
         mean = self.conditional_mean(z)
-        draws = _rng(seed).standard_normal((big_k, len(z)))
+        draws = philox_rng(seed).standard_normal((big_k, len(z)))
         return NullCopies((mean + math.sqrt(self.sigma2) * draws)[:, :, None])
 
     def conditional_x_moments(self, z):
@@ -211,14 +203,14 @@ class _StationaryGaussianVector(CovariateModel):
     def sample_joint(self, n, seed):
         if n < 1:
             raise ValidationError("n must be >= 1")
-        return self._split(self._sample_latent(n, _rng(seed)))
+        return self._split(self._sample_latent(n, philox_rng(seed)))
 
     def sample_null_copies(self, z, big_k, seed):
         if big_k < 1:
             raise ValidationError("big_k must be >= 1")
         z = self._check_z(z)
         mean, _ = self.latent_conditional(z)
-        draws = _rng(seed).standard_normal((big_k, len(z), self.d_x))
+        draws = philox_rng(seed).standard_normal((big_k, len(z), self.d_x))
         return NullCopies(mean[None, :, :] + draws @ self._cond_chol.T)
 
     def conditional_x_moments(self, z):
@@ -280,12 +272,12 @@ class CopulaModel(CovariateModel):
 
     @staticmethod
     def _to_uniform(latent_vals: np.ndarray) -> np.ndarray:
-        return 2.0 * _PHI(latent_vals) - 1.0
+        return 2.0 * normal_cdf(latent_vals) - 1.0
 
     @staticmethod
     def _to_latent(uniform_vals: np.ndarray) -> np.ndarray:
         u = np.clip((np.asarray(uniform_vals) + 1.0) / 2.0, 1e-15, 1 - 1e-15)
-        return _normal_quantile_vec(u)
+        return -normal_quantile(u)
 
     def sample_joint(self, n, seed):
         x_lat, z_lat = self.latent.sample_joint(n, seed)
@@ -337,7 +329,7 @@ class DiscreteMarkovChain(CovariateModel):
         return self.chain_length - 1
 
     def sample_path(self, n: int, seed: int) -> np.ndarray:
-        rng = _rng(seed)
+        rng = philox_rng(seed)
         path = np.empty((n, self.chain_length), dtype=np.int64)
         path[:, 0] = rng.choice(self.num_states, size=n, p=self.initial)
         u = rng.random((n, self.chain_length - 1))
@@ -378,7 +370,7 @@ class DiscreteMarkovChain(CovariateModel):
             raise ValidationError("big_k must be >= 1")
         pmf = self.conditional_pmf(z)
         cum = np.cumsum(pmf, axis=1)
-        u = _rng(seed).random((big_k, len(pmf)))
+        u = philox_rng(seed).random((big_k, len(pmf)))
         copies = (u[:, :, None] > cum[None, :, :]).sum(axis=2)
         return NullCopies(copies.astype(float)[:, :, None])
 

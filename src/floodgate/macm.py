@@ -10,6 +10,9 @@ with U_i = mu(X_i, Z_i) - E[mu | Z_i], and the bound is
 are available for a partially linear mu under a Gaussian covariate
 model; otherwise both the centering term and the indicator averages are
 estimated from null copies (M copies for the mean, K for the average).
+The copies are drawn in blocks of about _BLOCK_VALUES values, so memory
+is O(block + n) while time is O(n (M + K)); a mu that is not a
+LinearWorkingRegression also sees the block's z rows, O(block d_z).
 """
 
 from __future__ import annotations
@@ -20,12 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfidenceLevel, Dataset, LcbReport, MACM_GAP,
-                   as_confidence_level)
+                   as_confidence_level, philox_rng)
 from .covariates import CovariateModel
 from .errors import (DegenerateLabelsError, SizeError,
                      UnsupportedClosedFormError, ValidationError)
 from .regression import WorkingRegression
 from .mmse import _predict_rows, mu_null_values
+
+# Null-copy values (copies x rows) held at once by the Monte Carlo path.
+_BLOCK_VALUES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -81,16 +87,30 @@ def _exact_r_samples(infer_part: Dataset, mu: WorkingRegression,
 
 def _mc_r_samples(infer_part: Dataset, mu: WorkingRegression,
                   model: CovariateModel, cfg: MacmConfig) -> np.ndarray:
-    m = cfg.m_copies if cfg.m_copies is not None else 4 * infer_part.n
-    # One pool of M + K null copies per row; the first M estimate the
-    # conditional mean, the rest feed the indicator average.
-    tilde = mu_null_values(mu, model, infer_part.z, m + cfg.k_copies, cfg.seed)
-    g_m = tilde[:m].mean(axis=0)
-    mu_obs = _predict_rows(mu, infer_part.x, infer_part.z)
-    y = infer_part.y
-    copy_wrong = (y[None, :] * (tilde[m:] - g_m[None, :]) < 0)
+    n = infer_part.n
+    m = cfg.m_copies if cfg.m_copies is not None else 4 * n
+    total = m + cfg.k_copies
+    rows = max(1, _BLOCK_VALUES // n)
+    z, y = infer_part.z, infer_part.y
+    # One continuing stream of M + K null copies per row, drawn in
+    # blocks: the first M estimate the conditional mean, the rest feed
+    # the indicator average. Row-by-row addition is the order of
+    # numpy's axis-0 sum, so g_m is bit-identical to the mean of the M
+    # copies drawn at once.
+    rng = philox_rng(cfg.seed)
+    g_sum = np.zeros(n)
+    wrong = np.zeros(n, dtype=np.int64)
+    for start in range(0, total, rows):
+        tilde = mu_null_values(mu, model, z, min(rows, total - start), rng)
+        head = tilde[:max(m - start, 0)]
+        for row in head:
+            g_sum += row
+        if len(head) < len(tilde):
+            wrong += (y * (tilde[len(head):] - g_sum / m) < 0).sum(axis=0)
+    g_m = g_sum / m
+    mu_obs = _predict_rows(mu, infer_part.x, z)
     obs_wrong = (y * (mu_obs - g_m) < 0)
-    return copy_wrong.mean(axis=0) - obs_wrong.astype(float)
+    return wrong / cfg.k_copies - obs_wrong.astype(float)
 
 
 def macm_lcb(infer_part: Dataset, mu: WorkingRegression,

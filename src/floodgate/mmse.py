@@ -51,8 +51,10 @@ def _predict_rows(mu: WorkingRegression, x: np.ndarray, z: np.ndarray) -> np.nda
 
 
 def mu_null_values(mu: WorkingRegression, model: CovariateModel,
-                   z: np.ndarray, big_k: int, seed: int) -> np.ndarray:
-    """mu evaluated on K null copies of x; shape (K, n)."""
+                   z: np.ndarray, big_k: int,
+                   seed: int | np.random.Generator) -> np.ndarray:
+    """mu evaluated on K null copies of x; shape (K, n). A Generator seed
+    continues its stream, as in ``CovariateModel.sample_null_copies``."""
     copies = model.sample_null_copies(z, big_k, seed).copies
     big_k, n, d_x = copies.shape
     if isinstance(mu, LinearWorkingRegression):

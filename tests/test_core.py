@@ -41,6 +41,89 @@ class TestNormalQuantile:
             normal_quantile(p)
 
 
+def _scalar_quantile_reference(p):
+    """Scalar Acklam approximation plus two Newton steps on math.erfc:
+    the loop form that the array normal_quantile replaced."""
+    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+         6.680131188771972e+01, -1.328068155288572e+01)
+    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+         3.754408661907416e+00)
+    if p < 0.02425 or p > 1.0 - 0.02425:
+        r = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+        x = ((((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5])
+             / ((((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0))
+        x = -x if p < 0.5 else x
+    else:
+        r = 0.5 - p
+        t = r * r
+        x = ((((((a[0] * t + a[1]) * t + a[2]) * t + a[3]) * t + a[4]) * t + a[5]) * r
+             / (((((b[0] * t + b[1]) * t + b[2]) * t + b[3]) * t + b[4]) * t + 1.0))
+    for _ in range(2):
+        sf = 0.5 * math.erfc(x / math.sqrt(2.0))
+        x += (sf - p) / (math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+    return x
+
+
+def _phi_reference(x):
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+
+
+class TestArrayNumerics:
+    def test_cdf_dense_grid(self):
+        x = np.linspace(-37.0, 37.0, 200_001)
+        np.testing.assert_allclose(normal_cdf(x), _phi_reference(x),
+                                   rtol=1e-15, atol=0.0)
+
+    def test_cdf_random_draws(self):
+        x = np.random.default_rng(5).uniform(-37.0, 37.0, (300, 300))
+        got = normal_cdf(x)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got.ravel(), _phi_reference(x.ravel()),
+                                   rtol=1e-15, atol=0.0)
+
+    def test_cdf_against_exact_erfc(self):
+        # Exact erfc of the same rounded argument -x / sqrt(2).
+        mpmath = pytest.importorskip("mpmath")
+        x = np.random.default_rng(6).standard_normal(3000) * 2.0
+        with mpmath.workprec(120):
+            exact = np.array([float(0.5 * mpmath.erfc(-v / math.sqrt(2.0)))
+                              for v in x])
+        np.testing.assert_allclose(normal_cdf(x), exact, rtol=1e-15, atol=0.0)
+
+    def test_cdf_edges(self):
+        got = normal_cdf(np.array([-np.inf, -40.0, 0.0, 40.0, np.inf, np.nan]))
+        assert got[:5].tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+        assert math.isnan(got[5])
+        # Underflow edge: the tail runs through the subnormals to zero.
+        x = np.linspace(-39.0, -37.0, 4001)
+        want = _phi_reference(x)
+        assert want[0] == 0.0 and 0.0 < want[-1] < 1e-299
+        assert np.all(np.abs(normal_cdf(x) - want) <= 1e-15 * want + 1e-323)
+
+    def test_quantile_matches_scalar_reference(self):
+        tail = np.logspace(-15.0, math.log10(0.5), 1500)
+        p = np.concatenate([tail, 1.0 - tail,
+                            np.linspace(1e-15, 1.0 - 1e-15, 1501)])
+        want = np.array([_scalar_quantile_reference(v) for v in p])
+        np.testing.assert_allclose(normal_quantile(p), want, rtol=0.0,
+                                   atol=1e-12)
+
+    def test_scalar_in_float_out(self):
+        assert type(normal_cdf(0.3)) is float
+        assert type(normal_quantile(0.3)) is float
+        assert type(normal_quantile(np.float64(0.3))) is float
+        assert normal_quantile(np.array([0.3])).shape == (1,)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, np.nan])
+    def test_array_domain(self, bad):
+        with pytest.raises(ValidationError):
+            normal_quantile(np.array([[0.2, 0.5], [bad, 0.9]]))
+
+
 class TestDeltaMethodSe:
     def test_zero_numerator(self):
         for v in (0.5, 1.0, 4.0):

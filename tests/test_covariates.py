@@ -7,6 +7,7 @@ import pytest
 from floodgate import (Ar1Model, CopulaModel, DiscreteMarkovChain,
                        GaussianLinearModel, cond_moments_linear,
                        model_from_json)
+from floodgate.core import philox_rng
 from floodgate.covariates import ar1_covariance
 from floodgate.errors import (ShapeError, UnsupportedClosedFormError,
                               ValidationError)
@@ -238,6 +239,34 @@ class TestDiscreteMarkovChain:
             DiscreteMarkovChain(np.array([0.5, 0.5]),
                                 [np.array([[0.7, 0.4], [0.5, 0.5]]),
                                  np.eye(2)], focal_index=2)
+
+
+class TestNullCopyBlocks:
+    """Copies drawn in blocks from one generator equal one draw of all."""
+
+    @pytest.mark.parametrize("model", [
+        GaussianLinearModel(np.array([0.5, 1.0, -0.3]), 2.0, np.zeros(2),
+                            np.eye(2)),
+        Ar1Model(dim=6, rho=0.4, focal_index=3),
+        Ar1Model(dim=6, rho=-0.2, focal_index=(1, 4)),
+        CopulaModel(Ar1Model(dim=5, rho=0.5, focal_index=2)),
+        DiscreteMarkovChain(np.array([0.4, 0.6]),
+                            [np.array([[0.9, 0.1], [0.2, 0.8]])] * 2,
+                            focal_index=2),
+    ])
+    def test_blocks_equal_one_draw(self, model):
+        _, z = model.sample_joint(37, seed=4)
+        whole = model.sample_null_copies(z, 12, seed=8).copies
+        rng = philox_rng(8)
+        parts = [model.sample_null_copies(z, k, rng).copies for k in (5, 1, 6)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_generator_and_int_seed_agree(self):
+        model = Ar1Model(dim=4, rho=0.3, focal_index=2)
+        _, z = model.sample_joint(10, seed=1)
+        a = model.sample_null_copies(z, 3, seed=2**64 + 5).copies
+        b = model.sample_null_copies(z, 3, philox_rng(5)).copies
+        assert np.array_equal(a, b)
 
 
 class TestSerialization:

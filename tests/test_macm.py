@@ -1,12 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import floodgate
 from floodgate import (Ar1Model, CustomRegression, Dataset,
                        GaussianLinearModel, LinearWorkingRegression,
                        MacmConfig, macm_gap_enumerate, macm_gap_oracle,
                        macm_lcb)
+from floodgate import macm
+from floodgate.mmse import mu_null_values
 from floodgate.errors import (DegenerateLabelsError, UnsupportedClosedFormError,
                               ValidationError)
 from floodgate.regression import LOGIT_L1, OLS
@@ -123,6 +131,83 @@ class TestMonteCarloMoments:
                        MacmConfig(m_copies=2000, k_copies=100, seed=10))
         assert rep.point == pytest.approx(truth, abs=0.03)
         assert rep.lcb <= truth + 0.01
+
+
+def _materialised_lcb(data, mu, model, cfg):
+    """The MACM bound from one (M + K, n) pool of null copies held at once."""
+    m = cfg.m_copies if cfg.m_copies is not None else 4 * data.n
+    tilde = mu_null_values(mu, model, data.z, m + cfg.k_copies, cfg.seed)
+    g_m = tilde[:m].mean(axis=0)
+    mu_obs = np.asarray(mu.predict(data.x, data.z), dtype=float).reshape(data.n)
+    y = data.y
+    copy_wrong = (y[None, :] * (tilde[m:] - g_m[None, :]) < 0)
+    obs_wrong = (y * (mu_obs - g_m) < 0)
+    r = copy_wrong.mean(axis=0) - obs_wrong.astype(float)
+    r_bar = float(r.mean())
+    s = float(r.std(ddof=1))
+    lcb = 2.0 * max(r_bar - cfg.alpha.z * s / math.sqrt(data.n), 0.0)
+    return lcb, 2.0 * r_bar, s
+
+
+class TestStreamedPool:
+    @pytest.mark.parametrize("block_values", [None, 1 << 20, 600 * 7])
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_matches_materialised_pool(self, monkeypatch, block_values,
+                                       custom):
+        # n = 600 with the default M = 4n and K = 100: a pool of 1.5M
+        # values, drawn in one block, in two (the second straddling the
+        # M/K boundary), or in blocks of 7 copies.
+        if block_values is not None:
+            monkeypatch.setattr(macm, "_BLOCK_VALUES", block_values)
+        model = Ar1Model(dim=6, rho=0.3, focal_index=1)
+        x, z = model.sample_joint(600, seed=11)
+        coef = np.array([0.8, 0.8, 0.0, 0.0, -0.5])
+        f = 1.5 * x[:, 0] + z @ coef
+        y = np.where(np.random.default_rng(12).random(600)
+                     < 1.0 / (1.0 + np.exp(-f)), 1.0, -1.0)
+        data = Dataset(y, x, z)
+        mu = LinearWorkingRegression(LOGIT_L1, 0.0, np.array([1.5]), coef,
+                                     link="binary_mean")
+        if custom:
+            mu = CustomRegression(
+                lambda x, z: np.tanh((1.5 * x[:, 0] + z @ coef) / 2.0) ** 3)
+        cfg = MacmConfig(k_copies=100, seed=13)
+        rep = macm_lcb(data, mu, model, cfg)
+        assert (rep.lcb, rep.point, rep.se) == _materialised_lcb(
+            data, mu, model, cfg)
+
+    def test_memory_linear_in_n(self):
+        # n = 4000 with M = 4n: a materialised pool grows peak RSS by
+        # about 1.9 GB; the streamed one stays within a fixed budget.
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from floodgate import (Ar1Model, Dataset, LinearWorkingRegression,
+                                   MacmConfig, macm_lcb)
+            n = 4000
+            model = Ar1Model(40, 0.3, 1)
+            x, z = model.sample_joint(n, 1)
+            coef = np.zeros(39)
+            coef[:8] = 0.8
+            f = 1.5 * x[:, 0] + z @ coef
+            y = np.where(np.random.default_rng(2).random(n)
+                         < 1 / (1 + np.exp(-f)), 1.0, -1.0)
+            mu = LinearWorkingRegression("CUSTOM", 0.0, np.array([1.5]), coef,
+                                         link="binary_mean")
+            data = Dataset(y, x, z)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            macm_lcb(data, mu, model, MacmConfig(k_copies=100, seed=3))
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) / 1024.0)
+        """)
+        src = str(Path(floodgate.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300,
+                             check=True)
+        assert float(out.stdout.strip().splitlines()[-1]) < 200.0
 
 
 class TestMacmGapEnumerate:
