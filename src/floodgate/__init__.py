@@ -12,8 +12,8 @@ simulators, regression fitters, and a coverage-study harness.
 
 __version__ = "0.1.0"
 
-from .core import (ConfidenceLevel, Dataset, LcbReport, MomentPair,
-                   SplitDataset, delta_method_se, normal_cdf, normal_quantile,
+from .core import (ConfidenceLevel, Dataset, LcbReport, SplitDataset,
+                   delta_method_se, normal_cdf, normal_quantile,
                    sample_mean_cov, split)
 from .covariates import (Ar1Model, CopulaModel, CovariateModel,
                          DiscreteMarkovChain, GaussianLinearModel, NullCopies,

@@ -9,7 +9,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -364,13 +364,6 @@ def split(data: Dataset, proportion: float, seed: int) -> SplitDataset:
     return SplitDataset(data.take(np.sort(perm[:n_fit])),
                         data.take(np.sort(perm[n_fit:])),
                         proportion)
-
-
-class MomentPair(NamedTuple):
-    """One per-row (or per-batch) numerator/denominator sample."""
-
-    r: float
-    v: float
 
 
 @dataclass(frozen=True)

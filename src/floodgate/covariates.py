@@ -191,10 +191,13 @@ class _StationaryGaussianVector(CovariateModel):
         return len(self._rest0)
 
     def _sample_latent(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n draws of the whole vector, one coordinate per row: (p, n)."""
         raise NotImplementedError
 
     def _split(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return w[:, self._focal0], w[:, self._rest0]
+        # Column-major (n, d) views. Matrix products on x and z round
+        # according to their layout, so the layout is part of the output.
+        return w[self._focal0].T, w[self._rest0].T
 
     def latent_conditional(self, z_latent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Conditional mean rows and covariance of the focal latent block."""
@@ -211,6 +214,8 @@ class _StationaryGaussianVector(CovariateModel):
         z = self._check_z(z)
         mean, _ = self.latent_conditional(z)
         draws = philox_rng(seed).standard_normal((big_k, len(z), self.d_x))
+        if self.d_x == 1:   # a 1 x 1 factor: the matmul's values, faster
+            return NullCopies(mean[None, :, :] + draws * self._cond_chol[0, 0])
         return NullCopies(mean[None, :, :] + draws @ self._cond_chol.T)
 
     def conditional_x_moments(self, z):
@@ -243,11 +248,13 @@ class Ar1Model(_StationaryGaussianVector):
         super().__init__(ar1_covariance(dim, rho), self.focal_index)
 
     def _sample_latent(self, n, rng):
-        w = np.empty((n, self.dim))
-        w[:, 0] = rng.standard_normal(n)
+        # Coordinate-major: each step of the recursion writes one
+        # contiguous row.
+        w = np.empty((self.dim, n))
+        w[0] = rng.standard_normal(n)
         scale = math.sqrt(1.0 - self.rho ** 2)
         for j in range(1, self.dim):
-            w[:, j] = self.rho * w[:, j - 1] + scale * rng.standard_normal(n)
+            w[j] = self.rho * w[j - 1] + scale * rng.standard_normal(n)
         return w
 
     def to_config(self):

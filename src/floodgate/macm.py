@@ -12,7 +12,7 @@ model; otherwise both the centering term and the indicator averages are
 estimated from null copies (M copies for the mean, K for the average).
 The copies are drawn in blocks of about _BLOCK_VALUES values, so memory
 is O(block + n) while time is O(n (M + K)); a mu that is not a
-LinearWorkingRegression also sees the block's z rows, O(block d_z).
+LinearWorkingRegression sees tiled z rows in chunks of about a block.
 """
 
 from __future__ import annotations
@@ -28,10 +28,7 @@ from .covariates import CovariateModel
 from .errors import (DegenerateLabelsError, SizeError,
                      UnsupportedClosedFormError, ValidationError)
 from .regression import WorkingRegression
-from .mmse import _predict_rows, mu_null_values
-
-# Null-copy values (copies x rows) held at once by the Monte Carlo path.
-_BLOCK_VALUES = 1 << 21
+from .mmse import _BLOCK_VALUES, _predict_rows, mu_null_values
 
 
 @dataclass(frozen=True)
@@ -160,6 +157,10 @@ def macm_gap_oracle(model: CovariateModel, cond_mean_y, n_draws: int,
     """Monte Carlo MACM gap for a continuous model: outer draws of
     (X, Z) with the inner expectation E[Y|Z] computed by Gauss-Hermite
     quadrature against the Gaussian law of X | Z. Returns (value, se).
+
+    cond_mean_y(z) is called once, on the (n_draws, d_z) draws of Z, and
+    returns given_z; given_z(x) maps (n_draws, 1) focal values to
+    E[Y | X=x, Z=z] row by row, once per node and once on the drawn x.
     """
     x, z = model.sample_joint(n_draws, seed)
     cond_mean_x, cond_cov = model.conditional_x_moments(z)
@@ -168,9 +169,10 @@ def macm_gap_oracle(model: CovariateModel, cond_mean_y, n_draws: int,
     sd = math.sqrt(float(cond_cov[0, 0]))
     nodes, weights = np.polynomial.hermite_e.hermegauss(_GH_NODES)
     weights = weights / weights.sum()
+    given_z = cond_mean_y(z)
     ey_z = np.zeros(n_draws)
     for node, weight in zip(nodes, weights):
         x_node = cond_mean_x + sd * node
-        ey_z += weight * np.asarray(cond_mean_y(x_node, z)).reshape(n_draws)
-    vals = np.abs(ey_z - np.asarray(cond_mean_y(x, z)).reshape(n_draws))
+        ey_z += weight * np.asarray(given_z(x_node)).reshape(n_draws)
+    vals = np.abs(ey_z - np.asarray(given_z(x)).reshape(n_draws))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_draws))

@@ -46,6 +46,11 @@ class FloodgateConfig:
         return replace(self, alpha=as_confidence_level(alpha))
 
 
+# Values held at once by a streamed Monte Carlo path: null-copy values
+# (copies x rows) in MACM, and tiled covariates in mu_null_values.
+_BLOCK_VALUES = 1 << 21
+
+
 def _predict_rows(mu: WorkingRegression, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.asarray(mu.predict(x, z), dtype=float).reshape(len(x))
 
@@ -54,7 +59,8 @@ def mu_null_values(mu: WorkingRegression, model: CovariateModel,
                    z: np.ndarray, big_k: int,
                    seed: int | np.random.Generator) -> np.ndarray:
     """mu evaluated on K null copies of x; shape (K, n). A Generator seed
-    continues its stream, as in ``CovariateModel.sample_null_copies``."""
+    continues its stream, as in ``CovariateModel.sample_null_copies``.
+    A generic mu sees chunks of copies with at most ~_BLOCK_VALUES z values."""
     copies = model.sample_null_copies(z, big_k, seed).copies
     big_k, n, d_x = copies.shape
     if isinstance(mu, LinearWorkingRegression):
@@ -62,11 +68,17 @@ def mu_null_values(mu: WorkingRegression, model: CovariateModel,
         base = np.full(n, mu.intercept)
         if len(mu.z_coef):
             base = base + z @ mu.z_coef
-        f = base[None, :] + copies @ mu.x_coef
+        if d_x == 1 and len(mu.x_coef) == 1:
+            f = base[None, :] + copies[:, :, 0] * mu.x_coef[0]
+        else:
+            f = base[None, :] + copies @ mu.x_coef
         return np.tanh(f / 2.0) if mu.link == "binary_mean" else f
-    flat = copies.reshape(big_k * n, d_x)
-    z_rep = np.tile(z, (big_k, 1))
-    return _predict_rows(mu, flat, z_rep).reshape(big_k, n)
+    step = max(1, _BLOCK_VALUES // max(n * z.shape[1], 1))
+    z_rep = np.tile(z, (min(step, big_k), 1))
+    return np.concatenate([
+        _predict_rows(mu, part.reshape(-1, d_x), z_rep[:len(part) * n])
+        .reshape(len(part), n)
+        for part in np.split(copies, range(step, big_k, step))])
 
 
 def moment_samples(infer_part: Dataset, mu: WorkingRegression,

@@ -220,11 +220,6 @@ def mmse_oracle_nested_mc(mu_star: RealizedMuStar, model: CovariateModel,
     return math.sqrt(max(gap_sq, 0.0)), se
 
 
-def _assemble_rows(x: np.ndarray, z: np.ndarray, focal_0based: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(len(z), -1)
-    return np.concatenate([z[:, :focal_0based], x, z[:, focal_0based:]], axis=1)
-
-
 def macm_oracle_values(mu_star: RealizedMuStar, rho: float, n_draws: int,
                        seed: int, se_target: float = 0.002) -> np.ndarray:
     """MACM-gap oracle per variable for the logistic-linear model over
@@ -237,9 +232,16 @@ def macm_oracle_values(mu_star: RealizedMuStar, rho: float, n_draws: int,
     for j in mu_star.support:
         model = Ar1Model(mu_star.p, rho, int(j) + 1)
 
-        def cond_mean_y(x, z, _j=int(j)):
-            w = _assemble_rows(x, z, _j)
-            return np.tanh(mu_star.values(w) / 2.0)
+        def cond_mean_y(z, _j=int(j)):
+            # mu* takes full rows (BLAS rounds a split sum differently);
+            # lay them out once and rewrite only the focal column.
+            w = np.concatenate([z[:, :_j], np.zeros((len(z), 1)), z[:, _j:]],
+                               axis=1)
+
+            def given_z(x):
+                w[:, _j] = x[:, 0]
+                return np.tanh(mu_star.values(w) / 2.0)
+            return given_z
 
         draws = n_draws
         while True:
@@ -357,22 +359,6 @@ class ExperimentSpec:
         return cls(**d)
 
 
-def _full_covariate_sampler(spec: ExperimentSpec):
-    """Returns a function (n, seed) -> full W matrix (n, p)."""
-    base = Ar1Model(spec.p, spec.rho, 1)
-    if spec.model_kind == MODEL_AR1:
-        def sample(n, seed):
-            x, z = base.sample_joint(n, seed)
-            return np.concatenate([x, z], axis=1)
-    else:
-        copula = CopulaModel(base)
-
-        def sample(n, seed):
-            x, z = copula.sample_joint(n, seed)
-            return np.concatenate([x, z], axis=1)
-    return sample
-
-
 def focal_model(spec: ExperimentSpec, variable: int) -> CovariateModel:
     """Conditional model of W_variable given the rest (1-based)."""
     latent = Ar1Model(spec.p, spec.rho, variable)
@@ -397,8 +383,9 @@ def generate_replicate(spec: ExperimentSpec, replicate_index: int
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Covariates W (n, p) and responses y for one replicate."""
     mu_star = build_mu_star(spec.mu_star, spec.n, spec.p)
-    w = _full_covariate_sampler(spec)(
+    x, z = focal_model(spec, 1).sample_joint(
         spec.n, derive_seed(spec.base_seed, replicate_index, 1))
+    w = np.concatenate([x, z], axis=1)
     signal = mu_star.values(w)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=[spec.base_seed, replicate_index, 2]))
@@ -558,7 +545,7 @@ class ExperimentResult:
     def summary(self) -> list[dict]:
         rows = []
         for method in sorted({d["method"] for d in self.detail}):
-            for variable in spec_vars(self.spec):
+            for variable in self.spec.variable_list:
                 sub = [d for d in self.detail
                        if d["method"] == method and d["variable"] == variable]
                 if not sub:
@@ -609,10 +596,6 @@ class ExperimentResult:
                     format(row["mean_half_width"], ".12g"),
                     format(row["half_width_se"], ".12g"),
                     format(row["degenerate_rate"], ".12g")])
-
-
-def spec_vars(spec: ExperimentSpec) -> tuple[int, ...]:
-    return spec.variable_list
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:

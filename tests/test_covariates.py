@@ -92,6 +92,37 @@ class TestAr1Model:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert not np.array_equal(a[0], c[0])
 
+    @pytest.mark.parametrize("focal", [1, 4, (2, 5)])
+    def test_joint_draws_match_row_major_recursion(self, focal):
+        # The recursion written over an (n, p) array, one column per
+        # step, with X and Z selected as columns: same bytes and the
+        # same (column-major) layout.
+        dim, rho, n = 6, 0.35, 257
+        rng = philox_rng(21)
+        w = np.empty((n, dim))
+        w[:, 0] = rng.standard_normal(n)
+        for j in range(1, dim):
+            w[:, j] = (rho * w[:, j - 1]
+                       + math.sqrt(1.0 - rho ** 2) * rng.standard_normal(n))
+        focal0 = [j - 1 for j in np.atleast_1d(focal)]
+        want_x = w[:, focal0]
+        want_z = w[:, [j for j in range(dim) if j not in focal0]]
+        x, z = Ar1Model(dim, rho, focal).sample_joint(n, seed=21)
+        for got, want in ((x, want_x), (z, want_z)):
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+            assert np.array_equal(got, want)
+            assert got.strides == want.strides
+            assert got.flags.f_contiguous
+
+    def test_scalar_focal_copies_multiply_matches_matmul(self):
+        model = Ar1Model(dim=7, rho=0.45, focal_index=3)
+        _, z = model.sample_joint(300, seed=2)
+        mean, _ = model.conditional_x_moments(z)
+        draws = philox_rng(9).standard_normal((40, 300, 1))
+        want = mean[None, :, :] + draws @ model._cond_chol.T
+        got = model.sample_null_copies(z, 40, seed=9).copies
+        assert np.array_equal(got, want)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValidationError):
             Ar1Model(dim=3, rho=1.0, focal_index=1)

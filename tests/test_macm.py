@@ -125,7 +125,8 @@ class TestMonteCarloMoments:
             x = np.asarray(x).reshape(len(z))
             return np.tanh((beta * x + zeta * z[:, 0]) / 2.0)
 
-        truth, oracle_se = macm_gap_oracle(model, cond_mean_y, 200000, seed=8)
+        truth, oracle_se = macm_gap_oracle(
+            model, lambda z: lambda x: cond_mean_y(x, z), 200000, seed=8)
         assert oracle_se < 0.002
         rep = macm_lcb(data, mu, model,
                        MacmConfig(m_copies=2000, k_copies=100, seed=10))
@@ -147,6 +148,18 @@ def _materialised_lcb(data, mu, model, cfg):
     s = float(r.std(ddof=1))
     lcb = 2.0 * max(r_bar - cfg.alpha.z * s / math.sqrt(data.n), 0.0)
     return lcb, 2.0 * r_bar, s
+
+
+def _rss_growth_mb(script):
+    """Runs script in a fresh interpreter; it prints its RSS growth in MB."""
+    src = str(Path(floodgate.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300,
+                         check=True)
+    return float(out.stdout.strip().splitlines()[-1])
 
 
 class TestStreamedPool:
@@ -200,14 +213,35 @@ class TestStreamedPool:
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             print((after - before) / 1024.0)
         """)
-        src = str(Path(floodgate.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=300,
-                             check=True)
-        assert float(out.stdout.strip().splitlines()[-1]) < 200.0
+        assert _rss_growth_mb(script) < 200.0
+
+    def test_generic_mu_memory_bounded(self):
+        # A mu that is not a LinearWorkingRegression sees tiled z rows:
+        # one whole block of copies at n = 1500 times d_z = 39 columns
+        # would take about 650 MB, so the tile is chunked.
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from floodgate import (Ar1Model, CustomRegression, Dataset,
+                                   MacmConfig, macm_lcb)
+            n = 1500
+            model = Ar1Model(40, 0.3, 1)
+            x, z = model.sample_joint(n, 1)
+            coef = np.zeros(39)
+            coef[:8] = 0.8
+            f = 1.5 * x[:, 0] + z @ coef
+            y = np.where(np.random.default_rng(2).random(n)
+                         < 1 / (1 + np.exp(-f)), 1.0, -1.0)
+            mu = CustomRegression(
+                lambda x, z: np.tanh((1.5 * x[:, 0] + z @ coef) / 2.0))
+            data = Dataset(y, x, z)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            macm_lcb(data, mu, model,
+                     MacmConfig(m_copies=1400, k_copies=100, seed=3))
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) / 1024.0)
+        """)
+        assert _rss_growth_mb(script) < 200.0
 
 
 class TestMacmGapEnumerate:
@@ -239,13 +273,29 @@ class TestMacmGapOracle:
         # E[Y | Z] = 0, so the MACM gap is exactly 1.
         model = _indep_model()
         value, se = macm_gap_oracle(
-            model, lambda x, z: np.sign(np.asarray(x).reshape(len(z))),
+            model, lambda z: lambda x: np.sign(np.asarray(x).reshape(len(z))),
             50000, seed=3)
         assert value == pytest.approx(1.0, abs=3 * se + 1e-9)
 
     def test_constant_response_has_zero_gap(self):
         model = _indep_model()
-        value, se = macm_gap_oracle(model, lambda x, z: np.full(len(z), 0.3),
-                                    10000, seed=4)
+        value, se = macm_gap_oracle(
+            model, lambda z: lambda x: np.full(len(z), 0.3), 10000, seed=4)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
+
+    def test_outer_callback_runs_once_per_draw_set(self):
+        model = Ar1Model(dim=5, rho=0.3, focal_index=2)
+        outer, inner = [], []
+
+        def cond_mean_y(z):
+            outer.append(z.shape)
+
+            def given_z(x):
+                inner.append(x.shape)
+                return np.tanh(x[:, 0] + z[:, 0])
+            return given_z
+
+        macm_gap_oracle(model, cond_mean_y, 300, seed=5)
+        assert outer == [(300, 4)]
+        assert inner == [(300, 1)] * (macm._GH_NODES + 1)

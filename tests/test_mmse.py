@@ -10,6 +10,7 @@ from floodgate import (Ar1Model, CustomRegression, Dataset, FloodgateConfig,
                        zero_out_transform)
 from floodgate.core import LcbReport, delta_method_se, normal_quantile, sample_mean_cov
 from floodgate.errors import ShapeError, SizeError, ValidationError
+from floodgate import mmse
 from floodgate.mmse import moment_samples, mu_null_values, variance_ucb
 from floodgate.regression import OLS
 
@@ -70,6 +71,31 @@ class TestMuNullValues:
         assert np.allclose(mu_null_values(mu, model, z, 3, seed=5),
                            mu_null_values(generic, model, z, 3, seed=5),
                            atol=1e-12)
+
+    def test_scalar_focal_multiply_matches_matmul(self):
+        model = Ar1Model(dim=8, rho=0.3, focal_index=2)
+        _, z = model.sample_joint(200, seed=4)
+        mu = LinearWorkingRegression(OLS, 0.2, np.array([1.7]),
+                                     np.linspace(-1.0, 1.0, 7))
+        copies = model.sample_null_copies(z, 30, seed=6).copies
+        want = (np.full(200, 0.2) + z @ mu.z_coef)[None, :] + copies @ mu.x_coef
+        assert np.array_equal(mu_null_values(mu, model, z, 30, seed=6), want)
+
+    @pytest.mark.parametrize("block_values", [None, 50 * 3 * 4, 7])
+    def test_chunked_generic_mu_matches_one_tile(self, monkeypatch,
+                                                 block_values):
+        # Chunks of 4 copies (the last one partial), of a single copy,
+        # or all 11 at once give the values of one (K n, d_z) tile.
+        if block_values is not None:
+            monkeypatch.setattr(mmse, "_BLOCK_VALUES", block_values)
+        model = Ar1Model(dim=4, rho=0.3, focal_index=2)
+        _, z = model.sample_joint(50, seed=2)
+        mu = CustomRegression(lambda x, z: np.tanh(
+            1.5 * x[:, 0] + 0.3 * z[:, 0] - z[:, 2] ** 2))
+        copies = model.sample_null_copies(z, 11, seed=5).copies
+        want = mu.predict(copies.reshape(550, 1),
+                          np.tile(z, (11, 1))).reshape(11, 50)
+        assert np.array_equal(mu_null_values(mu, model, z, 11, seed=5), want)
 
 
 class TestExactMoments:

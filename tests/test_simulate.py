@@ -8,6 +8,7 @@ from floodgate import (ExperimentSpec, MethodSpec, MuStarSpec, build_mu_star,
                        generate_replicate, oracle_values, run_experiment)
 from floodgate.covariates import Ar1Model
 from floodgate.errors import ValidationError
+from floodgate.macm import macm_gap_oracle
 from floodgate.simulate import (COSUFFICIENT, FIT_MU_STAR, LINEAR_SPARSE,
                                 LOGISTIC_LINEAR, MACM, MMSE_EXACT, MMSE_MC,
                                 MODEL_COPULA_AR1, NONLINEAR_F1,
@@ -139,6 +140,24 @@ class TestOracles:
         assert np.all(vals[nulls] == 0.0)
         assert np.all(vals[mu.support] > 0.0)
         assert np.all(vals <= 1.0)
+
+    def test_macm_oracle_matches_assembled_rows(self):
+        # The reference rebuilds the full covariate rows from x and z on
+        # every call, as the oracle's callback once did.
+        spec = MuStarSpec(LOGISTIC_LINEAR, sparsity=10, amplitude=15.0,
+                          seed=606)
+        mu = build_mu_star(spec, n=500, p=40)
+        got = macm_oracle_values(mu, rho=0.3, n_draws=1001, seed=4,
+                                 se_target=1.0)
+        want = np.zeros(40)
+        for j in mu.support:
+            def cond_mean_y(z, j=int(j)):
+                return lambda x: np.tanh(mu.values(np.concatenate(
+                    [z[:, :j], x, z[:, j:]], axis=1)) / 2.0)
+            want[j], _ = macm_gap_oracle(Ar1Model(40, 0.3, int(j) + 1),
+                                         cond_mean_y, 1001,
+                                         derive_seed(4, int(j), 1001))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestExperimentSpec:
