@@ -110,9 +110,7 @@ def _cmd_infer(args) -> int:
         report = cosufficient_lcb(infer_part, mu, model, args.n2, args.alpha,
                                   mc_k=args.mc_k, seed=args.seed)
     else:
-        big_k = 0 if args.method == "mmse_exact" else args.k
-        if args.method != "mmse_exact" and args.exact:
-            big_k = 0
+        big_k = 0 if args.method == "mmse_exact" or args.exact else args.k
         cfg = FloodgateConfig(args.alpha, big_k=big_k,
                               center_y=not args.no_center_y, seed=args.seed)
         if args.method == "mmse_scale_free":

@@ -38,6 +38,13 @@ def philox_rng(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
 
 
+def seeded_rng(*keys: int) -> np.random.Generator:
+    """A PCG64 generator keyed by a tuple of nonnegative integers.
+    One key gives the stream of ``SeedSequence(entropy=key)``."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=[int(k) for k in keys]))
+
+
 # Coefficients of Cody's (1969) rational Chebyshev approximations to
 # erfc (netlib specfun CALERF): |x| <= 0.46875, 0.46875 < |x| <= 4, |x| > 4.
 _ERF_A = (3.16112374387056560e+00, 1.13864154151050156e+02,
@@ -359,8 +366,7 @@ def split(data: Dataset, proportion: float, seed: int) -> SplitDataset:
     if n_fit < 1 or n - n_fit < 1:
         raise SizeError(
             f"split of n={n} at proportion={proportion} leaves an empty part")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
-    perm = rng.permutation(n)
+    perm = seeded_rng(seed).permutation(n)
     return SplitDataset(data.take(np.sort(perm[:n_fit])),
                         data.take(np.sort(perm[n_fit:])),
                         proportion)

@@ -31,7 +31,7 @@ from .covariates import DiscreteMarkovChain, GaussianLinearModel
 from .errors import (ShapeError, SingularDesignError, SizeError,
                      UnsupportedClosedFormError, ValidationError)
 from .regression import WorkingRegression
-from .mmse import _predict_rows
+from .mmse import _predict_rows, mu_on_copies
 
 
 @dataclass(frozen=True)
@@ -112,33 +112,27 @@ def dmc_conditional_resample(model: DiscreteMarkovChain, x: np.ndarray,
     return out
 
 
-def _batch_moments_gaussian(x, z, y, mu, sigma2, mc_k, seed):
-    """(R_m, V_m, mean centered-mu^2) for one Gaussian batch."""
+def _batch_moments(x, z, y, mu, model, mc_k, seed):
+    """(R_m, V_m, mean centered-mu^2) for one batch."""
     mu_obs = _predict_rows(mu, x[:, None], z)
-    if mc_k == 0:
+    is_gaussian = isinstance(model, GaussianLinearModel)
+    if mc_k:
+        tilde_x = (gaussian_conditional_resample(x, z, model.sigma2, seed, mc_k)
+                   if is_gaussian
+                   else dmc_conditional_resample(model, x, z, seed, mc_k))
+        tilde = mu_on_copies(mu, tilde_x[:, :, None], z)
+        cond_mean = tilde.mean(axis=0)
+        cond_var = tilde.var(axis=0, ddof=1)
+    elif is_gaussian:
         a = getattr(mu, "linear_focal_coef", None)
         if a is None:
             raise UnsupportedClosedFormError(
                 "closed-form batch moments need a partially linear mu")
         a = float(np.atleast_1d(a)[0])
         h = hat_matrix(z)
-        hx = h @ x
-        cond_mean = _predict_rows(mu, hx[:, None], z)
-        cond_var = a * a * sigma2 * (1.0 - np.diag(h))
+        cond_mean = _predict_rows(mu, (h @ x)[:, None], z)
+        cond_var = a * a * model.sigma2 * (1.0 - np.diag(h))
     else:
-        tilde_x = gaussian_conditional_resample(x, z, sigma2, seed, mc_k)
-        tilde = _predict_rows(mu, tilde_x.reshape(-1, 1),
-                              np.tile(z, (mc_k, 1))).reshape(mc_k, len(x))
-        cond_mean = tilde.mean(axis=0)
-        cond_var = tilde.var(axis=0, ddof=1)
-    centered = mu_obs - cond_mean
-    return (float(np.mean(y * centered)), float(np.mean(cond_var)),
-            float(np.mean(centered ** 2)))
-
-
-def _batch_moments_dmc(x, z, y, mu, model, mc_k, seed):
-    mu_obs = _predict_rows(mu, x[:, None], z)
-    if mc_k == 0:
         # The conditional marginal of each row is uniform over its
         # stratum's observed values, so the moments are exact averages.
         cond_mean = np.empty(len(x))
@@ -147,12 +141,6 @@ def _batch_moments_dmc(x, z, y, mu, model, mc_k, seed):
             vals = mu_obs[stratum]
             cond_mean[stratum] = vals.mean()
             cond_var[stratum] = vals.var()
-    else:
-        tilde_x = dmc_conditional_resample(model, x, z, seed, mc_k)
-        tilde = _predict_rows(mu, tilde_x.reshape(-1, 1),
-                              np.tile(z, (mc_k, 1))).reshape(mc_k, len(x))
-        cond_mean = tilde.mean(axis=0)
-        cond_var = tilde.var(axis=0, ddof=1)
     centered = mu_obs - cond_mean
     return (float(np.mean(y * centered)), float(np.mean(cond_var)),
             float(np.mean(centered ** 2)))
@@ -194,13 +182,8 @@ def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
         x = infer_part.x[rows, 0]
         z = infer_part.z[rows]
         y = infer_part.y[rows]
-        batch_seed = seed + 1_000_003 * (m + 1)
-        if is_gaussian:
-            r[m], v[m], scale[m] = _batch_moments_gaussian(
-                x, z, y, mu, model.sigma2, mc_k, batch_seed)
-        else:
-            r[m], v[m], scale[m] = _batch_moments_dmc(
-                x, z, y, mu, model, mc_k, batch_seed)
+        r[m], v[m], scale[m] = _batch_moments(
+            x, z, y, mu, model, mc_k, seed + 1_000_003 * (m + 1))
     report = ratio_lcb(r, v, level, n_eff=plan.n1, estimand=MMSE_GAP,
                        mu_scale_sq=float(scale.mean()), seed=seed)
     report.diagnostics.update(n1=plan.n1, n2=plan.n2, dropped=plan.dropped)

@@ -24,9 +24,8 @@ import numpy as np
 
 from .core import (ConfidenceLevel, Dataset, LcbReport, MACM_GAP,
                    as_confidence_level, philox_rng)
-from .covariates import CovariateModel
-from .errors import (DegenerateLabelsError, SizeError,
-                     UnsupportedClosedFormError, ValidationError)
+from .covariates import CovariateModel, cond_moments_linear
+from .errors import DegenerateLabelsError, SizeError, ValidationError
 from .regression import WorkingRegression
 from .mmse import _BLOCK_VALUES, _predict_rows, mu_null_values
 
@@ -67,19 +66,10 @@ def _exact_r_samples(infer_part: Dataset, mu: WorkingRegression,
     U | Z is centered normal, so the conditional probability of either
     strict half-line is 1/2 whenever the focal coefficient is nonzero
     and 0 when it vanishes."""
-    a = getattr(mu, "linear_focal_coef", None)
-    if a is None:
-        raise UnsupportedClosedFormError(
-            "exact MACM moments need a partially linear mu")
-    cond_mean_x, cond_cov = model.conditional_x_moments(infer_part.z)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    var_u = float(a @ cond_cov @ a)
-    mu_obs = _predict_rows(mu, infer_part.x, infer_part.z)
-    g = _predict_rows(mu, cond_mean_x, infer_part.z)
-    u = mu_obs - g
-    prob = 0.5 if var_u > 0 else 0.0
+    g, var_u = cond_moments_linear(model, mu, infer_part.z)
+    u = _predict_rows(mu, infer_part.x, infer_part.z) - g
     wrong_side = np.where(infer_part.y > 0, u < 0, u > 0)
-    return prob - wrong_side.astype(float)
+    return np.where(var_u > 0, 0.5, 0.0) - wrong_side
 
 
 def _mc_r_samples(infer_part: Dataset, mu: WorkingRegression,

@@ -46,8 +46,10 @@ class FloodgateConfig:
         return replace(self, alpha=as_confidence_level(alpha))
 
 
-# Values held at once by a streamed Monte Carlo path: null-copy values
-# (copies x rows) in MACM, and tiled covariates in mu_null_values.
+# Values held at once by a streamed Monte Carlo path: copy values per
+# block in macm._mc_r_samples, and the tiled z per generic-mu chunk in
+# mu_on_copies (mu_null_values for MMSE MC, weighted and MACM; the
+# co-sufficient MC batches; simulate.mmse_oracle_nested_mc).
 _BLOCK_VALUES = 1 << 21
 
 
@@ -55,13 +57,14 @@ def _predict_rows(mu: WorkingRegression, x: np.ndarray, z: np.ndarray) -> np.nda
     return np.asarray(mu.predict(x, z), dtype=float).reshape(len(x))
 
 
-def mu_null_values(mu: WorkingRegression, model: CovariateModel,
-                   z: np.ndarray, big_k: int,
-                   seed: int | np.random.Generator) -> np.ndarray:
-    """mu evaluated on K null copies of x; shape (K, n). A Generator seed
-    continues its stream, as in ``CovariateModel.sample_null_copies``.
-    A generic mu sees chunks of copies with at most ~_BLOCK_VALUES z values."""
-    copies = model.sample_null_copies(z, big_k, seed).copies
+def mu_on_copies(mu: WorkingRegression, copies: np.ndarray,
+                 z: np.ndarray) -> np.ndarray:
+    """mu on a (K, n, d_x) stack of copies of x, each paired with the n
+    rows of z; shape (K, n). A generic mu gets chunks of copies whose
+    tiled z holds about _BLOCK_VALUES values, so its value on a row must
+    not depend on the other rows in the call. One computing ``z @ coef``
+    breaks this in the last bits: BLAS rounds a product's last rows
+    differently, so moving the chunk cuts can change them."""
     big_k, n, d_x = copies.shape
     if isinstance(mu, LinearWorkingRegression):
         # Evaluate the z part once instead of retiling it per copy.
@@ -79,6 +82,14 @@ def mu_null_values(mu: WorkingRegression, model: CovariateModel,
         _predict_rows(mu, part.reshape(-1, d_x), z_rep[:len(part) * n])
         .reshape(len(part), n)
         for part in np.split(copies, range(step, big_k, step))])
+
+
+def mu_null_values(mu: WorkingRegression, model: CovariateModel,
+                   z: np.ndarray, big_k: int,
+                   seed: int | np.random.Generator) -> np.ndarray:
+    """mu on K null copies of x drawn from model; shape (K, n). A
+    Generator seed continues its stream, as in sample_null_copies."""
+    return mu_on_copies(mu, model.sample_null_copies(z, big_k, seed).copies, z)
 
 
 def moment_samples(infer_part: Dataset, mu: WorkingRegression,

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, normal_quantile
+from .core import Dataset, normal_quantile, seeded_rng
 from .errors import (DegenerateLabelsError, ShapeError, SingularDesignError,
                      SizeError, ValidationError)
 
@@ -177,8 +177,7 @@ def _drop_constant_columns(w: np.ndarray) -> np.ndarray:
 
 def fold_assignments(n: int, folds: int, seed: int) -> np.ndarray:
     """Deterministic fold labels in [0, folds) from (seed, n)."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=[int(seed), n]))
-    return rng.permutation(np.arange(n) % folds)
+    return seeded_rng(seed, n).permutation(np.arange(n) % folds)
 
 
 def fit_ols(fit_part: Dataset) -> LinearWorkingRegression:

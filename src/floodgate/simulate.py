@@ -19,16 +19,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, LcbReport, MACM_GAP, MMSE_GAP, split
+from .core import Dataset, LcbReport, MACM_GAP, MMSE_GAP, seeded_rng, split
 from .covariates import (Ar1Model, CopulaModel, CovariateModel,
                          GaussianLinearModel, ar1_covariance)
 from .errors import SizeError, ValidationError
 from .macm import MacmConfig, macm_gap_oracle, macm_lcb
-from .mmse import FloodgateConfig, floodgate_lcb
+from .mmse import FloodgateConfig, floodgate_lcb, mu_null_values
 from .cosufficient import cosufficient_lcb
-from .regression import (CUSTOM, CvConfig, LASSO, LinearWorkingRegression,
-                         LOGIT_L1, LOGIT_L2, OLS, RIDGE, WorkingRegression,
-                         fit_lasso, fit_logistic, fit_ols, fit_ridge)
+from .regression import (CUSTOM, CustomRegression, CvConfig, LASSO,
+                         LinearWorkingRegression, LOGIT_L1, LOGIT_L2, OLS,
+                         RIDGE, WorkingRegression, fit_lasso, fit_logistic,
+                         fit_ols, fit_ridge)
 
 LINEAR_SPARSE = "LINEAR_SPARSE"
 NONLINEAR_F1 = "NONLINEAR_F1"
@@ -142,7 +143,7 @@ def _weighted_pick(rng: np.random.Generator, s_star: np.ndarray,
 
 
 def build_mu_star(spec: MuStarSpec, n: int, p: int) -> RealizedMuStar:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(spec.seed)))
+    rng = seeded_rng(spec.seed)
     scale = spec.amplitude / math.sqrt(n)
     if spec.kind in (LINEAR_SPARSE, LOGISTIC_LINEAR):
         if spec.sparsity > p:
@@ -206,14 +207,10 @@ def mmse_oracle_nested_mc(mu_star: RealizedMuStar, model: CovariateModel,
     unbiased (inner - 1)-denominator conditional-variance estimate.
     Returns (value, standard error of the squared-gap estimate)."""
     _, z = model.sample_joint(outer, seed)
-    copies = model.sample_null_copies(z, inner, derive_seed(seed, 1)).copies
     j = focal_0based
-    w = np.empty((inner, outer, mu_star.p))
-    w[:, :, :] = np.concatenate(
-        [z[:, :j], np.zeros((outer, 1)), z[:, j:]], axis=1)[None, :, :]
-    w[:, :, j] = copies[:, :, 0]
-    vals = mu_star.values(w.reshape(inner * outer, mu_star.p))
-    vals = vals.reshape(inner, outer)
+    mu = CustomRegression(lambda x, z_rows: mu_star.values(
+        np.concatenate([z_rows[:, :j], x, z_rows[:, j:]], axis=1)))
+    vals = mu_null_values(mu, model, z, inner, derive_seed(seed, 1))
     cond_var = vals.var(axis=0, ddof=1)
     gap_sq = float(cond_var.mean())
     se = float(cond_var.std(ddof=1) / math.sqrt(outer))
@@ -387,8 +384,7 @@ def generate_replicate(spec: ExperimentSpec, replicate_index: int
         spec.n, derive_seed(spec.base_seed, replicate_index, 1))
     w = np.concatenate([x, z], axis=1)
     signal = mu_star.values(w)
-    rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=[spec.base_seed, replicate_index, 2]))
+    rng = seeded_rng(spec.base_seed, replicate_index, 2)
     if spec.mu_star.kind == LOGISTIC_LINEAR:
         prob = 1.0 / (1.0 + np.exp(-signal))
         y = np.where(rng.random(spec.n) < prob, 1.0, -1.0)
@@ -428,8 +424,7 @@ def _fit_working_regression(spec: ExperimentSpec, fit_ds: Dataset,
             raise ValidationError("coefficient fitters need a linear mu*")
         coef = mu_star.coef.copy()
         if spec.fitter == FIT_MU_STAR_CORRUPTED:
-            noise_rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=[spec.base_seed, replicate_index, 4]))
+            noise_rng = seeded_rng(spec.base_seed, replicate_index, 4)
             coef = coef + spec.corruption_tau * noise_rng.standard_normal(spec.p)
         link = "binary_mean" if spec.mu_star.kind == LOGISTIC_LINEAR else "identity"
         return LinearWorkingRegression(CUSTOM, 0.0, coef, np.empty(0), link=link)
@@ -516,12 +511,9 @@ def _infer_one(spec: ExperimentSpec, method: MethodSpec, infer_ds: Dataset,
             spec.misspec_ridge)
     else:
         model = focal_model(spec, variable)
-    if method.name == MMSE_EXACT:
-        cfg = FloodgateConfig(spec.alpha, big_k=0, center_y=method.center_y,
-                              seed=seed)
-        return floodgate_lcb(infer_ds, mu_j, model, cfg)
-    if method.name == MMSE_MC:
-        cfg = FloodgateConfig(spec.alpha, big_k=method.big_k,
+    if method.name in (MMSE_EXACT, MMSE_MC):
+        big_k = 0 if method.name == MMSE_EXACT else method.big_k
+        cfg = FloodgateConfig(spec.alpha, big_k=big_k,
                               center_y=method.center_y, seed=seed)
         return floodgate_lcb(infer_ds, mu_j, model, cfg)
     if method.name == MACM:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from floodgate import (ConfidenceLevel, Dataset, LcbReport, delta_method_se,
                        normal_cdf, normal_quantile, sample_mean_cov, split)
-from floodgate.core import ratio_lcb, reports_to_csv
+from floodgate.core import ratio_lcb, reports_to_csv, seeded_rng
 from floodgate.errors import (ShapeError, SizeError, ValidationError)
 
 
@@ -173,6 +173,16 @@ class TestSampleMeanCov:
         b = sample_mean_cov(shuffled)
         assert a[0] == pytest.approx(b[0], rel=1e-9, abs=1e-12)
         assert np.allclose(a[2], b[2], rtol=1e-9, atol=1e-12)
+
+
+class TestSeededRng:
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 40, 2 ** 63 - 5])
+    def test_one_key_is_the_plain_seed_sequence(self, seed):
+        want = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+        assert np.array_equal(seeded_rng(seed).random(8), want.random(8))
+
+    def test_keys_are_ordered(self):
+        assert seeded_rng(1, 2).random() != seeded_rng(2, 1).random()
 
 
 class TestSplit:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from floodgate import (BatchPlan, Dataset, DiscreteMarkovChain,
-                       GaussianLinearModel, LinearWorkingRegression,
-                       cosufficient_lcb, dmc_conditional_resample,
+from floodgate import (BatchPlan, CustomRegression, Dataset,
+                       DiscreteMarkovChain, GaussianLinearModel,
+                       LinearWorkingRegression, cosufficient_lcb,
+                       dmc_conditional_resample,
                        gaussian_conditional_resample, make_batch_plan)
-from floodgate.cosufficient import dmc_strata, hat_matrix
+from floodgate.cosufficient import _batch_moments, dmc_strata, hat_matrix
 from floodgate.errors import (ShapeError, SingularDesignError, SizeError,
                               ValidationError)
 from floodgate.regression import OLS
@@ -224,3 +225,21 @@ class TestCosufficientLcb:
         a = cosufficient_lcb(data, mu, model, n2=75, mc_k=0, seed=5)
         b = cosufficient_lcb(data, mu, model, n2=75, mc_k=0, seed=6)
         assert a.point != b.point
+
+    @pytest.mark.parametrize("family", ["gaussian", "dmc"])
+    def test_mc_linear_mu_matches_custom_wrap(self, family):
+        # The linear fast path sums (intercept + z.c) + x.a; the wrapped
+        # predict sums (intercept + x.a) + z.c. Only rounding differs.
+        model = _gaussian_model() if family == "gaussian" else _chain()
+        x, z = model.sample_joint(400, seed=21)
+        rng = np.random.default_rng(22)
+        y = 1.2 * x[:, 0] + z[:, 0] + rng.standard_normal(400)
+        lin = LinearWorkingRegression(OLS, 0.4, np.array([1.2]),
+                                      np.linspace(-1.0, 1.0, z.shape[1]))
+        wrapped = CustomRegression(lin.predict)
+        for m in range(4):
+            rows = slice(100 * m, 100 * (m + 1))
+            args = (x[rows, 0], z[rows], y[rows])
+            fast = _batch_moments(*args, lin, model, 50, 7 + m)
+            slow = _batch_moments(*args, wrapped, model, 50, 7 + m)
+            np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)

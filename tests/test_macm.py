@@ -10,9 +10,9 @@ import pytest
 
 import floodgate
 from floodgate import (Ar1Model, CustomRegression, Dataset,
-                       GaussianLinearModel, LinearWorkingRegression,
-                       MacmConfig, macm_gap_enumerate, macm_gap_oracle,
-                       macm_lcb)
+                       FloodgateConfig, GaussianLinearModel,
+                       LinearWorkingRegression, MacmConfig, floodgate_lcb,
+                       macm_gap_enumerate, macm_gap_oracle, macm_lcb)
 from floodgate import macm
 from floodgate.mmse import mu_null_values
 from floodgate.errors import (DegenerateLabelsError, UnsupportedClosedFormError,
@@ -82,6 +82,24 @@ class TestExactMoments:
         with pytest.raises(UnsupportedClosedFormError):
             macm_lcb(Dataset(y, x, z), mu, model,
                      MacmConfig(exact_moments=True))
+
+    def test_column_shaped_mu_matches_flat(self):
+        # A custom mu may return an (n, 1) column; exact mMSE and exact
+        # MACM must read it as the (n,) vector it stands for.
+        model = Ar1Model(dim=5, rho=0.4, focal_index=3)
+        x, z = model.sample_joint(300, seed=4)
+        fn = lambda x, z: 0.7 * x[:, 0] + np.sin(z[:, 1]) - 0.5 * z[:, 3]
+        flat = CustomRegression(fn, linear_focal_coef=[0.7])
+        column = CustomRegression(lambda x, z: fn(x, z)[:, None],
+                                  linear_focal_coef=[0.7])
+        rng = np.random.default_rng(5)
+        y = fn(x, z) + rng.standard_normal(300)
+        yb = np.where(rng.random(300) < 1 / (1 + np.exp(-fn(x, z))), 1.0, -1.0)
+        for data, bound, cfg in (
+                (Dataset(y, x, z), floodgate_lcb, FloodgateConfig(big_k=0)),
+                (Dataset(yb, x, z), macm_lcb, MacmConfig(exact_moments=True))):
+            assert bound(data, column, model, cfg) == \
+                bound(data, flat, model, cfg)
 
 
 class TestMonteCarloMoments:

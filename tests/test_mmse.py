@@ -11,7 +11,8 @@ from floodgate import (Ar1Model, CustomRegression, Dataset, FloodgateConfig,
 from floodgate.core import LcbReport, delta_method_se, normal_quantile, sample_mean_cov
 from floodgate.errors import ShapeError, SizeError, ValidationError
 from floodgate import mmse
-from floodgate.mmse import moment_samples, mu_null_values, variance_ucb
+from floodgate.mmse import (moment_samples, mu_null_values, mu_on_copies,
+                            variance_ucb)
 from floodgate.regression import OLS
 
 
@@ -85,17 +86,30 @@ class TestMuNullValues:
     def test_chunked_generic_mu_matches_one_tile(self, monkeypatch,
                                                  block_values):
         # Chunks of 4 copies (the last one partial), of a single copy,
-        # or all 11 at once give the values of one (K n, d_z) tile.
+        # or all 11 at once give the values of one (K n, d_z) tile, and
+        # mu only ever sees whole copies of the tiled z.
         if block_values is not None:
             monkeypatch.setattr(mmse, "_BLOCK_VALUES", block_values)
         model = Ar1Model(dim=4, rho=0.3, focal_index=2)
         _, z = model.sample_joint(50, seed=2)
-        mu = CustomRegression(lambda x, z: np.tanh(
-            1.5 * x[:, 0] + 0.3 * z[:, 0] - z[:, 2] ** 2))
+        seen = []
+
+        def fn(x, z_rows):
+            seen.append(z_rows.copy())
+            return np.tanh(1.5 * x[:, 0] + 0.3 * z_rows[:, 0]
+                           - z_rows[:, 2] ** 2)
+        mu = CustomRegression(fn)
         copies = model.sample_null_copies(z, 11, seed=5).copies
         want = mu.predict(copies.reshape(550, 1),
                           np.tile(z, (11, 1))).reshape(11, 50)
+        seen.clear()
         assert np.array_equal(mu_null_values(mu, model, z, 11, seed=5), want)
+        assert np.array_equal(mu_on_copies(mu, copies, z), want)
+        step = {None: 11, 50 * 3 * 4: 4, 7: 1}[block_values]
+        assert [len(z_rows) for z_rows in seen] == \
+            2 * [50 * min(step, 11 - k) for k in range(0, 11, step)]
+        for z_rows in seen:
+            assert np.array_equal(z_rows, np.tile(z, (len(z_rows) // 50, 1)))
 
 
 class TestExactMoments:

@@ -6,6 +6,7 @@ import pytest
 
 from floodgate import (ExperimentSpec, MethodSpec, MuStarSpec, build_mu_star,
                        generate_replicate, oracle_values, run_experiment)
+from floodgate import mmse
 from floodgate.covariates import Ar1Model
 from floodgate.errors import ValidationError
 from floodgate.macm import macm_gap_oracle
@@ -158,6 +159,33 @@ class TestOracles:
                                          cond_mean_y, 1001,
                                          derive_seed(4, int(j), 1001))
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block_values", [None, 200 * 39 * 7])
+    def test_nested_oracle_matches_row_array(self, monkeypatch, block_values):
+        # The reference lays all (inner, outer, p) rows out at once, as
+        # the oracle once did; the oracle now evaluates mu* on chunks of
+        # null copies (one chunk, or chunks of 7 copies).
+        if block_values is not None:
+            monkeypatch.setattr(mmse, "_BLOCK_VALUES", block_values)
+        mu_star = build_mu_star(MuStarSpec(NONLINEAR_F1, sparsity=30,
+                                           seed=3), n=400, p=40)
+        outer, inner, seed = 200, 50, 12
+        for j in (int(mu_star.support[0]), int(mu_star.support[-1])):
+            model = Ar1Model(40, 0.3, j + 1)
+            got = mmse_oracle_nested_mc(mu_star, model, outer, inner, seed, j)
+            _, z = model.sample_joint(outer, seed)
+            copies = model.sample_null_copies(z, inner,
+                                              derive_seed(seed, 1)).copies
+            w = np.empty((inner, outer, mu_star.p))
+            w[:, :, :] = np.concatenate(
+                [z[:, :j], np.zeros((outer, 1)), z[:, j:]], axis=1)[None, :, :]
+            w[:, :, j] = copies[:, :, 0]
+            vals = mu_star.values(w.reshape(inner * outer, mu_star.p))
+            vals = vals.reshape(inner, outer)
+            cond_var = vals.var(axis=0, ddof=1)
+            want = (math.sqrt(max(float(cond_var.mean()), 0.0)),
+                    float(cond_var.std(ddof=1) / math.sqrt(outer)))
+            assert got == want
 
 
 class TestExperimentSpec:
