@@ -246,41 +246,112 @@ def _soft_threshold(v: float, t: float) -> float:
     return 0.0
 
 
-def _lasso_path_point(gram: np.ndarray, cvec: np.ndarray, lam: float,
-                      beta: np.ndarray, tolerance: float, max_iters: int) -> bool:
-    """Cyclic coordinate descent on (1/2) b'Gb - c'b + lam |b|_1, in place.
+def _cd_sweep(gram: np.ndarray, cvec: np.ndarray, lam: float,
+              beta: np.ndarray, indices) -> float:
+    """One cyclic pass of coordinate steps over `indices`, in place, on
+    (1/2) b'Gb - c'b + lam |b|_1; returns the largest change.
 
-    gram and cvec are X'X/n and X'y/n for standardized columns, so each
-    diagonal entry of gram is 1. Returns True on convergence.
+    The step at j is b_j <- S(c_j - G_j.b + b_j, lam): a proximal
+    gradient step on coordinate j with unit step size. It is the exact
+    coordinate minimizer only when G_jj = 1, which holds for the
+    full-data Gram; a fold Gram is standardized on the whole fit part,
+    so its diagonal is only near 1. Any fixed point still satisfies
+    the LASSO KKT conditions, c_j - G_j.b = lam sign(b_j) where b_j != 0
+    and |c_j - G_j.b| <= lam elsewhere.
     """
-    p = len(cvec)
+    max_delta = 0.0
+    for j in indices:
+        old = beta[j]
+        resid_corr = cvec[j] - gram[j] @ beta + old
+        new = _soft_threshold(resid_corr, lam)
+        if new != old:
+            beta[j] = new
+            max_delta = max(max_delta, abs(new - old))
+    return max_delta
 
-    def sweep(indices) -> float:
-        max_delta = 0.0
-        for j in indices:
-            old = beta[j]
-            resid_corr = cvec[j] - gram[j] @ beta + old
-            new = _soft_threshold(resid_corr, lam)
-            if new != old:
-                beta[j] = new
-                max_delta = max(max_delta, abs(new - old))
-        return max_delta
 
-    # Full sweeps establish the active set; cheap active-set sweeps do
-    # the bulk of the work in between (still cyclic coordinate descent).
-    iters = 0
-    while iters < max_iters:
-        delta = sweep(range(p))
-        iters += 1
-        if delta < tolerance:
-            return True
-        active = np.flatnonzero(beta)
-        while iters < max_iters:
-            delta = sweep(active)
-            iters += 1
-            if delta < tolerance:
-                break
-    return False
+def _lasso_paths(grams: np.ndarray, cvecs: np.ndarray, grid: np.ndarray,
+                 tolerance: float, max_iters: int):
+    """Warm-started coordinate-descent paths of a stack of LASSO
+    problems, (F, p, p) Grams and (F, p) cvecs, run together.
+
+    Every slice follows the same schedule at each penalty level: a full
+    sweep, then sweeps over the coefficients that full sweep left
+    nonzero until none moves by `tolerance`, then another full sweep,
+    until a full sweep moves none by `tolerance` (converged) or
+    `max_iters` sweeps have run at that level (not converged).
+
+    A sweep over a set S in index order that changes no sign is linear:
+    with A the nonzero part of S, s its signs, L the strict lower
+    triangle of G and U the upper triangle less the identity, the new
+    values solve (I + L_AA) b_A = c_A - U_A.b_old - lam s_A, and b is 0
+    on the rest of S. The solve runs for every slice at once from a
+    cached inverse (renewed when A changes). Where the solution changes
+    a sign, or leaves a zero of S with |residual| > lam, the slice keeps
+    it before that coordinate and finishes the sweep with the scalar
+    `_cd_sweep`. Both give the same sweep up to rounding.
+
+    Returns the (F, len(grid), p) path, an (F, len(grid)) convergence
+    mask and the total number of sweeps.
+    """
+    n_prob, p = cvecs.shape
+    eye = np.eye(p)
+    lower = np.tril(grams, -1)
+    upper = np.triu(grams) - eye
+    beta = np.zeros((n_prob, p))
+    inv = np.tile(eye, (n_prob, 1, 1))
+    inv_for = np.zeros((n_prob, p), dtype=bool)     # A behind `inv`
+    path = np.empty((n_prob, len(grid), p))
+    converged = np.ones((n_prob, len(grid)), dtype=bool)
+    sweeps = 0
+    for gi, lam in enumerate(grid):
+        live = np.ones(n_prob, dtype=bool)
+        full = np.ones(n_prob, dtype=bool)
+        swept = np.ones((n_prob, p), dtype=bool)
+        iters = np.zeros(n_prob, dtype=int)
+        while live.any():
+            # Coefficients outside the swept set are zero, so A is the
+            # nonzero set.
+            signs = np.sign(beta)
+            act = signs != 0
+            stale = live & (act != inv_for).any(axis=1)
+            if stale.any():
+                k = np.flatnonzero(stale)
+                inv[k] = np.linalg.inv(
+                    eye + lower[k] * (act[k, :, None] & act[k, None, :]))
+                inv_for[k] = act[k]
+            ub = (upper @ beta[..., None])[..., 0]
+            rhs = np.where(act, cvecs - ub - lam * signs, 0.0)
+            new = (inv @ rhs[..., None])[..., 0]
+            resid = cvecs - (lower @ new[..., None])[..., 0] - ub
+            wrong = np.where(act, signs * new <= 0,
+                             swept & (np.abs(resid) > lam))
+            step = np.abs(new - beta)
+            delta = step.max(axis=1, initial=0.0)
+            bad = live & wrong.any(axis=1)
+            beta = np.where((live & ~bad)[:, None], new, beta)
+            for f in np.flatnonzero(bad):
+                # The sweep is triangular: coordinates before the first
+                # wrong one already hold what the scalar loop gives.
+                j = int(np.argmax(wrong[f]))
+                beta[f, :j] = new[f, :j]
+                delta[f] = max(step[f, :j].max(initial=0.0),
+                               _cd_sweep(grams[f], cvecs[f], lam, beta[f],
+                                         np.flatnonzero(swept[f, j:]) + j))
+            iters += live
+            small = delta < tolerance
+            live &= ~(full & small)
+            to_active = live & full
+            to_full = live & ~full & small
+            swept[to_active] = beta[to_active] != 0
+            swept[to_full] = True
+            full ^= to_active | to_full
+            out = live & (iters >= max_iters)
+            converged[out, gi] = False
+            live &= ~out
+        sweeps += int(iters.sum())
+        path[:, gi] = beta
+    return path, converged, sweeps
 
 
 def _auto_grid(cvec: np.ndarray, cv: CvConfig) -> np.ndarray:
@@ -301,39 +372,41 @@ def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
     yc = y - y_mean
     p = len(keep)
 
-    def solve(gram, cvec, lam, warm):
-        if kind == RIDGE:
-            return np.linalg.solve(gram + lam * np.eye(p), cvec), True
-        beta = warm.copy()
-        ok = _lasso_path_point(gram, cvec, lam, beta, cv.tolerance, cv.max_iters)
-        return beta, ok
-
-    gram_full = ws.T @ ws / n
-    cvec_full = ws.T @ yc / n
-    grid = (np.asarray(cv.lambda_grid) if cv.lambda_grid is not None
-            else _auto_grid(cvec_full, cv))
-
+    # One stack of problems: the CV folds, then the full data (last).
     folds = fold_assignments(n, cv.folds, seed)
-    cv_err = np.zeros(len(grid))
+    grams = np.empty((cv.folds + 1, p, p))
+    cvecs = np.empty((cv.folds + 1, p))
     for f in range(cv.folds):
         tr = folds != f
-        va = ~tr
         n_tr = int(tr.sum())
-        gram = ws[tr].T @ ws[tr] / n_tr
-        cvec = ws[tr].T @ yc[tr] / n_tr
-        beta = np.zeros(p)
-        for gi, lam in enumerate(grid):
-            beta, _ = solve(gram, cvec, lam, beta)
-            pred = ws[va] @ beta
-            cv_err[gi] += float(np.sum((yc[va] - pred) ** 2))
+        grams[f] = ws[tr].T @ ws[tr] / n_tr
+        cvecs[f] = ws[tr].T @ yc[tr] / n_tr
+    grams[-1] = ws.T @ ws / n
+    cvecs[-1] = ws.T @ yc / n
+    grid = (np.asarray(cv.lambda_grid) if cv.lambda_grid is not None
+            else _auto_grid(cvecs[-1], cv))
+
+    if kind == RIDGE:
+        eye = np.eye(p)
+        path = np.stack([np.linalg.solve(grams + lam * eye,
+                                         cvecs[..., None])[..., 0]
+                         for lam in grid], axis=1)
+        converged = np.ones((cv.folds + 1, len(grid)), dtype=bool)
+        sweeps = 0
+    else:
+        path, converged, sweeps = _lasso_paths(grams, cvecs, grid,
+                                               cv.tolerance, cv.max_iters)
+
+    cv_err = np.zeros(len(grid))
+    for f in range(cv.folds):
+        va = folds == f
+        w_va, y_va = ws[va], yc[va]
+        for gi in range(len(grid)):
+            cv_err[gi] += float(np.sum((y_va - w_va @ path[f, gi]) ** 2))
     best = int(np.argmin(cv_err))
     lam_star = float(grid[best])
-
-    beta = np.zeros(p)
-    converged = True
-    for lam in grid[:best + 1]:
-        beta, converged = solve(gram_full, cvec_full, lam, beta)
-    if not converged:
+    beta = path[-1, best]
+    if not converged[-1, best]:
         warnings.warn(f"{kind} coordinate descent did not converge at "
                       f"lambda = {lam_star:g} within {cv.max_iters} sweeps")
 
@@ -345,14 +418,21 @@ def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
         kind, intercept, x_coef, z_coef,
         diagnostics={"lambda": lam_star, "cv_errors": cv_err / n,
                      "lambda_grid": np.asarray(grid, dtype=float),
-                     "converged": converged,
-                     "active": int(np.count_nonzero(beta))})
+                     "converged": bool(converged[-1, best]),
+                     "active": int(np.count_nonzero(beta)),
+                     "cv_unconverged": int(np.count_nonzero(~converged[:-1])),
+                     "sweeps": sweeps})
 
 
 def fit_lasso(fit_part: Dataset, cv: CvConfig = CvConfig(),
               seed: int = 0) -> LinearWorkingRegression:
     """L1-penalized least squares by cyclic coordinate descent with
-    soft thresholding; the penalty level is chosen by k-fold CV."""
+    soft thresholding; the penalty level is chosen by k-fold CV.
+
+    Besides the chosen `lambda`, the CV errors and the grid, the
+    diagnostics record whether the full-data fit `converged`, its
+    `active` count, `cv_unconverged` (fold and penalty points that hit
+    `max_iters`) and the total `sweeps`."""
     return _penalized_linear(fit_part, cv, seed, LASSO)
 
 
@@ -383,8 +463,13 @@ def _prox_l1(coef: np.ndarray, t: float) -> np.ndarray:
 
 
 def _fit_logistic_at(design, y, lam: float, l1: bool, tolerance: float,
-                     max_iters: int, warm: np.ndarray) -> np.ndarray:
-    """Proximal gradient with backtracking on the penalized deviance."""
+                     max_iters: int, warm: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Proximal gradient with backtracking on the penalized deviance.
+
+    Returns the coefficients and whether they converged: False only when
+    `max_iters` steps ran out. A line search that cannot shrink the step
+    further stops at the current point and counts as converged.
+    """
     coef = warm.copy()
     l2 = 0.0 if l1 else lam
     step = 4.0
@@ -400,13 +485,13 @@ def _fit_logistic_at(design, y, lam: float, l1: bool, tolerance: float,
                 break
             step *= 0.5
             if step < 1e-12:
-                return coef
+                return coef, True
         if float(np.max(np.abs(trial - coef))) < tolerance:
-            return trial
+            return trial, True
         coef, loss, grad = trial, new_loss, new_grad
         step *= 1.3
     warnings.warn("logistic fit did not converge within max_iters")
-    return coef
+    return coef, False
 
 
 def fit_logistic(fit_part: Dataset, penalty: str = "L1",
@@ -446,16 +531,16 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
             raise DegenerateLabelsError(f"fold {f} training part is single-class")
         coef = np.zeros(design.shape[1])
         for gi, lam in enumerate(grid):
-            coef = _fit_logistic_at(design[tr], y[tr], lam, l1,
-                                    cv.tolerance, cv.max_iters, coef)
+            coef, _ = _fit_logistic_at(design[tr], y[tr], lam, l1,
+                                       cv.tolerance, cv.max_iters, coef)
             yf = y[va] * (design[va] @ coef)
             cv_dev[gi] += 2.0 * float(np.sum(np.logaddexp(0.0, -yf)))
     best = int(np.argmin(cv_dev))
 
     coef = np.zeros(design.shape[1])
     for lam in grid[:best + 1]:
-        coef = _fit_logistic_at(design, y, lam, l1, cv.tolerance,
-                                cv.max_iters, coef)
+        coef, converged = _fit_logistic_at(design, y, lam, l1, cv.tolerance,
+                                           cv.max_iters, coef)
     full = np.zeros(p_all)
     full[keep] = coef[1:] / sds
     intercept = float(coef[0] - means @ (coef[1:] / sds))
@@ -464,4 +549,6 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
         LOGIT_L1 if l1 else LOGIT_L2, intercept, x_coef, z_coef,
         link=_LINK_BINARY_MEAN,
         diagnostics={"lambda": float(grid[best]), "cv_deviance": cv_dev / n,
-                     "lambda_grid": np.asarray(grid, dtype=float)})
+                     "lambda_grid": np.asarray(grid, dtype=float),
+                     "converged": converged,
+                     "active": int(np.count_nonzero(coef[1:]))})

@@ -1,16 +1,23 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from floodgate import (CustomRegression, CvConfig, Dataset,
                        LinearWorkingRegression, fit_lasso, fit_logistic,
                        fit_ols, fit_ridge, ols_oracle_lcb,
                        regression_from_json)
+from floodgate import regression
+from floodgate.core import split
 from floodgate.errors import (DegenerateLabelsError, ShapeError,
                               SingularDesignError, SizeError, ValidationError)
 from floodgate.regression import LASSO, LOGIT_L1, LOGIT_L2, OLS, RIDGE, fold_assignments
+from floodgate.simulate import (LINEAR_SPARSE, MMSE_EXACT, ExperimentSpec,
+                                MethodSpec, MuStarSpec, derive_seed,
+                                generate_replicate)
 
 
 def _linear_data(n=300, beta_x=1.5, beta_z=(0.5, -1.0), noise=0.5, seed=0):
@@ -210,7 +217,207 @@ class TestFitLasso:
         assert fit.kind == LASSO
 
 
+def _scalar_path_point(gram, cvec, lam, beta, tolerance, max_iters):
+    """The scalar coordinate-descent path point the stacked engine
+    replaced, kept as the reference: cyclic sweeps in place, a full
+    sweep, then active-set sweeps until the largest change is below
+    tolerance, then another full sweep. Returns True on convergence."""
+    p = len(cvec)
+
+    def sweep(indices):
+        max_delta = 0.0
+        for j in indices:
+            old = beta[j]
+            resid_corr = cvec[j] - gram[j] @ beta + old
+            if resid_corr > lam:
+                new = resid_corr - lam
+            elif resid_corr < -lam:
+                new = resid_corr + lam
+            else:
+                new = 0.0
+            if new != old:
+                beta[j] = new
+                max_delta = max(max_delta, abs(new - old))
+        return max_delta
+
+    iters = 0
+    while iters < max_iters:
+        delta = sweep(range(p))
+        iters += 1
+        if delta < tolerance:
+            return True
+        active = np.flatnonzero(beta)
+        while iters < max_iters:
+            delta = sweep(active)
+            iters += 1
+            if delta < tolerance:
+                break
+    return False
+
+
+def _reference_penalized(data, cv, seed, ridge=False):
+    """Per-fold CV path of the fitters before stacking: returns the
+    chosen lambda index, the coefficients, the intercept, the CV errors
+    and whether the full-data fit converged."""
+    w = np.hstack([data.x, data.z])
+    n, p_all = w.shape
+    keep = np.where(w.std(axis=0) > 0)[0]
+    wk = w[:, keep]
+    ws = (wk - wk.mean(axis=0)) / wk.std(axis=0)
+    sds = wk.std(axis=0)
+    yc = data.y - data.y.mean()
+    p = len(keep)
+
+    def solve(gram, cvec, lam, warm):
+        if ridge:
+            return np.linalg.solve(gram + lam * np.eye(p), cvec), True
+        beta = warm.copy()
+        ok = _scalar_path_point(gram, cvec, lam, beta, cv.tolerance,
+                                cv.max_iters)
+        return beta, ok
+
+    gram_full = ws.T @ ws / n
+    cvec_full = ws.T @ yc / n
+    if cv.lambda_grid is not None:
+        grid = np.asarray(cv.lambda_grid)
+    else:
+        lam_max = max(float(np.max(np.abs(cvec_full))), 1e-12)
+        grid = np.geomspace(lam_max, cv.lambda_min_ratio * lam_max,
+                            cv.num_lambdas)
+    folds = fold_assignments(n, cv.folds, seed)
+    cv_err = np.zeros(len(grid))
+    for f in range(cv.folds):
+        tr = folds != f
+        va = ~tr
+        n_tr = int(tr.sum())
+        gram = ws[tr].T @ ws[tr] / n_tr
+        cvec = ws[tr].T @ yc[tr] / n_tr
+        beta = np.zeros(p)
+        for gi, lam in enumerate(grid):
+            beta, _ = solve(gram, cvec, lam, beta)
+            cv_err[gi] += float(np.sum((yc[va] - ws[va] @ beta) ** 2))
+    best = int(np.argmin(cv_err))
+    beta = np.zeros(p)
+    for lam in grid[:best + 1]:
+        beta, converged = solve(gram_full, cvec_full, lam, beta)
+    coef = np.zeros(p_all)
+    coef[keep] = beta / sds
+    intercept = float(data.y.mean() - w[:, keep].mean(axis=0) @ coef[keep])
+    return best, coef, intercept, cv_err / n, converged
+
+
+def _a1_fit_part(replicate, rho=0.3, n=600, p=40):
+    """The fit half of one replicate of the A1 coverage design."""
+    spec = ExperimentSpec(
+        n=n, p=p, mu_star=MuStarSpec(LINEAR_SPARSE, sparsity=10,
+                                     amplitude=5.0, seed=101),
+        methods=(MethodSpec(MMSE_EXACT),), rho=rho, fitter=LASSO,
+        split_proportion=0.5, replicates=1, base_seed=101)
+    w, y = generate_replicate(spec, replicate)
+    parts = split(Dataset(y, w, np.empty((n, 0))), 0.5,
+                  derive_seed(101, replicate, 5))
+    return parts.fit_part, derive_seed(101, replicate, 3)
+
+
+class TestStackedLassoPath:
+    """The fold-stacked engine against the per-fold scalar path."""
+
+    def _assert_matches(self, data, cv, seed):
+        fit = fit_lasso(data, cv, seed)
+        best, coef, intercept, cv_err, converged = _reference_penalized(
+            data, cv, seed)
+        grid = fit.diagnostics["lambda_grid"]
+        assert fit.diagnostics["lambda"] == grid[best]
+        assert np.max(np.abs(np.concatenate([fit.x_coef, fit.z_coef])
+                             - coef)) <= 1e-10
+        assert abs(fit.intercept - intercept) <= 1e-10
+        assert np.allclose(fit.diagnostics["cv_errors"], cv_err,
+                           rtol=1e-10, atol=0.0)
+        assert fit.diagnostics["converged"] == converged
+        return fit
+
+    def test_a1_design_replicate(self):
+        data, seed = _a1_fit_part(0)
+        fit = self._assert_matches(data, CvConfig(), seed)
+        assert fit.diagnostics["cv_unconverged"] == 0
+        assert fit.diagnostics["sweeps"] > 11 * len(fit.diagnostics["lambda_grid"])
+
+    def test_correlated_design_uses_scalar_fallback(self, monkeypatch):
+        calls = []
+        scalar = regression._cd_sweep
+
+        def counted(*args):
+            calls.append(args[2])
+            return scalar(*args)
+
+        monkeypatch.setattr(regression, "_cd_sweep", counted)
+        data, seed = _a1_fit_part(1, rho=0.9, n=400, p=20)
+        self._assert_matches(data, CvConfig(), seed)
+        assert calls
+
+    def test_user_lambda_grid(self):
+        data, seed = _a1_fit_part(2, n=300, p=15)
+        self._assert_matches(data, CvConfig(folds=5,
+                                            lambda_grid=(0.5, 0.2, 0.05, 0.01)),
+                             seed)
+
+    def test_constant_column(self):
+        data = _linear_data(n=200, beta_z=(0.5, -1.0, 0.3), seed=21)
+        z = data.z.copy()
+        z[:, 1] = 4.0
+        data = Dataset(data.y, data.x, z)
+        with pytest.warns(UserWarning, match="constant column"):
+            fit = self._assert_matches(data, CvConfig(folds=5), 4)
+        assert fit.z_coef[1] == 0.0
+
+    def test_iteration_cap_warns_and_counts(self):
+        data, seed = _a1_fit_part(3, n=300, p=15)
+        cv = CvConfig(folds=5, num_lambdas=12, max_iters=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = self._assert_matches(data, cv, seed)
+        d = fit.diagnostics
+        assert not d["converged"]
+        assert any("did not converge" in str(w.message) for w in caught)
+        assert 0 < d["cv_unconverged"] <= 5 * 12
+        assert d["sweeps"] <= 3 * 6 * 12
+
+    @given(n=st.integers(2, 40), d_x=st.integers(1, 3), d_z=st.integers(0, 4),
+           folds=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
+           rho=st.floats(0.0, 0.8))
+    @settings(max_examples=40, deadline=None)
+    def test_kkt_on_random_designs(self, n, d_x, d_z, folds, seed, rho):
+        folds = min(folds, n)          # includes n == folds
+        rng = np.random.default_rng(seed)
+        p = d_x + d_z
+        w = rng.standard_normal((n, p))
+        w[:, 1:] = rho * w[:, :-1] + math.sqrt(1 - rho ** 2) * w[:, 1:]
+        y = w @ rng.normal(0.0, 1.0, p) + rng.standard_normal(n)
+        data = Dataset(y, w[:, :d_x], w[:, d_x:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit = fit_lasso(data, CvConfig(folds=folds, num_lambdas=20,
+                                           max_iters=1000), seed % 1000)
+        # A nearly singular Gram (say n = 5, p = 4) can stall coordinate
+        # descent; the fit then reports it instead of meeting KKT. The
+        # iteration cap keeps such an example to seconds.
+        assume(fit.diagnostics["converged"])
+        assert _lasso_kkt_violation(data, fit, fit.diagnostics["lambda"]) < 1e-5
+
+
 class TestFitRidge:
+    def test_matches_per_fold_solve_bit_for_bit(self):
+        for data, seed in (_a1_fit_part(4, n=300, p=15),
+                           (_linear_data(n=120, seed=8), 2)):
+            cv = CvConfig(folds=5, num_lambdas=20)
+            fit = fit_ridge(data, cv, seed)
+            best, coef, intercept, cv_err, _ = _reference_penalized(
+                data, cv, seed, ridge=True)
+            assert fit.diagnostics["lambda"] == fit.diagnostics["lambda_grid"][best]
+            assert np.array_equal(np.concatenate([fit.x_coef, fit.z_coef]), coef)
+            assert fit.intercept == intercept
+            assert np.array_equal(fit.diagnostics["cv_errors"], cv_err)
+
     def test_single_lambda_closed_form(self):
         data = _linear_data(n=250, seed=11)
         lam = 0.7
@@ -300,6 +507,20 @@ class TestFitLogistic:
                 assert abs(grad[j] + np.sign(coef[j]) * lam) < 1e-4
             else:
                 assert abs(grad[j]) <= lam + 1e-4
+
+    def test_diagnostics_report_convergence_and_active(self):
+        data = self._logit_data(n=300, seed=7)
+        fit = fit_logistic(data, "L1", CvConfig(folds=3, num_lambdas=8),
+                           seed=0)
+        assert fit.diagnostics["converged"] is True
+        assert fit.diagnostics["active"] == np.count_nonzero(
+            np.concatenate([fit.x_coef, fit.z_coef]))
+        with pytest.warns(UserWarning, match="did not converge"):
+            capped = fit_logistic(data, "L2",
+                                  CvConfig(folds=3, num_lambdas=8,
+                                           max_iters=2), seed=0)
+        assert capped.diagnostics["converged"] is False
+        assert capped.diagnostics["active"] == 3
 
     def test_predictions_on_mean_scale(self):
         fit = fit_logistic(self._logit_data(n=300, seed=5), "L1",
