@@ -58,9 +58,6 @@ def _write_manifest(out_path: Path, command: str, config: dict,
 def _resolve_threads(value: int | None) -> int:
     if value is not None:
         return max(value, 1)
-    env = os.environ.get("FLOODGATE_THREADS")
-    if env:
-        return max(int(env), 1)
     return os.cpu_count() or 1
 
 

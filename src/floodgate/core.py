@@ -307,7 +307,9 @@ class Dataset:
 
         By default the header must name columns y, x1..x{d_x}, z1..z{d_z}.
         When x_cols is given, all non-y columns are covariates and the
-        named ones become the focal x block (the rest become z).
+        named ones become the focal x block (the rest become z); they must
+        be distinct and must not name y. A row whose width differs from
+        the header's raises ShapeError.
         """
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -318,14 +320,16 @@ class Dataset:
             rows = [row for row in reader if row]
         if "y" not in header:
             raise ValidationError(f"{path}: no 'y' column in header")
+        for i, row in enumerate(rows):
+            if len(row) != len(header):
+                raise ShapeError(f"{path}: data row {i + 1} has {len(row)} "
+                                 f"cells, header has {len(header)}")
         try:
             data = np.array([[float(v) for v in row] for row in rows], dtype=float)
         except ValueError as exc:
             raise ValidationError(f"{path}: non-numeric cell ({exc})") from None
         if data.size == 0:
             raise SizeError(f"{path}: no data rows")
-        if data.shape[1] != len(header):
-            raise ShapeError(f"{path}: row width does not match header")
         cols = {name: data[:, j] for j, name in enumerate(header)}
         y = cols["y"]
         if x_cols is None:
@@ -339,6 +343,9 @@ class Dataset:
             missing = [c for c in x_cols if c not in header]
             if missing:
                 raise ValidationError(f"{path}: x-cols not in header: {missing}")
+            if "y" in x_cols or len(set(x_cols)) != len(x_cols):
+                raise ValidationError(
+                    f"{path}: x-cols must be distinct and exclude y: {list(x_cols)}")
             x_names = list(x_cols)
             z_names = [h for h in header if h != "y" and h not in x_names]
         x = np.column_stack([cols[c] for c in x_names])

@@ -11,9 +11,10 @@ Rows are shuffled and cut into n1 contiguous batches of size n2
 and the across-batch delta-method LCB is
 max{ R-bar / sqrt(V-bar) - z_alpha s / sqrt(n1), 0 }.
 
-Supported models: the Gaussian linear model with known sigma2 (T is the
-batch vector (sum X_i, sum X_i Z_i); the conditional law is Gaussian
-through the hat matrix of (1, Z)) and the discrete Markov chain (T is
+Supported models: a Gaussian X | Z, linear in Z with a known variance
+sigma2 (GaussianLinearModel or Ar1Model with one focal column; T is the
+batch vector (sum X_i, sum X_i Z_i), and the conditional law is Gaussian
+through the hat matrix of (1, Z)), and the discrete Markov chain (T is
 the neighbor-pair count table; the conditional law uniformly permutes
 the focal values within each neighbor-pair stratum).
 """
@@ -27,7 +28,7 @@ import numpy as np
 
 from .core import (Dataset, LcbReport, MMSE_GAP, as_confidence_level,
                    philox_rng, ratio_lcb)
-from .covariates import DiscreteMarkovChain, GaussianLinearModel
+from .covariates import DiscreteMarkovChain, _GaussianConditional
 from .errors import (ShapeError, SingularDesignError, SizeError,
                      UnsupportedClosedFormError, ValidationError)
 from .regression import WorkingRegression
@@ -112,12 +113,20 @@ def dmc_conditional_resample(model: DiscreteMarkovChain, x: np.ndarray,
     return out
 
 
+def _gaussian_sigma2(model, z: np.ndarray) -> float | None:
+    """sigma2 of a one-column Gaussian X | Z model, None for any other."""
+    if not isinstance(model, _GaussianConditional) or model.d_x != 1:
+        return None
+    return float(model.conditional_x_moments(z[:0])[1][0, 0])
+
+
 def _batch_moments(x, z, y, mu, model, mc_k, seed):
     """(R_m, V_m, mean centered-mu^2) for one batch."""
     mu_obs = _predict_rows(mu, x[:, None], z)
-    is_gaussian = isinstance(model, GaussianLinearModel)
+    sigma2 = _gaussian_sigma2(model, z)
+    is_gaussian = sigma2 is not None
     if mc_k:
-        tilde_x = (gaussian_conditional_resample(x, z, model.sigma2, seed, mc_k)
+        tilde_x = (gaussian_conditional_resample(x, z, sigma2, seed, mc_k)
                    if is_gaussian
                    else dmc_conditional_resample(model, x, z, seed, mc_k))
         tilde = mu_on_copies(mu, tilde_x[:, :, None], z)
@@ -131,7 +140,7 @@ def _batch_moments(x, z, y, mu, model, mc_k, seed):
         a = float(np.atleast_1d(a)[0])
         h = hat_matrix(z)
         cond_mean = _predict_rows(mu, (h @ x)[:, None], z)
-        cond_var = a * a * model.sigma2 * (1.0 - np.diag(h))
+        cond_var = a * a * sigma2 * (1.0 - np.diag(h))
     else:
         # The conditional marginal of each row is uniform over its
         # stratum's observed values, so the moments are exact averages.
@@ -152,7 +161,7 @@ def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
     """Across-batch delta-method LCB for the co-sufficient functional.
 
     mc_k = 0 requests exact within-batch conditional moments (partially
-    linear mu for the Gaussian model; always available for the DMC);
+    linear mu for a Gaussian model; always available for the DMC);
     mc_k >= 2 estimates them from conditional resamples.
     """
     if mc_k == 1 or mc_k < 0:
@@ -161,15 +170,15 @@ def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
     n = infer_part.n
     if infer_part.d_x != 1:
         raise ShapeError("co-sufficient inference supports a single focal column")
-    is_gaussian = isinstance(model, GaussianLinearModel)
-    if is_gaussian:
+    if _gaussian_sigma2(model, infer_part.z) is not None:
         if n2 <= infer_part.d_z + 2:
             raise SizeError(
                 f"Gaussian co-sufficient needs n2 > d_z + 2 = {infer_part.d_z + 2}, "
                 f"got n2 = {n2}")
     elif not isinstance(model, DiscreteMarkovChain):
         raise ValidationError(
-            "co-sufficient inference supports GaussianLinearModel or "
+            "co-sufficient inference supports a Gaussian X | Z with one "
+            "focal column (GaussianLinearModel, Ar1Model) or "
             "DiscreteMarkovChain")
     plan = make_batch_plan(n, n2)
     rng = philox_rng(seed)

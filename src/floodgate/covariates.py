@@ -76,8 +76,42 @@ class CovariateModel(ABC):
         return z
 
 
+class _GaussianConditional(CovariateModel):
+    """X | Z ~ N(shift + Z B^T, cov): the conditional law of both Gaussian
+    covariate models, set once by their constructors through _set_law."""
+
+    def _set_law(self, shift: np.ndarray, coef: np.ndarray,
+                 cov: np.ndarray) -> None:
+        # object.__setattr__, because GaussianLinearModel is frozen.
+        for name, value in (("_shift", shift), ("_coef", coef),
+                            ("_cond_cov", cov),
+                            ("_cond_chol", np.linalg.cholesky(cov))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def d_x(self) -> int:
+        return self._coef.shape[0]
+
+    @property
+    def d_z(self) -> int:
+        return self._coef.shape[1]
+
+    def conditional_x_moments(self, z):
+        z = self._check_z(z)
+        return z @ self._coef.T + self._shift, self._cond_cov
+
+    def sample_null_copies(self, z, big_k, seed):
+        if big_k < 1:
+            raise ValidationError("big_k must be >= 1")
+        mean, _ = self.conditional_x_moments(z)
+        draws = philox_rng(seed).standard_normal((big_k, len(mean), self.d_x))
+        if self.d_x == 1:   # a 1 x 1 factor: the matmul's values, faster
+            return NullCopies(mean[None, :, :] + draws * self._cond_chol[0, 0])
+        return NullCopies(mean[None, :, :] + draws @ self._cond_chol.T)
+
+
 @dataclass(frozen=True)
-class GaussianLinearModel(CovariateModel):
+class GaussianLinearModel(_GaussianConditional):
     """X | Z ~ N((1, Z) gamma, sigma2) with Z ~ N(z_mean, z_cov)."""
 
     gamma: np.ndarray
@@ -103,18 +137,7 @@ class GaussianLinearModel(CovariateModel):
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "z_mean", z_mean)
         object.__setattr__(self, "z_cov", z_cov)
-
-    @property
-    def d_x(self) -> int:
-        return 1
-
-    @property
-    def d_z(self) -> int:
-        return len(self.z_mean)
-
-    def conditional_mean(self, z: np.ndarray) -> np.ndarray:
-        z = self._check_z(z)
-        return self.gamma[0] + z @ self.gamma[1:]
+        self._set_law(gamma[:1], gamma[None, 1:], np.array([[self.sigma2]]))
 
     def sample_joint(self, n, seed):
         if n < 1:
@@ -125,20 +148,9 @@ class GaussianLinearModel(CovariateModel):
             z = self.z_mean + rng.standard_normal((n, self.d_z)) @ chol.T
         else:
             z = np.empty((n, 0))
-        x = self.conditional_mean(z) + math.sqrt(self.sigma2) * rng.standard_normal(n)
+        mean = self.conditional_x_moments(z)[0][:, 0]
+        x = mean + math.sqrt(self.sigma2) * rng.standard_normal(n)
         return x[:, None], z
-
-    def sample_null_copies(self, z, big_k, seed):
-        if big_k < 1:
-            raise ValidationError("big_k must be >= 1")
-        z = self._check_z(z)
-        mean = self.conditional_mean(z)
-        draws = philox_rng(seed).standard_normal((big_k, len(z)))
-        return NullCopies((mean + math.sqrt(self.sigma2) * draws)[:, :, None])
-
-    def conditional_x_moments(self, z):
-        z = self._check_z(z)
-        return self.conditional_mean(z)[:, None], np.array([[self.sigma2]])
 
     def to_config(self):
         return {"gamma": self.gamma.tolist(), "sigma2": float(self.sigma2),
@@ -151,90 +163,18 @@ def _as_focal_tuple(focal_index) -> tuple[int, ...]:
     return tuple(int(j) for j in focal_index)
 
 
-class _StationaryGaussianVector(CovariateModel):
-    """Shared machinery for zero-mean Gaussian covariate vectors with a
-    known full covariance: generic conditional law of the focal block
-    given the rest via covariance partitioning.
-
-    Focal indices are 1-based, matching the x1..xp column naming.
-    """
-
-    def __init__(self, cov: np.ndarray, focal_index) -> None:
-        self._cov = np.asarray(cov, dtype=float)
-        p = self._cov.shape[0]
-        focal = _as_focal_tuple(focal_index)
-        if not focal or len(set(focal)) != len(focal):
-            raise ValidationError("focal_index must be distinct indices")
-        if any(j < 1 or j > p for j in focal):
-            raise ValidationError(f"focal indices must lie in [1, {p}]")
-        self._p = p
-        self._focal0 = np.array(sorted(j - 1 for j in focal))
-        self._rest0 = np.array([j for j in range(p) if j not in set(self._focal0)])
-        s, r = self._focal0, self._rest0
-        if len(r):
-            solve = np.linalg.solve(self._cov[np.ix_(r, r)], self._cov[np.ix_(r, s)])
-            self._cond_map = solve.T                       # (d_x, d_z)
-            self._cond_cov = (self._cov[np.ix_(s, s)]
-                              - self._cov[np.ix_(s, r)] @ solve)
-        else:
-            self._cond_map = np.empty((len(s), 0))
-            self._cond_cov = self._cov[np.ix_(s, s)]
-        self._cond_cov = 0.5 * (self._cond_cov + self._cond_cov.T)
-        self._cond_chol = np.linalg.cholesky(self._cond_cov)
-
-    @property
-    def d_x(self) -> int:
-        return len(self._focal0)
-
-    @property
-    def d_z(self) -> int:
-        return len(self._rest0)
-
-    def _sample_latent(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n draws of the whole vector, one coordinate per row: (p, n)."""
-        raise NotImplementedError
-
-    def _split(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Column-major (n, d) views. Matrix products on x and z round
-        # according to their layout, so the layout is part of the output.
-        return w[self._focal0].T, w[self._rest0].T
-
-    def latent_conditional(self, z_latent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Conditional mean rows and covariance of the focal latent block."""
-        return z_latent @ self._cond_map.T, self._cond_cov
-
-    def sample_joint(self, n, seed):
-        if n < 1:
-            raise ValidationError("n must be >= 1")
-        return self._split(self._sample_latent(n, philox_rng(seed)))
-
-    def sample_null_copies(self, z, big_k, seed):
-        if big_k < 1:
-            raise ValidationError("big_k must be >= 1")
-        z = self._check_z(z)
-        mean, _ = self.latent_conditional(z)
-        draws = philox_rng(seed).standard_normal((big_k, len(z), self.d_x))
-        if self.d_x == 1:   # a 1 x 1 factor: the matmul's values, faster
-            return NullCopies(mean[None, :, :] + draws * self._cond_chol[0, 0])
-        return NullCopies(mean[None, :, :] + draws @ self._cond_chol.T)
-
-    def conditional_x_moments(self, z):
-        z = self._check_z(z)
-        mean, cov = self.latent_conditional(z)
-        return mean, cov
-
-
 def ar1_covariance(dim: int, rho: float) -> np.ndarray:
     idx = np.arange(dim)
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-class Ar1Model(_StationaryGaussianVector):
+class Ar1Model(_GaussianConditional):
     """Stationary Gaussian AR(1) vector with unit marginal variances.
 
     W_1 ~ N(0,1) and W_{j+1} = rho W_j + sqrt(1-rho^2) eps_{j+1}; the
     focal block X is the column(s) at focal_index (1-based) and Z is the
-    remaining columns in order.
+    remaining columns in order. X | Z comes from partitioning the
+    covariance of W.
     """
 
     def __init__(self, dim: int, rho: float, focal_index) -> None:
@@ -245,17 +185,35 @@ class Ar1Model(_StationaryGaussianVector):
         self.dim = int(dim)
         self.rho = float(rho)
         self.focal_index = _as_focal_tuple(focal_index)
-        super().__init__(ar1_covariance(dim, rho), self.focal_index)
+        focal = self.focal_index
+        if not focal or len(set(focal)) != len(focal):
+            raise ValidationError("focal_index must be distinct indices")
+        if any(j < 1 or j > dim for j in focal):
+            raise ValidationError(f"focal indices must lie in [1, {dim}]")
+        s = np.array(sorted(j - 1 for j in focal))
+        r = np.array([j for j in range(dim) if j + 1 not in focal], dtype=int)
+        self._focal0, self._rest0 = s, r
+        cov = ar1_covariance(dim, rho)
+        solve = np.linalg.solve(cov[np.ix_(r, r)], cov[np.ix_(r, s)])
+        cond_cov = cov[np.ix_(s, s)] - cov[np.ix_(s, r)] @ solve
+        # A shift of -0.0 adds exactly nothing, even to a -0.0 mean.
+        self._set_law(np.full(len(s), -0.0), solve.T,
+                      0.5 * (cond_cov + cond_cov.T))
 
-    def _sample_latent(self, n, rng):
+    def sample_joint(self, n, seed):
+        if n < 1:
+            raise ValidationError("n must be >= 1")
         # Coordinate-major: each step of the recursion writes one
         # contiguous row.
+        rng = philox_rng(seed)
         w = np.empty((self.dim, n))
         w[0] = rng.standard_normal(n)
         scale = math.sqrt(1.0 - self.rho ** 2)
         for j in range(1, self.dim):
             w[j] = self.rho * w[j - 1] + scale * rng.standard_normal(n)
-        return w
+        # Column-major (n, d) views. Matrix products on x and z round
+        # according to their layout, so the layout is part of the output.
+        return w[self._focal0].T, w[self._rest0].T
 
     def to_config(self):
         return {"dim": self.dim, "rho": self.rho,

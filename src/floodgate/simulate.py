@@ -364,18 +364,6 @@ def focal_model(spec: ExperimentSpec, variable: int) -> CovariateModel:
     return latent
 
 
-def gaussian_family_model(spec: ExperimentSpec, variable: int) -> GaussianLinearModel:
-    """The focal conditional law expressed in the linear-Gaussian family
-    (used by the co-sufficient method, which needs sigma2 and the family
-    but not the slope parameters)."""
-    if spec.model_kind != MODEL_AR1:
-        raise ValidationError("co-sufficient inference needs Gaussian covariates")
-    latent = Ar1Model(spec.p, spec.rho, variable)
-    gamma = np.concatenate([[0.0], latent._cond_map[0]])
-    return GaussianLinearModel(gamma, float(latent._cond_cov[0, 0]),
-                               np.zeros(spec.p - 1), np.eye(spec.p - 1))
-
-
 def generate_replicate(spec: ExperimentSpec, replicate_index: int
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Covariates W (n, p) and responses y for one replicate."""
@@ -520,8 +508,6 @@ def _infer_one(spec: ExperimentSpec, method: MethodSpec, infer_ds: Dataset,
         cfg = MacmConfig(spec.alpha, m_copies=method.m_copies,
                          k_copies=method.k_copies, seed=seed)
         return macm_lcb(infer_ds, mu_j, model, cfg)
-    if spec.misspecification != MISSPEC_INSAMPLE:
-        model = gaussian_family_model(spec, variable)
     return cosufficient_lcb(infer_ds, mu_j, model, method.n2, spec.alpha,
                             mc_k=method.mc_k, seed=seed)
 

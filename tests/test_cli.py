@@ -82,17 +82,35 @@ class TestInfer:
         assert 0.0 <= float(row["lcb"]) <= 1.0
 
     def test_cosufficient_method(self, workspace, tmp_path):
-        # The co-sufficient path needs a GaussianLinearModel description.
+        # The AR(1) model and its hand-written Gaussian family give the
+        # same report.
         fam = GaussianLinearModel(np.concatenate([[0.0], [0.3], np.zeros(4)]),
                                   0.91, np.zeros(5), np.eye(5))
         fam_path = tmp_path / "family.json"
         fam_path.write_text(fam.to_json())
-        out = workspace["dir"] / "cosuf.csv"
-        code = main(["infer", workspace["data"], "--model", str(fam_path),
-                     "--mu", workspace["mu"], "--method", "cosufficient",
-                     "--n2", "100", "--mc-k", "0", "--out", str(out)])
-        assert code == EXIT_OK
-        assert int(_read_csv(out)[0]["n_eff"]) == 4
+        rows = []
+        for tag, model_path in (("fam", str(fam_path)),
+                                ("ar1", workspace["model"])):
+            out = workspace["dir"] / f"cosuf_{tag}.csv"
+            code = main(["infer", workspace["data"], "--model", model_path,
+                         "--mu", workspace["mu"], "--method", "cosufficient",
+                         "--n2", "100", "--mc-k", "0", "--out", str(out)])
+            assert code == EXIT_OK
+            rows.append(_read_csv(out)[0])
+        assert int(rows[0]["n_eff"]) == 4
+        assert rows[0] == rows[1]
+
+    def test_response_as_focal_column_is_rejected(self, workspace, tmp_path,
+                                                  capsys):
+        # With y as x, Z is the six covariates; a model of that width and
+        # an OLS fit would otherwise run on x == y.
+        model_path = tmp_path / "ar1_7.json"
+        model_path.write_text(Ar1Model(dim=7, rho=0.3, focal_index=1).to_json())
+        code = main(["infer", workspace["data"], "--model", str(model_path),
+                     "--fit", "ols", "--x-cols", "y",
+                     "--out", str(workspace["dir"] / "x.csv")])
+        assert code == EXIT_VALIDATION
+        assert "x-cols" in capsys.readouterr().err
 
     def test_requires_exactly_one_of_mu_or_fit(self, workspace):
         out = str(workspace["dir"] / "x.csv")

@@ -259,6 +259,30 @@ class TestDataset:
         assert back.d_x == 1 and back.d_z == 2
         assert np.allclose(back.x[:, 0], data.x[:, 1])
 
+    @pytest.mark.parametrize("text, error", [
+        ("y,x1,z1\n1,2,3\n4,5\n", ShapeError),          # short row
+        ("y,x1,z1\n1,2,3\n4,5,6,7\n", ShapeError),      # long row
+        ("y,x1,z1\n1,2\n4,5\n", ShapeError),            # every row short
+        ("y,x1,z1\n1,2,3\n4,abc,6\n", ValidationError),  # non-numeric cell
+        ("", ValidationError),                            # empty file
+        ("x1,z1\n1,2\n", ValidationError),               # no y column
+        ("y,x1,z1\n", SizeError),                         # no data rows
+    ])
+    def test_csv_read_errors(self, tmp_path, text, error):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(error):
+            Dataset.from_csv(path)
+
+    @pytest.mark.parametrize("x_cols", [["x3"], ["y"], ["x1", "y"],
+                                        ["x1", "x1"]])
+    def test_csv_rejects_bad_x_cols(self, tmp_path, x_cols):
+        path = tmp_path / "d.csv"
+        Dataset(np.arange(4.0), np.arange(8.0).reshape(4, 2),
+                np.ones((4, 1))).to_csv(path)
+        with pytest.raises(ValidationError):
+            Dataset.from_csv(path, x_cols=x_cols)
+
 
 class TestLcbReport:
     def test_lcb_nonnegative(self):

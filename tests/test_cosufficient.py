@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from floodgate import (BatchPlan, CustomRegression, Dataset,
-                       DiscreteMarkovChain, GaussianLinearModel,
+from floodgate import (Ar1Model, BatchPlan, CopulaModel, CustomRegression,
+                       Dataset, DiscreteMarkovChain, GaussianLinearModel,
                        LinearWorkingRegression, cosufficient_lcb,
                        dmc_conditional_resample,
                        gaussian_conditional_resample, make_batch_plan)
@@ -197,8 +198,7 @@ class TestCosufficientLcb:
             cosufficient_lcb(data, mu, model, n2=25, mc_k=1, seed=0)
 
     def test_unsupported_model(self):
-        from floodgate import Ar1Model
-        model = Ar1Model(dim=3, rho=0.3, focal_index=2)
+        model = CopulaModel(Ar1Model(dim=3, rho=0.3, focal_index=2))
         x, z = model.sample_joint(50, seed=17)
         mu = LinearWorkingRegression(OLS, 0.0, np.array([1.0]), np.zeros(2))
         data = Dataset(np.zeros(50), x, z)
@@ -243,3 +243,65 @@ class TestCosufficientLcb:
             fast = _batch_moments(*args, lin, model, 50, 7 + m)
             slow = _batch_moments(*args, wrapped, model, 50, 7 + m)
             np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mc_k", [0, 50])
+    def test_ar1_model_equals_its_gaussian_family(self, mc_k):
+        # Focal W_1 of an AR(1) vector given the rest: X | Z ~ N(rho Z_1,
+        # 1 - rho^2). The co-sufficient bound needs only that family.
+        ar1 = Ar1Model(dim=6, rho=0.3, focal_index=1)
+        fam = GaussianLinearModel(np.concatenate([[0.0], [0.3], np.zeros(4)]),
+                                  0.91, np.zeros(5), np.eye(5))
+        mu = LinearWorkingRegression(OLS, 0.0, np.array([1.5]),
+                                     np.array([0.5, 0.0, 0.0, 0.0, 0.0]))
+        data = _gaussian_data(ar1, mu, 400, seed=1)
+        a = cosufficient_lcb(data, mu, ar1, n2=100, mc_k=mc_k, seed=3)
+        b = cosufficient_lcb(data, mu, fam, n2=100, mc_k=mc_k, seed=3)
+        assert (a.lcb, a.point, a.se) == (b.lcb, b.point, b.se)
+        assert a.point > 0.0
+
+    def test_multi_column_gaussian_model_is_unsupported(self):
+        model = Ar1Model(dim=4, rho=0.3, focal_index=(1, 2))
+        x, z = model.sample_joint(60, seed=23)
+        mu = LinearWorkingRegression(OLS, 0.0, np.array([1.0]), np.zeros(2))
+        data = Dataset(np.zeros(60), x[:, :1], z)
+        with pytest.raises(ValidationError):
+            cosufficient_lcb(data, mu, model, n2=20, mc_k=0, seed=0)
+
+
+class TestCosufficientInvariance:
+    """The bound of c*mu + g(Z), c > 0, equals the bound of mu: g(Z) is
+    fixed given the batch's Z, and c cancels in R / sqrt(V)."""
+
+    MU = LinearWorkingRegression(OLS, 0.2, np.array([1.1]),
+                                 np.array([0.4, -0.3, 0.0]))
+
+    @given(kind=st.sampled_from(["ar1", "gaussian"]),
+           rho=st.floats(-0.6, 0.6),
+           focal=st.integers(1, 4),
+           log_c=st.floats(-2.0, 2.0),
+           shift=st.floats(-3.0, 3.0),
+           slopes=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+           mc_k=st.sampled_from([0, 2, 20]),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_scale_and_z_shift(self, kind, rho, focal, log_c, shift, slopes,
+                               mc_k, seed):
+        if kind == "ar1":
+            model = Ar1Model(dim=4, rho=rho, focal_index=focal)
+        else:
+            gamma = np.array([shift, rho, -rho, 0.5 * rho])
+            model = GaussianLinearModel(gamma, 1.0 + rho * rho, np.zeros(3),
+                                        np.eye(3))
+        data = _gaussian_data(model, self.MU, 200, seed % 10_000)
+        c = math.exp(log_c)
+        b = np.array(slopes)
+        probe = CustomRegression(
+            lambda xx, zz: (c * self.MU.predict(xx, zz) + shift + zz @ b
+                            + np.sin(zz[:, 0])),
+            linear_focal_coef=c * self.MU.x_coef)
+        ref = cosufficient_lcb(data, self.MU, model, n2=50, mc_k=mc_k,
+                               seed=seed)
+        got = cosufficient_lcb(data, probe, model, n2=50, mc_k=mc_k,
+                               seed=seed)
+        assert got.lcb == pytest.approx(ref.lcb, rel=1e-9, abs=1e-9)
+        assert got.point == pytest.approx(ref.point, rel=1e-9, abs=1e-9)

@@ -123,6 +123,16 @@ class TestAr1Model:
         got = model.sample_null_copies(z, 40, seed=9).copies
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dim, focal", [(1, 1), (3, (1, 2, 3))])
+    def test_every_column_focal_leaves_empty_z(self, dim, focal):
+        model = Ar1Model(dim=dim, rho=0.4, focal_index=focal)
+        x, z = model.sample_joint(50, seed=3)
+        assert x.shape == (50, dim) and z.shape == (50, 0)
+        mean, cov = model.conditional_x_moments(z)
+        assert np.array_equal(mean, np.zeros((50, dim)))
+        assert np.array_equal(cov, ar1_covariance(dim, 0.4))
+        assert model.sample_null_copies(z, 4, seed=1).copies.shape == (4, 50, dim)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValidationError):
             Ar1Model(dim=3, rho=1.0, focal_index=1)

@@ -14,7 +14,6 @@ from floodgate.simulate import (COSUFFICIENT, FIT_MU_STAR, LINEAR_SPARSE,
                                 LOGISTIC_LINEAR, MACM, MMSE_EXACT, MMSE_MC,
                                 MODEL_COPULA_AR1, NONLINEAR_F1,
                                 ar1_conditional_variances, derive_seed,
-                                focal_model, gaussian_family_model,
                                 macm_oracle_values, mmse_oracle_linear,
                                 mmse_oracle_nested_mc)
 
@@ -250,22 +249,6 @@ class TestGenerateReplicate:
         spec = self._spec(model_kind=MODEL_COPULA_AR1)
         w, _ = generate_replicate(spec, 0)
         assert w.min() > -1.0 and w.max() < 1.0
-
-
-class TestFocalModels:
-    def test_gaussian_family_matches_ar1_conditional(self):
-        spec = ExperimentSpec(
-            n=100, p=6, mu_star=MuStarSpec(LINEAR_SPARSE, sparsity=2, seed=1),
-            methods=(MethodSpec(MMSE_EXACT),), fitter=FIT_MU_STAR,
-            replicates=1)
-        for variable in (1, 3, 6):
-            ar1 = focal_model(spec, variable)
-            fam = gaussian_family_model(spec, variable)
-            z = np.random.default_rng(variable).standard_normal((5, 5))
-            m1, c1 = ar1.conditional_x_moments(z)
-            m2, c2 = fam.conditional_x_moments(z)
-            assert np.allclose(m1, m2, atol=1e-10)
-            assert np.allclose(c1, c2, atol=1e-10)
 
 
 class TestRunExperiment:
