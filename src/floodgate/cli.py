@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .core import Dataset, split as split_dataset, reports_to_csv
 from .covariates import model_from_json
-from .errors import FloodgateError
+from .errors import FloodgateError, ValidationError
 from .regression import (CvConfig, fit_lasso, fit_logistic, fit_ols,
                          fit_ridge, regression_from_json)
 from .mmse import FloodgateConfig, floodgate_lcb, floodgate_lcb_scale_free
@@ -87,6 +87,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    if args.k is None:
+        args.k = {"mmse_exact": 0, "cosufficient": 100}.get(args.method, 500)
+    if args.method == "mmse_exact" and args.k:
+        raise ValidationError("--method mmse_exact is mmse_mc --k 0")
     data = Dataset.from_csv(args.data, x_cols=args.x_cols)
     model = model_from_json(Path(args.model).read_text())
     inputs = [Path(args.data), Path(args.model)]
@@ -101,14 +105,13 @@ def _cmd_infer(args) -> int:
 
     if args.method == "macm":
         cfg = MacmConfig(args.alpha, m_copies=args.m, k_copies=args.k,
-                         exact_moments=args.exact, seed=args.seed)
+                         seed=args.seed)
         report = macm_lcb(infer_part, mu, model, cfg)
     elif args.method == "cosufficient":
         report = cosufficient_lcb(infer_part, mu, model, args.n2, args.alpha,
-                                  mc_k=args.mc_k, seed=args.seed)
+                                  mc_k=args.k, seed=args.seed)
     else:
-        big_k = 0 if args.method == "mmse_exact" or args.exact else args.k
-        cfg = FloodgateConfig(args.alpha, big_k=big_k,
+        cfg = FloodgateConfig(args.alpha, big_k=args.k,
                               center_y=not args.no_center_y, seed=args.seed)
         if args.method == "mmse_scale_free":
             report = floodgate_lcb_scale_free(infer_part, mu, model, cfg)
@@ -155,16 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fit mu on a split instead of loading one")
     p_infer.add_argument("--method", choices=_METHODS, default="mmse_mc")
     p_infer.add_argument("--alpha", type=float, default=0.05)
-    p_infer.add_argument("--k", type=int, default=500,
-                         help="Monte Carlo null copies")
+    p_infer.add_argument("--k", type=int, default=None,
+                         help="null copies per row, 0 = closed-form moments "
+                              "(default 500; 100 for cosufficient)")
     p_infer.add_argument("--m", type=int, default=None,
                          help="MACM mean-estimation copies (default 4n)")
     p_infer.add_argument("--n2", type=int, default=100,
                          help="co-sufficient batch size")
-    p_infer.add_argument("--mc-k", type=int, default=100,
-                         help="co-sufficient within-batch copies (0 = exact)")
-    p_infer.add_argument("--exact", action="store_true",
-                         help="use closed-form conditional moments")
     p_infer.add_argument("--no-center-y", action="store_true")
     p_infer.add_argument("--split", type=float, default=0.5)
     p_infer.add_argument("--cv-folds", type=int, default=10)

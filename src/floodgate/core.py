@@ -308,8 +308,8 @@ class Dataset:
         By default the header must name columns y, x1..x{d_x}, z1..z{d_z}.
         When x_cols is given, all non-y columns are covariates and the
         named ones become the focal x block (the rest become z); they must
-        be distinct and must not name y. A row whose width differs from
-        the header's raises ShapeError.
+        be distinct and must not name y. Header names must be distinct. A
+        row whose width differs from the header's raises ShapeError.
         """
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -320,6 +320,9 @@ class Dataset:
             rows = [row for row in reader if row]
         if "y" not in header:
             raise ValidationError(f"{path}: no 'y' column in header")
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise ValidationError(f"{path}: repeated header names {repeated}")
         for i, row in enumerate(rows):
             if len(row) != len(header):
                 raise ShapeError(f"{path}: data row {i + 1} has {len(row)} "

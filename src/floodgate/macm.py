@@ -6,8 +6,8 @@ For Y in {-1, +1} the per-row samples are bounded:
     R_i = P(U_i > 0 | Z_i) - 1{U_i > 0}   when Y_i = -1
 
 with U_i = mu(X_i, Z_i) - E[mu | Z_i], and the bound is
-2 max{ R-bar - z_alpha s / sqrt(n), 0 }. Exact conditional probabilities
-are available for a partially linear mu under a Gaussian covariate
+2 max{ R-bar - z_alpha s / sqrt(n), 0 }. With K = 0, exact conditional
+probabilities serve for a partially linear mu under a Gaussian covariate
 model; otherwise both the centering term and the indicator averages are
 estimated from null copies (M copies for the mean, K for the average).
 The copies are drawn in blocks of about _BLOCK_VALUES values, so memory
@@ -34,30 +34,24 @@ from .mmse import _BLOCK_VALUES, _predict_rows, mu_null_values
 class MacmConfig:
     """Settings for a MACM-gap LCB.
 
-    m_copies estimates the conditional mean of mu (default 4n, resolved
-    at run time when left None); k_copies estimates the indicator
-    average. exact_moments uses closed-form conditional probabilities
-    instead (partially linear mu + Gaussian model only).
+    k_copies = 0 requests closed-form conditional probabilities (partially
+    linear mu + Gaussian model only); otherwise k_copies estimates the
+    indicator average and m_copies the conditional mean of mu (default
+    4n, resolved at run time when left None).
     """
 
     alpha: ConfidenceLevel | float = 0.05
     m_copies: int | None = None
     k_copies: int = 100
-    exact_moments: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", as_confidence_level(self.alpha))
-        if not self.exact_moments:
-            if self.m_copies is not None and self.m_copies < 1:
-                raise ValidationError("m_copies must be >= 1")
-            if self.k_copies < 1:
-                raise ValidationError("k_copies must be >= 1")
-
-
-def _check_binary(y: np.ndarray) -> None:
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise DegenerateLabelsError("MACM inference requires y in {-1, +1}")
+        if self.k_copies < 0:
+            raise ValidationError(
+                f"k_copies must be 0 (closed form) or >= 1, got {self.k_copies}")
+        if self.k_copies and self.m_copies is not None and self.m_copies < 1:
+            raise ValidationError("m_copies must be >= 1")
 
 
 def _exact_r_samples(infer_part: Dataset, mu: WorkingRegression,
@@ -105,8 +99,9 @@ def macm_lcb(infer_part: Dataset, mu: WorkingRegression,
     """Delta-free CLT LCB for the MACM-gap floodgate functional."""
     if infer_part.n < 2:
         raise SizeError("MACM inference needs at least two rows")
-    _check_binary(infer_part.y)
-    if cfg.exact_moments:
+    if not np.all(np.isin(infer_part.y, (-1.0, 1.0))):
+        raise DegenerateLabelsError("MACM inference requires y in {-1, +1}")
+    if cfg.k_copies == 0:
         r = _exact_r_samples(infer_part, mu, model)
     else:
         r = _mc_r_samples(infer_part, mu, model, cfg)

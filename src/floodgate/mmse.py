@@ -181,8 +181,8 @@ def floodgate_lcb_weighted(infer_part: Dataset, mu: WorkingRegression,
     sample means by the mean row weight, which makes the bound exactly
     invariant to a constant rescaling of the weights.
     """
-    if cfg.big_k < 1:
-        raise ValidationError("weighted floodgate needs big_k >= 1 null copies")
+    if cfg.big_k < 2:
+        raise ValidationError("weighted floodgate needs big_k >= 2: no closed form")
     if infer_part.n < 2:
         raise SizeError("floodgate needs at least two inference rows")
     w, w1 = weights

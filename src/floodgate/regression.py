@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -251,19 +251,17 @@ def _cd_sweep(gram: np.ndarray, cvec: np.ndarray, lam: float,
     """One cyclic pass of coordinate steps over `indices`, in place, on
     (1/2) b'Gb - c'b + lam |b|_1; returns the largest change.
 
-    The step at j is b_j <- S(c_j - G_j.b + b_j, lam): a proximal
-    gradient step on coordinate j with unit step size. It is the exact
-    coordinate minimizer only when G_jj = 1, which holds for the
-    full-data Gram; a fold Gram is standardized on the whole fit part,
-    so its diagonal is only near 1. Any fixed point still satisfies
-    the LASSO KKT conditions, c_j - G_j.b = lam sign(b_j) where b_j != 0
-    and |c_j - G_j.b| <= lam elsewhere.
+    The step at j is b_j <- S(c_j - G_j.b + G_jj b_j, lam) / G_jj, the
+    exact minimizer along coordinate j. A fold Gram is standardized on
+    the whole fit part, so its diagonal is only near 1 and may exceed 2,
+    where a unit step would diverge. A zero G_jj (a column that is zero
+    on the fold) gives a zero residual, so b_j stays 0 without a 0 / 0.
     """
     max_delta = 0.0
     for j in indices:
         old = beta[j]
-        resid_corr = cvec[j] - gram[j] @ beta + old
-        new = _soft_threshold(resid_corr, lam)
+        resid_corr = cvec[j] - gram[j] @ beta + gram[j, j] * old
+        new = _soft_threshold(resid_corr, lam) / (gram[j, j] or 1.0)
         if new != old:
             beta[j] = new
             max_delta = max(max_delta, abs(new - old))
@@ -282,22 +280,22 @@ def _lasso_paths(grams: np.ndarray, cvecs: np.ndarray, grid: np.ndarray,
     `max_iters` sweeps have run at that level (not converged).
 
     A sweep over a set S in index order that changes no sign is linear:
-    with A the nonzero part of S, s its signs, L the strict lower
-    triangle of G and U the upper triangle less the identity, the new
-    values solve (I + L_AA) b_A = c_A - U_A.b_old - lam s_A, and b is 0
-    on the rest of S. The solve runs for every slice at once from a
-    cached inverse (renewed when A changes). Where the solution changes
-    a sign, or leaves a zero of S with |residual| > lam, the slice keeps
-    it before that coordinate and finishes the sweep with the scalar
-    `_cd_sweep`. Both give the same sweep up to rounding.
+    with A the nonzero part of S, s its signs, D the diagonal and L and
+    U the strict lower and upper triangles of G, the new values solve
+    (D + L)_AA b_A = c_A - U_A.b_old - lam s_A, and b is 0 on the rest
+    of S. The solve runs for every slice at once from a cached inverse
+    (renewed when A changes). Where the solution changes a sign, or
+    leaves a zero of S with |residual| > lam, the slice keeps it before
+    that coordinate and finishes the sweep with the scalar `_cd_sweep`.
+    Both give the same sweep up to rounding.
 
     Returns the (F, len(grid), p) path, an (F, len(grid)) convergence
     mask and the total number of sweeps.
     """
     n_prob, p = cvecs.shape
     eye = np.eye(p)
-    lower = np.tril(grams, -1)
-    upper = np.triu(grams) - eye
+    lower = np.tril(grams)
+    upper = np.triu(grams, 1)
     beta = np.zeros((n_prob, p))
     inv = np.tile(eye, (n_prob, 1, 1))
     inv_for = np.zeros((n_prob, p), dtype=bool)     # A behind `inv`
@@ -317,8 +315,8 @@ def _lasso_paths(grams: np.ndarray, cvecs: np.ndarray, grid: np.ndarray,
             stale = live & (act != inv_for).any(axis=1)
             if stale.any():
                 k = np.flatnonzero(stale)
-                inv[k] = np.linalg.inv(
-                    eye + lower[k] * (act[k, :, None] & act[k, None, :]))
+                inv[k] = np.linalg.inv(np.where(
+                    act[k, :, None] & act[k, None, :], lower[k], eye))
                 inv_for[k] = act[k]
             ub = (upper @ beta[..., None])[..., 0]
             rhs = np.where(act, cvecs - ub - lam * signs, 0.0)

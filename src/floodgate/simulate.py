@@ -262,7 +262,7 @@ class MethodSpec:
     name: str
     big_k: int = 500          # MMSE_MC null copies
     m_copies: int | None = None
-    k_copies: int = 100       # MACM indicator copies
+    k_copies: int = 100       # MACM indicator copies (0 = closed form)
     n2: int = 100             # co-sufficient batch size
     mc_k: int = 0             # co-sufficient within-batch copies (0 = exact)
     center_y: bool = True
@@ -342,18 +342,21 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
         d = json.loads(text)
-        d["mu_star"] = MuStarSpec(**d["mu_star"])
-        d["methods"] = tuple(MethodSpec(**m) for m in d["methods"])
-        cv = d.get("cv")
-        if cv is not None:
-            if cv.get("lambda_grid") is not None:
-                cv["lambda_grid"] = tuple(cv["lambda_grid"])
-            d["cv"] = CvConfig(**cv)
-        else:
-            d.pop("cv", None)
-        if d.get("variables") is not None:
-            d["variables"] = tuple(d["variables"])
-        return cls(**d)
+        try:
+            d["mu_star"] = MuStarSpec(**d["mu_star"])
+            d["methods"] = tuple(MethodSpec(**m) for m in d["methods"])
+            cv = d.get("cv")
+            if cv is not None:
+                if cv.get("lambda_grid") is not None:
+                    cv["lambda_grid"] = tuple(cv["lambda_grid"])
+                d["cv"] = CvConfig(**cv)
+            else:
+                d.pop("cv", None)
+            if d.get("variables") is not None:
+                d["variables"] = tuple(d["variables"])
+            return cls(**d)
+        except TypeError as exc:     # names an unknown or missing key
+            raise ValidationError(f"spec JSON: {exc}") from None
 
 
 def focal_model(spec: ExperimentSpec, variable: int) -> CovariateModel:

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from floodgate import (Ar1Model, Dataset, ExperimentSpec, GaussianLinearModel,
-                       LinearWorkingRegression, MethodSpec, MuStarSpec)
+from floodgate import (Ar1Model, Dataset, ExperimentSpec, FloodgateConfig,
+                       GaussianLinearModel, LinearWorkingRegression,
+                       MacmConfig, MethodSpec, MuStarSpec, cosufficient_lcb,
+                       floodgate_lcb, floodgate_lcb_scale_free, macm_lcb)
 from floodgate.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from floodgate.regression import OLS
 from floodgate.simulate import FIT_MU_STAR, LINEAR_SPARSE, MMSE_EXACT, MMSE_MC
@@ -75,7 +77,7 @@ class TestInfer:
         out = workspace["dir"] / "sf.csv"
         code = main(["infer", workspace["data"], "--model", workspace["model"],
                      "--mu", workspace["mu"], "--method", "mmse_scale_free",
-                     "--exact", "--out", str(out)])
+                     "--k", "0", "--out", str(out)])
         assert code == EXIT_OK
         row = _read_csv(out)[0]
         assert row["estimand"] == "MMSE_GAP_SCALE_FREE"
@@ -94,11 +96,72 @@ class TestInfer:
             out = workspace["dir"] / f"cosuf_{tag}.csv"
             code = main(["infer", workspace["data"], "--model", model_path,
                          "--mu", workspace["mu"], "--method", "cosufficient",
-                         "--n2", "100", "--mc-k", "0", "--out", str(out)])
+                         "--n2", "100", "--k", "0", "--out", str(out)])
             assert code == EXIT_OK
             rows.append(_read_csv(out)[0])
         assert int(rows[0]["n_eff"]) == 4
         assert rows[0] == rows[1]
+
+    def test_k_zero_is_closed_form_for_every_method(self, workspace,
+                                                    tmp_path):
+        data = Dataset.from_csv(workspace["data"])
+        model = Ar1Model(dim=6, rho=0.3, focal_index=1)
+        mu = LinearWorkingRegression(OLS, 0.0, np.array([1.5]),
+                                     np.array([0.5, 0.0, 0.0, 0.0, 0.0]))
+        signs = Dataset(np.sign(data.y - data.y.mean()), data.x, data.z)
+        signs_path = tmp_path / "signs.csv"
+        signs.to_csv(signs_path)
+        exact = FloodgateConfig(big_k=0)
+        expected = {
+            "mmse_mc": floodgate_lcb(data, mu, model, exact),
+            "mmse_scale_free": floodgate_lcb_scale_free(data, mu, model,
+                                                        exact),
+            "macm": macm_lcb(signs, mu, model, MacmConfig(k_copies=0)),
+            "cosufficient": cosufficient_lcb(data, mu, model, 100, mc_k=0),
+        }
+        for method, report in expected.items():
+            out = tmp_path / f"{method}.csv"
+            data_path = signs_path if method == "macm" else workspace["data"]
+            code = main(["infer", str(data_path), "--model", workspace["model"],
+                         "--mu", workspace["mu"], "--method", method,
+                         "--k", "0", "--out", str(out)])
+            assert code == EXIT_OK
+            row = _read_csv(out)[0]
+            assert [float(row["lcb"]), float(row["point"])] == pytest.approx(
+                [report.lcb, report.point], rel=1e-10, abs=1e-12), method
+        # The Monte Carlo default differs from the closed form.
+        out = tmp_path / "cosufficient_mc.csv"
+        assert main(["infer", workspace["data"], "--model", workspace["model"],
+                     "--mu", workspace["mu"], "--method", "cosufficient",
+                     "--out", str(out)]) == EXIT_OK
+        assert float(_read_csv(out)[0]["lcb"]) != pytest.approx(
+            expected["cosufficient"].lcb, rel=1e-6)
+
+    @pytest.mark.parametrize("method, k", [("cosufficient", 100),
+                                           ("mmse_exact", 0),
+                                           ("macm", 500)])
+    def test_manifest_records_resolved_copy_count(self, workspace, method, k):
+        out = workspace["dir"] / "k.csv"
+        data, extra = workspace["data"], []
+        if method == "macm":
+            rows = Dataset.from_csv(data)
+            data, extra = str(workspace["dir"] / "signs.csv"), ["--m", "50"]
+            Dataset(np.sign(rows.y - rows.y.mean()), rows.x,
+                    rows.z).to_csv(data)
+        code = main(["infer", data, "--model", workspace["model"],
+                     "--mu", workspace["mu"], "--method", method,
+                     "--out", str(out)] + extra)
+        assert code == EXIT_OK
+        manifest = json.loads((workspace["dir"] / "k.csv.manifest.json")
+                              .read_text())
+        assert manifest["config"]["k"] == k
+
+    def test_mmse_exact_rejects_copies(self, workspace, capsys):
+        code = main(["infer", workspace["data"], "--model", workspace["model"],
+                     "--mu", workspace["mu"], "--method", "mmse_exact",
+                     "--k", "20", "--out", str(workspace["dir"] / "x.csv")])
+        assert code == EXIT_VALIDATION
+        assert "mmse_mc --k 0" in capsys.readouterr().err
 
     def test_response_as_focal_column_is_rejected(self, workspace, tmp_path,
                                                   capsys):
@@ -196,6 +259,20 @@ class TestSimulate:
                          str(out_dir), "--threads", threads]) == EXIT_OK
             blobs.append((out_dir / "detail.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("where", ["top", "method"])
+    def test_unknown_spec_key(self, tmp_path, capsys, where):
+        path = self._spec_path(tmp_path)
+        spec = json.loads(path.read_text())
+        if where == "top":
+            spec["typo_field"] = 1
+        else:
+            spec["methods"][0]["bogus"] = 1
+        path.write_text(json.dumps(spec))
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert ("typo_field" if where == "top" else "bogus") in err
 
     def test_invalid_spec(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -267,6 +267,7 @@ class TestDataset:
         ("", ValidationError),                            # empty file
         ("x1,z1\n1,2\n", ValidationError),               # no y column
         ("y,x1,z1\n", SizeError),                         # no data rows
+        ("y,x1,x1,z1\n1,2,3,4\n", ValidationError),      # repeated name
     ])
     def test_csv_read_errors(self, tmp_path, text, error):
         path = tmp_path / "bad.csv"

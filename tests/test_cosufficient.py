@@ -148,7 +148,7 @@ class TestDmcResample:
 
 
 class TestCosufficientLcb:
-    def test_exact_moments_match_resampled_moments(self):
+    def test_closed_form_matches_resampled_moments(self):
         model = _gaussian_model()
         mu = LinearWorkingRegression(OLS, 0.2, np.array([2.0]),
                                      np.array([0.7]))

@@ -42,8 +42,9 @@ class TestMacmConfig:
         with pytest.raises(ValidationError):
             MacmConfig(m_copies=0)
         with pytest.raises(ValidationError):
-            MacmConfig(k_copies=0)
-        assert MacmConfig(exact_moments=True).exact_moments
+            MacmConfig(k_copies=-1)
+        # k_copies = 0 is the closed form, which draws no copies.
+        assert MacmConfig(m_copies=0, k_copies=0).k_copies == 0
 
     def test_default_m_resolved_at_runtime(self):
         assert MacmConfig().m_copies is None
@@ -58,7 +59,7 @@ class TestExactMoments:
         x = np.array([[1.0], [0.0], [-1.0], [3.0]])   # u = 2(x - z)
         y = np.array([1.0, -1.0, 1.0, -1.0])
         data = Dataset(y, x, z)
-        rep = macm_lcb(data, mu, model, MacmConfig(exact_moments=True))
+        rep = macm_lcb(data, mu, model, MacmConfig(k_copies=0))
         # u = [2, -2, -2, 2]; wrong side = [F, F, T, T]
         r = np.array([0.5, 0.5, -0.5, -0.5])
         assert rep.point == pytest.approx(2.0 * r.mean(), abs=1e-12)
@@ -70,7 +71,7 @@ class TestExactMoments:
         x, z = model.sample_joint(50, seed=1)
         y = np.where(np.random.default_rng(2).random(50) < 0.5, 1.0, -1.0)
         rep = macm_lcb(Dataset(y, x, z), mu, model,
-                       MacmConfig(exact_moments=True))
+                       MacmConfig(k_copies=0))
         assert rep.degenerate and rep.lcb == 0.0
 
     def test_needs_partially_linear_mu(self):
@@ -81,7 +82,7 @@ class TestExactMoments:
         y[::2] = -1.0
         with pytest.raises(UnsupportedClosedFormError):
             macm_lcb(Dataset(y, x, z), mu, model,
-                     MacmConfig(exact_moments=True))
+                     MacmConfig(k_copies=0))
 
     def test_column_shaped_mu_matches_flat(self):
         # A custom mu may return an (n, 1) column; exact mMSE and exact
@@ -97,7 +98,7 @@ class TestExactMoments:
         yb = np.where(rng.random(300) < 1 / (1 + np.exp(-fn(x, z))), 1.0, -1.0)
         for data, bound, cfg in (
                 (Dataset(y, x, z), floodgate_lcb, FloodgateConfig(big_k=0)),
-                (Dataset(yb, x, z), macm_lcb, MacmConfig(exact_moments=True))):
+                (Dataset(yb, x, z), macm_lcb, MacmConfig(k_copies=0))):
             assert bound(data, column, model, cfg) == \
                 bound(data, flat, model, cfg)
 
@@ -108,7 +109,7 @@ class TestMonteCarloMoments:
         mu = LinearWorkingRegression(OLS, 0.0, np.array([1.5]),
                                      np.array([0.5]))
         data, _ = _logit_draw(model, 1.5, 0.5, 800, seed=4)
-        exact = macm_lcb(data, mu, model, MacmConfig(exact_moments=True))
+        exact = macm_lcb(data, mu, model, MacmConfig(k_copies=0))
         mc = macm_lcb(data, mu, model,
                       MacmConfig(m_copies=4000, k_copies=400, seed=9))
         assert mc.point == pytest.approx(exact.point, abs=0.03)

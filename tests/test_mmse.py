@@ -293,6 +293,10 @@ class TestWeighted:
         with pytest.raises(ValidationError):
             floodgate_lcb_weighted(data, mu, model,
                                    (-np.ones(20), np.ones((3, 20))), cfg)
+        with pytest.raises(ValidationError, match="big_k >= 2"):
+            floodgate_lcb_weighted(data, mu, model,
+                                   (np.ones(20), np.ones((1, 20))),
+                                   FloodgateConfig(big_k=0))
 
 
 class TestTrivialUcb:

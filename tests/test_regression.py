@@ -228,11 +228,11 @@ def _scalar_path_point(gram, cvec, lam, beta, tolerance, max_iters):
         max_delta = 0.0
         for j in indices:
             old = beta[j]
-            resid_corr = cvec[j] - gram[j] @ beta + old
+            resid_corr = cvec[j] - gram[j] @ beta + gram[j, j] * old
             if resid_corr > lam:
-                new = resid_corr - lam
+                new = (resid_corr - lam) / gram[j, j]
             elif resid_corr < -lam:
-                new = resid_corr + lam
+                new = (resid_corr + lam) / gram[j, j]
             else:
                 new = 0.0
             if new != old:
@@ -319,6 +319,17 @@ def _a1_fit_part(replicate, rho=0.3, n=600, p=40):
     return parts.fit_part, derive_seed(101, replicate, 3)
 
 
+def _random_design(seed, n, d_x, d_z, rho):
+    """n rows of d_x + d_z AR(rho)-correlated covariates and a dense
+    linear response."""
+    rng = np.random.default_rng(seed)
+    p = d_x + d_z
+    w = rng.standard_normal((n, p))
+    w[:, 1:] = rho * w[:, :-1] + math.sqrt(1 - rho ** 2) * w[:, 1:]
+    y = w @ rng.normal(0.0, 1.0, p) + rng.standard_normal(n)
+    return Dataset(y, w[:, :d_x], w[:, d_x:])
+
+
 class TestStackedLassoPath:
     """The fold-stacked engine against the per-fold scalar path."""
 
@@ -388,12 +399,7 @@ class TestStackedLassoPath:
     @settings(max_examples=40, deadline=None)
     def test_kkt_on_random_designs(self, n, d_x, d_z, folds, seed, rho):
         folds = min(folds, n)          # includes n == folds
-        rng = np.random.default_rng(seed)
-        p = d_x + d_z
-        w = rng.standard_normal((n, p))
-        w[:, 1:] = rho * w[:, :-1] + math.sqrt(1 - rho ** 2) * w[:, 1:]
-        y = w @ rng.normal(0.0, 1.0, p) + rng.standard_normal(n)
-        data = Dataset(y, w[:, :d_x], w[:, d_x:])
+        data = _random_design(seed, n, d_x, d_z, rho)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fit = fit_lasso(data, CvConfig(folds=folds, num_lambdas=20,
@@ -403,6 +409,28 @@ class TestStackedLassoPath:
         # iteration cap keeps such an example to seconds.
         assume(fit.diagnostics["converged"])
         assert _lasso_kkt_violation(data, fit, fit.diagnostics["lambda"]) < 1e-5
+
+    def test_column_zero_on_a_training_fold(self):
+        # Fold 0 trains on the rows of fold 1, where this column is 0:
+        # a zero Gram diagonal entry, whose coefficient must stay 0.
+        n, seed = 40, 0
+        data = _random_design(seed, n, 1, 7, 0.9)
+        in_fold_0 = fold_assignments(n, 2, seed) == 0
+        z = data.z.copy()
+        z[:, 1] = 0.0
+        z[in_fold_0, 1] = np.arange(in_fold_0.sum()) - (in_fold_0.sum() - 1) / 2
+        fit = self._assert_matches(Dataset(data.y, data.x, z), CvConfig(folds=2),
+                                   seed)
+        assert fit.diagnostics["cv_unconverged"] == 0
+
+    def test_fold_gram_diagonal_above_two(self):
+        # Two folds of five rows leave two training rows in fold 0,
+        # whose Gram diagonal reaches 2.42; a unit coordinate step
+        # diverges there, at every penalty.
+        data = _random_design(992441236, 5, 1, 4, 0.2955)
+        fit = self._assert_matches(data, CvConfig(folds=2), 236)
+        assert fit.diagnostics["cv_unconverged"] == 0
+        assert _lasso_kkt_violation(data, fit, fit.diagnostics["lambda"]) < 1e-6
 
 
 class TestFitRidge:

@@ -6,10 +6,11 @@ import pytest
 
 from floodgate import (ExperimentSpec, MethodSpec, MuStarSpec, build_mu_star,
                        generate_replicate, oracle_values, run_experiment)
-from floodgate import mmse
+from floodgate import macm, mmse
 from floodgate.covariates import Ar1Model
 from floodgate.errors import ValidationError
 from floodgate.macm import macm_gap_oracle
+from floodgate.regression import OLS
 from floodgate.simulate import (COSUFFICIENT, FIT_MU_STAR, LINEAR_SPARSE,
                                 LOGISTIC_LINEAR, MACM, MMSE_EXACT, MMSE_MC,
                                 MODEL_COPULA_AR1, NONLINEAR_F1,
@@ -295,6 +296,19 @@ class TestRunExperiment:
         serial = run_experiment(spec, threads=1)
         parallel = run_experiment(spec, threads=2)
         assert serial.detail == parallel.detail
+
+    def test_macm_without_copies_is_closed_form(self, monkeypatch):
+        def drew_copies(*args):
+            raise AssertionError("k_copies = 0 drew null copies")
+
+        monkeypatch.setattr(macm, "_mc_r_samples", drew_copies)
+        spec = self._spec(
+            mu_star=MuStarSpec(LOGISTIC_LINEAR, sparsity=2, amplitude=10.0,
+                               seed=3),
+            methods=(MethodSpec(MACM, k_copies=0),), fitter=OLS,
+            replicates=2, oracle_draws=2000)
+        result = run_experiment(spec)
+        assert [d["method"] for d in result.detail] == ["MACM"] * 2 * 3
 
     def test_true_mu_gives_mostly_valid_bounds(self):
         result = run_experiment(self._spec(replicates=8))
