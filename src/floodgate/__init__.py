@@ -27,9 +27,8 @@ from .regression import (CustomRegression, CvConfig, LinearWorkingRegression,
 from .mmse import (FloodgateConfig, floodgate_lcb, floodgate_lcb_scale_free,
                    floodgate_lcb_weighted, trivial_ucb, zero_out_transform)
 from .macm import MacmConfig, macm_gap_enumerate, macm_gap_oracle, macm_lcb
-from .cosufficient import (BatchPlan, cosufficient_lcb,
-                           dmc_conditional_resample,
-                           gaussian_conditional_resample, make_batch_plan)
+from .cosufficient import (cosufficient_lcb, dmc_conditional_resample,
+                           gaussian_conditional_resample)
 from .simulate import (ExperimentResult, ExperimentSpec, MethodSpec,
                        MuStarSpec, build_mu_star, generate_replicate,
                        oracle_values, run_experiment)

@@ -62,9 +62,9 @@ def _resolve_threads(value: int | None) -> int:
 
 
 def _fit(name: str, fit_part: Dataset, folds: int, seed: int):
-    cv = CvConfig(folds=folds)
     if name == "ols":
         return fit_ols(fit_part)
+    cv = CvConfig(folds=folds)
     if name == "ridge":
         return fit_ridge(fit_part, cv, seed)
     if name == "lasso":
@@ -74,6 +74,10 @@ def _fit(name: str, fit_part: Dataset, folds: int, seed: int):
 
 
 def _cmd_fit(args) -> int:
+    if args.fitter == "ols" and args.cv_folds is not None:
+        raise ValidationError("this run does not read --cv-folds")
+    if args.fitter != "ols" and args.cv_folds is None:
+        args.cv_folds = 10
     data = Dataset.from_csv(args.data, x_cols=args.x_cols)
     mu = _fit(args.fitter, data, args.cv_folds, args.seed)
     out = Path(args.out)
@@ -86,11 +90,28 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _resolve_run_options(args) -> None:
+    """Reject a set option this run does not read, and fill in the
+    default of each one it reads, so the manifest records it."""
+    reads = {"m": args.method == "macm" and args.k > 0,
+             "n2": args.method == "cosufficient",
+             "split": args.fit is not None,
+             "cv_folds": args.fit not in (None, "ols")}
+    unread = [f"--{name.replace('_', '-')}" for name, read in reads.items()
+              if not read and getattr(args, name) is not None]
+    if unread:
+        raise ValidationError(f"this run does not read {', '.join(unread)}")
+    for name, default in (("n2", 100), ("split", 0.5), ("cv_folds", 10)):
+        if reads[name] and getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def _cmd_infer(args) -> int:
     if args.k is None:
         args.k = {"mmse_exact": 0, "cosufficient": 100}.get(args.method, 500)
     if args.method == "mmse_exact" and args.k:
         raise ValidationError("--method mmse_exact is mmse_mc --k 0")
+    _resolve_run_options(args)
     data = Dataset.from_csv(args.data, x_cols=args.x_cols)
     model = model_from_json(Path(args.model).read_text())
     inputs = [Path(args.data), Path(args.model)]
@@ -111,8 +132,7 @@ def _cmd_infer(args) -> int:
         report = cosufficient_lcb(infer_part, mu, model, args.n2, args.alpha,
                                   mc_k=args.k, seed=args.seed)
     else:
-        cfg = FloodgateConfig(args.alpha, big_k=args.k,
-                              center_y=not args.no_center_y, seed=args.seed)
+        cfg = FloodgateConfig(args.alpha, big_k=args.k, seed=args.seed)
         if args.method == "mmse_scale_free":
             report = floodgate_lcb_scale_free(infer_part, mu, model, cfg)
         else:
@@ -162,12 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="null copies per row, 0 = closed-form moments "
                               "(default 500; 100 for cosufficient)")
     p_infer.add_argument("--m", type=int, default=None,
-                         help="MACM mean-estimation copies (default 4n)")
-    p_infer.add_argument("--n2", type=int, default=100,
-                         help="co-sufficient batch size")
-    p_infer.add_argument("--no-center-y", action="store_true")
-    p_infer.add_argument("--split", type=float, default=0.5)
-    p_infer.add_argument("--cv-folds", type=int, default=10)
+                         help="MACM mean-estimation copies, read when "
+                              "--k > 0 (default 4n)")
+    p_infer.add_argument("--n2", type=int, default=None,
+                         help="co-sufficient batch size (default 100)")
+    p_infer.add_argument("--split", type=float, default=None,
+                         help="fit share of the rows, read with --fit "
+                              "(default 0.5)")
+    p_infer.add_argument("--cv-folds", type=int, default=None,
+                         help="CV folds of a penalized --fit (default 10)")
     p_infer.add_argument("--x-cols", nargs="+", default=None,
                          help="names of the focal columns")
     p_infer.add_argument("--seed", type=int, default=0)
@@ -177,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit and serialize a working regression")
     p_fit.add_argument("data")
     p_fit.add_argument("--fitter", choices=_FITTERS, required=True)
-    p_fit.add_argument("--cv-folds", type=int, default=10)
+    p_fit.add_argument("--cv-folds", type=int, default=None,
+                       help="CV folds of a penalized fitter (default 10)")
     p_fit.add_argument("--x-cols", nargs="+", default=None)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", required=True)

@@ -364,7 +364,6 @@ class SplitDataset:
 
     fit_part: Dataset
     infer_part: Dataset
-    proportion: float
 
 
 def split(data: Dataset, proportion: float, seed: int) -> SplitDataset:
@@ -378,8 +377,7 @@ def split(data: Dataset, proportion: float, seed: int) -> SplitDataset:
             f"split of n={n} at proportion={proportion} leaves an empty part")
     perm = seeded_rng(seed).permutation(n)
     return SplitDataset(data.take(np.sort(perm[:n_fit])),
-                        data.take(np.sort(perm[n_fit:])),
-                        proportion)
+                        data.take(np.sort(perm[n_fit:])))
 
 
 @dataclass(frozen=True)
@@ -409,6 +407,12 @@ REPORT_CSV_COLUMNS = ["variable", "estimand", "lcb", "point", "se", "n_eff",
                       "degenerate", "seed"]
 
 
+def _csv_cells(row: Iterable) -> list:
+    """CSV cells of one row: floats to 12 significant digits; ints (the
+    63-bit seeds among them) and strings as they are."""
+    return [format(v, ".12g") if isinstance(v, float) else v for v in row]
+
+
 def reports_to_csv(path, reports: Iterable[tuple[str, LcbReport]],
                    extra_columns: Sequence[str] = ()) -> None:
     """Write one CSV row per (variable/group, estimand)."""
@@ -416,13 +420,12 @@ def reports_to_csv(path, reports: Iterable[tuple[str, LcbReport]],
         writer = csv.writer(fh)
         writer.writerow(REPORT_CSV_COLUMNS + list(extra_columns))
         for variable, rep in reports:
-            row = [variable, rep.estimand,
-                   format(rep.lcb, ".12g"), format(rep.point, ".12g"),
-                   format(rep.se, ".12g"), rep.n_eff,
-                   int(rep.degenerate), "" if rep.seed is None else rep.seed]
-            row += [format(rep.diagnostics.get(c, float("nan")), ".12g")
-                    for c in extra_columns]
-            writer.writerow(row)
+            writer.writerow(_csv_cells(
+                [variable, rep.estimand, rep.lcb, rep.point, rep.se,
+                 rep.n_eff, int(rep.degenerate),
+                 "" if rep.seed is None else rep.seed]
+                + [rep.diagnostics.get(c, float("nan"))
+                   for c in extra_columns]))
 
 
 def sample_mean_cov(pairs) -> tuple[float, float, np.ndarray]:
@@ -462,16 +465,6 @@ def delta_method_se(r_bar: float, v_bar: float, sigma_hat: np.ndarray) -> float:
     return math.sqrt(max(s2, 0.0))
 
 
-def degeneracy_threshold(mu_scale_sq: float) -> float:
-    """Variance threshold implementing the 0/0 = 0 convention.
-
-    The scale is the mean squared size of the (conditionally centered)
-    working-regression values, so the threshold respects the additive
-    and multiplicative invariances of the procedure.
-    """
-    return RELATIVE_DEGENERACY_EPS * max(mu_scale_sq, 0.0)
-
-
 def ratio_lcb(r: np.ndarray, v: np.ndarray, alpha, n_eff: int | None = None,
               estimand: str = MMSE_GAP, mu_scale_sq: float | None = None,
               seed: int | None = None) -> LcbReport:
@@ -490,7 +483,12 @@ def ratio_lcb(r: np.ndarray, v: np.ndarray, alpha, n_eff: int | None = None,
     r_bar, v_bar, sigma = sample_mean_cov(np.column_stack([r, v]))
     if mu_scale_sq is None:
         mu_scale_sq = float(np.mean(v))
-    if v_bar <= degeneracy_threshold(mu_scale_sq) or v_bar <= 0.0:
+    # The 0/0 = 0 convention. The scale is the mean squared size of the
+    # (conditionally centered) working-regression values, so the
+    # threshold respects the additive and multiplicative invariances of
+    # the procedure.
+    if (v_bar <= RELATIVE_DEGENERACY_EPS * max(mu_scale_sq, 0.0)
+            or v_bar <= 0.0):
         return LcbReport(0.0, 0.0, 0.0, n, estimand, degenerate=True, seed=seed)
     se = delta_method_se(r_bar, v_bar, sigma)
     point = r_bar / math.sqrt(v_bar)

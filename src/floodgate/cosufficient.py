@@ -22,7 +22,6 @@ the focal values within each neighbor-pair stratum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,31 +32,6 @@ from .errors import (ShapeError, SingularDesignError, SizeError,
                      UnsupportedClosedFormError, ValidationError)
 from .regression import WorkingRegression
 from .mmse import _predict_rows, mu_on_copies
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """How n rows are cut into batches: n1 batches of n2 rows each,
-    with the remainder dropped."""
-
-    n2: int
-    n1: int
-    dropped: int
-
-    def __post_init__(self) -> None:
-        if self.n2 < 1 or self.n1 < 2 or self.dropped < 0:
-            raise ValidationError("need n2 >= 1, n1 >= 2, dropped >= 0")
-
-    @property
-    def n_used(self) -> int:
-        return self.n1 * self.n2
-
-
-def make_batch_plan(n: int, n2: int) -> BatchPlan:
-    n1 = n // n2
-    if n1 < 2:
-        raise SizeError(f"batch size n2={n2} leaves fewer than 2 batches of n={n}")
-    return BatchPlan(n2=n2, n1=n1, dropped=n - n1 * n2)
 
 
 def hat_matrix(z: np.ndarray) -> np.ndarray:
@@ -166,6 +140,8 @@ def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
     """
     if mc_k == 1 or mc_k < 0:
         raise ValidationError("mc_k must be 0 (exact) or >= 2")
+    if n2 < 1:
+        raise ValidationError(f"batch size n2 must be >= 1, got {n2}")
     level = as_confidence_level(alpha)
     n = infer_part.n
     if infer_part.d_x != 1:
@@ -180,20 +156,22 @@ def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
             "co-sufficient inference supports a Gaussian X | Z with one "
             "focal column (GaussianLinearModel, Ar1Model) or "
             "DiscreteMarkovChain")
-    plan = make_batch_plan(n, n2)
+    n1, dropped = divmod(n, n2)
+    if n1 < 2:
+        raise SizeError(f"batch size n2={n2} leaves fewer than 2 batches of n={n}")
     rng = philox_rng(seed)
     order = rng.permutation(n)
-    r = np.empty(plan.n1)
-    v = np.empty(plan.n1)
-    scale = np.empty(plan.n1)
-    for m in range(plan.n1):
+    r = np.empty(n1)
+    v = np.empty(n1)
+    scale = np.empty(n1)
+    for m in range(n1):
         rows = order[m * n2:(m + 1) * n2]
         x = infer_part.x[rows, 0]
         z = infer_part.z[rows]
         y = infer_part.y[rows]
         r[m], v[m], scale[m] = _batch_moments(
             x, z, y, mu, model, mc_k, seed + 1_000_003 * (m + 1))
-    report = ratio_lcb(r, v, level, n_eff=plan.n1, estimand=MMSE_GAP,
+    report = ratio_lcb(r, v, level, n_eff=n1, estimand=MMSE_GAP,
                        mu_scale_sq=float(scale.mean()), seed=seed)
-    report.diagnostics.update(n1=plan.n1, n2=plan.n2, dropped=plan.dropped)
+    report.diagnostics.update(n1=n1, n2=n2, dropped=dropped)
     return report

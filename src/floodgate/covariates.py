@@ -24,10 +24,6 @@ class NullCopies:
 
     copies: np.ndarray
 
-    @property
-    def big_k(self) -> int:
-        return self.copies.shape[0]
-
 
 class CovariateModel(ABC):
     """A joint covariate law split into a focal block X and the rest Z."""

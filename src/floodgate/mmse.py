@@ -42,9 +42,6 @@ class FloodgateConfig:
             raise ValidationError(
                 f"big_k must be 0 (closed form) or >= 2, got {self.big_k}")
 
-    def with_alpha(self, alpha) -> "FloodgateConfig":
-        return replace(self, alpha=as_confidence_level(alpha))
-
 
 # Values held at once by a streamed Monte Carlo path: copy values per
 # block in macm._mc_r_samples, and the tiled z per generic-mu chunk in
@@ -106,17 +103,12 @@ def moment_samples(infer_part: Dataset, mu: WorkingRegression,
     else:
         # The centering function must be independent of the copies that
         # enter R_i, otherwise the shared Monte Carlo noise biases the
-        # numerator upward by Var(mu | Z) / K; a separate copy pool
-        # keeps the numerator unbiased.
-        if cfg.center_y:
-            pool = mu_null_values(mu, model, infer_part.z,
-                                  2 * cfg.big_k, cfg.seed)
-            center = pool[:cfg.big_k].mean(axis=0)
-            tilde = pool[cfg.big_k:]
-        else:
-            tilde = mu_null_values(mu, model, infer_part.z, cfg.big_k,
-                                   cfg.seed)
-            center = None
+        # numerator upward by Var(mu | Z) / K; centring takes the first
+        # K copies of the pool and R_i the last K.
+        pool = mu_null_values(mu, model, infer_part.z,
+                              (1 + cfg.center_y) * cfg.big_k, cfg.seed)
+        center = pool[:cfg.big_k].mean(axis=0) if cfg.center_y else None
+        tilde = pool[-cfg.big_k:]
         g = tilde.mean(axis=0)
         v = tilde.var(axis=0, ddof=1)
     centered = mu_obs - g
@@ -151,7 +143,7 @@ def floodgate_lcb_scale_free(infer_part: Dataset, mu: WorkingRegression,
     if y.std(ddof=1) == 0.0:
         return LcbReport(0.0, 0.0, 0.0, infer_part.n, MMSE_GAP_SCALE_FREE,
                          degenerate=True, seed=cfg.seed)
-    base = floodgate_lcb(infer_part, mu, model, cfg.with_alpha(half))
+    base = floodgate_lcb(infer_part, mu, model, replace(cfg, alpha=half))
     if base.degenerate:
         return base.replace(estimand=MMSE_GAP_SCALE_FREE)
     ucb = variance_ucb(y, half)

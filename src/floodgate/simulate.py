@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Dataset, LcbReport, MACM_GAP, MMSE_GAP, seeded_rng, split
+from .core import (Dataset, LcbReport, MACM_GAP, MMSE_GAP, _csv_cells,
+                   seeded_rng, split)
 from .covariates import (Ar1Model, CopulaModel, CovariateModel,
                          GaussianLinearModel, ar1_covariance)
 from .errors import SizeError, ValidationError
@@ -48,6 +49,11 @@ FIT_MU_STAR_CORRUPTED = "MU_STAR_CORRUPTED"
 
 MISSPEC_NONE = "NONE"
 MISSPEC_INSAMPLE = "INSAMPLE_GAUSSIAN_FIT"
+
+# Seed of the Monte Carlo oracles, and the ridge penalty of the
+# in-sample Gaussian refit of X | Z.
+_ORACLE_SEED = 987
+_MISSPEC_RIDGE = 1e-3
 
 
 def derive_seed(*keys: int) -> int:
@@ -255,21 +261,31 @@ def macm_oracle_values(mu_star: RealizedMuStar, rho: float, n_draws: int,
 # Experiment specification
 
 
+# The MethodSpec fields each method reads.
+_METHOD_FIELDS = {MMSE_EXACT: (), MMSE_MC: ("big_k",), MACM: ("k_copies",),
+                  COSUFFICIENT: ("n2", "mc_k")}
+
+
 @dataclass(frozen=True)
 class MethodSpec:
-    """One inference method to run per focal variable."""
+    """One inference method to run per focal variable. A field the
+    method does not read must keep its default."""
 
     name: str
     big_k: int = 500          # MMSE_MC null copies
-    m_copies: int | None = None
     k_copies: int = 100       # MACM indicator copies (0 = closed form)
     n2: int = 100             # co-sufficient batch size
     mc_k: int = 0             # co-sufficient within-batch copies (0 = exact)
-    center_y: bool = True
 
     def __post_init__(self) -> None:
-        if self.name not in (MMSE_EXACT, MMSE_MC, MACM, COSUFFICIENT):
+        if self.name not in _METHOD_FIELDS:
             raise ValidationError(f"unknown method {self.name!r}")
+        read = ("name",) + _METHOD_FIELDS[self.name]
+        unread = [f.name for f in fields(self) if f.name not in read
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValidationError(
+                f"method {self.name} does not read {', '.join(unread)}")
 
     @property
     def label(self) -> str:
@@ -299,10 +315,8 @@ class ExperimentSpec:
     variables: tuple[int, ...] | None = None    # 1-based; None = all
     misspecification: str = MISSPEC_NONE
     misspec_m_rows: int = 0
-    misspec_ridge: float = 1e-3
     corruption_tau: float = 0.0                 # for MU_STAR_CORRUPTED
     oracle_draws: int = 100_000
-    oracle_seed: int = 987
 
     def __post_init__(self) -> None:
         if self.n < 4 or self.p < 1:
@@ -393,13 +407,13 @@ def oracle_values(spec: ExperimentSpec) -> np.ndarray:
         return mmse_oracle_linear(mu_star.coef, spec.rho)
     if spec.mu_star.kind == LOGISTIC_LINEAR:
         return macm_oracle_values(mu_star, spec.rho, spec.oracle_draws,
-                                  spec.oracle_seed)
+                                  _ORACLE_SEED)
     out = np.zeros(spec.p)
     for j0 in mu_star.support:
         model = focal_model(spec, int(j0) + 1)
         outer = max(spec.oracle_draws // 100, 100)
         value, _ = mmse_oracle_nested_mc(mu_star, model, outer, 400,
-                                         derive_seed(spec.oracle_seed, int(j0)),
+                                         derive_seed(_ORACLE_SEED, int(j0)),
                                          int(j0))
         out[j0] = value
     return out
@@ -439,8 +453,8 @@ def _focal_view(full_fit: LinearWorkingRegression, j0: int
         np.delete(coef, j0), link=full_fit.link)
 
 
-def _insample_gaussian_fit(w: np.ndarray, j0: int, m: int,
-                           ridge: float) -> GaussianLinearModel:
+def _insample_gaussian_fit(w: np.ndarray, j0: int,
+                           m: int) -> GaussianLinearModel:
     """Refits the conditional law of W_j on the other columns from m
     in-sample rows by ridge-regularized Gaussian regression."""
     p = w.shape[1]
@@ -450,7 +464,7 @@ def _insample_gaussian_fit(w: np.ndarray, j0: int, m: int,
     x = rows[:, j0]
     z = np.delete(rows, j0, axis=1)
     design = np.hstack([np.ones((m, 1)), z])
-    penalty = ridge * np.eye(p)
+    penalty = _MISSPEC_RIDGE * np.eye(p)
     penalty[0, 0] = 0.0
     gamma = np.linalg.solve(design.T @ design / m + penalty,
                             design.T @ x / m)
@@ -498,21 +512,23 @@ def _infer_one(spec: ExperimentSpec, method: MethodSpec, infer_ds: Dataset,
                full_w: np.ndarray) -> LcbReport:
     if spec.misspecification == MISSPEC_INSAMPLE:
         model: CovariateModel = _insample_gaussian_fit(
-            full_w, variable - 1, spec.misspec_m_rows or spec.n,
-            spec.misspec_ridge)
+            full_w, variable - 1, spec.misspec_m_rows or spec.n)
     else:
         model = focal_model(spec, variable)
     if method.name in (MMSE_EXACT, MMSE_MC):
         big_k = 0 if method.name == MMSE_EXACT else method.big_k
-        cfg = FloodgateConfig(spec.alpha, big_k=big_k,
-                              center_y=method.center_y, seed=seed)
+        cfg = FloodgateConfig(spec.alpha, big_k=big_k, seed=seed)
         return floodgate_lcb(infer_ds, mu_j, model, cfg)
     if method.name == MACM:
-        cfg = MacmConfig(spec.alpha, m_copies=method.m_copies,
-                         k_copies=method.k_copies, seed=seed)
+        cfg = MacmConfig(spec.alpha, k_copies=method.k_copies, seed=seed)
         return macm_lcb(infer_ds, mu_j, model, cfg)
     return cosufficient_lcb(infer_ds, mu_j, model, method.n2, spec.alpha,
                             mc_k=method.mc_k, seed=seed)
+
+
+def _covered(lcb: float, oracle: float) -> bool:
+    """Whether an LCB covers the oracle, up to rounding."""
+    return lcb <= oracle + 1e-12
 
 
 @dataclass(frozen=True)
@@ -532,7 +548,7 @@ class ExperimentResult:
                 if not sub:
                     continue
                 oracle = float(self.oracle[variable - 1])
-                covered = np.array([d["lcb"] <= oracle + 1e-12 for d in sub])
+                covered = np.array([_covered(d["lcb"], oracle) for d in sub])
                 hw = np.array([oracle - d["lcb"] for d in sub])
                 r = len(sub)
                 cov = float(covered.mean())
@@ -555,13 +571,10 @@ class ExperimentResult:
             writer.writerow(detail_cols)
             for d in self.detail:
                 oracle = float(self.oracle[d["variable"] - 1])
-                writer.writerow([
-                    d["replicate"], d["variable"], d["method"],
-                    format(d["lcb"], ".12g"), format(d["point"], ".12g"),
-                    format(d["se"], ".12g"), d["degenerate"],
-                    format(oracle, ".12g"),
-                    int(d["lcb"] <= oracle + 1e-12),
-                    format(oracle - d["lcb"], ".12g")])
+                writer.writerow(_csv_cells([
+                    d["replicate"], d["variable"], d["method"], d["lcb"],
+                    d["point"], d["se"], d["degenerate"], oracle,
+                    int(_covered(d["lcb"], oracle)), oracle - d["lcb"]]))
         summary_cols = ["method", "variable", "oracle", "replicates",
                         "coverage", "coverage_se", "mean_half_width",
                         "half_width_se", "degenerate_rate"]
@@ -569,14 +582,7 @@ class ExperimentResult:
             writer = csv.writer(fh)
             writer.writerow(summary_cols)
             for row in self.summary():
-                writer.writerow([
-                    row["method"], row["variable"],
-                    format(row["oracle"], ".12g"), row["replicates"],
-                    format(row["coverage"], ".12g"),
-                    format(row["coverage_se"], ".12g"),
-                    format(row["mean_half_width"], ".12g"),
-                    format(row["half_width_se"], ".12g"),
-                    format(row["degenerate_rate"], ".12g")])
+                writer.writerow(_csv_cells(row[c] for c in summary_cols))
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:

@@ -1,13 +1,16 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from floodgate import (Ar1Model, Dataset, ExperimentSpec, FloodgateConfig,
-                       GaussianLinearModel, LinearWorkingRegression,
-                       MacmConfig, MethodSpec, MuStarSpec, cosufficient_lcb,
-                       floodgate_lcb, floodgate_lcb_scale_free, macm_lcb)
+from floodgate import (Ar1Model, Dataset, DiscreteMarkovChain, ExperimentSpec,
+                       FloodgateConfig, GaussianLinearModel,
+                       LinearWorkingRegression, MacmConfig, MethodSpec,
+                       MuStarSpec, cosufficient_lcb, floodgate_lcb,
+                       floodgate_lcb_scale_free, macm_lcb)
 from floodgate.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from floodgate.regression import OLS
 from floodgate.simulate import FIT_MU_STAR, LINEAR_SPARSE, MMSE_EXACT, MMSE_MC
@@ -34,6 +37,36 @@ def workspace(tmp_path):
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _chain():
+    t = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]])
+    return DiscreteMarkovChain(np.array([0.5, 0.3, 0.2]), [t, t, t],
+                               focal_index=2)
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """Small AR(1), sign and chain inputs: {kind: (data, model, mu)}."""
+    root = tmp_path_factory.mktemp("small")
+    rng = np.random.default_rng(3)
+    files = {}
+    for kind, model in (("ar1", Ar1Model(dim=4, rho=0.3, focal_index=1)),
+                        ("signs", Ar1Model(dim=4, rho=0.3, focal_index=1)),
+                        ("dmc", _chain())):
+        x, z = model.sample_joint(60, seed=4)
+        mu = LinearWorkingRegression(OLS, 0.0, np.array([1.0]),
+                                     np.full(z.shape[1], 0.3))
+        y = mu.predict(x, z) + rng.standard_normal(60)
+        if kind == "signs":
+            y = np.where(y > 0, 1.0, -1.0)
+        paths = [root / f"{kind}_{name}" for name in
+                 ("data.csv", "model.json", "mu.json")]
+        Dataset(y, x, z).to_csv(paths[0])
+        paths[1].write_text(model.to_json())
+        paths[2].write_text(mu.to_json())
+        files[kind] = [str(path) for path in paths]
+    return files
 
 
 class TestInfer:
@@ -156,6 +189,51 @@ class TestInfer:
                               .read_text())
         assert manifest["config"]["k"] == k
 
+    @pytest.mark.parametrize("extra, unread", [
+        (["--mu", "MU", "--method", "mmse_mc", "--k", "0", "--n2", "3",
+          "--m", "-5"], ["--m", "--n2"]),
+        (["--mu", "MU", "--cv-folds", "5"], ["--cv-folds"]),
+        (["--mu", "MU", "--split", "0.3"], ["--split"]),
+        (["--fit", "ols", "--cv-folds", "5"], ["--cv-folds"]),
+        (["--mu", "MU", "--method", "macm", "--k", "0", "--m", "50"],
+         ["--m"]),
+    ])
+    def test_unread_options_are_rejected(self, workspace, capsys, extra,
+                                         unread):
+        extra = [workspace["mu"] if a == "MU" else a for a in extra]
+        code = main(["infer", workspace["data"], "--model", workspace["model"],
+                     "--out", str(workspace["dir"] / "x.csv")] + extra)
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert all(option in err for option in unread), err
+
+    @pytest.mark.parametrize("extra, resolved", [
+        (["--mu", "MU"], {"n2": None, "split": None, "cv_folds": None}),
+        (["--mu", "MU", "--method", "cosufficient"],
+         {"n2": 100, "split": None, "cv_folds": None}),
+        (["--fit", "ols", "--method", "mmse_exact"],
+         {"n2": None, "split": 0.5, "cv_folds": None}),
+        (["--fit", "lasso", "--method", "mmse_exact"],
+         {"n2": None, "split": 0.5, "cv_folds": 10}),
+    ])
+    def test_manifest_records_read_options(self, workspace, extra, resolved):
+        out = workspace["dir"] / "r.csv"
+        extra = [workspace["mu"] if a == "MU" else a for a in extra]
+        assert main(["infer", workspace["data"], "--model", workspace["model"],
+                     "--out", str(out)] + extra) == EXIT_OK
+        config = json.loads((workspace["dir"] / "r.csv.manifest.json")
+                            .read_text())["config"]
+        assert {k: config[k] for k in resolved} == resolved
+
+    def test_chain_batch_size_zero_is_a_validation_error(self, small_files,
+                                                         tmp_path, capsys):
+        data, model, mu = small_files["dmc"]
+        code = main(["infer", data, "--model", model, "--mu", mu,
+                     "--method", "cosufficient", "--n2", "0",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_VALIDATION
+        assert "n2" in capsys.readouterr().err
+
     def test_mmse_exact_rejects_copies(self, workspace, capsys):
         code = main(["infer", workspace["data"], "--model", workspace["model"],
                      "--mu", workspace["mu"], "--method", "mmse_exact",
@@ -204,6 +282,43 @@ class TestInfer:
         assert code == EXIT_VALIDATION
 
 
+def _optional(*values):
+    """One of values, or the option left out (three times in four), so
+    that many runs get past the unread-option check."""
+    return st.sampled_from([None] * 3 * len(values) + list(values))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["ar1", "signs", "dmc"]),
+       fit=st.sampled_from([None, "ols", "lasso"]),
+       method=st.sampled_from(["mmse_exact", "mmse_mc", "mmse_scale_free",
+                               "macm", "cosufficient"]),
+       k=_optional(2, 5, 0, 1, -1), m=_optional(3, 0, 1, -2),
+       n2=_optional(6, 20, 0, 1, -1),
+       split=_optional(0.5, 0.02, 0.0, 1.0, -0.3),
+       cv_folds=_optional(3, 40, 0, 1, -2),
+       alpha=_optional(0.3, 0.0, 1.0, -0.1))
+# A batch size of 0 on a chain once escaped as ZeroDivisionError.
+@example(kind="dmc", fit=None, method="cosufficient", k=None, m=None, n2=0,
+         split=None, cv_folds=None, alpha=None)
+def test_infer_exit_contract(small_files, kind, fit, method, k, m, n2, split,
+                             cv_folds, alpha):
+    """Whatever the options, infer returns 0, 2 or 3 and raises nothing."""
+    data, model, mu = small_files[kind]
+    out = str(Path(data).parent / "fuzz.csv")
+    # "--option=value": argparse reads a value such as "-1e-05" after a
+    # separate "--option" as an option name.
+    argv = ["infer", data, "--model", model, "--method", method,
+            "--out", out]
+    argv += ["--mu", mu] if fit is None else ["--fit", fit]
+    for option, value in (("--k", k), ("--m", m), ("--n2", n2),
+                          ("--split", split), ("--cv-folds", cv_folds),
+                          ("--alpha", alpha)):
+        if value is not None:
+            argv.append(f"{option}={value}")
+    assert main(argv) in (EXIT_OK, EXIT_VALIDATION, EXIT_IO)
+
+
 class TestFit:
     def test_fit_writes_regression_json(self, workspace):
         out = workspace["dir"] / "fit.json"
@@ -213,6 +328,13 @@ class TestFit:
         payload = json.loads(out.read_text())
         assert payload["kind"] == "OLS"
         assert abs(payload["x_coef"][0] - 1.5) < 0.2
+
+    def test_ols_does_not_read_cv_folds(self, workspace, capsys):
+        code = main(["fit", workspace["data"], "--fitter", "ols",
+                     "--cv-folds", "-3",
+                     "--out", str(workspace["dir"] / "fit.json")])
+        assert code == EXIT_VALIDATION
+        assert "--cv-folds" in capsys.readouterr().err
 
     def test_fit_is_deterministic(self, workspace):
         texts = []
@@ -273,6 +395,15 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert ("typo_field" if where == "top" else "bogus") in err
+
+    def test_unread_method_field(self, tmp_path, capsys):
+        path = self._spec_path(tmp_path)
+        spec = json.loads(path.read_text())
+        spec["methods"] = [{"name": "MACM", "big_k": 7}]
+        path.write_text(json.dumps(spec))
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert "big_k" in capsys.readouterr().err
 
     def test_invalid_spec(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floodgate import (Ar1Model, BatchPlan, CopulaModel, CustomRegression,
-                       Dataset, DiscreteMarkovChain, GaussianLinearModel,
+from floodgate import (Ar1Model, CopulaModel, CustomRegression, Dataset,
+                       DiscreteMarkovChain, GaussianLinearModel,
                        LinearWorkingRegression, cosufficient_lcb,
                        dmc_conditional_resample,
-                       gaussian_conditional_resample, make_batch_plan)
+                       gaussian_conditional_resample)
 from floodgate.cosufficient import _batch_moments, dmc_strata, hat_matrix
 from floodgate.errors import (ShapeError, SingularDesignError, SizeError,
                               ValidationError)
@@ -33,25 +33,36 @@ def _chain():
     return DiscreteMarkovChain(initial, [t, t, t], focal_index=2)
 
 
+def _chain_lcb(n, n2):
+    """Exact co-sufficient LCB on n rows of the chain, in batches of n2."""
+    model = _chain()
+    x, z = model.sample_joint(n, seed=5)
+    mu = LinearWorkingRegression(OLS, 0.0, np.array([1.0]), np.zeros(3))
+    return cosufficient_lcb(Dataset(x[:, 0], x, z), mu, model, n2=n2,
+                            mc_k=0, seed=1)
+
+
 class TestBatchPlan:
+    """How cosufficient_lcb cuts n rows into n1 batches of n2 rows."""
+
     def test_exact_division(self):
-        plan = make_batch_plan(1200, 300)
-        assert (plan.n1, plan.n2, plan.dropped) == (4, 300, 0)
-        assert plan.n_used == 1200
+        d = _chain_lcb(1200, 300).diagnostics
+        assert (d["n1"], d["n2"], d["dropped"]) == (4, 300, 0)
 
     def test_remainder_dropped(self):
-        plan = make_batch_plan(1000, 300)
-        assert (plan.n1, plan.dropped) == (3, 100)
+        d = _chain_lcb(1000, 300).diagnostics
+        assert (d["n1"], d["n2"], d["dropped"]) == (3, 300, 100)
 
     def test_too_few_batches(self):
         with pytest.raises(SizeError):
-            make_batch_plan(500, 300)
+            _chain_lcb(500, 300)
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            BatchPlan(n2=0, n1=2, dropped=0)
-        with pytest.raises(ValidationError):
-            BatchPlan(n2=10, n1=1, dropped=0)
+        # The chain has no batch-size floor, so only the n2 check stands
+        # between n2 < 1 and a division by zero.
+        for n2 in (0, -4):
+            with pytest.raises(ValidationError, match="n2"):
+                _chain_lcb(200, n2)
 
 
 class TestHatMatrix:

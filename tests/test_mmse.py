@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,8 +47,10 @@ class TestFloodgateConfig:
         assert FloodgateConfig(big_k=2).big_k == 2
 
     def test_with_alpha(self):
-        cfg = FloodgateConfig(alpha=0.05).with_alpha(0.025)
+        cfg = replace(FloodgateConfig(alpha=0.05), alpha=0.025)
         assert cfg.alpha.alpha == 0.025
+        with pytest.raises(ValidationError):
+            replace(cfg, alpha=1.5)
 
 
 class TestMuNullValues:
@@ -242,7 +245,7 @@ class TestScaleFree:
         data = _draw(model, mu, 300, seed=17)
         cfg = FloodgateConfig(alpha=0.05, big_k=0)
         rep = floodgate_lcb_scale_free(data, mu, model, cfg)
-        base = floodgate_lcb(data, mu, model, cfg.with_alpha(0.025))
+        base = floodgate_lcb(data, mu, model, replace(cfg, alpha=0.025))
         ucb = variance_ucb(data.y, 0.025)
         assert rep.diagnostics["var_y_ucb"] == pytest.approx(ucb, abs=1e-12)
         assert rep.lcb == pytest.approx(

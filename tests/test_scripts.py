@@ -1,4 +1,5 @@
-"""Smoke runs of the study scripts in scripts/ at tiny sizes."""
+"""Smoke runs of the study scripts in scripts/ at tiny sizes, and of
+README's library quick start."""
 
 import csv
 import importlib.util
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 def _load(name):
@@ -42,3 +44,12 @@ def test_halfwidth_study_prints_one_row_per_size(capsys):
         size, hw, scaled = line.split()
         assert int(size) == n
         assert float(scaled) == pytest.approx(float(hw) * n ** 0.5, abs=1e-3)
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # Runs the documented example, so a deleted name cannot stay in it.
+    section = README.read_text().split("## Quick start (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+    lcb, point, se = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= lcb <= point and se > 0.0

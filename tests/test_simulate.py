@@ -220,6 +220,14 @@ class TestExperimentSpec:
         with pytest.raises(ValidationError):
             MethodSpec("MMSE")
 
+    def test_unread_method_fields(self):
+        with pytest.raises(ValidationError, match="does not read big_k, mc_k"):
+            MethodSpec(MACM, big_k=7, mc_k=3)
+        with pytest.raises(ValidationError, match="k_copies"):
+            MethodSpec(MMSE_EXACT, k_copies=0)
+        # Read fields, and unread ones at their defaults, are accepted.
+        assert MethodSpec(COSUFFICIENT, n2=25, mc_k=10, big_k=500).n2 == 25
+
     def test_default_variables_cover_all(self):
         spec = self._spec(variables=None)
         assert spec.variable_list == tuple(range(1, 7))
