@@ -8,8 +8,9 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -291,15 +292,15 @@ class Dataset:
         return Dataset(self.y[rows], self.x[rows], self.z[rows])
 
     def to_csv(self, path) -> None:
+        """Write a header row and one row per sample, each value to 12
+        significant digits, with CRLF line ends (as ``csv.writer``)."""
         header = (["y"]
                   + [f"x{j + 1}" for j in range(self.d_x)]
                   + [f"z{j + 1}" for j in range(self.d_z)])
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.n):
-                row = [self.y[i], *self.x[i], *self.z[i]]
-                writer.writerow([format(v, ".12g") for v in row])
+            np.savetxt(fh, np.column_stack([self.y, self.x, self.z]),
+                       fmt="%.12g", delimiter=",", newline="\r\n",
+                       header=",".join(header), comments="")
 
     @classmethod
     def from_csv(cls, path, x_cols: Sequence[str] | None = None) -> "Dataset":
@@ -308,33 +309,36 @@ class Dataset:
         By default the header must name columns y, x1..x{d_x}, z1..z{d_z}.
         When x_cols is given, all non-y columns are covariates and the
         named ones become the focal x block (the rest become z); they must
-        be distinct and must not name y. Header names must be distinct. A
-        row whose width differs from the header's raises ShapeError.
+        be distinct and must not name y. Header names must be distinct.
+
+        numpy parses the body: a cell may be quoted or padded with
+        whitespace, blank lines are skipped, and '#' starts no comment.
+        A row whose width differs from the header's raises ShapeError; a
+        cell that is not a decimal float raises ValidationError.
         """
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = next(csv.reader(fh))
             except StopIteration:
                 raise ValidationError(f"{path}: empty file") from None
-            rows = [row for row in reader if row]
-        if "y" not in header:
-            raise ValidationError(f"{path}: no 'y' column in header")
-        repeated = sorted({h for h in header if header.count(h) > 1})
-        if repeated:
-            raise ValidationError(f"{path}: repeated header names {repeated}")
-        for i, row in enumerate(rows):
-            if len(row) != len(header):
-                raise ShapeError(f"{path}: data row {i + 1} has {len(row)} "
-                                 f"cells, header has {len(header)}")
-        try:
-            data = np.array([[float(v) for v in row] for row in rows], dtype=float)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: non-numeric cell ({exc})") from None
+            if "y" not in header:
+                raise ValidationError(f"{path}: no 'y' column in header")
+            repeated = sorted({h for h in header if header.count(h) > 1})
+            if repeated:
+                raise ValidationError(f"{path}: repeated header names {repeated}")
+            try:
+                with warnings.catch_warnings():
+                    # An empty body is the SizeError below.
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2,
+                                      comments=None, quotechar='"')
+            except ValueError as exc:
+                _csv_body_fault(path, len(header), str(exc))
         if data.size == 0:
             raise SizeError(f"{path}: no data rows")
-        cols = {name: data[:, j] for j, name in enumerate(header)}
-        y = cols["y"]
+        if data.shape[1] != len(header):
+            _csv_body_fault(path, len(header),
+                            f"rows have {data.shape[1]} cells")
         if x_cols is None:
             x_names = sorted((h for h in header if h.startswith("x")),
                              key=lambda h: int(h[1:]))
@@ -351,10 +355,30 @@ class Dataset:
                     f"{path}: x-cols must be distinct and exclude y: {list(x_cols)}")
             x_names = list(x_cols)
             z_names = [h for h in header if h != "y" and h not in x_names]
-        x = np.column_stack([cols[c] for c in x_names])
-        z = (np.column_stack([cols[c] for c in z_names])
-             if z_names else np.empty((len(y), 0)))
-        return cls(y, x, z)
+        col = {name: j for j, name in enumerate(header)}
+        return cls(data[:, col["y"]], data[:, [col[c] for c in x_names]],
+                   data[:, [col[c] for c in z_names]])
+
+
+def _csv_body_fault(path, width: int, reason: str) -> NoReturn:
+    """Name what np.loadtxt refused in a dataset CSV body: the first row
+    whose width differs from the header's (ShapeError), else a cell that
+    is not a number (ValidationError). Reads the body again with ``csv``,
+    so well-formed files are parsed once."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = [row for row in reader if row]
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ShapeError(f"{path}: data row {i + 1} has {len(row)} "
+                             f"cells, header has {width}")
+    try:
+        [float(v) for row in rows for v in row]
+    except ValueError as exc:
+        reason = str(exc)
+    # Also a cell Python's float reads but numpy does not, such as 1_0.
+    raise ValidationError(f"{path}: non-numeric cell ({reason})")
 
 
 @dataclass(frozen=True)

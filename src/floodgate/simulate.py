@@ -295,6 +295,14 @@ class MethodSpec:
             return f"COSUFFICIENT_N2_{self.n2}"
         return self.name
 
+    @property
+    def closed_form(self) -> bool:
+        """Whether the method uses closed-form moments, which need a mu
+        that is linear in x on the identity link."""
+        return (self.name == MMSE_EXACT
+                or (self.name == MACM and self.k_copies == 0)
+                or (self.name == COSUFFICIENT and self.mc_k == 0))
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -330,6 +338,12 @@ class ExperimentSpec:
         if self.fitter not in (LASSO, RIDGE, OLS, LOGIT_L1, LOGIT_L2,
                                FIT_MU_STAR, FIT_MU_STAR_CORRUPTED):
             raise ValidationError(f"unknown fitter {self.fitter!r}")
+        closed = [m.label for m in self.methods if m.closed_form]
+        if closed and self.fit_link == "binary_mean":
+            # Checked here, not when the first bound runs after the oracle.
+            raise ValidationError(
+                f"closed-form methods {closed} need an identity-link mu; "
+                f"fitter {self.fitter} gives a binary_mean link")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
         if self.misspecification not in (MISSPEC_NONE, MISSPEC_INSAMPLE):
@@ -340,6 +354,15 @@ class ExperimentSpec:
                                tuple(int(v) for v in self.variables))
             if any(v < 1 or v > self.p for v in self.variables):
                 raise ValidationError("variables must be 1-based in [1, p]")
+
+    @property
+    def fit_link(self) -> str:
+        """The link of the working regression the fitter gives."""
+        if self.fitter in (LOGIT_L1, LOGIT_L2) or (
+                self.fitter in (FIT_MU_STAR, FIT_MU_STAR_CORRUPTED)
+                and self.mu_star.kind == LOGISTIC_LINEAR):
+            return "binary_mean"
+        return "identity"
 
     @property
     def variable_list(self) -> tuple[int, ...]:
@@ -431,8 +454,8 @@ def _fit_working_regression(spec: ExperimentSpec, fit_ds: Dataset,
         if spec.fitter == FIT_MU_STAR_CORRUPTED:
             noise_rng = seeded_rng(spec.base_seed, replicate_index, 4)
             coef = coef + spec.corruption_tau * noise_rng.standard_normal(spec.p)
-        link = "binary_mean" if spec.mu_star.kind == LOGISTIC_LINEAR else "identity"
-        return LinearWorkingRegression(CUSTOM, 0.0, coef, np.empty(0), link=link)
+        return LinearWorkingRegression(CUSTOM, 0.0, coef, np.empty(0),
+                                       link=spec.fit_link)
     if spec.fitter == LASSO:
         return fit_lasso(fit_ds, spec.cv, fit_seed)
     if spec.fitter == RIDGE:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -226,6 +228,76 @@ class TestSplit:
             split(self._data(10), 1.2, seed=0)
 
 
+def _reference_from_csv(path, x_cols=None):
+    """The csv.reader + float() parser that Dataset.from_csv replaced,
+    on well-formed files: (y, x, z)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [row for row in reader if row]
+    data = np.array([[float(v) for v in row] for row in rows], dtype=float)
+    cols = {name: data[:, j] for j, name in enumerate(header)}
+    if x_cols is None:
+        x_names = sorted((h for h in header if h.startswith("x")),
+                         key=lambda h: int(h[1:]))
+        z_names = sorted((h for h in header if h.startswith("z")),
+                         key=lambda h: int(h[1:]))
+    else:
+        x_names = list(x_cols)
+        z_names = [h for h in header if h != "y" and h not in x_names]
+    x = np.column_stack([cols[c] for c in x_names])
+    z = (np.column_stack([cols[c] for c in z_names])
+         if z_names else np.empty((len(rows), 0)))
+    return cols["y"], x, z
+
+
+def _reference_csv_bytes(data: Dataset) -> bytes:
+    """What Dataset.to_csv wrote through csv.writer, row by row."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["y"] + [f"x{j + 1}" for j in range(data.d_x)]
+                    + [f"z{j + 1}" for j in range(data.d_z)])
+    for i in range(data.n):
+        writer.writerow([format(v, ".12g")
+                         for v in [data.y[i], *data.x[i], *data.z[i]]])
+    return buf.getvalue().encode()
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_CSV_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+                                  3.0, 123456789012345678.0]))
+_CELL_TEXT = st.sampled_from([repr, lambda v: format(v, ".12g")])
+_CELL_DRESS = st.sampled_from(["{}", '"{}"', " {} ", "\t{}", '" {}"'])
+
+
+@st.composite
+def _csv_tables(draw):
+    """(file text, x_cols) for a finite table in any column order, with
+    repr or .12g cells, quoted or padded cells, LF or CRLF line ends and
+    blank lines; x_cols is None or a selection of covariate columns."""
+    n = draw(st.integers(1, 4))
+    names = (["y"] + [f"x{j + 1}" for j in range(draw(st.integers(1, 3)))]
+             + [f"z{j + 1}" for j in range(draw(st.integers(0, 3)))])
+    names = draw(st.permutations(names))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(names)]
+    for _ in range(n):
+        cells = [draw(_CELL_DRESS).format(draw(_CELL_TEXT)(draw(_CSV_FLOATS)))
+                 for _ in names]
+        lines.append(",".join(cells))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    covariates = [h for h in names if h != "y"]
+    x_cols = draw(st.none() | st.lists(st.sampled_from(covariates),
+                                       min_size=1, unique=True))
+    return text, x_cols
+
+
 class TestDataset:
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeError):
@@ -274,6 +346,51 @@ class TestDataset:
         path.write_text(text)
         with pytest.raises(error):
             Dataset.from_csv(path)
+
+    @given(_csv_tables())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_csv_read_matches_reference_parser(self, tmp_path_factory, table):
+        text, x_cols = table
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode())
+        data = Dataset.from_csv(path, x_cols=x_cols)
+        y, x, z = _reference_from_csv(path, x_cols)
+        assert _same_bits(data.y, y)
+        assert _same_bits(data.x, x)
+        assert _same_bits(data.z, z)
+
+    @pytest.mark.parametrize("text, error, match", [
+        ("y,x1,z1\n1,2,3\n#4,5,6\n", ValidationError, "#4"),  # no comment
+        ("y,x1,z1\r\n", SizeError, "no data rows"),       # CRLF header only
+        ("y,x1,z1\n1,,3\n", ValidationError, "non-numeric"),  # empty cell
+        ("y,x1,z1\n1,nan,3\n", ValidationError, "non-finite"),
+        ("y,x1,z1\n1,2\n4,5\n", ShapeError, "data row 1 "),  # all short
+        ("y,x1,z1\n1,abc,3\n4,5\n", ShapeError, "data row 2 "),  # ragged first
+        # Python's float reads these; numpy's parser does not.
+        ("y,x1,z1\n1,1_0,3\n", ValidationError, "1_0"),
+        ("y,x1,z1\n1,\u0661,3\n", ValidationError, "non-numeric"),
+    ])
+    def test_csv_read_error_contract(self, tmp_path, text, error, match):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(error, match=match):
+            Dataset.from_csv(path)
+
+    @pytest.mark.parametrize("data", [
+        Dataset(np.array([-0.0]), np.array([[5e-324]]), np.empty((1, 0))),
+        Dataset(np.array([1e300, -1e300, 3.0]),
+                np.array([[1.0, -0.0], [2.0, 1e16], [5e-324, 0.1]]),
+                np.empty((3, 0))),
+        Dataset(np.array([123456789012345678.0, 1.0 / 3.0]),
+                np.array([[-2.0, 4.0], [1e-300, -5e-324]]),
+                np.array([[0.0, 7.0, -1e300], [2.5, -0.0, 1e300]])),
+        Dataset(np.linspace(-1.0, 1.0, 6) / 3.0, np.sqrt(np.arange(6.0)),
+                np.arange(24.0).reshape(6, 4) / 7.0),
+    ])
+    def test_csv_write_matches_csv_writer(self, tmp_path, data):
+        path = tmp_path / "d.csv"
+        data.to_csv(path)
+        assert path.read_bytes() == _reference_csv_bytes(data)
 
     @pytest.mark.parametrize("x_cols", [["x3"], ["y"], ["x1", "y"],
                                         ["x1", "x1"]])

@@ -6,12 +6,14 @@ import pytest
 
 from floodgate import (ExperimentSpec, MethodSpec, MuStarSpec, build_mu_star,
                        generate_replicate, oracle_values, run_experiment)
-from floodgate import macm, mmse
+from floodgate import macm, mmse, simulate
+from floodgate.cli import EXIT_VALIDATION, main
 from floodgate.covariates import Ar1Model
 from floodgate.errors import ValidationError
 from floodgate.macm import macm_gap_oracle
-from floodgate.regression import OLS
-from floodgate.simulate import (COSUFFICIENT, FIT_MU_STAR, LINEAR_SPARSE,
+from floodgate.regression import LOGIT_L1, LOGIT_L2, OLS
+from floodgate.simulate import (COSUFFICIENT, FIT_MU_STAR,
+                                FIT_MU_STAR_CORRUPTED, LINEAR_SPARSE,
                                 LOGISTIC_LINEAR, MACM, MMSE_EXACT, MMSE_MC,
                                 MODEL_COPULA_AR1, NONLINEAR_F1,
                                 ar1_conditional_variances, derive_seed,
@@ -232,6 +234,43 @@ class TestExperimentSpec:
         spec = self._spec(variables=None)
         assert spec.variable_list == tuple(range(1, 7))
 
+    @pytest.mark.parametrize("method", [
+        MethodSpec(MMSE_EXACT), MethodSpec(MACM, k_copies=0),
+        MethodSpec(COSUFFICIENT)])
+    @pytest.mark.parametrize("fitter, kind", [
+        (LOGIT_L1, LINEAR_SPARSE), (LOGIT_L2, LINEAR_SPARSE),
+        (FIT_MU_STAR, LOGISTIC_LINEAR),
+        (FIT_MU_STAR_CORRUPTED, LOGISTIC_LINEAR)])
+    def test_closed_form_needs_identity_link(self, method, fitter, kind):
+        with pytest.raises(ValidationError, match="binary_mean"):
+            self._spec(mu_star=MuStarSpec(kind, sparsity=2, seed=1),
+                       methods=(MethodSpec(MMSE_MC, big_k=5), method),
+                       fitter=fitter)
+
+    def test_closed_form_with_identity_link_or_copies_accepted(self):
+        logistic = MuStarSpec(LOGISTIC_LINEAR, sparsity=2, seed=1)
+        assert self._spec(mu_star=logistic, fitter=OLS,
+                          methods=(MethodSpec(MACM, k_copies=0),))
+        assert self._spec(mu_star=logistic, fitter=LOGIT_L1,
+                          methods=(MethodSpec(MACM, k_copies=5),
+                                   MethodSpec(MMSE_MC, big_k=5),
+                                   MethodSpec(COSUFFICIENT, mc_k=5)))
+
+    def test_cli_rejects_closed_form_logistic_before_oracle(
+            self, tmp_path, monkeypatch):
+        def ran_oracle(spec):
+            raise AssertionError("the oracle ran before the spec was checked")
+
+        monkeypatch.setattr(simulate, "oracle_values", ran_oracle)
+        spec = json.loads(self._spec(variables=None).to_json())
+        spec.update(p=8, fitter=LOGIT_L1, oracle_draws=100_000,
+                    methods=[{"name": MACM, "k_copies": 0}])
+        spec["mu_star"].update(kind=LOGISTIC_LINEAR, sparsity=3)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+
 
 class TestGenerateReplicate:
     def _spec(self, kind=LINEAR_SPARSE, **kwargs):
@@ -251,7 +290,9 @@ class TestGenerateReplicate:
         assert not np.array_equal(w1, w3)
 
     def test_logistic_labels(self):
-        w, y = generate_replicate(self._spec(kind=LOGISTIC_LINEAR), 0)
+        # Closed-form methods need an identity link, so the spec names MACM.
+        spec = self._spec(kind=LOGISTIC_LINEAR, methods=(MethodSpec(MACM),))
+        w, y = generate_replicate(spec, 0)
         assert set(np.unique(y)) <= {-1.0, 1.0}
 
     def test_copula_covariates_bounded(self):
