@@ -25,7 +25,8 @@ import numpy as np
 from .core import (ConfidenceLevel, Dataset, LcbReport, MACM_GAP,
                    as_confidence_level, philox_rng)
 from .covariates import CovariateModel, cond_moments_linear
-from .errors import DegenerateLabelsError, SizeError, ValidationError
+from .errors import (DegenerateLabelsError, ShapeError, SizeError,
+                     ValidationError)
 from .regression import WorkingRegression
 from .mmse import _BLOCK_VALUES, _predict_rows, mu_null_values
 
@@ -137,17 +138,26 @@ def macm_gap_enumerate(atoms, probs, cond_mean_y) -> float:
 _GH_NODES = 64
 
 
-def macm_gap_oracle(model: CovariateModel, cond_mean_y, n_draws: int,
-                    seed: int) -> tuple[float, float]:
-    """Monte Carlo MACM gap for a continuous model: outer draws of
-    (X, Z) with the inner expectation E[Y|Z] computed by Gauss-Hermite
-    quadrature against the Gaussian law of X | Z. Returns (value, se).
+def macm_gap_oracle(model: CovariateModel, cond_mean_y, x: np.ndarray,
+                    z: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo MACM gap for a continuous model over n >= 2 joint
+    draws of (X, Z), such as model.sample_joint returns, with the inner
+    expectation E[Y|Z] computed by Gauss-Hermite quadrature against the
+    Gaussian law of X | Z. Returns (value, se).
 
-    cond_mean_y(z) is called once, on the (n_draws, d_z) draws of Z, and
-    returns given_z; given_z(x) maps (n_draws, 1) focal values to
+    cond_mean_y(z) is called once, on the (n, d_z) draws of Z, and
+    returns given_z; given_z(x) maps (n, 1) focal values to
     E[Y | X=x, Z=z] row by row, once per node and once on the drawn x.
     """
-    x, z = model.sample_joint(n_draws, seed)
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 1:
+        raise ShapeError(f"x must be one column, got shape {x.shape}")
+    if len(x) != len(z):
+        raise ShapeError(f"x has {len(x)} rows but z has {len(z)}")
+    n_draws = len(x)
+    if n_draws < 2:
+        raise SizeError("the MACM oracle needs at least two draws")
     cond_mean_x, cond_cov = model.conditional_x_moments(z)
     if cond_mean_x.shape[1] != 1:
         raise ValidationError("quadrature oracle supports a scalar focal X")

@@ -226,34 +226,37 @@ def mmse_oracle_nested_mc(mu_star: RealizedMuStar, model: CovariateModel,
 def macm_oracle_values(mu_star: RealizedMuStar, rho: float, n_draws: int,
                        seed: int, se_target: float = 0.002) -> np.ndarray:
     """MACM-gap oracle per variable for the logistic-linear model over
-    AR(1) covariates: E[Y | W] = tanh(mu*(W) / 2), nulls are exactly 0,
-    and draw counts are doubled until the Monte Carlo SE meets the
-    target."""
+    AR(1) covariates: E[Y | W] = tanh(mu*(W) / 2), nulls are exactly 0.
+    Each draw count makes one set of full rows, shared by every support
+    variable; the count doubles, up to 64 n_draws, for the variables
+    whose Monte Carlo SE has not yet met the target."""
     if mu_star.coef is None:
         raise ValidationError("the MACM oracle expects a coefficient mu*")
+    coef = mu_star.coef
     out = np.zeros(mu_star.p)
-    for j in mu_star.support:
-        model = Ar1Model(mu_star.p, rho, int(j) + 1)
+    pending = [int(j) for j in mu_star.support]
+    draws = n_draws
+    while pending:
+        x, z = Ar1Model(mu_star.p, rho, 1).sample_joint(
+            draws, derive_seed(seed, draws))
+        w = np.concatenate([x, z], axis=1)
+        del x, z    # so only w and one variable's z are held below
+        unmet = []
+        for j in pending:
+            def cond_mean_y(z, _j=j):
+                # Only the focal column changes across the quadrature
+                # nodes, so the rest of mu* is summed once.
+                offset = z @ np.delete(coef, _j)
+                return lambda x: np.tanh((offset + coef[_j] * x[:, 0]) / 2.0)
 
-        def cond_mean_y(z, _j=int(j)):
-            # mu* takes full rows (BLAS rounds a split sum differently);
-            # lay them out once and rewrite only the focal column.
-            w = np.concatenate([z[:, :_j], np.zeros((len(z), 1)), z[:, _j:]],
-                               axis=1)
-
-            def given_z(x):
-                w[:, _j] = x[:, 0]
-                return np.tanh(mu_star.values(w) / 2.0)
-            return given_z
-
-        draws = n_draws
-        while True:
-            value, se = macm_gap_oracle(model, cond_mean_y, draws,
-                                        derive_seed(seed, int(j), draws))
-            if se < se_target or draws >= 64 * n_draws:
-                break
-            draws *= 2
-        out[j] = value
+            value, se = macm_gap_oracle(Ar1Model(mu_star.p, rho, j + 1),
+                                        cond_mean_y, w[:, j:j + 1],
+                                        np.delete(w, j, axis=1))
+            out[j] = value
+            if se >= se_target and draws < 64 * n_draws:
+                unmet.append(j)
+        pending = unmet
+        draws *= 2
     return out
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import floodgate
 from floodgate import (Ar1Model, CustomRegression, Dataset,
@@ -15,8 +16,8 @@ from floodgate import (Ar1Model, CustomRegression, Dataset,
                        macm_gap_enumerate, macm_gap_oracle, macm_lcb)
 from floodgate import macm
 from floodgate.mmse import mu_null_values
-from floodgate.errors import (DegenerateLabelsError, UnsupportedClosedFormError,
-                              ValidationError)
+from floodgate.errors import (DegenerateLabelsError, ShapeError, SizeError,
+                              UnsupportedClosedFormError, ValidationError)
 from floodgate.regression import LOGIT_L1, OLS
 
 
@@ -145,7 +146,8 @@ class TestMonteCarloMoments:
             return np.tanh((beta * x + zeta * z[:, 0]) / 2.0)
 
         truth, oracle_se = macm_gap_oracle(
-            model, lambda z: lambda x: cond_mean_y(x, z), 200000, seed=8)
+            model, lambda z: lambda x: cond_mean_y(x, z),
+            *model.sample_joint(200000, seed=8))
         assert oracle_se < 0.002
         rep = macm_lcb(data, mu, model,
                        MacmConfig(m_copies=2000, k_copies=100, seed=10))
@@ -293,13 +295,14 @@ class TestMacmGapOracle:
         model = _indep_model()
         value, se = macm_gap_oracle(
             model, lambda z: lambda x: np.sign(np.asarray(x).reshape(len(z))),
-            50000, seed=3)
+            *model.sample_joint(50000, seed=3))
         assert value == pytest.approx(1.0, abs=3 * se + 1e-9)
 
     def test_constant_response_has_zero_gap(self):
         model = _indep_model()
         value, se = macm_gap_oracle(
-            model, lambda z: lambda x: np.full(len(z), 0.3), 10000, seed=4)
+            model, lambda z: lambda x: np.full(len(z), 0.3),
+            *model.sample_joint(10000, seed=4))
         assert value == pytest.approx(0.0, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
 
@@ -315,6 +318,66 @@ class TestMacmGapOracle:
                 return np.tanh(x[:, 0] + z[:, 0])
             return given_z
 
-        macm_gap_oracle(model, cond_mean_y, 300, seed=5)
+        macm_gap_oracle(model, cond_mean_y, *model.sample_joint(300, seed=5))
         assert outer == [(300, 4)]
         assert inner == [(300, 1)] * (macm._GH_NODES + 1)
+
+    def test_rejects_misshaped_draws(self):
+        model = Ar1Model(dim=5, rho=0.3, focal_index=2)
+        x, z = model.sample_joint(30, seed=6)
+        cond_mean_y = lambda z: lambda x: np.tanh(x[:, 0])
+        for bad_x, bad_z in ((x[:, 0], z),                     # not 2-D
+                             (np.hstack([x, x]), z),           # two columns
+                             (x[:29], z),                      # row counts
+                             (x, z[:29])):
+            with pytest.raises(ShapeError):
+                macm_gap_oracle(model, cond_mean_y, bad_x, bad_z)
+
+    def test_needs_two_draws(self):
+        # One draw has no sample SE (numpy would return nan with a
+        # RuntimeWarning).
+        model = Ar1Model(dim=5, rho=0.3, focal_index=2)
+        x, z = model.sample_joint(2, seed=7)
+        cond_mean_y = lambda z: lambda x: np.tanh(x[:, 0])
+        for n in (0, 1):
+            with pytest.raises(SizeError):
+                macm_gap_oracle(model, cond_mean_y, x[:n], z[:n])
+        _, se = macm_gap_oracle(model, cond_mean_y, x, z)
+        assert math.isfinite(se)
+
+
+class TestMacmRescalingInvariance:
+    """c * mu gives the same MACM bound as mu for every c > 0: only the
+    signs of mu - E[mu | Z] enter R_i. A power of two scales every value
+    without rounding, so the reports are identical, not merely close."""
+
+    MU = LinearWorkingRegression(OLS, 0.2, np.array([1.1]),
+                                 np.array([0.4, -0.3, 0.0]))
+
+    @given(rho=st.floats(-0.6, 0.6),
+           focal=st.integers(1, 4),
+           log2_c=st.integers(-30, 30),
+           k_copies=st.sampled_from([0, 1, 7, 40]),
+           custom=st.booleans(),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_power_of_two_scale(self, rho, focal, log2_c, k_copies, custom,
+                                seed):
+        model = Ar1Model(dim=4, rho=rho, focal_index=focal)
+        x, z = model.sample_joint(120, seed % 10_000)
+        rng = np.random.default_rng(seed)
+        prob = 1.0 / (1.0 + np.exp(-self.MU.predict(x, z)))
+        data = Dataset(np.where(rng.random(120) < prob, 1.0, -1.0), x, z)
+        c = 2.0 ** log2_c
+        mu = self.MU
+        scaled = LinearWorkingRegression(OLS, c * mu.intercept,
+                                         c * mu.x_coef, c * mu.z_coef)
+        if custom:      # the generic path: mu on tiled rows of z
+            mu = CustomRegression(self.MU.predict,
+                                  linear_focal_coef=self.MU.x_coef)
+            scaled = CustomRegression(
+                lambda xx, zz: c * self.MU.predict(xx, zz),
+                linear_focal_coef=c * self.MU.x_coef)
+        cfg = MacmConfig(m_copies=50, k_copies=k_copies, seed=seed)
+        assert macm_lcb(data, scaled, model, cfg) == macm_lcb(data, mu,
+                                                              model, cfg)

@@ -146,21 +146,76 @@ class TestOracles:
 
     def test_macm_oracle_matches_assembled_rows(self):
         # The reference rebuilds the full covariate rows from x and z on
-        # every call, as the oracle's callback once did.
-        spec = MuStarSpec(LOGISTIC_LINEAR, sparsity=10, amplitude=15.0,
-                          seed=606)
-        mu = build_mu_star(spec, n=500, p=40)
+        # every call, as the oracle's callback once did, on the same
+        # shared draw set. The oracle sums the non-focal part of mu* once,
+        # which rounds differently, so the match is to rtol 1e-12.
+        mu = self._a6_mu_star()
         got = macm_oracle_values(mu, rho=0.3, n_draws=1001, seed=4,
                                  se_target=1.0)
         want = np.zeros(40)
         for j in mu.support:
-            def cond_mean_y(z, j=int(j)):
-                return lambda x: np.tanh(mu.values(np.concatenate(
-                    [z[:, :j], x, z[:, j:]], axis=1)) / 2.0)
-            want[j], _ = macm_gap_oracle(Ar1Model(40, 0.3, int(j) + 1),
-                                         cond_mean_y, 1001,
-                                         derive_seed(4, int(j), 1001))
-        assert got.tobytes() == want.tobytes()
+            want[j] = _assembled_row_oracle(mu, int(j), 1001, 4)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert not np.array_equal(got, np.zeros(40))
+
+    def test_macm_oracle_doubles_unmet_variables_up_to_the_cap(
+            self, monkeypatch):
+        mu = self._a6_mu_star()
+        calls = []
+
+        def recording(model, cond_mean_y, x, z):
+            value, se = macm_gap_oracle(model, cond_mean_y, x, z)
+            calls.append((model.focal_index[0] - 1, len(x), value, se))
+            return value, se
+
+        monkeypatch.setattr(simulate, "macm_gap_oracle", recording)
+        n_draws = 40
+        counts = [n_draws * 2 ** k for k in range(7)]
+        # A target no SE meets: every variable runs to 64 n_draws.
+        got = macm_oracle_values(mu, rho=0.3, n_draws=n_draws, seed=9,
+                                 se_target=1e-9)
+        assert sorted((d, j) for j, d, _, _ in calls) == sorted(
+            (d, int(j)) for j in mu.support for d in counts)
+        se_at = {(j, d): se for j, d, _, se in calls}
+        for j in mu.support:
+            want, _ = _assembled_row_oracle(mu, int(j), counts[-1], 9)
+            assert got[j] == pytest.approx(want, rel=1e-12, abs=0.0)
+        # The median SE at 4 n_draws as the target: each variable stops
+        # at its first count whose SE is below it (the draw set of a count
+        # does not depend on the target), so they stop at different counts.
+        target = float(np.median([se_at[int(j), counts[2]]
+                                  for j in mu.support]))
+        calls.clear()
+        got = macm_oracle_values(mu, rho=0.3, n_draws=n_draws, seed=9,
+                                 se_target=target)
+        final = {}
+        for j in map(int, mu.support):
+            final[j] = next((d for d in counts if se_at[j, d] < target),
+                            counts[-1])
+            assert [d for jj, d, _, _ in calls if jj == j] == [
+                d for d in counts if d <= final[j]]
+            want, _ = _assembled_row_oracle(mu, j, final[j], 9)
+            assert got[j] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert len(set(final.values())) > 1
+
+    def test_macm_oracle_draws_once_per_draw_count(self, monkeypatch):
+        mu = self._a6_mu_star()
+        drawn = []
+        sample_joint = Ar1Model.sample_joint
+
+        def counting(self, n, seed):
+            drawn.append(n)
+            return sample_joint(self, n, seed)
+
+        monkeypatch.setattr(Ar1Model, "sample_joint", counting)
+        macm_oracle_values(mu, rho=0.3, n_draws=40, seed=9, se_target=1e-9)
+        assert drawn == [40 * 2 ** k for k in range(7)]
+
+    @staticmethod
+    def _a6_mu_star():
+        spec = MuStarSpec(LOGISTIC_LINEAR, sparsity=10, amplitude=15.0,
+                          seed=606)
+        return build_mu_star(spec, n=500, p=40)
 
     @pytest.mark.parametrize("block_values", [None, 200 * 39 * 7])
     def test_nested_oracle_matches_row_array(self, monkeypatch, block_values):
@@ -188,6 +243,20 @@ class TestOracles:
             want = (math.sqrt(max(float(cond_var.mean()), 0.0)),
                     float(cond_var.std(ddof=1) / math.sqrt(outer)))
             assert got == want
+
+
+def _assembled_row_oracle(mu, j, draws, seed):
+    """macm_gap_oracle for variable j on the oracle's shared draw set,
+    with a callback that evaluates mu* on reassembled full rows."""
+    x, z = Ar1Model(mu.p, 0.3, 1).sample_joint(draws,
+                                                derive_seed(seed, draws))
+    w = np.concatenate([x, z], axis=1)
+
+    def cond_mean_y(z_rows):
+        return lambda x_rows: np.tanh(mu.values(np.concatenate(
+            [z_rows[:, :j], x_rows, z_rows[:, j:]], axis=1)) / 2.0)
+    return macm_gap_oracle(Ar1Model(mu.p, 0.3, j + 1), cond_mean_y,
+                           w[:, j:j + 1], np.delete(w, j, axis=1))
 
 
 class TestExperimentSpec:
