@@ -222,6 +222,7 @@ class CopulaModel(CovariateModel):
 
     def __init__(self, latent: Ar1Model) -> None:
         self.latent = latent
+        self._latent_z = None   # (z, latent z): streamed blocks share z
 
     @property
     def d_x(self) -> int:
@@ -246,7 +247,10 @@ class CopulaModel(CovariateModel):
 
     def sample_null_copies(self, z, big_k, seed):
         z = self._check_z(z)
-        lat_copies = self.latent.sample_null_copies(self._to_latent(z), big_k, seed)
+        memo = self._latent_z      # read once: a race costs a recompute
+        if memo is None or not np.array_equal(memo[0], z):
+            memo = self._latent_z = (z.copy(), self._to_latent(z))
+        lat_copies = self.latent.sample_null_copies(memo[1], big_k, seed)
         return NullCopies(self._to_uniform(lat_copies.copies))
 
     def to_config(self):

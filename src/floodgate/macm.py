@@ -10,15 +10,15 @@ with U_i = mu(X_i, Z_i) - E[mu | Z_i], and the bound is
 probabilities serve for a partially linear mu under a Gaussian covariate
 model; otherwise both the centering term and the indicator averages are
 estimated from null copies (M copies for the mean, K for the average).
-The copies are drawn in blocks of about _BLOCK_VALUES values, so memory
-is O(block + n) while time is O(n (M + K)); a mu that is not a
-LinearWorkingRegression sees tiled z rows in chunks of about a block.
+The copies stream through mmse.null_mu_blocks, so memory is
+O(block + n) while time is O(n (M + K)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .covariates import CovariateModel, cond_moments_linear
 from .errors import (DegenerateLabelsError, ShapeError, SizeError,
                      ValidationError)
 from .regression import WorkingRegression
-from .mmse import _BLOCK_VALUES, _predict_rows, mu_null_values
+from .mmse import _predict_rows, fold_sum, null_mu_blocks
 
 
 @dataclass(frozen=True)
@@ -69,29 +69,15 @@ def _exact_r_samples(infer_part: Dataset, mu: WorkingRegression,
 
 def _mc_r_samples(infer_part: Dataset, mu: WorkingRegression,
                   model: CovariateModel, cfg: MacmConfig) -> np.ndarray:
-    n = infer_part.n
-    m = cfg.m_copies if cfg.m_copies is not None else 4 * n
-    total = m + cfg.k_copies
-    rows = max(1, _BLOCK_VALUES // n)
     z, y = infer_part.z, infer_part.y
-    # One continuing stream of M + K null copies per row, drawn in
-    # blocks: the first M estimate the conditional mean, the rest feed
-    # the indicator average. Row-by-row addition is the order of
-    # numpy's axis-0 sum, so g_m is bit-identical to the mean of the M
-    # copies drawn at once.
+    m = cfg.m_copies if cfg.m_copies is not None else 4 * infer_part.n
+    # One continuing stream of M + K null copies per row: the first M
+    # estimate the conditional mean, the next K feed the indicator average.
     rng = philox_rng(cfg.seed)
-    g_sum = np.zeros(n)
-    wrong = np.zeros(n, dtype=np.int64)
-    for start in range(0, total, rows):
-        tilde = mu_null_values(mu, model, z, min(rows, total - start), rng)
-        head = tilde[:max(m - start, 0)]
-        for row in head:
-            g_sum += row
-        if len(head) < len(tilde):
-            wrong += (y * (tilde[len(head):] - g_sum / m) < 0).sum(axis=0)
-    g_m = g_sum / m
-    mu_obs = _predict_rows(mu, infer_part.x, z)
-    obs_wrong = (y * (mu_obs - g_m) < 0)
+    g_m = reduce(fold_sum, null_mu_blocks(mu, model, z, m, rng), None) / m
+    wrong = sum((y * (tilde - g_m) < 0).sum(axis=0)
+                for tilde in null_mu_blocks(mu, model, z, cfg.k_copies, rng))
+    obs_wrong = (y * (_predict_rows(mu, infer_part.x, z) - g_m) < 0)
     return wrong / cfg.k_copies - obs_wrong.astype(float)
 
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
 from .core import (ConfidenceLevel, Dataset, LcbReport, MMSE_GAP,
-                   MMSE_GAP_SCALE_FREE, as_confidence_level, ratio_lcb)
+                   MMSE_GAP_SCALE_FREE, as_confidence_level, philox_rng,
+                   ratio_lcb)
 from .covariates import CovariateModel, cond_moments_linear
 from .errors import ShapeError, SizeError, ValidationError
 from .regression import LinearWorkingRegression, WorkingRegression
@@ -43,10 +45,10 @@ class FloodgateConfig:
                 f"big_k must be 0 (closed form) or >= 2, got {self.big_k}")
 
 
-# Values held at once by a streamed Monte Carlo path: copy values per
-# block in macm._mc_r_samples, and the tiled z per generic-mu chunk in
-# mu_on_copies (mu_null_values for MMSE MC, weighted and MACM; the
-# co-sufficient MC batches; simulate.mmse_oracle_nested_mc).
+# Values held at once by a streamed Monte Carlo path: mu values per
+# block of null_mu_blocks (MMSE MC, weighted, MACM MC and the nested
+# oracle), and the tiled z per generic-mu chunk in mu_on_copies (those
+# blocks and the co-sufficient MC batches).
 _BLOCK_VALUES = 1 << 21
 
 
@@ -89,6 +91,44 @@ def mu_null_values(mu: WorkingRegression, model: CovariateModel,
     return mu_on_copies(mu, model.sample_null_copies(z, big_k, seed).copies, z)
 
 
+def null_mu_blocks(mu: WorkingRegression, model: CovariateModel,
+                   z: np.ndarray, count: int, rng: int | np.random.Generator):
+    """Yield mu on count null copies in (rows, n) blocks of at most
+    max(1, _BLOCK_VALUES // n) copies, one mu_null_values call each, from
+    one continuing stream (a Generator continues across calls)."""
+    rng = philox_rng(rng)
+    step = max(1, _BLOCK_VALUES // len(z))
+    for start in range(0, count, step):
+        yield mu_null_values(mu, model, z, min(step, count - start), rng)
+
+
+def fold_sum(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
+    """total plus block's axis-0 sum (overwriting block), in numpy's
+    axis-0 row order: bit-identical to summing the stacked blocks."""
+    if total is not None:
+        block[0] += total
+    return block.sum(axis=0)
+
+
+def block_moments(blocks) -> tuple[int, np.ndarray, np.ndarray]:
+    """Per-column (count, sum, M2) over a stream of (rows, n) blocks. Block
+    M2 values merge by Chan, Golub & LeVeque (1983), so M2 / (count - 1)
+    equals var(ddof=1) bit for bit when one block holds every row."""
+    count, total, m2 = 0, None, 0.0
+    for block in blocks:
+        rows, own = len(block), block.sum(axis=0)
+        sq = block - own / rows
+        sq *= sq
+        if count:
+            delta = own / rows - total / count
+            m2 = m2 + delta * delta * (count * rows / (count + rows))
+        m2 = m2 + sq.sum(axis=0)
+        total = own if total is None else fold_sum(total, block)
+        count += rows
+        del block, sq       # freed before the next block is drawn
+    return count, total, m2
+
+
 def moment_samples(infer_part: Dataset, mu: WorkingRegression,
                    model: CovariateModel, cfg: FloodgateConfig
                    ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -104,13 +144,15 @@ def moment_samples(infer_part: Dataset, mu: WorkingRegression,
         # The centering function must be independent of the copies that
         # enter R_i, otherwise the shared Monte Carlo noise biases the
         # numerator upward by Var(mu | Z) / K; centring takes the first
-        # K copies of the pool and R_i the last K.
-        pool = mu_null_values(mu, model, infer_part.z,
-                              (1 + cfg.center_y) * cfg.big_k, cfg.seed)
-        center = pool[:cfg.big_k].mean(axis=0) if cfg.center_y else None
-        tilde = pool[-cfg.big_k:]
-        g = tilde.mean(axis=0)
-        v = tilde.var(axis=0, ddof=1)
+        # K copies of the stream and R_i the next K.
+        rng = philox_rng(cfg.seed)
+        if cfg.center_y:
+            center = reduce(fold_sum, null_mu_blocks(
+                mu, model, infer_part.z, cfg.big_k, rng), None) / cfg.big_k
+        k, total, m2 = block_moments(
+            null_mu_blocks(mu, model, infer_part.z, cfg.big_k, rng))
+        g = total / k
+        v = m2 / (k - 1)
     centered = mu_obs - g
     y = infer_part.y - center if cfg.center_y else infer_part.y
     r = y * centered
@@ -193,12 +235,19 @@ def floodgate_lcb_weighted(infer_part: Dataset, mu: WorkingRegression,
         return LcbReport(0.0, 0.0, 0.0, n, MMSE_GAP, degenerate=True,
                          seed=cfg.seed)
     mu_obs = _predict_rows(mu, infer_part.x, infer_part.z)
-    tilde = mu_null_values(mu, model, infer_part.z, cfg.big_k, cfg.seed)
-    y = infer_part.y
-    sq_tilde = (y[None, :] - tilde) ** 2
-    r = (np.mean(sq_tilde * w1, axis=0) * w - (y - mu_obs) ** 2 * w) / w_bar
-    v = np.mean(2.0 * (mu_obs[None, :] - tilde) ** 2 * w1, axis=0) * w / w_bar
-    scale_sq = float(np.mean((mu_obs - tilde.mean(axis=0)) ** 2))
+    y, big_k = infer_part.y, cfg.big_k
+    sq_sum = dev_sum = tilde_sum = None
+    start = 0
+    for tilde in null_mu_blocks(mu, model, infer_part.z, big_k, cfg.seed):
+        w1_rows = w1[start:start + len(tilde)]
+        start += len(tilde)
+        sq_sum = fold_sum(sq_sum, (y - tilde) ** 2 * w1_rows)
+        dev_sum = fold_sum(dev_sum, 2.0 * (mu_obs - tilde) ** 2 * w1_rows)
+        tilde_sum = fold_sum(tilde_sum, tilde)
+        del tilde           # freed before the next block is drawn
+    r = (sq_sum / big_k * w - (y - mu_obs) ** 2 * w) / w_bar
+    v = dev_sum / big_k * w / w_bar
+    scale_sq = float(np.mean((mu_obs - tilde_sum / big_k) ** 2))
     return ratio_lcb(r, v, cfg.alpha, estimand=MMSE_GAP,
                      mu_scale_sq=scale_sq, seed=cfg.seed)
 

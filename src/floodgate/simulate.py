@@ -25,7 +25,8 @@ from .covariates import (Ar1Model, CopulaModel, CovariateModel,
                          GaussianLinearModel, ar1_covariance)
 from .errors import SizeError, ValidationError
 from .macm import MacmConfig, macm_gap_oracle, macm_lcb
-from .mmse import FloodgateConfig, floodgate_lcb, mu_null_values
+from .mmse import (FloodgateConfig, block_moments, floodgate_lcb,
+                   null_mu_blocks)
 from .cosufficient import cosufficient_lcb
 from .regression import (CUSTOM, CustomRegression, CvConfig, LASSO,
                          LinearWorkingRegression, LOGIT_L1, LOGIT_L2, OLS,
@@ -216,8 +217,9 @@ def mmse_oracle_nested_mc(mu_star: RealizedMuStar, model: CovariateModel,
     j = focal_0based
     mu = CustomRegression(lambda x, z_rows: mu_star.values(
         np.concatenate([z_rows[:, :j], x, z_rows[:, j:]], axis=1)))
-    vals = mu_null_values(mu, model, z, inner, derive_seed(seed, 1))
-    cond_var = vals.var(axis=0, ddof=1)
+    count, _, m2 = block_moments(
+        null_mu_blocks(mu, model, z, inner, derive_seed(seed, 1)))
+    cond_var = m2 / (count - 1)
     gap_sq = float(cond_var.mean())
     se = float(cond_var.std(ddof=1) / math.sqrt(outer))
     return math.sqrt(max(gap_sq, 0.0)), se
@@ -334,6 +336,11 @@ class ExperimentSpec:
             raise ValidationError("need n >= 4 and p >= 1")
         if self.model_kind not in (MODEL_AR1, MODEL_COPULA_AR1):
             raise ValidationError(f"unknown model kind {self.model_kind!r}")
+        if (self.model_kind == MODEL_COPULA_AR1
+                and self.mu_star.kind != NONLINEAR_F1):
+            # The linear and logistic oracles assume Gaussian AR(1) rows.
+            raise ValidationError(
+                f"{self.mu_star.kind} has no oracle under {MODEL_COPULA_AR1}")
         if not self.methods:
             raise ValidationError("at least one method is required")
         if isinstance(self.methods, list):
@@ -428,8 +435,6 @@ def oracle_values(spec: ExperimentSpec) -> np.ndarray:
     """Per-variable importance oracle (same for every replicate)."""
     mu_star = build_mu_star(spec.mu_star, spec.n, spec.p)
     if spec.mu_star.kind == LINEAR_SPARSE:
-        if spec.model_kind != MODEL_AR1:
-            raise ValidationError("closed-form linear oracle needs AR(1)")
         return mmse_oracle_linear(mu_star.coef, spec.rho)
     if spec.mu_star.kind == LOGISTIC_LINEAR:
         return macm_oracle_values(mu_star, spec.rho, spec.oracle_draws,

@@ -204,6 +204,21 @@ class TestCopulaModel:
         assert np.allclose(lat.mean(axis=0), mean[:, 0], atol=0.03)
         assert np.allclose(lat.var(axis=0), cov[0, 0], atol=0.03)
 
+    def test_latent_memo_follows_z(self):
+        # The memo of the latent z is keyed by z's values: a new z, or
+        # the same array changed in place, gives a fresh model's copies.
+        model = self._model()
+        z1 = model.sample_joint(30, seed=1)[1]
+        z2 = model.sample_joint(30, seed=2)[1]
+        for z in (z1, z2, z1, z1[:20], z1):
+            want = self._model().sample_null_copies(z, 4, seed=7).copies
+            assert np.array_equal(model.sample_null_copies(z, 4, seed=7).copies,
+                                  want)
+        z1[0, 0] = -z1[0, 0]
+        want = self._model().sample_null_copies(z1, 4, seed=7).copies
+        assert np.array_equal(model.sample_null_copies(z1, 4, seed=7).copies,
+                              want)
+
     def test_no_closed_form_moments(self):
         with pytest.raises(UnsupportedClosedFormError):
             self._model().conditional_x_moments(np.zeros((2, 3)))

@@ -1,20 +1,15 @@
 import math
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import floodgate
-from floodgate import (Ar1Model, CustomRegression, Dataset,
+from floodgate import (Ar1Model, CopulaModel, CustomRegression, Dataset,
                        FloodgateConfig, GaussianLinearModel,
                        LinearWorkingRegression, MacmConfig, floodgate_lcb,
                        macm_gap_enumerate, macm_gap_oracle, macm_lcb)
-from floodgate import macm
+from floodgate import macm, mmse
 from floodgate.mmse import mu_null_values
 from floodgate.errors import (DegenerateLabelsError, ShapeError, SizeError,
                               UnsupportedClosedFormError, ValidationError)
@@ -171,28 +166,16 @@ def _materialised_lcb(data, mu, model, cfg):
     return lcb, 2.0 * r_bar, s
 
 
-def _rss_growth_mb(script):
-    """Runs script in a fresh interpreter; it prints its RSS growth in MB."""
-    src = str(Path(floodgate.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=300,
-                         check=True)
-    return float(out.stdout.strip().splitlines()[-1])
-
-
 class TestStreamedPool:
     @pytest.mark.parametrize("block_values", [None, 1 << 20, 600 * 7])
     @pytest.mark.parametrize("custom", [False, True])
     def test_matches_materialised_pool(self, monkeypatch, block_values,
                                        custom):
         # n = 600 with the default M = 4n and K = 100: a pool of 1.5M
-        # values, drawn in one block, in two (the second straddling the
-        # M/K boundary), or in blocks of 7 copies.
+        # values, drawn one block per segment, with the M segment cut
+        # after 1747 copies, or in blocks of 7 copies.
         if block_values is not None:
-            monkeypatch.setattr(macm, "_BLOCK_VALUES", block_values)
+            monkeypatch.setattr(mmse, "_BLOCK_VALUES", block_values)
         model = Ar1Model(dim=6, rho=0.3, focal_index=1)
         x, z = model.sample_joint(600, seed=11)
         coef = np.array([0.8, 0.8, 0.0, 0.0, -0.5])
@@ -210,7 +193,31 @@ class TestStreamedPool:
         assert (rep.lcb, rep.point, rep.se) == _materialised_lcb(
             data, mu, model, cfg)
 
-    def test_memory_linear_in_n(self):
+    def test_copula_latent_z_computed_once(self, monkeypatch):
+        # Blocks of 7 copies make 44 sample_null_copies calls on one z;
+        # the copula maps z to its latent scale once, with the values of
+        # a pool drawn at once.
+        model = CopulaModel(Ar1Model(dim=6, rho=0.3, focal_index=1))
+        x, z = model.sample_joint(200, seed=4)
+        coef = np.array([0.8, 0.0, -0.5, 0.0, 0.3])
+        y = np.where(np.tanh((1.5 * x[:, 0] + z @ coef) / 2.0) > 0, 1.0, -1.0)
+        y[::7] *= -1.0
+        data = Dataset(y, x, z)
+        mu = LinearWorkingRegression(LOGIT_L1, 0.0, np.array([1.5]), coef,
+                                     link="binary_mean")
+        cfg = MacmConfig(m_copies=200, k_copies=100, seed=5)
+        want = _materialised_lcb(data, mu, model, cfg)
+        calls = []
+        to_latent = CopulaModel._to_latent
+        monkeypatch.setattr(CopulaModel, "_to_latent", staticmethod(
+            lambda u: calls.append(u.shape) or to_latent(u)))
+        monkeypatch.setattr(mmse, "_BLOCK_VALUES", 200 * 7)
+        model = CopulaModel(model.latent)
+        rep = macm_lcb(data, mu, model, cfg)
+        assert calls == [(200, 5)]
+        assert (rep.lcb, rep.point, rep.se) == want
+
+    def test_memory_linear_in_n(self, rss_growth_mb):
         # n = 4000 with M = 4n: a materialised pool grows peak RSS by
         # about 1.9 GB; the streamed one stays within a fixed budget.
         script = textwrap.dedent("""
@@ -234,9 +241,9 @@ class TestStreamedPool:
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             print((after - before) / 1024.0)
         """)
-        assert _rss_growth_mb(script) < 200.0
+        assert rss_growth_mb(script) < 200.0
 
-    def test_generic_mu_memory_bounded(self):
+    def test_generic_mu_memory_bounded(self, rss_growth_mb):
         # A mu that is not a LinearWorkingRegression sees tiled z rows:
         # one whole block of copies at n = 1500 times d_z = 39 columns
         # would take about 650 MB, so the tile is chunked.
@@ -262,7 +269,7 @@ class TestStreamedPool:
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             print((after - before) / 1024.0)
         """)
-        assert _rss_growth_mb(script) < 200.0
+        assert rss_growth_mb(script) < 200.0
 
 
 class TestMacmGapEnumerate:

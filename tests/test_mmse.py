@@ -1,4 +1,5 @@
 import math
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ from floodgate import (Ar1Model, CustomRegression, Dataset, FloodgateConfig,
                        floodgate_lcb, floodgate_lcb_scale_free,
                        floodgate_lcb_weighted, trivial_ucb,
                        zero_out_transform)
-from floodgate.core import LcbReport, delta_method_se, normal_quantile, sample_mean_cov
+from floodgate.core import (MMSE_GAP, LcbReport, delta_method_se,
+                            normal_quantile, ratio_lcb, sample_mean_cov)
 from floodgate.errors import ShapeError, SizeError, ValidationError
 from floodgate import mmse
 from floodgate.mmse import (moment_samples, mu_null_values, mu_on_copies,
@@ -210,6 +212,129 @@ class TestMonteCarloMoments:
         data = Dataset(np.array([1.0]), np.array([[1.0]]), np.array([[0.0]]))
         with pytest.raises(SizeError):
             floodgate_lcb(data, _mu(), model, FloodgateConfig(big_k=2))
+
+
+def _materialised_samples(data, mu, model, cfg):
+    """(R_i, V_i, scale) from one (2K, n) pool of null copies held at
+    once: centring takes the first K copies and R_i the last K."""
+    k = cfg.big_k
+    pool = mu_null_values(mu, model, data.z, (1 + cfg.center_y) * k, cfg.seed)
+    mu_obs = np.asarray(mu.predict(data.x, data.z), dtype=float).reshape(data.n)
+    tilde = pool[-k:]
+    centered = mu_obs - tilde.mean(axis=0)
+    y = data.y - pool[:k].mean(axis=0) if cfg.center_y else data.y
+    return (y * centered, tilde.var(axis=0, ddof=1),
+            float(np.mean(centered ** 2)))
+
+
+def _materialised_weighted(data, mu, model, w, w1, cfg):
+    """The weighted bound from one (K, n) array of mu on null copies."""
+    tilde = mu_null_values(mu, model, data.z, cfg.big_k, cfg.seed)
+    mu_obs = np.asarray(mu.predict(data.x, data.z), dtype=float).reshape(data.n)
+    y, w_bar = data.y, float(w.mean())
+    sq_tilde = (y[None, :] - tilde) ** 2
+    r = (np.mean(sq_tilde * w1, axis=0) * w - (y - mu_obs) ** 2 * w) / w_bar
+    v = np.mean(2.0 * (mu_obs[None, :] - tilde) ** 2 * w1, axis=0) * w / w_bar
+    scale_sq = float(np.mean((mu_obs - tilde.mean(axis=0)) ** 2))
+    return ratio_lcb(r, v, cfg.alpha, estimand=MMSE_GAP,
+                     mu_scale_sq=scale_sq, seed=cfg.seed)
+
+
+class TestStreamedMoments:
+    # n = 200 and K = 50: each segment in one block, cut after 30 copies
+    # (blocks of 30 and 20), or in blocks of 7 copies.
+    BLOCKS = [None, 200 * 30, 200 * 7]
+
+    @staticmethod
+    def _case(custom):
+        model = Ar1Model(dim=6, rho=0.3, focal_index=2)
+        mu = LinearWorkingRegression(OLS, 0.2, np.array([1.7]),
+                                     np.linspace(-1.0, 1.0, 5))
+        if custom:
+            mu = CustomRegression(lambda x, z: np.sin(1.5 * x[:, 0])
+                                  + 0.3 * z[:, 0] - z[:, 2] ** 2)
+        return model, mu, _draw(model, mu, 200, seed=31)
+
+    @pytest.mark.parametrize("block_values", BLOCKS)
+    @pytest.mark.parametrize("custom", [False, True])
+    @pytest.mark.parametrize("center_y", [True, False])
+    def test_mc_moments_match_materialised_pool(
+            self, monkeypatch, block_values, custom, center_y):
+        if block_values is not None:
+            monkeypatch.setattr(mmse, "_BLOCK_VALUES", block_values)
+        model, mu, data = self._case(custom)
+        cfg = FloodgateConfig(big_k=50, center_y=center_y, seed=8)
+        r, v, scale_sq = moment_samples(data, mu, model, cfg)
+        want_r, want_v, want_scale = _materialised_samples(data, mu, model,
+                                                           cfg)
+        assert np.array_equal(r, want_r) and scale_sq == want_scale
+        if block_values is None:
+            assert np.array_equal(v, want_v)
+        else:
+            assert np.allclose(v, want_v, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("block_values", BLOCKS)
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_weighted_matches_materialised_pool(self, monkeypatch,
+                                                block_values, custom):
+        if block_values is not None:
+            monkeypatch.setattr(mmse, "_BLOCK_VALUES", block_values)
+        model, mu, data = self._case(custom)
+        cfg = FloodgateConfig(big_k=50, seed=9)
+        rng = np.random.default_rng(10)
+        w = rng.uniform(0.5, 1.5, data.n)
+        w1 = rng.uniform(0.5, 1.5, (cfg.big_k, data.n))
+        got = floodgate_lcb_weighted(data, mu, model, (w, w1), cfg)
+        assert got == _materialised_weighted(data, mu, model, w, w1, cfg)
+
+    def test_mc_memory_bounded(self, rss_growth_mb):
+        # n = 20 000 with K = 500: a (2K, n) pool of mu values grows peak
+        # RSS by about 450 MB; the streamed one stays within a block.
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from floodgate import (Ar1Model, Dataset, FloodgateConfig,
+                                   LinearWorkingRegression, floodgate_lcb)
+            n = 20000
+            model = Ar1Model(40, 0.3, 1)
+            x, z = model.sample_joint(n, 1)
+            coef = np.zeros(39)
+            coef[:8] = 0.8
+            y = 1.5 * x[:, 0] + z @ coef + np.random.default_rng(2).standard_normal(n)
+            mu = LinearWorkingRegression("CUSTOM", 0.0, np.array([1.5]), coef)
+            data = Dataset(y, x, z)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            floodgate_lcb(data, mu, model, FloodgateConfig(big_k=500, seed=3))
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) / 1024.0)
+        """)
+        assert rss_growth_mb(script) < 200.0
+
+    def test_weighted_memory_bounded(self, rss_growth_mb):
+        # The (K, n) w1 input is allocated before the measurement: the
+        # bound itself holds one block of copies, not K of them.
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from floodgate import (Ar1Model, Dataset, FloodgateConfig,
+                                   LinearWorkingRegression,
+                                   floodgate_lcb_weighted)
+            n, k = 20000, 500
+            model = Ar1Model(40, 0.3, 1)
+            x, z = model.sample_joint(n, 1)
+            coef = np.zeros(39)
+            coef[:8] = 0.8
+            y = 1.5 * x[:, 0] + z @ coef + np.random.default_rng(2).standard_normal(n)
+            mu = LinearWorkingRegression("CUSTOM", 0.0, np.array([1.5]), coef)
+            data = Dataset(y, x, z)
+            w1 = np.random.default_rng(4).uniform(0.5, 1.5, (k, n))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            floodgate_lcb_weighted(data, mu, model, (np.ones(n), w1),
+                                   FloodgateConfig(big_k=k, seed=3))
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) / 1024.0)
+        """)
+        assert rss_growth_mb(script) < 150.0
 
 
 class TestVarianceUcb:

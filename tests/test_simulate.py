@@ -325,6 +325,29 @@ class TestExperimentSpec:
                                    MethodSpec(MMSE_MC, big_k=5),
                                    MethodSpec(COSUFFICIENT, mc_k=5)))
 
+    @pytest.mark.parametrize("kind, methods", [
+        (LINEAR_SPARSE, (MethodSpec(MMSE_EXACT),)),
+        (LOGISTIC_LINEAR, (MethodSpec(MACM),))])
+    def test_copula_pairing_without_oracle_rejected(
+            self, tmp_path, monkeypatch, kind, methods):
+        # Both oracles assume Gaussian AR(1) covariates, so the spec is
+        # refused before anything runs, rather than scored against them.
+        def ran_oracle(spec):
+            raise AssertionError("the oracle ran for a copula spec")
+
+        monkeypatch.setattr(simulate, "oracle_values", ran_oracle)
+        with pytest.raises(ValidationError, match="no oracle"):
+            self._spec(mu_star=MuStarSpec(kind, sparsity=2, seed=1),
+                       methods=methods, model_kind=MODEL_COPULA_AR1)
+        spec = json.loads(self._spec(
+            mu_star=MuStarSpec(kind, sparsity=2, seed=1),
+            methods=methods).to_json())
+        spec["model_kind"] = MODEL_COPULA_AR1
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+
     def test_cli_rejects_closed_form_logistic_before_oracle(
             self, tmp_path, monkeypatch):
         def ran_oracle(spec):
@@ -365,7 +388,9 @@ class TestGenerateReplicate:
         assert set(np.unique(y)) <= {-1.0, 1.0}
 
     def test_copula_covariates_bounded(self):
-        spec = self._spec(model_kind=MODEL_COPULA_AR1)
+        spec = self._spec(p=30, model_kind=MODEL_COPULA_AR1,
+                          mu_star=MuStarSpec(NONLINEAR_F1, sparsity=30,
+                                             seed=2))
         w, _ = generate_replicate(spec, 0)
         assert w.min() > -1.0 and w.max() < 1.0
 
