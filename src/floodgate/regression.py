@@ -440,56 +440,117 @@ def fit_ridge(fit_part: Dataset, cv: CvConfig = CvConfig(),
     return _penalized_linear(fit_part, cv, seed, RIDGE)
 
 
-def _logistic_loss_grad(design, y, coef, l2: float):
-    f = design @ coef
-    yf = y * f
-    # log(1 + exp(-yf)) computed stably
-    loss = float(np.mean(np.logaddexp(0.0, -yf)))
-    sig = 1.0 / (1.0 + np.exp(np.clip(yf, -500, 500)))   # expit(-yf)
-    grad = -(design.T @ (y * sig)) / len(y)
-    if l2 > 0:
-        loss += l2 * float(coef[1:] @ coef[1:])
-        grad = grad.copy()
-        grad[1:] += 2.0 * l2 * coef[1:]
-    return loss, grad
+def _logistic_objective(yf: np.ndarray, coef: np.ndarray, lam: float,
+                        l1: bool) -> float:
+    """Mean log(1 + exp(-y f)) from the margins `yf`, plus lam |b|_1 (L1)
+    or lam ||b||^2 (L2) on the coefficients after the intercept b_0."""
+    b = coef[1:]
+    penalty = float(np.sum(np.abs(b))) if l1 else float(b @ b)
+    return float(np.mean(np.logaddexp(0.0, -yf))) + lam * penalty
 
 
-def _prox_l1(coef: np.ndarray, t: float) -> np.ndarray:
-    out = np.sign(coef) * np.maximum(np.abs(coef) - t, 0.0)
-    out[0] = coef[0]          # intercept is never penalized
-    return out
+def _solve_block(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(hess, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(hess, rhs, rcond=None)[0]
 
 
-def _fit_logistic_at(design, y, lam: float, l1: bool, tolerance: float,
-                     max_iters: int, warm: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Proximal gradient with backtracking on the penalized deviance.
+def _newton_logistic(design, y, lam: float, l1: bool, tolerance: float,
+                     max_iters: int, coef: np.ndarray):
+    """Active-set Newton on the penalized logistic loss at one penalty
+    level, from the warm start `coef` (column 0 of `design` is the
+    unpenalized intercept).
 
-    Returns the coefficients and whether they converged: False only when
-    `max_iters` steps ran out. A line search that cannot shrink the step
-    further stops at the current point and counts as converged.
+    For L2 each step is a damped Newton step on all coefficients. For L1
+    it solves the Hessian system on the intercept, the nonzero
+    coefficients and the zeros that violate KKT (|grad_j| > lam), each
+    held to the sign that lowers the objective, so the objective is
+    smooth along the step; a violator whose Newton step points the other
+    way sits this step out. The step stops at the first coefficient
+    whose sign would change, which it leaves at exactly 0.0. Either
+    penalty backtracks on the objective, and stops once a step moves no
+    coefficient by `tolerance` and no zero violates KKT.
+
+    Returns the coefficients, whether they converged (False only when
+    `max_iters` steps ran out; a line search that cannot shrink the step
+    further stops at the current point and counts as converged) and the
+    number of steps taken.
     """
-    coef = warm.copy()
-    l2 = 0.0 if l1 else lam
-    step = 4.0
-    loss, grad = _logistic_loss_grad(design, y, coef, l2)
-    for _ in range(max_iters):
+    n, width = design.shape
+    yf = y * (design @ coef)
+    loss = _logistic_objective(yf, coef, lam, l1)
+    signs = np.zeros(width)                 # the orthant of an L1 step
+    viol = np.zeros(width, dtype=bool)
+    idx = np.arange(width)
+    for step in range(1, max_iters + 1):
+        sig = 1.0 / (1.0 + np.exp(np.clip(yf, -500, 500)))   # expit(-yf)
+        grad = -(design.T @ (y * sig)) / n
+        if l1:
+            signs = np.sign(coef)
+            signs[0] = 0.0
+            viol = (signs == 0) & (np.abs(grad) > lam)
+            viol[0] = False
+            signs[viol] = -np.sign(grad[viol])
+            act = signs != 0
+            act[0] = True
+            idx = np.flatnonzero(act)
+            rhs = grad[idx] + lam * signs[idx]
+        else:
+            rhs = grad + 2.0 * lam * coef
+            rhs[0] = grad[0]
+        block = design[:, idx]
+        hess = (block.T * (sig * (1.0 - sig))) @ block / n
+        if not l1:
+            hess[1:, 1:] += 2.0 * lam * np.eye(width - 1)
         while True:
-            trial = coef - step * grad
-            if l1:
-                trial = _prox_l1(trial, step * lam)
-            new_loss, new_grad = _logistic_loss_grad(design, y, trial, l2)
-            diff = trial - coef
-            if new_loss <= loss + grad @ diff + (diff @ diff) / (2 * step) + 1e-15:
+            d_act = -_solve_block(hess, rhs)
+            wrong = viol[idx] & (signs[idx] * d_act <= 0)
+            if not wrong.any():
                 break
-            step *= 0.5
-            if step < 1e-12:
-                return coef, True
-        if float(np.max(np.abs(trial - coef))) < tolerance:
-            return trial, True
-        coef, loss, grad = trial, new_loss, new_grad
-        step *= 1.3
-    warnings.warn("logistic fit did not converge within max_iters")
-    return coef, False
+            keep = ~wrong
+            idx, rhs, hess = idx[keep], rhs[keep], hess[keep][:, keep]
+        direction = np.zeros(width)
+        direction[idx] = d_act
+        # Only nonzero coefficients can cross zero: violators move along
+        # their sign, and L2 steps have no orthant.
+        crossing = np.flatnonzero(signs * direction < 0)
+        ratios = -coef[crossing] / direction[crossing]
+        t_max = min(1.0, float(ratios.min(initial=1.0)))
+        hit = crossing[ratios == t_max] if t_max < 1.0 else crossing[:0]
+        slope = float(rhs @ d_act)
+        t = t_max
+        while True:
+            trial = coef + t * direction
+            if t == t_max:
+                trial[hit] = 0.0
+            trial_yf = y * (design @ trial)
+            trial_loss = _logistic_objective(trial_yf, trial, lam, l1)
+            # Armijo; the 1e-15 absorbs rounding of the loss at the optimum.
+            if trial_loss <= loss + 1e-4 * t * slope + 1e-15:
+                break
+            t *= 0.5
+            if t < 1e-12:
+                return coef, True, step
+        coef, yf, loss = trial, trial_yf, trial_loss
+        if not viol.any() and float(np.max(np.abs(direction))) < tolerance:
+            return coef, True, step
+    return coef, False, max_iters
+
+
+def _logistic_path(design, y, grid, l1: bool, cv: CvConfig):
+    """Warm-started Newton fits along `grid` from zero: the (len(grid),
+    width) path, a per-level convergence mask and the total steps."""
+    coef = np.zeros(design.shape[1])
+    path = np.empty((len(grid), design.shape[1]))
+    converged = np.empty(len(grid), dtype=bool)
+    steps = 0
+    for gi, lam in enumerate(grid):
+        coef, converged[gi], taken = _newton_logistic(
+            design, y, lam, l1, cv.tolerance, cv.max_iters, coef)
+        path[gi] = coef
+        steps += taken
+    return path, converged, steps
 
 
 def fit_logistic(fit_part: Dataset, penalty: str = "L1",
@@ -497,7 +558,14 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
     """Penalized logistic regression for responses in {-1, +1}.
 
     Returns mu on the conditional-mean scale: mu(x, z) =
-    2 expit(linear predictor) - 1, which lies in (-1, 1).
+    2 expit(linear predictor) - 1, which lies in (-1, 1). The penalty
+    level is chosen by k-fold CV deviance; each level is fitted by
+    active-set Newton (`_newton_logistic`), warm-started along the path.
+
+    Besides the chosen `lambda`, the CV deviances and the grid, the
+    diagnostics record whether the full-data fit `converged`, its
+    `active` count, `cv_unconverged` (fold and penalty points that hit
+    `max_iters`) and the total `newton_steps`.
     """
     if penalty not in ("L1", "L2"):
         raise ValidationError(f"penalty must be L1 or L2, got {penalty!r}")
@@ -514,6 +582,7 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
     ws, means, sds = _standardize(w, keep)
     design = np.hstack([np.ones((n, 1)), ws])
     l1 = penalty == "L1"
+    kind = LOGIT_L1 if l1 else LOGIT_L2
 
     lam_max = max(float(np.max(np.abs(design[:, 1:].T @ y))) / (2 * n), 1e-12)
     grid = (np.asarray(cv.lambda_grid) if cv.lambda_grid is not None
@@ -522,31 +591,35 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
 
     folds = fold_assignments(n, cv.folds, seed)
     cv_dev = np.zeros(len(grid))
+    cv_unconverged = steps = 0
     for f in range(cv.folds):
         tr = folds != f
         va = ~tr
         if len(np.unique(y[tr])) < 2:
             raise DegenerateLabelsError(f"fold {f} training part is single-class")
-        coef = np.zeros(design.shape[1])
-        for gi, lam in enumerate(grid):
-            coef, _ = _fit_logistic_at(design[tr], y[tr], lam, l1,
-                                       cv.tolerance, cv.max_iters, coef)
-            yf = y[va] * (design[va] @ coef)
-            cv_dev[gi] += 2.0 * float(np.sum(np.logaddexp(0.0, -yf)))
+        path, converged, taken = _logistic_path(design[tr], y[tr], grid, l1, cv)
+        yf = y[va, None] * (design[va] @ path.T)
+        cv_dev += 2.0 * np.sum(np.logaddexp(0.0, -yf), axis=0)
+        cv_unconverged += int(np.count_nonzero(~converged))
+        steps += taken
     best = int(np.argmin(cv_dev))
+    lam_star = float(grid[best])
 
-    coef = np.zeros(design.shape[1])
-    for lam in grid[:best + 1]:
-        coef, converged = _fit_logistic_at(design, y, lam, l1, cv.tolerance,
-                                           cv.max_iters, coef)
+    path, converged, taken = _logistic_path(design, y, grid[:best + 1], l1, cv)
+    coef = path[-1]
+    steps += taken
+    if not converged[-1]:
+        warnings.warn(f"{kind} Newton solver did not converge at lambda = "
+                      f"{lam_star:g} within {cv.max_iters} steps")
     full = np.zeros(p_all)
     full[keep] = coef[1:] / sds
     intercept = float(coef[0] - means @ (coef[1:] / sds))
     x_coef, z_coef = _split_coef(fit_part, full)
     return LinearWorkingRegression(
-        LOGIT_L1 if l1 else LOGIT_L2, intercept, x_coef, z_coef,
-        link=_LINK_BINARY_MEAN,
-        diagnostics={"lambda": float(grid[best]), "cv_deviance": cv_dev / n,
+        kind, intercept, x_coef, z_coef, link=_LINK_BINARY_MEAN,
+        diagnostics={"lambda": lam_star, "cv_deviance": cv_dev / n,
                      "lambda_grid": np.asarray(grid, dtype=float),
-                     "converged": converged,
-                     "active": int(np.count_nonzero(coef[1:]))})
+                     "converged": bool(converged[-1]),
+                     "active": int(np.count_nonzero(coef[1:])),
+                     "cv_unconverged": cv_unconverged,
+                     "newton_steps": steps})

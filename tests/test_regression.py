@@ -15,9 +15,9 @@ from floodgate.core import split
 from floodgate.errors import (DegenerateLabelsError, ShapeError,
                               SingularDesignError, SizeError, ValidationError)
 from floodgate.regression import LASSO, LOGIT_L1, LOGIT_L2, OLS, RIDGE, fold_assignments
-from floodgate.simulate import (LINEAR_SPARSE, MMSE_EXACT, ExperimentSpec,
-                                MethodSpec, MuStarSpec, derive_seed,
-                                generate_replicate)
+from floodgate.simulate import (LINEAR_SPARSE, LOGISTIC_LINEAR, MACM,
+                                MMSE_EXACT, ExperimentSpec, MethodSpec,
+                                MuStarSpec, derive_seed, generate_replicate)
 
 
 def _linear_data(n=300, beta_x=1.5, beta_z=(0.5, -1.0), noise=0.5, seed=0):
@@ -558,6 +558,218 @@ class TestFitLogistic:
         assert np.all(preds > -1.0) and np.all(preds < 1.0)
         assert fit.linear_focal_coef is None
         assert fit.kind == LOGIT_L1
+
+
+def _logistic_design(seed, n, p, rho, scale=1.0):
+    """n rows of p AR(rho)-correlated covariates and {-1, +1} labels from
+    a logistic model with a few nonzero coefficients."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n, p))
+    for j in range(1, p):
+        w[:, j] = rho * w[:, j - 1] + math.sqrt(1 - rho ** 2) * w[:, j]
+    beta = np.zeros(p)
+    beta[:min(p, 4)] = scale * np.array([1.5, -1.0, 0.8, -0.5])[:min(p, 4)]
+    prob = 1.0 / (1.0 + np.exp(-(0.3 + w @ beta)))
+    y = np.where(rng.random(n) < prob, 1.0, -1.0)
+    return Dataset(y, w[:, :1], w[:, 1:])
+
+
+def _a6_fit_part(replicate):
+    """The fit half of one replicate of the A6 design: 250 rows, p = 40."""
+    spec = ExperimentSpec(
+        n=500, p=40, mu_star=MuStarSpec(LOGISTIC_LINEAR, sparsity=10,
+                                        amplitude=15.0, seed=606),
+        methods=(MethodSpec(MACM, k_copies=100),), rho=0.3,
+        fitter=LOGIT_L1, cv=CvConfig(folds=5, num_lambdas=20),
+        replicates=1, base_seed=4242)
+    w, y = generate_replicate(spec, replicate)
+    parts = split(Dataset(y, w, np.empty((500, 0))), spec.split_proportion,
+                  derive_seed(4242, replicate, 5))
+    return parts.fit_part, derive_seed(4242, replicate, 3)
+
+
+def _standardized_logistic(data, fit):
+    """The design [1, standardized columns] and the fit's coefficients on
+    that scale (intercept first)."""
+    w = np.hstack([data.x, data.z])
+    means, sds = w.mean(axis=0), w.std(axis=0)
+    design = np.hstack([np.ones((len(w), 1)), (w - means) / sds])
+    coef = np.concatenate([fit.x_coef, fit.z_coef])
+    return design, np.concatenate([[fit.intercept + means @ coef], coef * sds])
+
+
+def _logistic_kkt(data, fit, penalty):
+    """The largest violation of the optimality conditions of the mean
+    logistic loss plus lam |b|_1 (L1) or lam ||b||^2 (L2) on the
+    standardized scale, and the gradient and coefficients there."""
+    lam = fit.diagnostics["lambda"]
+    design, coef = _standardized_logistic(data, fit)
+    sig = 1.0 / (1.0 + np.exp(data.y * (design @ coef)))
+    grad = -(design.T @ (data.y * sig)) / len(data.y)
+    if penalty == "L2":
+        stationary = grad[1:] + 2.0 * lam * coef[1:]
+    else:
+        stationary = np.where(coef[1:] != 0,
+                              grad[1:] + lam * np.sign(coef[1:]),
+                              np.maximum(np.abs(grad[1:]) - lam, 0.0))
+    return max(abs(grad[0]), float(np.max(np.abs(stationary)))), grad, coef
+
+
+def _proximal_gradient_logistic(data, penalty, cv, seed):
+    """The backtracking proximal-gradient fitter that active-set Newton
+    replaced, kept as a reference. Returns the chosen lambda index and
+    the standardized-scale coefficients (intercept first)."""
+    w = np.hstack([data.x, data.z])
+    y = data.y
+    n = len(y)
+    design = np.hstack([np.ones((n, 1)),
+                        (w - w.mean(axis=0)) / w.std(axis=0)])
+    l1 = penalty == "L1"
+    lam_max = max(float(np.max(np.abs(design[:, 1:].T @ y))) / (2 * n), 1e-12)
+    grid = np.geomspace(lam_max, cv.lambda_min_ratio * lam_max,
+                        cv.num_lambdas)
+
+    def loss_grad(x, yy, coef, l2):
+        yf = yy * (x @ coef)
+        loss = float(np.mean(np.logaddexp(0.0, -yf)))
+        sig = 1.0 / (1.0 + np.exp(np.clip(yf, -500, 500)))
+        grad = -(x.T @ (yy * sig)) / len(yy)
+        if l2 > 0:
+            loss += l2 * float(coef[1:] @ coef[1:])
+            grad[1:] += 2.0 * l2 * coef[1:]
+        return loss, grad
+
+    def fit_at(x, yy, lam, coef):
+        l2 = 0.0 if l1 else lam
+        step = 4.0
+        loss, grad = loss_grad(x, yy, coef, l2)
+        for _ in range(cv.max_iters):
+            while True:
+                trial = coef - step * grad
+                if l1:
+                    shrunk = np.sign(trial) * np.maximum(np.abs(trial)
+                                                         - step * lam, 0.0)
+                    trial = np.concatenate([trial[:1], shrunk[1:]])
+                new_loss, new_grad = loss_grad(x, yy, trial, l2)
+                diff = trial - coef
+                if new_loss <= (loss + grad @ diff
+                                + (diff @ diff) / (2 * step) + 1e-15):
+                    break
+                step *= 0.5
+                if step < 1e-12:
+                    return coef
+            if float(np.max(np.abs(trial - coef))) < cv.tolerance:
+                return trial
+            coef, loss, grad = trial, new_loss, new_grad
+            step *= 1.3
+        return coef
+
+    folds = fold_assignments(n, cv.folds, seed)
+    cv_dev = np.zeros(len(grid))
+    for f in range(cv.folds):
+        tr, va = folds != f, folds == f
+        coef = np.zeros(design.shape[1])
+        for gi, lam in enumerate(grid):
+            coef = fit_at(design[tr], y[tr], lam, coef)
+            yf = y[va] * (design[va] @ coef)
+            cv_dev[gi] += 2.0 * float(np.sum(np.logaddexp(0.0, -yf)))
+    best = int(np.argmin(cv_dev))
+    coef = np.zeros(design.shape[1])
+    for lam in grid[:best + 1]:
+        coef = fit_at(design, y, lam, coef)
+    return best, coef
+
+
+class TestNewtonLogistic:
+    """Active-set Newton against the optimality conditions and against
+    the proximal-gradient fitter it replaced."""
+
+    @pytest.mark.parametrize("case", [
+        ("a6", "L1", 5, 20),
+        ("correlated", "L1", 4, 15),
+        ("wide", "L1", 3, 12),
+        ("correlated", "L2", 4, 15)])
+    def test_matches_proximal_gradient(self, case):
+        name, penalty, folds, lambdas = case
+        data, seed = {
+            "a6": lambda: _a6_fit_part(0),
+            "correlated": lambda: (_logistic_design(3, 400, 8, 0.6), 11),
+            "wide": lambda: (_logistic_design(8, 90, 30, 0.3, 2.0), 5),
+        }[name]()
+        cv = CvConfig(folds=folds, num_lambdas=lambdas)
+        fit = fit_logistic(data, penalty, cv, seed)
+        best, old = _proximal_gradient_logistic(data, penalty, cv, seed)
+        grid = fit.diagnostics["lambda_grid"]
+        assert fit.diagnostics["lambda"] == grid[best]
+        _, coef = _standardized_logistic(data, fit)
+        assert np.array_equal(coef[1:] == 0.0, old[1:] == 0.0)
+        assert np.max(np.abs(coef - old)) <= 1e-6
+
+    @pytest.mark.parametrize("penalty", ["L1", "L2"])
+    def test_kkt_and_exact_zeros(self, penalty):
+        for data, seed, cv in (
+                (*_a6_fit_part(1), CvConfig(folds=5, num_lambdas=20)),
+                (_logistic_design(5, 300, 12, 0.5), 2,
+                 CvConfig(folds=4, num_lambdas=15)),
+                (_logistic_design(6, 60, 20, 0.2, 3.0), 9,
+                 CvConfig(folds=3, num_lambdas=10))):
+            fit = fit_logistic(data, penalty, cv, seed)
+            assert fit.diagnostics["converged"]
+            worst, grad, coef = _logistic_kkt(data, fit, penalty)
+            assert worst <= 1e-6
+            if penalty == "L1":
+                inactive = np.abs(grad[1:]) < fit.diagnostics["lambda"] - 1e-6
+                assert inactive.any()
+                assert np.all(coef[1:][inactive] == 0.0)
+
+    @given(n=st.integers(12, 80), p=st.integers(1, 10),
+           seed=st.integers(0, 2**32 - 1), rho=st.floats(0.0, 0.8),
+           scale=st.floats(0.2, 4.0), penalty=st.sampled_from(["L1", "L2"]))
+    @settings(max_examples=30, deadline=None)
+    def test_kkt_on_random_designs(self, n, p, seed, rho, scale, penalty):
+        data = _logistic_design(seed, n, p, rho, scale)
+        folds = fold_assignments(n, 3, seed % 1000)
+        assume(all(len(np.unique(data.y[folds != f])) == 2 for f in range(3)))
+        fit = fit_logistic(data, penalty, CvConfig(folds=3, num_lambdas=10),
+                           seed % 1000)
+        assert fit.diagnostics["converged"]
+        assert _logistic_kkt(data, fit, penalty)[0] <= 1e-6
+
+    def test_duplicate_column(self):
+        # Both copies violate KKT at once, so the L1 Newton block is
+        # exactly singular.
+        data = _logistic_design(3, 300, 6, 0.4)
+        dup = Dataset(data.y, data.x, np.hstack([data.z, data.x]))
+        for penalty in ("L1", "L2"):
+            fit = fit_logistic(dup, penalty, CvConfig(folds=3, num_lambdas=10),
+                               0)
+            assert fit.diagnostics["converged"]
+            assert _logistic_kkt(dup, fit, penalty)[0] <= 1e-6
+
+    def test_diagnostics_count_steps_and_unconverged_problems(self):
+        data = _logistic_design(4, 300, 6, 0.4)
+        cv = CvConfig(folds=3, num_lambdas=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_logistic(data, "L1", cv, 0)
+        d = fit.diagnostics
+        assert d["converged"] and d["cv_unconverged"] == 0
+        best = int(np.flatnonzero(d["lambda_grid"] == d["lambda"])[0])
+        assert 3 * 8 + best + 1 <= d["newton_steps"] <= 50 * (3 * 8 + best + 1)
+
+        capped = CvConfig(folds=3, num_lambdas=8, max_iters=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_logistic(data, "L1", capped, 0)
+        d = fit.diagnostics
+        best = int(np.flatnonzero(d["lambda_grid"] == d["lambda"])[0])
+        assert not d["converged"]
+        assert [str(w.message) for w in caught
+                if "did not converge" in str(w.message)] == [
+            f"LOGIT_L1 Newton solver did not converge at lambda = "
+            f"{d['lambda']:g} within 1 steps"]
+        assert 0 < d["cv_unconverged"] <= 3 * 8
+        assert d["newton_steps"] == 3 * 8 + best + 1
 
 
 class TestCvConfig:
