@@ -31,7 +31,7 @@ from .covariates import DiscreteMarkovChain, _GaussianConditional
 from .errors import (ShapeError, SingularDesignError, SizeError,
                      UnsupportedClosedFormError, ValidationError)
 from .regression import WorkingRegression
-from .mmse import _predict_rows, mu_on_copies
+from .mmse import mu_on_copies
 
 
 def hat_matrix(z: np.ndarray) -> np.ndarray:
@@ -96,7 +96,7 @@ def _gaussian_sigma2(model, z: np.ndarray) -> float | None:
 
 def _batch_moments(x, z, y, mu, model, mc_k, seed):
     """(R_m, V_m, mean centered-mu^2) for one batch."""
-    mu_obs = _predict_rows(mu, x[:, None], z)
+    mu_obs = mu.predict(x[:, None], z)
     sigma2 = _gaussian_sigma2(model, z)
     is_gaussian = sigma2 is not None
     if mc_k:
@@ -113,17 +113,22 @@ def _batch_moments(x, z, y, mu, model, mc_k, seed):
                 "closed-form batch moments need a partially linear mu")
         a = float(np.atleast_1d(a)[0])
         h = hat_matrix(z)
-        cond_mean = _predict_rows(mu, (h @ x)[:, None], z)
+        cond_mean = mu.predict((h @ x)[:, None], z)
         cond_var = a * a * sigma2 * (1.0 - np.diag(h))
     else:
-        # The conditional marginal of each row is uniform over its
-        # stratum's observed values, so the moments are exact averages.
-        cond_mean = np.empty(len(x))
-        cond_var = np.empty(len(x))
+        # Given the count table, X_i is uniform over the focal values
+        # observed in row i's stratum while Z_i stays put, so the exact
+        # moments weigh mu(s, z_i) over the distinct values s by their
+        # share of the stratum: at most num_states evaluations per row.
+        states, which = np.unique(x, return_inverse=True)
+        share = np.empty((len(x), len(states)))
         for stratum in dmc_strata(model, z):
-            vals = mu_obs[stratum]
-            cond_mean[stratum] = vals.mean()
-            cond_var[stratum] = vals.var()
+            counts = np.bincount(which[stratum], minlength=len(states))
+            share[stratum] = counts / len(stratum)
+        at = mu_on_copies(mu, np.broadcast_to(
+            states[:, None, None], (len(states), len(x), 1)), z).T
+        cond_mean = np.sum(share * at, axis=1)
+        cond_var = np.sum(share * (at - cond_mean[:, None]) ** 2, axis=1)
     centered = mu_obs - cond_mean
     return (float(np.mean(y * centered)), float(np.mean(cond_var)),
             float(np.mean(centered ** 2)))

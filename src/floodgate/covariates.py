@@ -375,9 +375,8 @@ def cond_moments_linear(model: CovariateModel, mu, z: np.ndarray
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if a.shape[0] != cond_mean_x.shape[1]:
         raise ShapeError("focal coefficient length does not match d_x")
-    n = len(cond_mean_x)
-    mean = np.asarray(mu.predict(cond_mean_x, model._check_z(z)), dtype=float)
-    return mean.reshape(n), np.full(n, float(a @ cond_cov @ a))
+    return (mu.predict(cond_mean_x, model._check_z(z)),
+            np.full(len(cond_mean_x), float(a @ cond_cov @ a)))
 
 
 def model_from_json(text: str) -> CovariateModel:

@@ -28,7 +28,7 @@ from .covariates import CovariateModel, cond_moments_linear
 from .errors import (DegenerateLabelsError, ShapeError, SizeError,
                      ValidationError)
 from .regression import WorkingRegression
-from .mmse import _predict_rows, fold_sum, null_mu_blocks
+from .mmse import fold_sum, null_mu_blocks
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def _exact_r_samples(infer_part: Dataset, mu: WorkingRegression,
     strict half-line is 1/2 whenever the focal coefficient is nonzero
     and 0 when it vanishes."""
     g, var_u = cond_moments_linear(model, mu, infer_part.z)
-    u = _predict_rows(mu, infer_part.x, infer_part.z) - g
+    u = mu.predict(infer_part.x, infer_part.z) - g
     wrong_side = np.where(infer_part.y > 0, u < 0, u > 0)
     return np.where(var_u > 0, 0.5, 0.0) - wrong_side
 
@@ -77,7 +77,7 @@ def _mc_r_samples(infer_part: Dataset, mu: WorkingRegression,
     g_m = reduce(fold_sum, null_mu_blocks(mu, model, z, m, rng), None) / m
     wrong = sum((y * (tilde - g_m) < 0).sum(axis=0)
                 for tilde in null_mu_blocks(mu, model, z, cfg.k_copies, rng))
-    obs_wrong = (y * (_predict_rows(mu, infer_part.x, z) - g_m) < 0)
+    obs_wrong = (y * (mu.predict(infer_part.x, z) - g_m) < 0)
     return wrong / cfg.k_copies - obs_wrong.astype(float)
 
 
@@ -111,13 +111,13 @@ def macm_gap_enumerate(atoms, probs, cond_mean_y) -> float:
     if abs(probs.sum() - 1.0) > 1e-9 or probs.min() < 0:
         raise ValidationError("probs must form a distribution")
     m = np.array([float(cond_mean_y(x, z)) for x, z in atoms])
-    z_keys = [repr(z) for _, z in atoms]
-    ez: dict[str, float] = {}
-    pz: dict[str, float] = {}
-    for key, p, mv in zip(z_keys, probs, m):
-        pz[key] = pz.get(key, 0.0) + p
-        ez[key] = ez.get(key, 0.0) + p * mv
-    cond_z = np.array([ez[k] / pz[k] if pz[k] > 0 else 0.0 for k in z_keys])
+    # Atoms share a z when their z values are exactly equal.
+    _, z_id = np.unique(np.array([np.ravel(z) for _, z in atoms], dtype=float),
+                        axis=0, return_inverse=True)
+    z_id = z_id.reshape(-1)
+    pz = np.bincount(z_id, weights=probs)
+    ez = np.bincount(z_id, weights=probs * m)
+    cond_z = np.divide(ez, pz, out=np.zeros_like(ez), where=pz > 0)[z_id]
     return float(np.sum(probs * np.abs(cond_z - m)))
 
 

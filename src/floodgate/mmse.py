@@ -52,10 +52,6 @@ class FloodgateConfig:
 _BLOCK_VALUES = 1 << 21
 
 
-def _predict_rows(mu: WorkingRegression, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.asarray(mu.predict(x, z), dtype=float).reshape(len(x))
-
-
 def mu_on_copies(mu: WorkingRegression, copies: np.ndarray,
                  z: np.ndarray) -> np.ndarray:
     """mu on a (K, n, d_x) stack of copies of x, each paired with the n
@@ -78,7 +74,7 @@ def mu_on_copies(mu: WorkingRegression, copies: np.ndarray,
     step = max(1, _BLOCK_VALUES // max(n * z.shape[1], 1))
     z_rep = np.tile(z, (min(step, big_k), 1))
     return np.concatenate([
-        _predict_rows(mu, part.reshape(-1, d_x), z_rep[:len(part) * n])
+        mu.predict(part.reshape(-1, d_x), z_rep[:len(part) * n])
         .reshape(len(part), n)
         for part in np.split(copies, range(step, big_k, step))])
 
@@ -136,7 +132,7 @@ def moment_samples(infer_part: Dataset, mu: WorkingRegression,
     mu values (used by the degeneracy threshold)."""
     if infer_part.n < 2:
         raise SizeError("floodgate needs at least two inference rows")
-    mu_obs = _predict_rows(mu, infer_part.x, infer_part.z)
+    mu_obs = mu.predict(infer_part.x, infer_part.z)
     if cfg.big_k == 0:
         g, v = cond_moments_linear(model, mu, infer_part.z)
         center = g
@@ -234,7 +230,7 @@ def floodgate_lcb_weighted(infer_part: Dataset, mu: WorkingRegression,
     if w_bar <= 0.0:
         return LcbReport(0.0, 0.0, 0.0, n, MMSE_GAP, degenerate=True,
                          seed=cfg.seed)
-    mu_obs = _predict_rows(mu, infer_part.x, infer_part.z)
+    mu_obs = mu.predict(infer_part.x, infer_part.z)
     y, big_k = infer_part.y, cfg.big_k
     sq_sum = dev_sum = tilde_sum = None
     start = 0
@@ -258,10 +254,8 @@ def trivial_ucb(infer_part: Dataset, nu: WorkingRegression, alpha) -> float:
     if infer_part.n < 2:
         raise SizeError("trivial_ucb needs at least two rows")
     level = as_confidence_level(alpha)
-    nu_vals = np.asarray(
-        nu.predict(np.zeros_like(infer_part.x), infer_part.z),
-        dtype=float).reshape(infer_part.n)
-    sq = (infer_part.y - nu_vals) ** 2
+    sq = (infer_part.y - nu.predict(np.zeros_like(infer_part.x),
+                                    infer_part.z)) ** 2
     return float(sq.mean() + level.z * sq.std(ddof=1) / math.sqrt(len(sq)))
 
 

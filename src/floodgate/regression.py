@@ -5,6 +5,11 @@ immutable WorkingRegression: a fixed, deterministic function mu(x, z).
 Linear fits expose their focal coefficient so downstream inference can
 use closed-form conditional moments; the logistic fits output on the
 conditional-mean scale of a {-1, +1} response.
+
+The penalized fitters choose their penalty by k-fold cross-validation
+(CV) through one pipeline, and share the diagnostics `lambda`,
+`lambda_grid`, `converged` (of the full-data fit), `active` and
+`cv_unconverged` (fold and penalty points that hit `max_iters`).
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ _LINK_BINARY_MEAN = "binary_mean"   # mu = 2 expit(f) - 1
 
 
 class WorkingRegression:
-    """A fixed function mu(x, z) -> real, evaluated row-wise.
+    """A fixed function mu(x, z) -> real, evaluated row-wise: predict on
+    (n, d_x) x and (n, d_z) z returns shape (n,).
 
     Implementations provide `kind` (a fitter tag) and
     `linear_focal_coef`: the coefficient vector a when mu is partially
@@ -109,7 +115,8 @@ class LinearWorkingRegression(WorkingRegression):
 
 
 class CustomRegression(WorkingRegression):
-    """Wraps an arbitrary row-wise callable mu(x, z)."""
+    """Wraps an arbitrary row-wise callable mu(x, z) that returns shape
+    (n,) or (n, 1); predict returns shape (n,)."""
 
     kind = CUSTOM
 
@@ -121,8 +128,9 @@ class CustomRegression(WorkingRegression):
             if linear_focal_coef is not None else None)
 
     def predict(self, x, z):
-        return np.asarray(self._fn(np.asarray(x, dtype=float),
-                                   np.asarray(z, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        return np.asarray(self._fn(x, np.asarray(z, dtype=float)),
+                          dtype=float).reshape(len(x))
 
 
 def regression_from_json(text: str) -> LinearWorkingRegression:
@@ -158,23 +166,6 @@ class CvConfig:
             raise ValidationError("tolerance and max_iters must be positive")
 
 
-def _design(data: Dataset) -> np.ndarray:
-    return np.hstack([data.x, data.z])
-
-
-def _split_coef(data: Dataset, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return beta[:data.d_x], beta[data.d_x:]
-
-
-def _drop_constant_columns(w: np.ndarray) -> np.ndarray:
-    """Indices of non-constant columns; warns when any are dropped."""
-    keep = np.where(w.std(axis=0) > 0)[0]
-    if len(keep) < w.shape[1]:
-        warnings.warn(f"dropping {w.shape[1] - len(keep)} constant column(s) "
-                      "before fitting; their coefficients are set to 0")
-    return keep
-
-
 def fold_assignments(n: int, folds: int, seed: int) -> np.ndarray:
     """Deterministic fold labels in [0, folds) from (seed, n)."""
     return seeded_rng(seed, n).permutation(np.arange(n) % folds)
@@ -183,7 +174,7 @@ def fold_assignments(n: int, folds: int, seed: int) -> np.ndarray:
 def fit_ols(fit_part: Dataset) -> LinearWorkingRegression:
     """Ordinary least squares; exposes classical coefficient standard
     errors for the oracle-baseline confidence transform."""
-    w = _design(fit_part)
+    w = np.hstack([fit_part.x, fit_part.z])
     n, p = w.shape
     if n <= p + 1:
         raise SizeError(f"OLS needs n > d_x + d_z + 1 = {p + 1}, got n = {n}")
@@ -198,9 +189,9 @@ def fit_ols(fit_part: Dataset) -> LinearWorkingRegression:
     sigma2_hat = float(resid @ resid) / dof if dof > 0 else 0.0
     rinv = np.linalg.solve(r, np.eye(p + 1))
     se = np.sqrt(sigma2_hat * np.sum(rinv * rinv, axis=1))
-    x_coef, z_coef = _split_coef(fit_part, coef[1:])
     return LinearWorkingRegression(
-        OLS, float(coef[0]), x_coef, z_coef,
+        OLS, float(coef[0]), coef[1:fit_part.d_x + 1],
+        coef[fit_part.d_x + 1:],
         diagnostics={"coef_se": se[1:], "intercept_se": float(se[0]),
                      "sigma2_hat": sigma2_hat})
 
@@ -229,13 +220,6 @@ def ols_oracle_lcb(ols_fit: LinearWorkingRegression, alpha: float,
     if sign_of_beta > 0:
         return (beta_hat - z * se) * root
     return -(beta_hat + z * se) * root
-
-
-def _standardize(w: np.ndarray, keep: np.ndarray):
-    wk = w[:, keep]
-    means = wk.mean(axis=0)
-    sds = wk.std(axis=0)
-    return (wk - means) / sds, means, sds
 
 
 def _soft_threshold(v: float, t: float) -> float:
@@ -352,26 +336,68 @@ def _lasso_paths(grams: np.ndarray, cvecs: np.ndarray, grid: np.ndarray,
     return path, converged, sweeps
 
 
-def _auto_grid(cvec: np.ndarray, cv: CvConfig) -> np.ndarray:
-    lam_max = max(float(np.max(np.abs(cvec))), 1e-12)
-    return np.geomspace(lam_max, cv.lambda_min_ratio * lam_max, cv.num_lambdas)
+class _CrossValidation:
+    """The CV pipeline of the penalized fitters. The set-up drops the
+    constant columns of [x, z] (with a warning), standardizes the rest
+    to `ws` and assigns the rows to `folds`; `grid` is the penalty rule
+    and `fitted` the read-out. Each fitter brings its own checks, solver
+    and CV loss."""
+
+    def __init__(self, fit_part: Dataset, cv: CvConfig, seed: int) -> None:
+        w = np.hstack([fit_part.x, fit_part.z])
+        n, width = w.shape
+        if n < cv.folds:
+            raise SizeError(f"need n >= folds = {cv.folds}, got n = {n}")
+        self.keep = np.where(w.std(axis=0) > 0)[0]
+        if len(self.keep) < width:
+            warnings.warn(f"dropping {width - len(self.keep)} constant column(s) "
+                          "before fitting; their coefficients are set to 0")
+        wk = w[:, self.keep]
+        self.means, self.sds = wk.mean(axis=0), wk.std(axis=0)
+        self.ws = (wk - self.means) / self.sds
+        self.folds = fold_assignments(n, cv.folds, seed)
+        self.cv, self.d_x, self.width = cv, fit_part.d_x, width
+
+    def grid(self, lam_max: float) -> np.ndarray:
+        """`cv.lambda_grid` if set, else `num_lambdas` geometric levels
+        from the fitter's `lam_max` down."""
+        if self.cv.lambda_grid is not None:
+            return np.asarray(self.cv.lambda_grid)
+        top = max(lam_max, 1e-12)
+        return np.geomspace(top, self.cv.lambda_min_ratio * top,
+                            self.cv.num_lambdas)
+
+    def fitted(self, kind: str, grid: np.ndarray, best: int, b0: float,
+               b: np.ndarray, converged: bool, cv_unconverged: int,
+               solver: str, unit: str, link: str = _LINK_IDENTITY,
+               **own) -> LinearWorkingRegression:
+        """The standardized fit b0 + ws @ b chosen at grid[best] on the
+        original columns, with the shared diagnostics and the fitter's
+        `own`; warns when `solver` did not converge there."""
+        lam = float(grid[best])
+        if not converged:
+            warnings.warn(f"{kind} {solver} did not converge at lambda = "
+                          f"{lam:g} within {self.cv.max_iters} {unit}")
+        coef = np.zeros(self.width)
+        coef[self.keep] = b / self.sds
+        return LinearWorkingRegression(
+            kind, float(b0 - self.means @ coef[self.keep]),
+            coef[:self.d_x], coef[self.d_x:], link=link,
+            diagnostics={"lambda": lam, "lambda_grid": np.asarray(grid, dtype=float),
+                         "converged": bool(converged),
+                         "active": int(np.count_nonzero(b)),
+                         "cv_unconverged": cv_unconverged, **own})
 
 
 def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
                       kind: str) -> LinearWorkingRegression:
-    y = fit_part.y
-    w = _design(fit_part)
-    n, p_all = w.shape
-    if n < cv.folds:
-        raise SizeError(f"need n >= folds = {cv.folds}, got n = {n}")
-    keep = _drop_constant_columns(w)
-    ws, means, sds = _standardize(w, keep)
-    y_mean = y.mean()
-    yc = y - y_mean
-    p = len(keep)
+    pipe = _CrossValidation(fit_part, cv, seed)
+    ws, folds = pipe.ws, pipe.folds
+    n, p = ws.shape
+    y_mean = fit_part.y.mean()
+    yc = fit_part.y - y_mean
 
     # One stack of problems: the CV folds, then the full data (last).
-    folds = fold_assignments(n, cv.folds, seed)
     grams = np.empty((cv.folds + 1, p, p))
     cvecs = np.empty((cv.folds + 1, p))
     for f in range(cv.folds):
@@ -381,8 +407,7 @@ def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
         cvecs[f] = ws[tr].T @ yc[tr] / n_tr
     grams[-1] = ws.T @ ws / n
     cvecs[-1] = ws.T @ yc / n
-    grid = (np.asarray(cv.lambda_grid) if cv.lambda_grid is not None
-            else _auto_grid(cvecs[-1], cv))
+    grid = pipe.grid(float(np.max(np.abs(cvecs[-1]))))
 
     if kind == RIDGE:
         eye = np.eye(p)
@@ -402,41 +427,24 @@ def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
         for gi in range(len(grid)):
             cv_err[gi] += float(np.sum((y_va - w_va @ path[f, gi]) ** 2))
     best = int(np.argmin(cv_err))
-    lam_star = float(grid[best])
-    beta = path[-1, best]
-    if not converged[-1, best]:
-        warnings.warn(f"{kind} coordinate descent did not converge at "
-                      f"lambda = {lam_star:g} within {cv.max_iters} sweeps")
-
-    coef = np.zeros(p_all)
-    coef[keep] = beta / sds
-    intercept = float(y_mean - w[:, keep].mean(axis=0) @ coef[keep])
-    x_coef, z_coef = _split_coef(fit_part, coef)
-    return LinearWorkingRegression(
-        kind, intercept, x_coef, z_coef,
-        diagnostics={"lambda": lam_star, "cv_errors": cv_err / n,
-                     "lambda_grid": np.asarray(grid, dtype=float),
-                     "converged": bool(converged[-1, best]),
-                     "active": int(np.count_nonzero(beta)),
-                     "cv_unconverged": int(np.count_nonzero(~converged[:-1])),
-                     "sweeps": sweeps})
+    return pipe.fitted(kind, grid, best, y_mean, path[-1, best],
+                       converged[-1, best], int(np.count_nonzero(~converged[:-1])),
+                       "coordinate descent", "sweeps", cv_errors=cv_err / n,
+                       sweeps=sweeps)
 
 
 def fit_lasso(fit_part: Dataset, cv: CvConfig = CvConfig(),
               seed: int = 0) -> LinearWorkingRegression:
     """L1-penalized least squares by cyclic coordinate descent with
-    soft thresholding; the penalty level is chosen by k-fold CV.
-
-    Besides the chosen `lambda`, the CV errors and the grid, the
-    diagnostics record whether the full-data fit `converged`, its
-    `active` count, `cv_unconverged` (fold and penalty points that hit
-    `max_iters`) and the total `sweeps`."""
+    soft thresholding; the penalty level is chosen by k-fold CV. The
+    diagnostics add the `cv_errors` and the total `sweeps`."""
     return _penalized_linear(fit_part, cv, seed, LASSO)
 
 
 def fit_ridge(fit_part: Dataset, cv: CvConfig = CvConfig(),
               seed: int = 0) -> LinearWorkingRegression:
-    """L2-penalized least squares, closed-form per penalty level."""
+    """L2-penalized least squares, closed-form per penalty level; the
+    diagnostics add the `cv_errors` and `sweeps` = 0."""
     return _penalized_linear(fit_part, cv, seed, RIDGE)
 
 
@@ -561,11 +569,7 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
     2 expit(linear predictor) - 1, which lies in (-1, 1). The penalty
     level is chosen by k-fold CV deviance; each level is fitted by
     active-set Newton (`_newton_logistic`), warm-started along the path.
-
-    Besides the chosen `lambda`, the CV deviances and the grid, the
-    diagnostics record whether the full-data fit `converged`, its
-    `active` count, `cv_unconverged` (fold and penalty points that hit
-    `max_iters`) and the total `newton_steps`.
+    The diagnostics add the `cv_deviance` and the total `newton_steps`.
     """
     if penalty not in ("L1", "L2"):
         raise ValidationError(f"penalty must be L1 or L2, got {penalty!r}")
@@ -574,26 +578,16 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
         raise DegenerateLabelsError("logistic fitting requires y in {-1, +1}")
     if len(np.unique(y)) < 2:
         raise DegenerateLabelsError("both classes must be present in the fit split")
-    w = _design(fit_part)
-    n, p_all = w.shape
-    if n < cv.folds:
-        raise SizeError(f"need n >= folds = {cv.folds}, got n = {n}")
-    keep = _drop_constant_columns(w)
-    ws, means, sds = _standardize(w, keep)
-    design = np.hstack([np.ones((n, 1)), ws])
+    pipe = _CrossValidation(fit_part, cv, seed)
+    n = len(y)
+    design = np.hstack([np.ones((n, 1)), pipe.ws])
     l1 = penalty == "L1"
-    kind = LOGIT_L1 if l1 else LOGIT_L2
+    grid = pipe.grid(float(np.max(np.abs(design[:, 1:].T @ y))) / (2 * n))
 
-    lam_max = max(float(np.max(np.abs(design[:, 1:].T @ y))) / (2 * n), 1e-12)
-    grid = (np.asarray(cv.lambda_grid) if cv.lambda_grid is not None
-            else np.geomspace(lam_max, cv.lambda_min_ratio * lam_max,
-                              cv.num_lambdas))
-
-    folds = fold_assignments(n, cv.folds, seed)
     cv_dev = np.zeros(len(grid))
     cv_unconverged = steps = 0
     for f in range(cv.folds):
-        tr = folds != f
+        tr = pipe.folds != f
         va = ~tr
         if len(np.unique(y[tr])) < 2:
             raise DegenerateLabelsError(f"fold {f} training part is single-class")
@@ -603,23 +597,9 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
         cv_unconverged += int(np.count_nonzero(~converged))
         steps += taken
     best = int(np.argmin(cv_dev))
-    lam_star = float(grid[best])
 
     path, converged, taken = _logistic_path(design, y, grid[:best + 1], l1, cv)
-    coef = path[-1]
-    steps += taken
-    if not converged[-1]:
-        warnings.warn(f"{kind} Newton solver did not converge at lambda = "
-                      f"{lam_star:g} within {cv.max_iters} steps")
-    full = np.zeros(p_all)
-    full[keep] = coef[1:] / sds
-    intercept = float(coef[0] - means @ (coef[1:] / sds))
-    x_coef, z_coef = _split_coef(fit_part, full)
-    return LinearWorkingRegression(
-        kind, intercept, x_coef, z_coef, link=_LINK_BINARY_MEAN,
-        diagnostics={"lambda": lam_star, "cv_deviance": cv_dev / n,
-                     "lambda_grid": np.asarray(grid, dtype=float),
-                     "converged": bool(converged[-1]),
-                     "active": int(np.count_nonzero(coef[1:])),
-                     "cv_unconverged": cv_unconverged,
-                     "newton_steps": steps})
+    return pipe.fitted(LOGIT_L1 if l1 else LOGIT_L2, grid, best, path[-1, 0],
+                       path[-1, 1:], converged[-1], cv_unconverged,
+                       "Newton solver", "steps", link=_LINK_BINARY_MEAN,
+                       cv_deviance=cv_dev / n, newton_steps=steps + taken)

@@ -309,9 +309,20 @@ class MethodSpec:
                 or (self.name == COSUFFICIENT and self.mc_k == 0))
 
 
+# The ExperimentSpec fields only some studies read, each with the test
+# of whether a spec reads it.
+_STUDY_READS = {
+    "corruption_tau": lambda spec: spec.fitter == FIT_MU_STAR_CORRUPTED,
+    "misspec_m_rows": lambda spec: spec.misspecification == MISSPEC_INSAMPLE,
+    "oracle_draws": lambda spec: spec.mu_star.kind != LINEAR_SPARSE,
+    "cv": lambda spec: spec.fitter in (LASSO, RIDGE, LOGIT_L1, LOGIT_L2),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Full description of one synthetic coverage/half-width study."""
+    """Full description of one synthetic coverage/half-width study. A
+    field the study does not read must keep its default."""
 
     n: int
     p: int
@@ -359,6 +370,12 @@ class ExperimentSpec:
         if self.misspecification not in (MISSPEC_NONE, MISSPEC_INSAMPLE):
             raise ValidationError(
                 f"unknown misspecification mode {self.misspecification!r}")
+        defaults = {f.name: f.default for f in fields(self)}
+        unread = [name for name, reads in _STUDY_READS.items()
+                  if not reads(self) and getattr(self, name) != defaults[name]]
+        if unread:
+            raise ValidationError(
+                f"this study does not read {', '.join(unread)}")
         if self.variables is not None:
             object.__setattr__(self, "variables",
                                tuple(int(v) for v in self.variables))

@@ -168,6 +168,21 @@ class TestCosufficientLcb:
         mc = cosufficient_lcb(data, mu, model, n2=100, mc_k=4000, seed=1)
         assert mc.point == pytest.approx(exact.point, abs=0.05)
 
+    def test_dmc_closed_form_matches_resampled_moments(self):
+        # mu depends on W_6, which is not a neighbour of the focal W_3:
+        # the closed form must hold each row's own z while the focal
+        # value moves over its stratum, as the resamples do.
+        t = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]])
+        model = DiscreteMarkovChain(np.array([0.5, 0.3, 0.2]), [t] * 5,
+                                    focal_index=3)
+        x, z = model.sample_joint(4000, seed=5)
+        y = x[:, 0] + np.random.default_rng(6).standard_normal(4000)
+        data = Dataset(y, x, z)
+        mu = CustomRegression(lambda x, z: x[:, 0] + 2.0 * z[:, 4])
+        exact = cosufficient_lcb(data, mu, model, n2=200, mc_k=0, seed=1)
+        mc = cosufficient_lcb(data, mu, model, n2=200, mc_k=2000, seed=1)
+        assert exact.point == pytest.approx(mc.point, abs=0.01)
+
     def test_point_consistent_for_truth(self):
         sigma2 = 1.0
         model = _gaussian_model(sigma2)

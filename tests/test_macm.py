@@ -294,6 +294,15 @@ class TestMacmGapEnumerate:
         with pytest.raises(ValidationError):
             macm_gap_enumerate([((0,), (0,))], [0.7], lambda x, z: 0.0)
 
+    def test_z_atoms_equal_to_eight_digits_stay_apart(self):
+        # numpy prints both z values as 0.12345679; E[Y | X, Z] depends
+        # on z alone, so the gap is 0 only if the two atoms stay apart.
+        z_a, z_b = np.array([0.1234567891]), np.array([0.1234567899])
+        atoms = [((x,), z) for z in (z_a, z_b) for x in (0, 1)]
+        cond = lambda x, z: 1.0 if z[0] == z_a[0] else -1.0
+        got = macm_gap_enumerate(atoms, [0.25] * 4, cond)
+        assert got == pytest.approx(0.0, abs=1e-12)
+
 
 class TestMacmGapOracle:
     def test_sign_response_has_unit_gap(self):

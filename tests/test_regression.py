@@ -79,6 +79,12 @@ class TestCustomRegression:
         assert np.allclose(out, [6.0, 11.0])
         assert mu.linear_focal_coef is None
 
+    def test_column_output_is_flattened(self):
+        mu = CustomRegression(lambda x, z: x + z[:, :1])
+        out = mu.predict(np.array([[2.0], [3.0]]), np.ones((2, 2)))
+        assert out.shape == (2,)
+        assert np.array_equal(out, [3.0, 4.0])
+
     def test_not_serializable(self):
         with pytest.raises(ValidationError):
             CustomRegression(lambda x, z: x[:, 0]).to_json()

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from floodgate.cli import EXIT_VALIDATION, main
 from floodgate.covariates import Ar1Model
 from floodgate.errors import ValidationError
 from floodgate.macm import macm_gap_oracle
-from floodgate.regression import LOGIT_L1, LOGIT_L2, OLS
+from floodgate.regression import CvConfig, LASSO, LOGIT_L1, LOGIT_L2, OLS
 from floodgate.simulate import (COSUFFICIENT, FIT_MU_STAR,
                                 FIT_MU_STAR_CORRUPTED, LINEAR_SPARSE,
-                                LOGISTIC_LINEAR, MACM, MMSE_EXACT, MMSE_MC,
-                                MODEL_COPULA_AR1, NONLINEAR_F1,
+                                LOGISTIC_LINEAR, MACM, MISSPEC_INSAMPLE,
+                                MMSE_EXACT, MMSE_MC, MODEL_COPULA_AR1,
+                                NONLINEAR_F1,
                                 ar1_conditional_variances, derive_seed,
                                 macm_oracle_values, mmse_oracle_linear,
                                 mmse_oracle_nested_mc)
@@ -298,6 +300,35 @@ class TestExperimentSpec:
             MethodSpec(MMSE_EXACT, k_copies=0)
         # Read fields, and unread ones at their defaults, are accepted.
         assert MethodSpec(COSUFFICIENT, n2=25, mc_k=10, big_k=500).n2 == 25
+
+    @pytest.mark.parametrize("name, unread", [
+        ("corruption_tau", dict(corruption_tau=0.1)),
+        ("misspec_m_rows", dict(misspec_m_rows=50)),
+        ("misspec_m_rows", dict(fitter=FIT_MU_STAR_CORRUPTED,
+                                corruption_tau=0.1, misspec_m_rows=50)),
+        ("oracle_draws", dict(oracle_draws=2000)),
+        ("cv", dict(cv=CvConfig(folds=5))),
+        ("cv", dict(fitter=OLS, cv=CvConfig(num_lambdas=5)))])
+    def test_unread_study_settings(self, tmp_path, name, unread):
+        # The base spec fits no model (FIT_MU_STAR) to a LINEAR_SPARSE mu*,
+        # whose oracle is closed form, and has no misspecification.
+        with pytest.raises(ValidationError, match=f"does not read {name}$"):
+            self._spec(**unread)
+        spec = json.loads(self._spec().to_json())
+        spec.update(unread, cv=asdict(unread.get("cv", CvConfig())))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+
+    def test_read_study_settings_accepted(self):
+        assert self._spec(fitter=FIT_MU_STAR_CORRUPTED, corruption_tau=0.1)
+        assert self._spec(misspecification=MISSPEC_INSAMPLE,
+                          misspec_m_rows=50)
+        assert self._spec(fitter=LASSO, cv=CvConfig(folds=5))
+        logistic = MuStarSpec(LOGISTIC_LINEAR, sparsity=2, seed=1)
+        assert self._spec(mu_star=logistic, methods=(MethodSpec(MACM),),
+                          oracle_draws=2000)
 
     def test_default_variables_cover_all(self):
         spec = self._spec(variables=None)
