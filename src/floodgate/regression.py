@@ -8,8 +8,9 @@ conditional-mean scale of a {-1, +1} response.
 
 The penalized fitters choose their penalty by k-fold cross-validation
 (CV) through one pipeline, and share the diagnostics `lambda`,
-`lambda_grid`, `converged` (of the full-data fit), `active` and
-`cv_unconverged` (fold and penalty points that hit `max_iters`).
+`lambda_grid`, `converged` (of the full-data fit), `active`,
+`cv_unconverged` (fold and penalty points that hit `max_iters`) and
+`newton_steps` (active-set solves of LASSO and logistic; 0 for ridge).
 """
 
 from __future__ import annotations
@@ -143,7 +144,10 @@ def regression_from_json(text: str) -> LinearWorkingRegression:
 
 @dataclass(frozen=True)
 class CvConfig:
-    """Cross-validation settings shared by the penalized fitters."""
+    """Cross-validation settings shared by the penalized fitters.
+    `tolerance` is the LASSO's KKT slack and the logistic step size at
+    which Newton stops; `max_iters` caps the steps per (fold, penalty)
+    problem. Ridge is solved in closed form and reads neither."""
 
     folds: int = 10
     lambda_grid: tuple[float, ...] | None = None   # None: automatic path
@@ -222,118 +226,93 @@ def ols_oracle_lcb(ols_fit: LinearWorkingRegression, alpha: float,
     return -(beta_hat + z * se) * root
 
 
-def _soft_threshold(v: float, t: float) -> float:
-    if v > t:
-        return v - t
-    if v < -t:
-        return v + t
-    return 0.0
-
-
-def _cd_sweep(gram: np.ndarray, cvec: np.ndarray, lam: float,
-              beta: np.ndarray, indices) -> float:
-    """One cyclic pass of coordinate steps over `indices`, in place, on
-    (1/2) b'Gb - c'b + lam |b|_1; returns the largest change.
-
-    The step at j is b_j <- S(c_j - G_j.b + G_jj b_j, lam) / G_jj, the
-    exact minimizer along coordinate j. A fold Gram is standardized on
-    the whole fit part, so its diagonal is only near 1 and may exceed 2,
-    where a unit step would diverge. A zero G_jj (a column that is zero
-    on the fold) gives a zero residual, so b_j stays 0 without a 0 / 0.
-    """
-    max_delta = 0.0
-    for j in indices:
-        old = beta[j]
-        resid_corr = cvec[j] - gram[j] @ beta + gram[j, j] * old
-        new = _soft_threshold(resid_corr, lam) / (gram[j, j] or 1.0)
-        if new != old:
-            beta[j] = new
-            max_delta = max(max_delta, abs(new - old))
-    return max_delta
-
-
 def _lasso_paths(grams: np.ndarray, cvecs: np.ndarray, grid: np.ndarray,
                  tolerance: float, max_iters: int):
-    """Warm-started coordinate-descent paths of a stack of LASSO
-    problems, (F, p, p) Grams and (F, p) cvecs, run together.
+    """Warm-started exact paths of a stack of LASSO problems,
+    (1/2) b'Gb - c'b + lam |b|_1 with (F, p, p) Grams and (F, p) cvecs,
+    by feature-sign search (Lee, Battle, Raina & Ng 2007), all slices
+    together.
 
-    Every slice follows the same schedule at each penalty level: a full
-    sweep, then sweeps over the coefficients that full sweep left
-    nonzero until none moves by `tolerance`, then another full sweep,
-    until a full sweep moves none by `tolerance` (converged) or
-    `max_iters` sweeps have run at that level (not converged).
+    A slice holds b and the signs s of its active set A. Once b_A solves
+    G_AA b_A = c_A - lam s_A, the zero coordinate with the largest
+    |c_j - G_j.b| - lam - tolerance G_jj > 0 joins A with the sign of
+    its residual; with none, the slice is done at this level. A step
+    solves that system for every live slice in one batched solve
+    (identity rows off A) and moves b toward the solution, stopping at
+    the first coefficient whose sign would change, which it leaves at
+    exactly 0.0 and drops from A. Every step lowers the objective and
+    an entering sign is always right, so the search ends.
 
-    A sweep over a set S in index order that changes no sign is linear:
-    with A the nonzero part of S, s its signs, D the diagonal and L and
-    U the strict lower and upper triangles of G, the new values solve
-    (D + L)_AA b_A = c_A - U_A.b_old - lam s_A, and b is 0 on the rest
-    of S. The solve runs for every slice at once from a cached inverse
-    (renewed when A changes). Where the solution changes a sign, or
-    leaves a zero of S with |residual| > lam, the slice keeps it before
-    that coordinate and finishes the sweep with the scalar `_cd_sweep`.
-    Both give the same sweep up to rounding.
+    The entering sign fails, or the system has no solution, only when
+    the entering column lies in the span of A (a fold with fewer rows
+    than columns): the objective then falls without bound along the
+    null vector of G_AA, which the step follows downhill to the first
+    crossing. A step that cannot move, or `max_iters` steps at one
+    level, ends a slice's search unconverged.
 
     Returns the (F, len(grid), p) path, an (F, len(grid)) convergence
-    mask and the total number of sweeps.
+    mask and the total number of steps.
     """
     n_prob, p = cvecs.shape
     eye = np.eye(p)
-    lower = np.tril(grams)
-    upper = np.triu(grams, 1)
+    slack = tolerance * np.einsum("fjj->fj", grams)
     beta = np.zeros((n_prob, p))
-    inv = np.tile(eye, (n_prob, 1, 1))
-    inv_for = np.zeros((n_prob, p), dtype=bool)     # A behind `inv`
+    signs = np.zeros((n_prob, p))
     path = np.empty((n_prob, len(grid), p))
     converged = np.ones((n_prob, len(grid)), dtype=bool)
-    sweeps = 0
+    steps = 0
     for gi, lam in enumerate(grid):
         live = np.ones(n_prob, dtype=bool)
-        full = np.ones(n_prob, dtype=bool)
-        swept = np.ones((n_prob, p), dtype=bool)
-        iters = np.zeros(n_prob, dtype=int)
-        while live.any():
-            # Coefficients outside the swept set are zero, so A is the
-            # nonzero set.
-            signs = np.sign(beta)
-            act = signs != 0
-            stale = live & (act != inv_for).any(axis=1)
-            if stale.any():
-                k = np.flatnonzero(stale)
-                inv[k] = np.linalg.inv(np.where(
-                    act[k, :, None] & act[k, None, :], lower[k], eye))
-                inv_for[k] = act[k]
-            ub = (upper @ beta[..., None])[..., 0]
-            rhs = np.where(act, cvecs - ub - lam * signs, 0.0)
-            new = (inv @ rhs[..., None])[..., 0]
-            resid = cvecs - (lower @ new[..., None])[..., 0] - ub
-            wrong = np.where(act, signs * new <= 0,
-                             swept & (np.abs(resid) > lam))
-            step = np.abs(new - beta)
-            delta = step.max(axis=1, initial=0.0)
-            bad = live & wrong.any(axis=1)
-            beta = np.where((live & ~bad)[:, None], new, beta)
-            for f in np.flatnonzero(bad):
-                # The sweep is triangular: coordinates before the first
-                # wrong one already hold what the scalar loop gives.
-                j = int(np.argmax(wrong[f]))
-                beta[f, :j] = new[f, :j]
-                delta[f] = max(step[f, :j].max(initial=0.0),
-                               _cd_sweep(grams[f], cvecs[f], lam, beta[f],
-                                         np.flatnonzero(swept[f, j:]) + j))
-            iters += live
-            small = delta < tolerance
-            live &= ~(full & small)
-            to_active = live & full
-            to_full = live & ~full & small
-            swept[to_active] = beta[to_active] != 0
-            swept[to_full] = True
-            full ^= to_active | to_full
-            out = live & (iters >= max_iters)
-            converged[out, gi] = False
-            live &= ~out
-        sweeps += int(iters.sum())
+        solved = ~signs.any(axis=1)
+        taken = np.zeros(n_prob, dtype=int)
+        while True:
+            k = np.flatnonzero(live & solved)
+            if len(k):
+                resid = cvecs[k] - (grams[k] @ beta[k, :, None])[..., 0]
+                viol = np.where(signs[k] == 0,
+                                np.abs(resid) - lam - slack[k], 0.0)
+                j = np.argmax(viol, axis=1)
+                enter = viol[np.arange(len(k)), j] > 0
+                live[k[~enter]] = False
+                signs[k[enter], j[enter]] = np.sign(resid[enter, j[enter]])
+            converged[live & (taken >= max_iters), gi] = False
+            live &= taken < max_iters
+            run = np.flatnonzero(live)
+            if not len(run):
+                break
+            act = signs[run] != 0
+            system = np.where(act[:, :, None] & act[:, None, :], grams[run], eye)
+            rhs = np.where(act, cvecs[run] - lam * signs[run], 0.0)
+            try:
+                target = np.linalg.solve(system, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                target = np.stack([_solve_block(a, r) for a, r in zip(system, rhs)])
+            b = beta[run]
+            d = target - b
+            miss = np.abs((system @ target[..., None])[..., 0] - rhs).max(axis=1)
+            free = ((act & (b == 0) & ~(signs[run] * target > 0)).any(axis=1)
+                    | ~(miss <= 1e-6 * np.abs(rhs).max(axis=1)))
+            for i in np.flatnonzero(free):
+                null = np.where(act[i], np.linalg.eigh(system[i])[1][:, 0], 0.0)
+                d[i] = -np.sign((grams[run[i]] @ b[i] - rhs[i]) @ null) * null
+            cross = act & (signs[run] * d < 0)
+            ratio = np.where(cross, -b / np.where(cross, d, 1.0), np.inf)
+            t = np.minimum(ratio.min(axis=1), np.where(free, np.inf, 1.0))
+            t[np.isinf(t)] = 0.0            # a free step with no crossing
+            full = ~free & (t == 1.0)
+            hit = cross & (ratio <= t[:, None])
+            b = np.where(full[:, None], target, b + t[:, None] * d)
+            b[hit] = 0.0
+            beta[run] = b
+            signs[run] = np.where(hit, 0.0, signs[run])
+            solved[run] = full
+            taken[run] += 1
+            stuck = run[t <= 0.0]
+            converged[stuck, gi] = False
+            live[stuck] = False
+        steps += int(taken.sum())
         path[:, gi] = beta
-    return path, converged, sweeps
+    return path, converged, steps
 
 
 class _CrossValidation:
@@ -344,19 +323,26 @@ class _CrossValidation:
     and CV loss."""
 
     def __init__(self, fit_part: Dataset, cv: CvConfig, seed: int) -> None:
-        w = np.hstack([fit_part.x, fit_part.z])
-        n, width = w.shape
+        # Column-major, so that each column's moments are one contiguous
+        # reduction whichever columns are kept.
+        n, d_x = fit_part.x.shape
+        width = d_x + fit_part.z.shape[1]
+        w = np.empty((n, width), order="F")
+        w[:, :d_x], w[:, d_x:] = fit_part.x, fit_part.z
         if n < cv.folds:
             raise SizeError(f"need n >= folds = {cv.folds}, got n = {n}")
-        self.keep = np.where(w.std(axis=0) > 0)[0]
+        # Constant by value: a constant column's std can round above 0.
+        self.keep = np.flatnonzero((w != w[0]).any(axis=0))
+        sds = w.std(axis=0)
         if len(self.keep) < width:
             warnings.warn(f"dropping {width - len(self.keep)} constant column(s) "
                           "before fitting; their coefficients are set to 0")
-        wk = w[:, self.keep]
-        self.means, self.sds = wk.mean(axis=0), wk.std(axis=0)
-        self.ws = (wk - self.means) / self.sds
+            w = w[:, self.keep]
+        self.means, self.sds = w.mean(axis=0), sds[self.keep]
+        self.ws = w - self.means
+        self.ws /= self.sds
         self.folds = fold_assignments(n, cv.folds, seed)
-        self.cv, self.d_x, self.width = cv, fit_part.d_x, width
+        self.cv, self.d_x, self.width = cv, d_x, width
 
     def grid(self, lam_max: float) -> np.ndarray:
         """`cv.lambda_grid` if set, else `num_lambdas` geometric levels
@@ -398,15 +384,18 @@ def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
     yc = fit_part.y - y_mean
 
     # One stack of problems: the CV folds, then the full data (last).
+    # A fold's Gram is the full one less its validation rows'.
+    vas = [folds == f for f in range(cv.folds)]
+    gram_all, cvec_all = ws.T @ ws, ws.T @ yc
     grams = np.empty((cv.folds + 1, p, p))
     cvecs = np.empty((cv.folds + 1, p))
-    for f in range(cv.folds):
-        tr = folds != f
-        n_tr = int(tr.sum())
-        grams[f] = ws[tr].T @ ws[tr] / n_tr
-        cvecs[f] = ws[tr].T @ yc[tr] / n_tr
-    grams[-1] = ws.T @ ws / n
-    cvecs[-1] = ws.T @ yc / n
+    for f, va in enumerate(vas):
+        w_va = ws[va]
+        n_tr = n - len(w_va)
+        grams[f] = (gram_all - w_va.T @ w_va) / n_tr
+        cvecs[f] = (cvec_all - w_va.T @ yc[va]) / n_tr
+    grams[-1] = gram_all / n
+    cvecs[-1] = cvec_all / n
     grid = pipe.grid(float(np.max(np.abs(cvecs[-1]))))
 
     if kind == RIDGE:
@@ -415,36 +404,44 @@ def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
                                          cvecs[..., None])[..., 0]
                          for lam in grid], axis=1)
         converged = np.ones((cv.folds + 1, len(grid)), dtype=bool)
-        sweeps = 0
+        steps = 0
     else:
-        path, converged, sweeps = _lasso_paths(grams, cvecs, grid,
-                                               cv.tolerance, cv.max_iters)
+        path, converged, steps = _lasso_paths(grams, cvecs, grid,
+                                              cv.tolerance, cv.max_iters)
 
     cv_err = np.zeros(len(grid))
-    for f in range(cv.folds):
-        va = folds == f
-        w_va, y_va = ws[va], yc[va]
-        for gi in range(len(grid)):
-            cv_err[gi] += float(np.sum((y_va - w_va @ path[f, gi]) ** 2))
+    for f, va in enumerate(vas):
+        cv_err += np.sum((yc[va, None] - ws[va] @ path[f].T) ** 2, axis=0)
     best = int(np.argmin(cv_err))
     return pipe.fitted(kind, grid, best, y_mean, path[-1, best],
                        converged[-1, best], int(np.count_nonzero(~converged[:-1])),
-                       "coordinate descent", "sweeps", cv_errors=cv_err / n,
-                       sweeps=sweeps)
+                       "feature-sign search", "steps", cv_errors=cv_err / n,
+                       newton_steps=steps)
 
 
 def fit_lasso(fit_part: Dataset, cv: CvConfig = CvConfig(),
               seed: int = 0) -> LinearWorkingRegression:
-    """L1-penalized least squares by cyclic coordinate descent with
-    soft thresholding; the penalty level is chosen by k-fold CV. The
-    diagnostics add the `cv_errors` and the total `sweeps`."""
+    """L1-penalized least squares, solved exactly at each penalty level
+    by feature-sign search (`_lasso_paths`), warm-started along the
+    path; the penalty level is chosen by k-fold CV. The diagnostics add
+    the `cv_errors`; `newton_steps` counts the active-set solves."""
     return _penalized_linear(fit_part, cv, seed, LASSO)
+
+
+def ridge_unread(cv: CvConfig) -> list[str]:
+    """The solver settings of `cv` set away from their defaults."""
+    return [name for name in ("tolerance", "max_iters")
+            if getattr(cv, name) != getattr(CvConfig, name)]
 
 
 def fit_ridge(fit_part: Dataset, cv: CvConfig = CvConfig(),
               seed: int = 0) -> LinearWorkingRegression:
-    """L2-penalized least squares, closed-form per penalty level; the
-    diagnostics add the `cv_errors` and `sweeps` = 0."""
+    """L2-penalized least squares, closed-form per penalty level, so it
+    rejects the solver settings (`ridge_unread`); the diagnostics add
+    the `cv_errors`."""
+    unread = ridge_unread(cv)
+    if unread:
+        raise ValidationError(f"ridge does not read {', '.join(unread)}")
     return _penalized_linear(fit_part, cv, seed, RIDGE)
 
 
@@ -569,7 +566,7 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
     2 expit(linear predictor) - 1, which lies in (-1, 1). The penalty
     level is chosen by k-fold CV deviance; each level is fitted by
     active-set Newton (`_newton_logistic`), warm-started along the path.
-    The diagnostics add the `cv_deviance` and the total `newton_steps`.
+    The diagnostics add the `cv_deviance`.
     """
     if penalty not in ("L1", "L2"):
         raise ValidationError(f"penalty must be L1 or L2, got {penalty!r}")

@@ -31,7 +31,7 @@ from .cosufficient import cosufficient_lcb
 from .regression import (CUSTOM, CustomRegression, CvConfig, LASSO,
                          LinearWorkingRegression, LOGIT_L1, LOGIT_L2, OLS,
                          RIDGE, WorkingRegression, fit_lasso, fit_logistic,
-                         fit_ols, fit_ridge)
+                         fit_ols, fit_ridge, ridge_unread)
 
 LINEAR_SPARSE = "LINEAR_SPARSE"
 NONLINEAR_F1 = "NONLINEAR_F1"
@@ -373,6 +373,8 @@ class ExperimentSpec:
         defaults = {f.name: f.default for f in fields(self)}
         unread = [name for name, reads in _STUDY_READS.items()
                   if not reads(self) and getattr(self, name) != defaults[name]]
+        if self.fitter == RIDGE:
+            unread += [f"cv.{name}" for name in ridge_unread(self.cv)]
         if unread:
             raise ValidationError(
                 f"this study does not read {', '.join(unread)}")

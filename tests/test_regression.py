@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -224,10 +225,10 @@ class TestFitLasso:
 
 
 def _scalar_path_point(gram, cvec, lam, beta, tolerance, max_iters):
-    """The scalar coordinate-descent path point the stacked engine
-    replaced, kept as the reference: cyclic sweeps in place, a full
-    sweep, then active-set sweeps until the largest change is below
-    tolerance, then another full sweep. Returns True on convergence."""
+    """One path point by scalar coordinate descent, the reference for
+    the stacked engine: cyclic sweeps in place, a full sweep, then
+    active-set sweeps until the largest change is below tolerance, then
+    another full sweep. Returns True on convergence."""
     p = len(cvec)
 
     def sweep(indices):
@@ -262,9 +263,10 @@ def _scalar_path_point(gram, cvec, lam, beta, tolerance, max_iters):
 
 
 def _reference_penalized(data, cv, seed, ridge=False):
-    """Per-fold CV path of the fitters before stacking: returns the
-    chosen lambda index, the coefficients, the intercept, the CV errors
-    and whether the full-data fit converged."""
+    """The CV path one fold at a time, by scalar coordinate descent (or
+    ridge's solve): returns the chosen lambda index, the coefficients,
+    the intercept, the CV errors and whether the full-data fit
+    converged."""
     w = np.hstack([data.x, data.z])
     n, p_all = w.shape
     keep = np.where(w.std(axis=0) > 0)[0]
@@ -282,8 +284,11 @@ def _reference_penalized(data, cv, seed, ridge=False):
                                 cv.max_iters)
         return beta, ok
 
-    gram_full = ws.T @ ws / n
-    cvec_full = ws.T @ yc / n
+    # The fold problems and CV errors are formed as the fitters form
+    # them, so that ridge matches bit for bit.
+    gram_all, cvec_all = ws.T @ ws, ws.T @ yc
+    gram_full = gram_all / n
+    cvec_full = cvec_all / n
     if cv.lambda_grid is not None:
         grid = np.asarray(cv.lambda_grid)
     else:
@@ -293,15 +298,17 @@ def _reference_penalized(data, cv, seed, ridge=False):
     folds = fold_assignments(n, cv.folds, seed)
     cv_err = np.zeros(len(grid))
     for f in range(cv.folds):
-        tr = folds != f
-        va = ~tr
-        n_tr = int(tr.sum())
-        gram = ws[tr].T @ ws[tr] / n_tr
-        cvec = ws[tr].T @ yc[tr] / n_tr
+        va = folds == f
+        w_va = ws[va]
+        n_tr = n - len(w_va)
+        gram = (gram_all - w_va.T @ w_va) / n_tr
+        cvec = (cvec_all - w_va.T @ yc[va]) / n_tr
+        path = np.empty((len(grid), p))
         beta = np.zeros(p)
         for gi, lam in enumerate(grid):
             beta, _ = solve(gram, cvec, lam, beta)
-            cv_err[gi] += float(np.sum((yc[va] - ws[va] @ beta) ** 2))
+            path[gi] = beta
+        cv_err += np.sum((yc[va, None] - w_va @ path.T) ** 2, axis=0)
     best = int(np.argmin(cv_err))
     beta = np.zeros(p)
     for lam in grid[:best + 1]:
@@ -336,41 +343,101 @@ def _random_design(seed, n, d_x, d_z, rho):
     return Dataset(y, w[:, :d_x], w[:, d_x:])
 
 
+def _recorded_paths(monkeypatch):
+    """Record the arguments and results of every `_lasso_paths` call."""
+    calls = []
+    engine = regression._lasso_paths
+
+    def recorded(grams, cvecs, grid, tolerance, max_iters):
+        out = engine(grams, cvecs, grid, tolerance, max_iters)
+        calls.append((grams, cvecs, grid, tolerance, out))
+        return out
+
+    monkeypatch.setattr(regression, "_lasso_paths", recorded)
+    return calls
+
+
+def _assert_path_kkt(grams, cvecs, grid, tolerance, path):
+    """KKT of (1/2) b'Gb - c'b + lam |b|_1 on every (slice, lambda) point:
+    exact on the nonzero coefficients, within the entry slack
+    `tolerance` G_jj on the zeros."""
+    grad = np.einsum("fjk,fgk->fgj", grams, path) - cvecs[:, None, :]
+    lam = grid[None, :, None]
+    slack = tolerance * np.einsum("fjj->fj", grams)[:, None, :]
+    nonzero = path != 0
+    assert np.all(np.abs(grad + lam * np.sign(path))[nonzero] <= 1e-12)
+    assert np.all((np.abs(grad) - lam - slack)[~nonzero] <= 1e-12)
+
+
+class TestCrossValidationSetUp:
+    def test_standardized_design_matches_column_formula(self):
+        # One std pass on the column-major design gives the same bits as
+        # the column-by-column formula on the kept columns.
+        data = _linear_data(n=333, beta_z=(0.5, -1.0, 0.3), seed=4)
+        z = data.z.copy()
+        z[:, 1] = 4.0
+        with pytest.warns(UserWarning, match="1 constant column"):
+            pipe = regression._CrossValidation(Dataset(data.y, data.x, z),
+                                               CvConfig(), 0)
+        wk = np.hstack([data.x, z])[:, [0, 1, 3]]
+        assert np.array_equal(pipe.keep, [0, 1, 3])
+        assert np.array_equal(pipe.ws, (wk - wk.mean(axis=0)) / wk.std(axis=0))
+
+    def test_constant_column_whose_std_rounds_above_zero(self):
+        # 1697 rows of 3.7: a row-by-row mean rounds, so the column's std
+        # is 1.1e-13 there; it is still constant and dropped.
+        data = _linear_data(n=1697, seed=6)
+        z = data.z.copy()
+        z[:, 0] = 3.7
+        assert np.hstack([data.x, z]).std(axis=0)[1] > 0
+        with pytest.warns(UserWarning, match="1 constant column"):
+            fit = fit_lasso(Dataset(data.y, data.x, z), CvConfig(folds=5), 0)
+        assert fit.z_coef[0] == 0.0
+        assert np.all(np.isfinite(fit.z_coef)) and np.isfinite(fit.intercept)
+
+
 class TestStackedLassoPath:
-    """The fold-stacked engine against the per-fold scalar path."""
+    """The fold-stacked feature-sign engine against the per-fold scalar
+    coordinate-descent path, both run to the exact minimizer."""
 
     def _assert_matches(self, data, cv, seed):
+        cv = dataclasses.replace(cv, tolerance=1e-13)
         fit = fit_lasso(data, cv, seed)
         best, coef, intercept, cv_err, converged = _reference_penalized(
             data, cv, seed)
         grid = fit.diagnostics["lambda_grid"]
+        assert converged and fit.diagnostics["converged"]
         assert fit.diagnostics["lambda"] == grid[best]
         assert np.max(np.abs(np.concatenate([fit.x_coef, fit.z_coef])
-                             - coef)) <= 1e-10
-        assert abs(fit.intercept - intercept) <= 1e-10
+                             - coef)) <= 1e-9
+        assert abs(fit.intercept - intercept) <= 1e-9
         assert np.allclose(fit.diagnostics["cv_errors"], cv_err,
-                           rtol=1e-10, atol=0.0)
-        assert fit.diagnostics["converged"] == converged
+                           rtol=1e-9, atol=0.0)
         return fit
 
-    def test_a1_design_replicate(self):
+    def test_a1_design_replicate(self, monkeypatch):
+        calls = _recorded_paths(monkeypatch)
         data, seed = _a1_fit_part(0)
         fit = self._assert_matches(data, CvConfig(), seed)
-        assert fit.diagnostics["cv_unconverged"] == 0
-        assert fit.diagnostics["sweeps"] > 11 * len(fit.diagnostics["lambda_grid"])
+        d = fit.diagnostics
+        assert d["cv_unconverged"] == 0
+        # About one step per (slice, lambda) problem: the exact solve.
+        assert 0 < d["newton_steps"] < 2 * 11 * len(d["lambda_grid"])
+        grams, cvecs, grid, tolerance, (path, converged, _) = calls[0]
+        assert converged.all()
+        _assert_path_kkt(grams, cvecs, grid, tolerance, path)
 
-    def test_correlated_design_uses_scalar_fallback(self, monkeypatch):
-        calls = []
-        scalar = regression._cd_sweep
-
-        def counted(*args):
-            calls.append(args[2])
-            return scalar(*args)
-
-        monkeypatch.setattr(regression, "_cd_sweep", counted)
+    def test_correlated_design_drops_at_sign_crossings(self, monkeypatch):
+        # At AR rho = 0.9, coefficients enter and later leave the path;
+        # only a step stopped at a sign crossing sets one back to 0.0.
+        calls = _recorded_paths(monkeypatch)
         data, seed = _a1_fit_part(1, rho=0.9, n=400, p=20)
         self._assert_matches(data, CvConfig(), seed)
-        assert calls
+        grams, cvecs, grid, tolerance, (path, converged, _) = calls[0]
+        assert converged.all()
+        left = (path[:, :-1] != 0) & (path[:, 1:] == 0)
+        assert np.count_nonzero(left) > 0
+        _assert_path_kkt(grams, cvecs, grid, tolerance, path)
 
     def test_user_lambda_grid(self):
         data, seed = _a1_fit_part(2, n=300, p=15)
@@ -387,17 +454,20 @@ class TestStackedLassoPath:
             fit = self._assert_matches(data, CvConfig(folds=5), 4)
         assert fit.z_coef[1] == 0.0
 
-    def test_iteration_cap_warns_and_counts(self):
+    def test_step_cap_warns_and_counts(self):
         data, seed = _a1_fit_part(3, n=300, p=15)
-        cv = CvConfig(folds=5, num_lambdas=12, max_iters=3)
+        cv = CvConfig(folds=5, num_lambdas=12, max_iters=1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fit = self._assert_matches(data, cv, seed)
+            fit = fit_lasso(data, cv, seed)
         d = fit.diagnostics
         assert not d["converged"]
-        assert any("did not converge" in str(w.message) for w in caught)
+        assert [str(w.message) for w in caught
+                if "did not converge" in str(w.message)] == [
+            f"LASSO feature-sign search did not converge at lambda = "
+            f"{d['lambda']:g} within 1 steps"]
         assert 0 < d["cv_unconverged"] <= 5 * 12
-        assert d["sweeps"] <= 3 * 6 * 12
+        assert 0 < d["newton_steps"] <= 1 * 6 * 12
 
     @given(n=st.integers(2, 40), d_x=st.integers(1, 3), d_z=st.integers(0, 4),
            folds=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
@@ -408,12 +478,9 @@ class TestStackedLassoPath:
         data = _random_design(seed, n, d_x, d_z, rho)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fit = fit_lasso(data, CvConfig(folds=folds, num_lambdas=20,
-                                           max_iters=1000), seed % 1000)
-        # A nearly singular Gram (say n = 5, p = 4) can stall coordinate
-        # descent; the fit then reports it instead of meeting KKT. The
-        # iteration cap keeps such an example to seconds.
-        assume(fit.diagnostics["converged"])
+            fit = fit_lasso(data, CvConfig(folds=folds, num_lambdas=20),
+                            seed % 1000)
+        assert fit.diagnostics["converged"]
         assert _lasso_kkt_violation(data, fit, fit.diagnostics["lambda"]) < 1e-5
 
     def test_column_zero_on_a_training_fold(self):
@@ -431,12 +498,51 @@ class TestStackedLassoPath:
 
     def test_fold_gram_diagonal_above_two(self):
         # Two folds of five rows leave two training rows in fold 0,
-        # whose Gram diagonal reaches 2.42; a unit coordinate step
-        # diverges there, at every penalty.
+        # whose Gram diagonal reaches 2.42.
         data = _random_design(992441236, 5, 1, 4, 0.2955)
         fit = self._assert_matches(data, CvConfig(folds=2), 236)
         assert fit.diagnostics["cv_unconverged"] == 0
         assert _lasso_kkt_violation(data, fit, fit.diagnostics["lambda"]) < 1e-6
+
+    @pytest.mark.parametrize("seed, n, d_z, folds, solve_fails", [
+        (5, 12, 8, 2, False), (13, 3, 5, 3, True)])
+    def test_short_fold_with_duplicate_column(self, monkeypatch, seed, n, d_z,
+                                              folds, solve_fails):
+        # Folds train on fewer rows than the 1 + d_z + 1 columns, the last
+        # a copy of the first, so every fold Gram is singular; in the
+        # second case a batched solve meets an exactly singular block.
+        calls = _recorded_paths(monkeypatch)
+        blocks = []
+        solve_block = regression._solve_block
+        monkeypatch.setattr(regression, "_solve_block",
+                            lambda *args: blocks.append(1) or solve_block(*args))
+        data = _random_design(seed, n, 1, d_z, 0.5)
+        dup = Dataset(data.y, data.x, np.hstack([data.z, data.x]))
+        fit = fit_lasso(dup, CvConfig(folds=folds, num_lambdas=20), 3)
+        assert bool(blocks) == solve_fails
+        d = fit.diagnostics
+        assert d["converged"] and d["cv_unconverged"] == 0
+        assert _lasso_kkt_violation(dup, fit, d["lambda"]) < 1e-9
+        grams, cvecs, grid, tolerance, (path, _, _) = calls[0]
+        assert np.linalg.matrix_rank(grams[0]) < grams.shape[1]
+        _assert_path_kkt(grams, cvecs, grid, tolerance, path)
+
+
+    @pytest.mark.parametrize("seed, n, d_x, d_z, rho, folds", [
+        (1070972612, 5, 3, 9, 0.6129742838485683, 5),
+        (1333525774, 9, 3, 27, 0.1850809928571441, 6)])
+    def test_fewer_rows_than_columns(self, monkeypatch, seed, n, d_x, d_z,
+                                     rho, folds):
+        # Once an active set reaches the rank of its Gram, the next
+        # column makes G_AA singular, exactly or to rounding.
+        calls = _recorded_paths(monkeypatch)
+        data = _random_design(seed, n, d_x, d_z, rho)
+        fit = fit_lasso(data, CvConfig(folds=folds, num_lambdas=30), seed % 1000)
+        assert fit.diagnostics["converged"]
+        assert _lasso_kkt_violation(data, fit, fit.diagnostics["lambda"]) < 1e-9
+        grams, cvecs, grid, tolerance, (path, converged, _) = calls[0]
+        assert converged.all()
+        _assert_path_kkt(grams, cvecs, grid, tolerance, path)
 
 
 class TestFitRidge:
@@ -451,6 +557,16 @@ class TestFitRidge:
             assert np.array_equal(np.concatenate([fit.x_coef, fit.z_coef]), coef)
             assert fit.intercept == intercept
             assert np.array_equal(fit.diagnostics["cv_errors"], cv_err)
+
+    def test_rejects_unread_solver_settings(self):
+        data = _linear_data(n=120, seed=8)
+        with pytest.raises(ValidationError, match="does not read tolerance$"):
+            fit_ridge(data, CvConfig(tolerance=1.0))
+        with pytest.raises(ValidationError,
+                           match="does not read tolerance, max_iters$"):
+            fit_ridge(data, CvConfig(tolerance=1e-3, max_iters=5))
+        fit = fit_ridge(data, CvConfig(folds=4, num_lambdas=5))
+        assert fit.diagnostics["newton_steps"] == 0
 
     def test_single_lambda_closed_form(self):
         data = _linear_data(n=250, seed=11)

@@ -12,7 +12,7 @@ from floodgate.cli import EXIT_VALIDATION, main
 from floodgate.covariates import Ar1Model
 from floodgate.errors import ValidationError
 from floodgate.macm import macm_gap_oracle
-from floodgate.regression import CvConfig, LASSO, LOGIT_L1, LOGIT_L2, OLS
+from floodgate.regression import CvConfig, LASSO, LOGIT_L1, LOGIT_L2, OLS, RIDGE
 from floodgate.simulate import (COSUFFICIENT, FIT_MU_STAR,
                                 FIT_MU_STAR_CORRUPTED, LINEAR_SPARSE,
                                 LOGISTIC_LINEAR, MACM, MISSPEC_INSAMPLE,
@@ -308,7 +308,10 @@ class TestExperimentSpec:
                                 corruption_tau=0.1, misspec_m_rows=50)),
         ("oracle_draws", dict(oracle_draws=2000)),
         ("cv", dict(cv=CvConfig(folds=5))),
-        ("cv", dict(fitter=OLS, cv=CvConfig(num_lambdas=5)))])
+        ("cv", dict(fitter=OLS, cv=CvConfig(num_lambdas=5))),
+        ("cv.max_iters", dict(fitter=RIDGE, cv=CvConfig(max_iters=5))),
+        ("cv.tolerance, cv.max_iters",
+         dict(fitter=RIDGE, cv=CvConfig(tolerance=1e-3, max_iters=5)))])
     def test_unread_study_settings(self, tmp_path, name, unread):
         # The base spec fits no model (FIT_MU_STAR) to a LINEAR_SPARSE mu*,
         # whose oracle is closed form, and has no misspecification.
@@ -326,6 +329,8 @@ class TestExperimentSpec:
         assert self._spec(misspecification=MISSPEC_INSAMPLE,
                           misspec_m_rows=50)
         assert self._spec(fitter=LASSO, cv=CvConfig(folds=5))
+        assert self._spec(fitter=LASSO, cv=CvConfig(tolerance=1e-9))
+        assert self._spec(fitter=RIDGE, cv=CvConfig(folds=5, num_lambdas=10))
         logistic = MuStarSpec(LOGISTIC_LINEAR, sparsity=2, seed=1)
         assert self._spec(mu_star=logistic, methods=(MethodSpec(MACM),),
                           oracle_draws=2000)
