@@ -331,9 +331,10 @@ class _CrossValidation:
         w[:, :d_x], w[:, d_x:] = fit_part.x, fit_part.z
         if n < cv.folds:
             raise SizeError(f"need n >= folds = {cv.folds}, got n = {n}")
-        # Constant by value: a constant column's std can round above 0.
-        self.keep = np.flatnonzero((w != w[0]).any(axis=0))
+        # Constant by value, as a constant column's std can round above
+        # 0; a varying column's std can also underflow to 0.
         sds = w.std(axis=0)
+        self.keep = np.flatnonzero((w != w[0]).any(axis=0) & (sds > 0))
         if len(self.keep) < width:
             warnings.warn(f"dropping {width - len(self.keep)} constant column(s) "
                           "before fitting; their coefficients are set to 0")
