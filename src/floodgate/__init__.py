@@ -17,15 +17,16 @@ from .core import (ConfidenceLevel, Dataset, LcbReport, SplitDataset,
                    sample_mean_cov, split)
 from .covariates import (Ar1Model, CopulaModel, CovariateModel,
                          DiscreteMarkovChain, GaussianLinearModel, NullCopies,
-                         cond_moments_linear, model_from_json)
+                         model_from_json)
 from .errors import (DegenerateLabelsError, FloodgateError, ShapeError,
                      SingularDesignError, SizeError,
                      UnsupportedClosedFormError, ValidationError)
 from .regression import (CustomRegression, CvConfig, LinearWorkingRegression,
                          WorkingRegression, fit_lasso, fit_logistic, fit_ols,
                          fit_ridge, ols_oracle_lcb, regression_from_json)
-from .mmse import (FloodgateConfig, floodgate_lcb, floodgate_lcb_scale_free,
-                   floodgate_lcb_weighted, trivial_ucb, zero_out_transform)
+from .mmse import (FloodgateConfig, conditional_moments, floodgate_lcb,
+                   floodgate_lcb_scale_free, floodgate_lcb_weighted,
+                   trivial_ucb, zero_out_transform)
 from .macm import MacmConfig, macm_gap_enumerate, macm_gap_oracle, macm_lcb
 from .cosufficient import (cosufficient_lcb, dmc_conditional_resample,
                            gaussian_conditional_resample)

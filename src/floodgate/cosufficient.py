@@ -1,9 +1,11 @@
-"""Co-sufficient floodgate: batched inference that conditions on a
-per-batch sufficient statistic of the X | Z model family, so only the
-family (not its parameters) is needed.
+"""Co-sufficient floodgate: the mMSE floodgate run inside batches, with
+X redrawn from its law given (Z, T) for a per-batch sufficient statistic
+T of the X | Z model family, so only the family (not its parameters) is
+needed.
 
 Rows are shuffled and cut into n1 contiguous batches of size n2
-(remainder dropped). Each batch m yields
+(remainder dropped). mmse.moment_samples, given the batch's law of X
+given (Z_m, T_m) as the model, turns each batch m into
 
     R_m = (1/n2) sum_i Y_i (mu_i - E[mu_i | Z_m, T_m])
     V_m = (1/n2) sum_i Var(mu_i | Z_m, T_m)
@@ -13,35 +15,58 @@ max{ R-bar / sqrt(V-bar) - z_alpha s / sqrt(n1), 0 }.
 
 Supported models: a Gaussian X | Z, linear in Z with a known variance
 sigma2 (GaussianLinearModel or Ar1Model with one focal column; T is the
-batch vector (sum X_i, sum X_i Z_i), and the conditional law is Gaussian
-through the hat matrix of (1, Z)), and the discrete Markov chain (T is
-the neighbor-pair count table; the conditional law uniformly permutes
-the focal values within each neighbor-pair stratum).
+batch vector (sum X_i, sum X_i Z_i), and the conditional law is
+N(H X, sigma2 (I - H)) for the hat matrix H of (1, Z)), and the discrete
+Markov chain (T is the neighbor-pair count table; the conditional law
+uniformly permutes the focal values within each neighbor-pair stratum).
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .core import (Dataset, LcbReport, MMSE_GAP, as_confidence_level,
                    philox_rng, ratio_lcb)
-from .covariates import DiscreteMarkovChain, _GaussianConditional
-from .errors import (ShapeError, SingularDesignError, SizeError,
-                     UnsupportedClosedFormError, ValidationError)
+from .covariates import DiscreteMarkovChain, NullCopies, _GaussianConditional
+from .errors import ShapeError, SingularDesignError, SizeError, ValidationError
 from .regression import WorkingRegression
-from .mmse import mu_on_copies
+from .mmse import FloodgateConfig, moment_samples
+
+
+def _basis(z: np.ndarray) -> np.ndarray:
+    """Orthonormal basis Q of the columns of U = (1, Z) for one batch."""
+    q, r = np.linalg.qr(np.hstack([np.ones((len(z), 1)), z]))
+    diag = np.abs(np.diag(r))
+    if diag.min() <= 1e-10 * max(diag.max(), 1.0):
+        raise SingularDesignError("batch design (1, Z) is rank deficient")
+    return q
 
 
 def hat_matrix(z: np.ndarray) -> np.ndarray:
     """Projection onto the column space of U = (1, Z) for one batch."""
-    u = np.hstack([np.ones((len(z), 1)), z])
-    q, r = np.linalg.qr(u)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-10 * max(diag.max(), 1.0):
-        raise SingularDesignError("batch design (1, Z) is rank deficient")
+    q = _basis(z)
     return q @ q.T
+
+
+class _GaussianBatch:
+    """X | (Z, T) on one batch of a Gaussian X | Z with known sigma2:
+    draws H x + (I - H) eps keep U'X~ = U'x; H = Q Q' is never formed."""
+
+    def __init__(self, x: np.ndarray, z: np.ndarray, sigma2: float) -> None:
+        self.q, self.sigma2 = _basis(z), sigma2
+        self.hx = self.q @ (self.q.T @ x)
+
+    def conditional_x_moments(self, z):
+        h_diag = np.einsum("ij,ij->i", self.q, self.q)
+        return self.hx[:, None], (self.sigma2 * (1.0 - h_diag))[:, None, None]
+
+    def sample_null_copies(self, z, big_k, seed):
+        eps = math.sqrt(self.sigma2) * philox_rng(seed).standard_normal(
+            (big_k, len(self.hx)))
+        return NullCopies((self.hx + eps - (eps @ self.q) @ self.q.T)[:, :, None])
 
 
 def gaussian_conditional_resample(x: np.ndarray, z: np.ndarray, sigma2: float,
@@ -55,10 +80,8 @@ def gaussian_conditional_resample(x: np.ndarray, z: np.ndarray, sigma2: float,
         raise ShapeError("x and z row counts differ")
     if sigma2 < 0:
         raise ValidationError("sigma2 must be nonnegative")
-    h = hat_matrix(z)
-    hx = h @ x
-    eps = math.sqrt(sigma2) * philox_rng(seed).standard_normal((copies, len(x)))
-    return hx[None, :] + eps - eps @ h.T
+    return _GaussianBatch(x, z, sigma2).sample_null_copies(
+        z, copies, seed).copies[:, :, 0]
 
 
 def dmc_strata(model: DiscreteMarkovChain, z: np.ndarray) -> list[np.ndarray]:
@@ -68,8 +91,30 @@ def dmc_strata(model: DiscreteMarkovChain, z: np.ndarray) -> list[np.ndarray]:
     k1, k2 = model.neighbor_states(z)
     key = k1 * model.num_states + k2
     order = np.argsort(key, kind="stable")
-    splits = np.flatnonzero(np.diff(key[order])) + 1
-    return [s for s in np.split(order, splits)]
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+
+
+class _ChainBatch:
+    """X | (Z, T) on one batch of a DiscreteMarkovChain: a row takes each
+    focal value of its stratum with that value's share of the stratum."""
+
+    def __init__(self, model: DiscreteMarkovChain, x, z) -> None:
+        self.x, self.num_states = x, model.num_states
+        self.strata = dmc_strata(model, z)
+
+    def conditional_pmf(self, z):
+        states = self.x.astype(np.int64)
+        pmf = np.empty((len(states), self.num_states))
+        for s in self.strata:
+            pmf[s] = np.bincount(states[s], minlength=self.num_states) / len(s)
+        return pmf
+
+    def sample_null_copies(self, z, big_k, seed):
+        rng = philox_rng(seed)
+        out = np.tile(self.x, (big_k, 1))
+        for s in self.strata:
+            out[:, s] = rng.permuted(out[:, s], axis=1)
+        return NullCopies(out[:, :, None])
 
 
 def dmc_conditional_resample(model: DiscreteMarkovChain, x: np.ndarray,
@@ -77,61 +122,8 @@ def dmc_conditional_resample(model: DiscreteMarkovChain, x: np.ndarray,
     """Uniformly permutes the observed focal values within each
     neighbor-pair stratum; preserves the count table exactly."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    rng = philox_rng(seed)
-    out = np.tile(x, (copies, 1))
-    for stratum in dmc_strata(model, z):
-        if len(stratum) < 2:
-            continue
-        for c in range(copies):
-            out[c, stratum] = x[stratum[rng.permutation(len(stratum))]]
-    return out
-
-
-def _gaussian_sigma2(model, z: np.ndarray) -> float | None:
-    """sigma2 of a one-column Gaussian X | Z model, None for any other."""
-    if not isinstance(model, _GaussianConditional) or model.d_x != 1:
-        return None
-    return float(model.conditional_x_moments(z[:0])[1][0, 0])
-
-
-def _batch_moments(x, z, y, mu, model, mc_k, seed):
-    """(R_m, V_m, mean centered-mu^2) for one batch."""
-    mu_obs = mu.predict(x[:, None], z)
-    sigma2 = _gaussian_sigma2(model, z)
-    is_gaussian = sigma2 is not None
-    if mc_k:
-        tilde_x = (gaussian_conditional_resample(x, z, sigma2, seed, mc_k)
-                   if is_gaussian
-                   else dmc_conditional_resample(model, x, z, seed, mc_k))
-        tilde = mu_on_copies(mu, tilde_x[:, :, None], z)
-        cond_mean = tilde.mean(axis=0)
-        cond_var = tilde.var(axis=0, ddof=1)
-    elif is_gaussian:
-        a = getattr(mu, "linear_focal_coef", None)
-        if a is None:
-            raise UnsupportedClosedFormError(
-                "closed-form batch moments need a partially linear mu")
-        a = float(np.atleast_1d(a)[0])
-        h = hat_matrix(z)
-        cond_mean = mu.predict((h @ x)[:, None], z)
-        cond_var = a * a * sigma2 * (1.0 - np.diag(h))
-    else:
-        # Given the count table, X_i is uniform over the focal values
-        # observed in row i's stratum while Z_i stays put, so the exact
-        # moments weigh mu(s, z_i) over the distinct values s by their
-        # share of the stratum: at most num_states evaluations per row.
-        states, which = np.unique(x, return_inverse=True)
-        share = np.empty((len(x), len(states)))
-        for stratum in dmc_strata(model, z):
-            counts = np.bincount(which[stratum], minlength=len(states))
-            share[stratum] = counts / len(stratum)
-        at = mu_on_copies(mu, np.broadcast_to(
-            states[:, None, None], (len(states), len(x), 1)), z).T
-        cond_mean = np.sum(share * at, axis=1)
-        cond_var = np.sum(share * (at - cond_mean[:, None]) ** 2, axis=1)
-    centered = mu_obs - cond_mean
-    return (float(np.mean(y * centered)), float(np.mean(cond_var)),
-            float(np.mean(centered ** 2)))
+    return _ChainBatch(model, x, z).sample_null_copies(
+        z, copies, seed).copies[:, :, 0]
 
 
 def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
@@ -151,12 +143,19 @@ def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
     n = infer_part.n
     if infer_part.d_x != 1:
         raise ShapeError("co-sufficient inference supports a single focal column")
-    if _gaussian_sigma2(model, infer_part.z) is not None:
+    if isinstance(model, _GaussianConditional) and model.d_x == 1:
         if n2 <= infer_part.d_z + 2:
             raise SizeError(
                 f"Gaussian co-sufficient needs n2 > d_z + 2 = {infer_part.d_z + 2}, "
                 f"got n2 = {n2}")
-    elif not isinstance(model, DiscreteMarkovChain):
+        sigma2 = model.conditional_x_moments(infer_part.z[:0])[1][0, 0]
+        batch_law = partial(_GaussianBatch, sigma2=float(sigma2))
+    elif isinstance(model, DiscreteMarkovChain):
+        if not np.isin(infer_part.x, np.arange(model.num_states)).all():
+            raise ValidationError(
+                f"chain focal values must be states 0..{model.num_states - 1}")
+        batch_law = partial(_ChainBatch, model)
+    else:
         raise ValidationError(
             "co-sufficient inference supports a Gaussian X | Z with one "
             "focal column (GaussianLinearModel, Ar1Model) or "
@@ -164,18 +163,16 @@ def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
     n1, dropped = divmod(n, n2)
     if n1 < 2:
         raise SizeError(f"batch size n2={n2} leaves fewer than 2 batches of n={n}")
-    rng = philox_rng(seed)
-    order = rng.permutation(n)
-    r = np.empty(n1)
-    v = np.empty(n1)
-    scale = np.empty(n1)
+    order = philox_rng(seed).permutation(n)
+    samples = []
     for m in range(n1):
-        rows = order[m * n2:(m + 1) * n2]
-        x = infer_part.x[rows, 0]
-        z = infer_part.z[rows]
-        y = infer_part.y[rows]
-        r[m], v[m], scale[m] = _batch_moments(
-            x, z, y, mu, model, mc_k, seed + 1_000_003 * (m + 1))
+        batch = infer_part.take(order[m * n2:(m + 1) * n2])
+        cfg = FloodgateConfig(big_k=mc_k, center_y=False,
+                              seed=seed + 1_000_003 * (m + 1))
+        r, v, scale = moment_samples(
+            batch, mu, batch_law(batch.x[:, 0], batch.z), cfg)
+        samples.append((np.mean(r), np.mean(v), scale))
+    r, v, scale = np.array(samples).T
     report = ratio_lcb(r, v, level, n_eff=n1, estimand=MMSE_GAP,
                        mu_scale_sq=float(scale.mean()), seed=seed)
     report.diagnostics.update(n1=n1, n2=n2, dropped=dropped)

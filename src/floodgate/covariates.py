@@ -358,27 +358,6 @@ _MODEL_TYPES = {
 }
 
 
-def cond_moments_linear(model: CovariateModel, mu, z: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row conditional mean and variance of mu(X, Z) given Z when mu
-    is partially linear in x (mu(x, z) = a.x + g(z)) and the model has
-    Gaussian conditional moments.
-
-    Raises UnsupportedClosedFormError otherwise; callers fall back to
-    Monte Carlo null copies.
-    """
-    a = getattr(mu, "linear_focal_coef", None)
-    if a is None:
-        raise UnsupportedClosedFormError(
-            "mu does not declare a linear focal coefficient")
-    cond_mean_x, cond_cov = model.conditional_x_moments(z)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.shape[0] != cond_mean_x.shape[1]:
-        raise ShapeError("focal coefficient length does not match d_x")
-    return (mu.predict(cond_mean_x, model._check_z(z)),
-            np.full(len(cond_mean_x), float(a @ cond_cov @ a)))
-
-
 def model_from_json(text: str) -> CovariateModel:
     cfg = json.loads(text)
     kind = cfg.pop("model", None)

@@ -24,11 +24,11 @@ import numpy as np
 
 from .core import (ConfidenceLevel, Dataset, LcbReport, MACM_GAP,
                    as_confidence_level, philox_rng)
-from .covariates import CovariateModel, cond_moments_linear
+from .covariates import CovariateModel
 from .errors import (DegenerateLabelsError, ShapeError, SizeError,
-                     ValidationError)
+                     UnsupportedClosedFormError, ValidationError)
 from .regression import WorkingRegression
-from .mmse import fold_sum, null_mu_blocks
+from .mmse import conditional_moments, fold_sum, null_mu_blocks
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,9 @@ def _exact_r_samples(infer_part: Dataset, mu: WorkingRegression,
     U | Z is centered normal, so the conditional probability of either
     strict half-line is 1/2 whenever the focal coefficient is nonzero
     and 0 when it vanishes."""
-    g, var_u = cond_moments_linear(model, mu, infer_part.z)
+    if hasattr(model, "conditional_pmf"):
+        raise UnsupportedClosedFormError("exact MACM needs a Gaussian X | Z")
+    g, var_u = conditional_moments(model, mu, infer_part.z)
     u = mu.predict(infer_part.x, infer_part.z) - g
     wrong_side = np.where(infer_part.y > 0, u < 0, u > 0)
     return np.where(var_u > 0, 0.5, 0.0) - wrong_side

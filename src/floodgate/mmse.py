@@ -3,8 +3,8 @@
 The LCB is built from per-row numerator/denominator samples
 R_i = Y_i (mu_i - E[mu | Z_i]) and V_i = Var(mu | Z_i), aggregated by a
 delta-method standard error for the ratio of means R-bar / sqrt(V-bar).
-Conditional moments of mu come either in closed form (partially linear
-mu under a Gaussian covariate model) or from K Monte Carlo null copies.
+Conditional moments of mu come either in closed form
+(`conditional_moments`) or from K Monte Carlo null copies.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import numpy as np
 from .core import (ConfidenceLevel, Dataset, LcbReport, MMSE_GAP,
                    MMSE_GAP_SCALE_FREE, as_confidence_level, philox_rng,
                    ratio_lcb)
-from .covariates import CovariateModel, cond_moments_linear
-from .errors import ShapeError, SizeError, ValidationError
+from .covariates import CovariateModel
+from .errors import (ShapeError, SizeError, UnsupportedClosedFormError,
+                     ValidationError)
 from .regression import LinearWorkingRegression, WorkingRegression
 
 
@@ -45,10 +46,8 @@ class FloodgateConfig:
                 f"big_k must be 0 (closed form) or >= 2, got {self.big_k}")
 
 
-# Values held at once by a streamed Monte Carlo path: mu values per
-# block of null_mu_blocks (MMSE MC, weighted, MACM MC and the nested
-# oracle), and the tiled z per generic-mu chunk in mu_on_copies (those
-# blocks and the co-sufficient MC batches).
+# Values held at once: mu values per block of null_mu_blocks (every
+# Monte Carlo path), and the tiled z per generic-mu chunk in mu_on_copies.
 _BLOCK_VALUES = 1 << 21
 
 
@@ -77,6 +76,30 @@ def mu_on_copies(mu: WorkingRegression, copies: np.ndarray,
         mu.predict(part.reshape(-1, d_x), z_rep[:len(part) * n])
         .reshape(len(part), n)
         for part in np.split(copies, range(step, big_k, step))])
+
+
+def conditional_moments(model, mu: WorkingRegression, z: np.ndarray):
+    """Per-row (mean, variance) of mu(X, Z) given Z in closed form: any
+    mu under a finite `conditional_pmf` (column k is focal value k), or a
+    partially linear mu (a.x + g(z)) under a Gaussian law whose
+    covariance is (d_x, d_x) for all rows or (n, d_x, d_x). Raises
+    UnsupportedClosedFormError otherwise."""
+    if hasattr(model, "conditional_pmf"):
+        pmf = model.conditional_pmf(z)
+        keep = np.flatnonzero(pmf.any(axis=0))    # values a row can take
+        at = mu_on_copies(mu, np.broadcast_to(
+            keep[:, None, None].astype(float), (len(keep), len(z), 1)), z).T
+        mean = np.sum(pmf[:, keep] * at, axis=1)
+        return mean, np.sum(pmf[:, keep] * (at - mean[:, None]) ** 2, axis=1)
+    a = getattr(mu, "linear_focal_coef", None)
+    if a is None:
+        raise UnsupportedClosedFormError(
+            "mu does not declare a linear focal coefficient")
+    mean_x, cov = model.conditional_x_moments(z)
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.shape[0] != mean_x.shape[1]:
+        raise ShapeError("focal coefficient length does not match d_x")
+    return mu.predict(mean_x, z), np.full(len(mean_x), a @ cov @ a)
 
 
 def mu_null_values(mu: WorkingRegression, model: CovariateModel,
@@ -130,11 +153,9 @@ def moment_samples(infer_part: Dataset, mu: WorkingRegression,
                    ) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-row (R_i, V_i) samples and the squared scale of the centered
     mu values (used by the degeneracy threshold)."""
-    if infer_part.n < 2:
-        raise SizeError("floodgate needs at least two inference rows")
     mu_obs = mu.predict(infer_part.x, infer_part.z)
     if cfg.big_k == 0:
-        g, v = cond_moments_linear(model, mu, infer_part.z)
+        g, v = conditional_moments(model, mu, infer_part.z)
         center = g
     else:
         # The centering function must be independent of the copies that
@@ -159,6 +180,8 @@ def moment_samples(infer_part: Dataset, mu: WorkingRegression,
 def floodgate_lcb(infer_part: Dataset, mu: WorkingRegression,
                   model: CovariateModel, cfg: FloodgateConfig) -> LcbReport:
     """Delta-method LCB for the mMSE-gap floodgate functional."""
+    if infer_part.n < 2:
+        raise SizeError("floodgate needs at least two inference rows")
     r, v, scale_sq = moment_samples(infer_part, mu, model, cfg)
     return ratio_lcb(r, v, cfg.alpha, estimand=MMSE_GAP,
                      mu_scale_sq=scale_sq, seed=cfg.seed)
@@ -201,7 +224,9 @@ def floodgate_lcb_weighted(infer_part: Dataset, mu: WorkingRegression,
 
     weights is a pair (w, w1): w has shape (n,) and carries the joint
     covariate-density ratio at the observed rows; w1 has shape (K, n)
-    and carries the conditional ratio at each null copy. Per row,
+    and carries the conditional ratio at the null copies X~, which are
+    model.sample_null_copies(infer_part.z, K, cfg.seed).copies: the
+    streamed blocks equal that one draw. Per row,
 
         R_i = mean_k (Y_i - mu(X~_ik, Z_i))^2 w_i w1_ik
               - (Y_i - mu(X_i, Z_i))^2 w_i

@@ -335,6 +335,8 @@ class _CrossValidation:
         # 0; a varying column's std can also underflow to 0.
         sds = w.std(axis=0)
         self.keep = np.flatnonzero((w != w[0]).any(axis=0) & (sds > 0))
+        if not len(self.keep):
+            raise SingularDesignError("all columns of [x, z] are constant")
         if len(self.keep) < width:
             warnings.warn(f"dropping {width - len(self.keep)} constant column(s) "
                           "before fitting; their coefficients are set to 0")
@@ -356,7 +358,7 @@ class _CrossValidation:
 
     def fitted(self, kind: str, grid: np.ndarray, best: int, b0: float,
                b: np.ndarray, converged: bool, cv_unconverged: int,
-               solver: str, unit: str, link: str = _LINK_IDENTITY,
+               solver: str, link: str = _LINK_IDENTITY,
                **own) -> LinearWorkingRegression:
         """The standardized fit b0 + ws @ b chosen at grid[best] on the
         original columns, with the shared diagnostics and the fitter's
@@ -364,7 +366,7 @@ class _CrossValidation:
         lam = float(grid[best])
         if not converged:
             warnings.warn(f"{kind} {solver} did not converge at lambda = "
-                          f"{lam:g} within {self.cv.max_iters} {unit}")
+                          f"{lam:g} within {self.cv.max_iters} steps")
         coef = np.zeros(self.width)
         coef[self.keep] = b / self.sds
         return LinearWorkingRegression(
@@ -416,7 +418,7 @@ def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
     best = int(np.argmin(cv_err))
     return pipe.fitted(kind, grid, best, y_mean, path[-1, best],
                        converged[-1, best], int(np.count_nonzero(~converged[:-1])),
-                       "feature-sign search", "steps", cv_errors=cv_err / n,
+                       "feature-sign search", cv_errors=cv_err / n,
                        newton_steps=steps)
 
 
@@ -599,5 +601,5 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
     path, converged, taken = _logistic_path(design, y, grid[:best + 1], l1, cv)
     return pipe.fitted(LOGIT_L1 if l1 else LOGIT_L2, grid, best, path[-1, 0],
                        path[-1, 1:], converged[-1], cv_unconverged,
-                       "Newton solver", "steps", link=_LINK_BINARY_MEAN,
+                       "Newton solver", link=_LINK_BINARY_MEAN,
                        cv_deviance=cv_dev / n, newton_steps=steps + taken)

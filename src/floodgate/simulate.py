@@ -399,11 +399,7 @@ class ExperimentSpec:
             else tuple(range(1, self.p + 1))
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["mu_star"] = asdict(self.mu_star)
-        d["methods"] = [asdict(m) for m in self.methods]
-        d["cv"] = asdict(self.cv)
-        return json.dumps(d, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -411,15 +407,11 @@ class ExperimentSpec:
         try:
             d["mu_star"] = MuStarSpec(**d["mu_star"])
             d["methods"] = tuple(MethodSpec(**m) for m in d["methods"])
-            cv = d.get("cv")
-            if cv is not None:
-                if cv.get("lambda_grid") is not None:
-                    cv["lambda_grid"] = tuple(cv["lambda_grid"])
-                d["cv"] = CvConfig(**cv)
+            # The constructors make lambda_grid and variables tuples.
+            if d.get("cv") is not None:
+                d["cv"] = CvConfig(**d["cv"])
             else:
                 d.pop("cv", None)
-            if d.get("variables") is not None:
-                d["variables"] = tuple(d["variables"])
             return cls(**d)
         except TypeError as exc:     # names an unknown or missing key
             raise ValidationError(f"spec JSON: {exc}") from None
@@ -636,9 +628,10 @@ class ExperimentResult:
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    """Runs every replicate and aggregates; deterministic given
-    spec.base_seed, independent of the thread count."""
+    """Runs every replicate, with at most one worker each, and aggregates;
+    deterministic given spec.base_seed, independent of the thread count."""
     oracle = oracle_values(spec)
+    threads = min(threads, spec.replicates)
     if threads > 1:
         from multiprocessing import get_context
         with get_context("spawn").Pool(threads) as pool:

@@ -234,6 +234,22 @@ class TestInfer:
         assert code == EXIT_VALIDATION
         assert "n2" in capsys.readouterr().err
 
+    def test_chain_exact_mmse_runs_and_exact_macm_does_not(
+            self, small_files, tmp_path, capsys):
+        # A chain's conditional pmf gives exact mMSE moments for any mu;
+        # the exact MACM probabilities stay Gaussian-only.
+        data, model, mu = small_files["dmc"]
+        out = str(tmp_path / "x.csv")
+        assert main(["infer", data, "--model", model, "--mu", mu, "--method",
+                     "mmse_exact", "--out", out]) == EXIT_OK
+        rows = Dataset.from_csv(data)
+        signs = tmp_path / "signs.csv"
+        Dataset(np.where(rows.y > 0, 1.0, -1.0), rows.x, rows.z).to_csv(signs)
+        code = main(["infer", str(signs), "--model", model, "--mu", mu,
+                     "--method", "macm", "--k", "0", "--out", out])
+        assert code == EXIT_VALIDATION
+        assert "Gaussian" in capsys.readouterr().err
+
     def test_mmse_exact_rejects_copies(self, workspace, capsys):
         code = main(["infer", workspace["data"], "--model", workspace["model"],
                      "--mu", workspace["mu"], "--method", "mmse_exact",
@@ -335,6 +351,16 @@ class TestFit:
                      "--out", str(workspace["dir"] / "fit.json")])
         assert code == EXIT_VALIDATION
         assert "--cv-folds" in capsys.readouterr().err
+
+    def test_all_constant_design_is_a_validation_error(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "flat.csv"
+        Dataset(np.arange(50.0), np.full((50, 1), 2.0),
+                np.ones((50, 1))).to_csv(path)
+        code = main(["fit", str(path), "--fitter", "lasso", "--cv-folds", "5",
+                     "--out", str(tmp_path / "fit.json")])
+        assert code == EXIT_VALIDATION
+        assert "all columns of [x, z] are constant" in capsys.readouterr().err
 
     def test_fit_is_deterministic(self, workspace):
         texts = []

@@ -1,4 +1,5 @@
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from floodgate import (Ar1Model, CopulaModel, CustomRegression, Dataset,
                        LinearWorkingRegression, cosufficient_lcb,
                        dmc_conditional_resample,
                        gaussian_conditional_resample)
-from floodgate.cosufficient import _batch_moments, dmc_strata, hat_matrix
+from floodgate.cosufficient import dmc_strata, hat_matrix
 from floodgate.errors import (ShapeError, SingularDesignError, SizeError,
                               ValidationError)
 from floodgate.regression import OLS
@@ -63,6 +64,18 @@ class TestBatchPlan:
         for n2 in (0, -4):
             with pytest.raises(ValidationError, match="n2"):
                 _chain_lcb(200, n2)
+
+
+    @pytest.mark.parametrize("bad", [0.5, 3.0, -1.0])
+    def test_chain_focal_values_must_be_states(self, bad):
+        # A stratum's pmf counts focal values as the states 0..K-1.
+        model = _chain()
+        x, z = model.sample_joint(200, seed=5)
+        x[7, 0] = bad
+        mu = LinearWorkingRegression(OLS, 0.0, np.array([1.0]), np.zeros(3))
+        with pytest.raises(ValidationError, match="states"):
+            cosufficient_lcb(Dataset(x[:, 0], x, z), mu, model, n2=50,
+                             mc_k=0, seed=1)
 
 
 class TestHatMatrix:
@@ -263,12 +276,15 @@ class TestCosufficientLcb:
         lin = LinearWorkingRegression(OLS, 0.4, np.array([1.2]),
                                       np.linspace(-1.0, 1.0, z.shape[1]))
         wrapped = CustomRegression(lin.predict)
-        for m in range(4):
-            rows = slice(100 * m, 100 * (m + 1))
-            args = (x[rows, 0], z[rows], y[rows])
-            fast = _batch_moments(*args, lin, model, 50, 7 + m)
-            slow = _batch_moments(*args, wrapped, model, 50, 7 + m)
-            np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
+        data = Dataset(y, x, z)
+        for seed in range(4):
+            fast = cosufficient_lcb(data, lin, model, n2=100, mc_k=50,
+                                    seed=seed)
+            slow = cosufficient_lcb(data, wrapped, model, n2=100, mc_k=50,
+                                    seed=seed)
+            np.testing.assert_allclose([fast.lcb, fast.point, fast.se],
+                                       [slow.lcb, slow.point, slow.se],
+                                       rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("mc_k", [0, 50])
     def test_ar1_model_equals_its_gaussian_family(self, mc_k):
@@ -284,6 +300,30 @@ class TestCosufficientLcb:
         b = cosufficient_lcb(data, mu, fam, n2=100, mc_k=mc_k, seed=3)
         assert (a.lcb, a.point, a.se) == (b.lcb, b.point, b.se)
         assert a.point > 0.0
+
+    def test_memory_without_projection_matrix(self, rss_growth_mb):
+        # Two batches of n2 = 4000 rows with d_z = 39: an n2 x n2 hat
+        # matrix takes 128 MB, while its basis Q takes 1.3 MB.
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from floodgate import (Ar1Model, Dataset, LinearWorkingRegression,
+                                   cosufficient_lcb)
+            n = 8000
+            model = Ar1Model(40, 0.3, 1)
+            x, z = model.sample_joint(n, 1)
+            coef = np.zeros(39)
+            coef[:8] = 0.5
+            mu = LinearWorkingRegression("OLS", 0.0, np.array([1.5]), coef)
+            y = mu.predict(x, z) + np.random.default_rng(2).standard_normal(n)
+            data = Dataset(y, x, z)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            for mc_k in (0, 20):
+                cosufficient_lcb(data, mu, model, 4000, mc_k=mc_k, seed=3)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) / 1024.0)
+        """)
+        assert rss_growth_mb(script) < 40.0
 
     def test_multi_column_gaussian_model_is_unsupported(self):
         model = Ar1Model(dim=4, rho=0.3, focal_index=(1, 2))

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from floodgate import (Ar1Model, CopulaModel, DiscreteMarkovChain,
-                       GaussianLinearModel, cond_moments_linear,
-                       model_from_json)
+                       GaussianLinearModel, model_from_json)
 from floodgate.core import philox_rng
 from floodgate.covariates import ar1_covariance
 from floodgate.errors import (ShapeError, UnsupportedClosedFormError,
                               ValidationError)
-from floodgate.regression import LinearWorkingRegression, OLS
 
 
 class TestAr1Covariance:
@@ -346,25 +344,3 @@ class TestSerialization:
     def test_unknown_model_kind(self):
         with pytest.raises(ValidationError):
             model_from_json('{"model": "Mystery"}')
-
-
-class TestCondMomentsLinear:
-    def test_partially_linear_hand_check(self):
-        model = Ar1Model(dim=3, rho=0.5, focal_index=2)
-        mu = LinearWorkingRegression(kind=OLS, intercept=1.0,
-                                     x_coef=np.array([3.0]),
-                                     z_coef=np.array([0.5, -0.5]))
-        z = np.array([[1.0, 0.0], [0.0, 2.0]])
-        mean, var = cond_moments_linear(model, mu, z)
-        cond_mean_x, cond_cov = model.conditional_x_moments(z)
-        expected = 1.0 + 3.0 * cond_mean_x[:, 0] + z @ np.array([0.5, -0.5])
-        assert np.allclose(mean, expected, atol=1e-12)
-        assert np.allclose(var, 9.0 * cond_cov[0, 0], atol=1e-12)
-
-    def test_requires_linear_focal_coef(self):
-        model = Ar1Model(dim=3, rho=0.5, focal_index=2)
-        mu = LinearWorkingRegression(kind=OLS, intercept=0.0,
-                                     x_coef=np.array([1.0]),
-                                     z_coef=np.zeros(2), link="binary_mean")
-        with pytest.raises(UnsupportedClosedFormError):
-            cond_moments_linear(model, mu, np.zeros((2, 2)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from floodgate import (Ar1Model, CopulaModel, CustomRegression, Dataset,
-                       FloodgateConfig, GaussianLinearModel,
+                       DiscreteMarkovChain, FloodgateConfig, GaussianLinearModel,
                        LinearWorkingRegression, MacmConfig, floodgate_lcb,
                        macm_gap_enumerate, macm_gap_oracle, macm_lcb)
 from floodgate import macm, mmse
@@ -79,6 +79,18 @@ class TestExactMoments:
         with pytest.raises(UnsupportedClosedFormError):
             macm_lcb(Dataset(y, x, z), mu, model,
                      MacmConfig(k_copies=0))
+
+    def test_chain_has_no_closed_form(self):
+        # Exact mMSE enumerates a chain's pmf, but the exact MACM
+        # probabilities assume a centred normal U | Z.
+        t = np.array([[0.6, 0.4], [0.3, 0.7]])
+        model = DiscreteMarkovChain(np.array([0.5, 0.5]), [t, t],
+                                    focal_index=2)
+        x, z = model.sample_joint(40, seed=6)
+        mu = LinearWorkingRegression(OLS, -0.5, np.array([1.0]), np.zeros(2))
+        data = Dataset(np.where(x[:, 0] > 0, 1.0, -1.0), x, z)
+        with pytest.raises(UnsupportedClosedFormError, match="Gaussian"):
+            macm_lcb(data, mu, model, MacmConfig(k_copies=0))
 
     def test_column_shaped_mu_matches_flat(self):
         # A custom mu may return an (n, 1) column; exact mMSE and exact

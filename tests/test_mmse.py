@@ -5,14 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from floodgate import (Ar1Model, CustomRegression, Dataset, FloodgateConfig,
+from floodgate import (Ar1Model, CustomRegression, Dataset,
+                       DiscreteMarkovChain, FloodgateConfig,
                        GaussianLinearModel, LinearWorkingRegression,
-                       floodgate_lcb, floodgate_lcb_scale_free,
-                       floodgate_lcb_weighted, trivial_ucb,
-                       zero_out_transform)
+                       conditional_moments, floodgate_lcb,
+                       floodgate_lcb_scale_free, floodgate_lcb_weighted,
+                       trivial_ucb, zero_out_transform)
 from floodgate.core import (MMSE_GAP, LcbReport, delta_method_se,
                             normal_quantile, ratio_lcb, sample_mean_cov)
-from floodgate.errors import ShapeError, SizeError, ValidationError
+from floodgate.errors import (ShapeError, SizeError,
+                              UnsupportedClosedFormError, ValidationError)
 from floodgate import mmse
 from floodgate.mmse import (moment_samples, mu_null_values, mu_on_copies,
                             variance_ucb)
@@ -168,6 +170,75 @@ class TestExactMoments:
         assert rep.degenerate and rep.lcb == 0.0
 
 
+class TestConditionalMoments:
+    def test_partially_linear_hand_check(self):
+        model = Ar1Model(dim=3, rho=0.5, focal_index=2)
+        mu = LinearWorkingRegression(kind=OLS, intercept=1.0,
+                                     x_coef=np.array([3.0]),
+                                     z_coef=np.array([0.5, -0.5]))
+        z = np.array([[1.0, 0.0], [0.0, 2.0]])
+        mean, var = conditional_moments(model, mu, z)
+        cond_mean_x, cond_cov = model.conditional_x_moments(z)
+        expected = 1.0 + 3.0 * cond_mean_x[:, 0] + z @ np.array([0.5, -0.5])
+        assert np.allclose(mean, expected, atol=1e-12)
+        assert np.allclose(var, 9.0 * cond_cov[0, 0], atol=1e-12)
+
+    def test_requires_linear_focal_coef(self):
+        model = Ar1Model(dim=3, rho=0.5, focal_index=2)
+        mu = LinearWorkingRegression(kind=OLS, intercept=0.0,
+                                     x_coef=np.array([1.0]),
+                                     z_coef=np.zeros(2), link="binary_mean")
+        with pytest.raises(UnsupportedClosedFormError):
+            conditional_moments(model, mu, np.zeros((2, 2)))
+
+    def test_covariance_per_row(self):
+        # A Gaussian law may give each row its own covariance: the
+        # variance of a.x + g(z) is then a' cov_i a row by row.
+        class PerRow:
+            def conditional_x_moments(self, z):
+                return (z[:, :2].copy(),
+                        np.stack([np.diag([1.0 + t, 2.0]) for t in z[:, 0]]))
+
+        z = np.array([[0.0, 1.0, 3.0], [2.0, -1.0, 0.5]])
+        mu = LinearWorkingRegression(OLS, 0.5, np.array([2.0, -1.0]),
+                                     np.array([0.0, 0.0, 1.0]))
+        mean, var = conditional_moments(PerRow(), mu, z)
+        assert np.allclose(mean, 0.5 + 2.0 * z[:, 0] - z[:, 1] + z[:, 2])
+        assert np.allclose(var, 4.0 * (1.0 + z[:, 0]) + 2.0)
+
+    @staticmethod
+    def _chain_case():
+        t = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]])
+        model = DiscreteMarkovChain(np.array([0.5, 0.3, 0.2]), [t] * 4,
+                                    focal_index=3)
+        mu = CustomRegression(lambda x, z: np.sin(1.3 * x[:, 0]) * z[:, 1]
+                              + x[:, 0] ** 2 - 0.7 * z[:, 3])
+        x, z = model.sample_joint(400, seed=41)
+        y = mu.predict(x, z) + np.random.default_rng(42).standard_normal(400)
+        return model, mu, Dataset(y, x, z)
+
+    def test_chain_matches_per_state_brute_force(self):
+        model, mu, data = self._chain_case()
+        mean, var = conditional_moments(model, mu, data.z)
+        pmf = model.conditional_pmf(data.z)
+        for i in range(0, data.n, 7):
+            at = np.array([mu.predict(np.array([[float(k)]]), data.z[i:i + 1])[0]
+                           for k in range(model.num_states)])
+            want = float(pmf[i] @ at)
+            assert abs(mean[i] - want) <= 1e-12
+            assert abs(var[i] - float(pmf[i] @ (at - want) ** 2)) <= 1e-12
+
+    def test_chain_exact_bound_agrees_with_monte_carlo(self):
+        model, mu, data = self._chain_case()
+        exact = floodgate_lcb(data, mu, model, FloodgateConfig(big_k=0))
+        mc = [floodgate_lcb(data, mu, model,
+                            FloodgateConfig(big_k=4000, seed=seed))
+              for seed in range(6)]
+        sd = np.std([rep.point for rep in mc], ddof=1)
+        assert exact.point > 0.5
+        assert abs(mc[0].point - exact.point) <= 3.0 * sd
+
+
 class TestMonteCarloMoments:
     def test_large_k_matches_exact(self):
         model = _simple_model()
@@ -286,6 +357,36 @@ class TestStreamedMoments:
         w1 = rng.uniform(0.5, 1.5, (cfg.big_k, data.n))
         got = floodgate_lcb_weighted(data, mu, model, (w, w1), cfg)
         assert got == _materialised_weighted(data, mu, model, w, w1, cfg)
+
+    @pytest.mark.parametrize("block_values", BLOCKS)
+    def test_weighted_w1_indexes_the_documented_copies(self, monkeypatch,
+                                                       block_values):
+        # w1[k, i] is the ratio at copy k of row i of one
+        # sample_null_copies(z, K, seed) draw, however the copies stream.
+        if block_values is not None:
+            monkeypatch.setattr(mmse, "_BLOCK_VALUES", block_values)
+        model, mu, data = self._case(custom=True)
+        cfg = FloodgateConfig(big_k=50, seed=9)
+        copies = model.sample_null_copies(data.z, cfg.big_k, cfg.seed).copies
+        w1 = np.exp(-0.5 * copies[:, :, 0] ** 2)
+        w = np.random.default_rng(10).uniform(0.5, 1.5, data.n)
+        got = floodgate_lcb_weighted(data, mu, model, (w, w1), cfg)
+        tilde = np.stack([mu.predict(c, data.z) for c in copies])
+        mu_obs = mu.predict(data.x, data.z)
+        y, w_bar = data.y, w.mean()
+        r = (np.mean((y - tilde) ** 2 * w1, axis=0) * w
+             - (y - mu_obs) ** 2 * w) / w_bar
+        v = np.mean(2.0 * (mu_obs - tilde) ** 2 * w1, axis=0) * w / w_bar
+        want = ratio_lcb(r, v, cfg.alpha, estimand=MMSE_GAP,
+                         mu_scale_sq=float(np.mean(
+                             (mu_obs - tilde.mean(axis=0)) ** 2)),
+                         seed=cfg.seed)
+        np.testing.assert_allclose([got.lcb, got.point, got.se],
+                                   [want.lcb, want.point, want.se],
+                                   rtol=1e-12)
+        # Ratios paired with the wrong copies move the bound.
+        other = floodgate_lcb_weighted(data, mu, model, (w, w1[::-1]), cfg)
+        assert abs(other.point - got.point) > 1e-6
 
     def test_mc_memory_bounded(self, rss_growth_mb):
         # n = 20 000 with K = 500: a (2K, n) pool of mu values grows peak

@@ -417,6 +417,16 @@ class TestCrossValidationSetUp:
         assert np.all(np.isfinite(fit.z_coef)) and np.isfinite(fit.intercept)
 
 
+    @pytest.mark.parametrize("fit", [fit_lasso, fit_ridge, fit_logistic])
+    def test_all_constant_design_is_singular(self, fit):
+        # No column survives the set-up: a named error rather than a
+        # reduction over an empty array.
+        y = np.where(np.arange(50) % 2 == 0, 1.0, -1.0)
+        data = Dataset(y, np.full((50, 1), 2.0), np.ones((50, 1)))
+        with pytest.raises(SingularDesignError, match="constant"):
+            fit(data, cv=CvConfig(folds=5))
+
+
 class TestStackedLassoPath:
     """The fold-stacked feature-sign engine against the per-fold scalar
     coordinate-descent path, both run to the exact minimizer."""

@@ -278,6 +278,22 @@ class TestExperimentSpec:
         assert back == spec
         assert json.loads(spec.to_json())["n"] == 100
 
+    def test_json_matches_field_by_field_conversion(self):
+        # asdict already converts the nested specs, so to_json needs no
+        # per-field pass; these bytes are what spec files hold.
+        spec = self._spec(methods=(MethodSpec(MMSE_EXACT),
+                                   MethodSpec(COSUFFICIENT, n2=25)),
+                          fitter=LASSO,
+                          cv=CvConfig(folds=3, lambda_grid=(0.5, 0.1)))
+        d = asdict(spec)
+        d["mu_star"] = asdict(spec.mu_star)
+        d["methods"] = [asdict(m) for m in spec.methods]
+        d["cv"] = asdict(spec.cv)
+        assert spec.to_json() == json.dumps(d, indent=2)
+        back = ExperimentSpec.from_json(spec.to_json())
+        assert back == spec
+        assert back.cv.lambda_grid == (0.5, 0.1) and back.variables == (1, 3)
+
     def test_method_labels(self):
         assert MethodSpec(MMSE_MC, big_k=2).label == "MMSE_MC_K2"
         assert MethodSpec(COSUFFICIENT, n2=300).label == "COSUFFICIENT_N2_300"
@@ -475,6 +491,29 @@ class TestRunExperiment:
         serial = run_experiment(spec, threads=1)
         parallel = run_experiment(spec, threads=2)
         assert serial.detail == parallel.detail
+
+    @pytest.mark.parametrize("replicates, workers", [(1, None), (2, 2)])
+    def test_at_most_one_worker_per_replicate(self, monkeypatch, replicates,
+                                              workers):
+        import multiprocessing
+
+        started = []
+        real = multiprocessing.get_context
+
+        def recording(method):
+            ctx = real(method)
+
+            class Recording:
+                def Pool(self, processes):
+                    started.append(processes)
+                    return ctx.Pool(processes)
+            return Recording()
+
+        monkeypatch.setattr(multiprocessing, "get_context", recording)
+        spec = self._spec(replicates=replicates)
+        result = run_experiment(spec, threads=8)
+        assert started == ([] if workers is None else [workers])
+        assert result.detail == run_experiment(spec).detail
 
     def test_macm_without_copies_is_closed_form(self, monkeypatch):
         def drew_copies(*args):
