@@ -489,8 +489,8 @@ def delta_method_se(r_bar: float, v_bar: float, sigma_hat: np.ndarray) -> float:
     return math.sqrt(max(s2, 0.0))
 
 
-def ratio_lcb(r: np.ndarray, v: np.ndarray, alpha, n_eff: int | None = None,
-              estimand: str = MMSE_GAP, mu_scale_sq: float | None = None,
+def ratio_lcb(r: np.ndarray, v: np.ndarray, alpha, estimand: str = MMSE_GAP,
+              mu_scale_sq: float | None = None,
               seed: int | None = None) -> LcbReport:
     """Aggregate (r, v) samples into the delta-method LCB for E r / sqrt(E v).
 
@@ -503,7 +503,7 @@ def ratio_lcb(r: np.ndarray, v: np.ndarray, alpha, n_eff: int | None = None,
         raise ShapeError("r and v must be equal-length vectors")
     if len(r) < 2:
         raise SizeError("need at least two samples for an LCB")
-    n = n_eff if n_eff is not None else len(r)
+    n = len(r)
     r_bar, v_bar, sigma = sample_mean_cov(np.column_stack([r, v]))
     if mu_scale_sq is None:
         mu_scale_sq = float(np.mean(v))

@@ -31,18 +31,15 @@ import numpy as np
 from .core import (Dataset, LcbReport, MMSE_GAP, as_confidence_level,
                    philox_rng, ratio_lcb)
 from .covariates import DiscreteMarkovChain, NullCopies, _GaussianConditional
-from .errors import ShapeError, SingularDesignError, SizeError, ValidationError
-from .regression import WorkingRegression
+from .errors import ShapeError, SizeError, ValidationError
+from .regression import WorkingRegression, full_rank_qr
 from .mmse import FloodgateConfig, moment_samples
 
 
 def _basis(z: np.ndarray) -> np.ndarray:
     """Orthonormal basis Q of the columns of U = (1, Z) for one batch."""
-    q, r = np.linalg.qr(np.hstack([np.ones((len(z), 1)), z]))
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-10 * max(diag.max(), 1.0):
-        raise SingularDesignError("batch design (1, Z) is rank deficient")
-    return q
+    return full_rank_qr(np.hstack([np.ones((len(z), 1)), z]),
+                        "batch design (1, Z) is rank deficient")[0]
 
 
 def hat_matrix(z: np.ndarray) -> np.ndarray:
@@ -173,7 +170,7 @@ def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
             batch, mu, batch_law(batch.x[:, 0], batch.z), cfg)
         samples.append((np.mean(r), np.mean(v), scale))
     r, v, scale = np.array(samples).T
-    report = ratio_lcb(r, v, level, n_eff=n1, estimand=MMSE_GAP,
+    report = ratio_lcb(r, v, level, estimand=MMSE_GAP,
                        mu_scale_sq=float(scale.mean()), seed=seed)
     report.diagnostics.update(n1=n1, n2=n2, dropped=dropped)
     return report

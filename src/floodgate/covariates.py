@@ -314,10 +314,15 @@ class DiscreteMarkovChain(CovariateModel):
 
     def neighbor_states(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Left and right neighbor states of the focal variable, read off
-        the z block (the full path with the focal column removed)."""
+        the z block (the full path with the focal column removed); each
+        must be an integer state in 0..K-1."""
         z = self._check_z(z)
         f = self.focal_index - 1
-        return z[:, f - 1].astype(np.int64), z[:, f].astype(np.int64)
+        pair = z[:, f - 1:f + 1]
+        if not np.isin(pair, np.arange(self.num_states)).all():
+            raise ValidationError("neighbor states must be integers in "
+                                  f"0..{self.num_states - 1}")
+        return pair[:, 0].astype(np.int64), pair[:, 1].astype(np.int64)
 
     def conditional_pmf(self, z: np.ndarray) -> np.ndarray:
         """Rows of q(. | k1, k2) proportional to A[k1, k] * B[k, k2]."""

@@ -7,10 +7,12 @@ use closed-form conditional moments; the logistic fits output on the
 conditional-mean scale of a {-1, +1} response.
 
 The penalized fitters choose their penalty by k-fold cross-validation
-(CV) through one pipeline, and share the diagnostics `lambda`,
-`lambda_grid`, `converged` (of the full-data fit), `active`,
-`cv_unconverged` (fold and penalty points that hit `max_iters`) and
-`newton_steps` (active-set solves of LASSO and logistic; 0 for ridge).
+(CV) through one pipeline; LASSO and logistic fit the CV folds and the
+full data together by one active-set Newton engine. They share the
+diagnostics `lambda`, `lambda_grid`, `converged` (of the full-data
+fit), `active`, `cv_unconverged` (fold and penalty points that hit
+`max_iters`) and `newton_steps` (the engine's steps, summed over every
+fold, the full data and every penalty level; 0 for ridge).
 """
 
 from __future__ import annotations
@@ -145,9 +147,10 @@ def regression_from_json(text: str) -> LinearWorkingRegression:
 @dataclass(frozen=True)
 class CvConfig:
     """Cross-validation settings shared by the penalized fitters.
-    `tolerance` is the LASSO's KKT slack and the logistic step size at
-    which Newton stops; `max_iters` caps the steps per (fold, penalty)
-    problem. Ridge is solved in closed form and reads neither."""
+    `tolerance` is the active-set engine's KKT slack and the Newton step
+    below which a problem is solved; `max_iters` caps the steps per
+    (fold, penalty) problem. Ridge is solved in closed form and reads
+    neither."""
 
     folds: int = 10
     lambda_grid: tuple[float, ...] | None = None   # None: automatic path
@@ -175,6 +178,17 @@ def fold_assignments(n: int, folds: int, seed: int) -> np.ndarray:
     return seeded_rng(seed, n).permutation(np.arange(n) % folds)
 
 
+def full_rank_qr(design: np.ndarray, message: str):
+    """The reduced QR factors (q, r) of `design`; raises
+    SingularDesignError(message) when a diagonal entry of r is at most
+    1e-10 times the largest (or 1), the one rank rule of the package."""
+    q, r = np.linalg.qr(design)
+    diag = np.abs(np.diag(r))
+    if diag.min() <= 1e-10 * max(diag.max(), 1.0):
+        raise SingularDesignError(message)
+    return q, r
+
+
 def fit_ols(fit_part: Dataset) -> LinearWorkingRegression:
     """Ordinary least squares; exposes classical coefficient standard
     errors for the oracle-baseline confidence transform."""
@@ -183,10 +197,7 @@ def fit_ols(fit_part: Dataset) -> LinearWorkingRegression:
     if n <= p + 1:
         raise SizeError(f"OLS needs n > d_x + d_z + 1 = {p + 1}, got n = {n}")
     design = np.hstack([np.ones((n, 1)), w])
-    q, r = np.linalg.qr(design)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-10 * max(diag.max(), 1.0):
-        raise SingularDesignError("design matrix is rank deficient")
+    q, r = full_rank_qr(design, "design matrix is rank deficient")
     coef = np.linalg.solve(r, q.T @ fit_part.y)
     resid = fit_part.y - design @ coef
     dof = n - p - 1
@@ -226,90 +237,198 @@ def ols_oracle_lcb(ols_fit: LinearWorkingRegression, alpha: float,
     return -(beta_hat + z * se) * root
 
 
-def _lasso_paths(grams: np.ndarray, cvecs: np.ndarray, grid: np.ndarray,
-                 tolerance: float, max_iters: int):
-    """Warm-started exact paths of a stack of LASSO problems,
-    (1/2) b'Gb - c'b + lam |b|_1 with (F, p, p) Grams and (F, p) cvecs,
-    by feature-sign search (Lee, Battle, Raina & Ng 2007), all slices
-    together.
+class _Quadratic:
+    """(1/2) b'Gb - c'b on an (F, p, p) stack of Grams and an (F, p)
+    stack of correlation vectors: a full Newton step is exact."""
 
-    A slice holds b and the signs s of its active set A. Once b_A solves
-    G_AA b_A = c_A - lam s_A, the zero coordinate with the largest
-    |c_j - G_j.b| - lam - tolerance G_jj > 0 joins A with the sign of
-    its residual; with none, the slice is done at this level. A step
-    solves that system for every live slice in one batched solve
-    (identity rows off A) and moves b toward the solution, stopping at
-    the first coefficient whose sign would change, which it leaves at
-    exactly 0.0 and drops from A. Every step lowers the objective and
-    an entering sign is always right, so the search ends.
+    exact, lead = True, 0
 
-    The entering sign fails, or the system has no solution, only when
-    the entering column lies in the span of A (a fold with fewer rows
-    than columns): the objective then falls without bound along the
-    null vector of G_AA, which the step follows downhill to the first
-    crossing. A step that cannot move, or `max_iters` steps at one
-    level, ends a slice's search unconverged.
+    def __init__(self, grams: np.ndarray, cvecs: np.ndarray) -> None:
+        self.grams, self.cvecs, self.shape = grams, cvecs, cvecs.shape
+        self.diagonals = np.einsum("fjj->fj", grams)
 
-    Returns the (F, len(grid), p) path, an (F, len(grid)) convergence
-    mask and the total number of steps.
+    def derivatives(self, k, b):
+        """Slices k's gradients and Hessian diagonals at b, and the state
+        from which `hessian` gathers their blocks on columns idx."""
+        grams = self.grams[k]
+        return (grams @ b[..., None])[..., 0] - self.cvecs[k], self.diagonals[k], grams
+
+    @staticmethod
+    def hessian(grams, idx):
+        return grams[np.arange(len(idx))[:, None, None], idx[:, :, None], idx[:, None, :]]
+
+
+class _Logistic:
+    """Mean log(1 + exp(-y f)), f = design @ b, over each slice's rows
+    (0/1 `rows` of the one design, whose column 0 is the unpenalized
+    intercept). Newton steps are inexact and backtrack."""
+
+    exact, lead = False, 1
+
+    def __init__(self, design: np.ndarray, y: np.ndarray, rows: np.ndarray) -> None:
+        self.design, self.y = design, y
+        self.columns, self.squares = np.ascontiguousarray(design.T), design ** 2
+        self.weights = rows / rows.sum(axis=1, keepdims=True)
+        self.shape = (len(rows), design.shape[1])
+
+    def value(self, k, b):
+        margins = self.y * (b @ self.columns)
+        return np.einsum("fn,fn->f", self.weights[k], np.logaddexp(0.0, -margins))
+
+    def derivatives(self, k, b):
+        sig = 1.0 / (1.0 + np.exp(np.clip(self.y * (b @ self.columns), -500, 500)))
+        curv = self.weights[k] * sig * (1.0 - sig)
+        return (-(self.weights[k] * self.y * sig) @ self.design,
+                curv @ self.squares, np.sqrt(curv))
+
+    def hessian(self, root, idx):
+        # One slice at a time keeps the temporary at m x n.
+        return np.stack([(c := self.columns[i] * r) @ c.T for i, r in zip(idx, root)])
+
+
+def _solve_blocks(hess, rhs, block):
+    """Solves (hess, rhs) on `block`, identity rows elsewhere: returns the
+    systems, rhs, solutions and which fail the residual check."""
+    system = np.where(block[:, :, None] & block[:, None, :], hess, np.eye(len(block[0])))
+    rhs = np.where(block, rhs, 0.0)
+    try:
+        d = np.linalg.solve(system, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        d = np.stack([np.linalg.lstsq(a, r, rcond=None)[0]
+                      for a, r in zip(system, rhs)])
+    miss = np.abs((system @ d[..., None])[..., 0] - rhs).max(axis=1)
+    return system, rhs, np.where(block, d, 0.0), ~(miss <= 1e-6 * np.abs(rhs).max(axis=1))
+
+
+def _active_set_paths(loss, grid: np.ndarray, l1: bool, tolerance: float,
+                      max_iters: int):
+    """Warm-started paths of a stack of F penalized problems, loss_f(b) +
+    lam |b|_1 (`l1`) or lam ||b||^2 on the coordinates after the loss's
+    unpenalized `lead`, by active-set Newton on all slices at once.
+
+    A slice's block holds the unpenalized coordinates and (under L1) the
+    nonzero ones, held to their signs s, plus each zero that violates
+    KKT, |g_j| - lam > tolerance H_jj, with the sign -sign(g_j) that
+    lowers the objective (under L2, every coordinate). A step solves
+    H d = -(g + lam s) (-(g + 2 lam b)) on the live slices' blocks,
+    padded with identity rows to the widest, and stops at the first sign
+    crossing, left at exactly 0.0; an inexact loss then backtracks
+    (Armijo). An entering coordinate whose step points against its sign
+    sits the step out. A slice is solved after an exact full step or a
+    step below `tolerance`, and done once solved with no violator.
+
+    At a solved point some entering sign is right unless the block is
+    singular. A block that fails the residual check, or whose entering
+    coordinates all point the wrong way there, retries with the largest
+    violator alone (none away from a solved point); failing again, the
+    step follows its null vector downhill to the first crossing. A step
+    that cannot move, or `max_iters` steps, ends a level unconverged; a
+    line search that gives up ends it converged.
+
+    Returns the (F, len(grid), width) path, the (F, len(grid))
+    convergence mask and the steps summed over slices and levels.
     """
-    n_prob, p = cvecs.shape
-    eye = np.eye(p)
-    slack = tolerance * np.einsum("fjj->fj", grams)
-    beta = np.zeros((n_prob, p))
-    signs = np.zeros((n_prob, p))
-    path = np.empty((n_prob, len(grid), p))
+    n_prob, width = loss.shape
+    pen = np.arange(width) >= loss.lead
+    signed = pen & l1                   # the coordinates held to a sign
+
+    def penalty(b):
+        tail = b[:, loss.lead:]
+        return lam * (np.abs(tail) if l1 else tail * tail).sum(axis=1)
+
+    beta = np.zeros((n_prob, width))
+    smooth = None if loss.exact else loss.value(np.arange(n_prob), beta)
+    path = np.empty((n_prob, len(grid), width))
     converged = np.ones((n_prob, len(grid)), dtype=bool)
     steps = 0
     for gi, lam in enumerate(grid):
+        # Only an empty block is solved before its first step.
+        solved = ~beta.any(axis=1) & l1 & (loss.lead == 0)
         live = np.ones(n_prob, dtype=bool)
-        solved = ~signs.any(axis=1)
         taken = np.zeros(n_prob, dtype=int)
         while True:
-            k = np.flatnonzero(live & solved)
-            if len(k):
-                resid = cvecs[k] - (grams[k] @ beta[k, :, None])[..., 0]
-                viol = np.where(signs[k] == 0,
-                                np.abs(resid) - lam - slack[k], 0.0)
-                j = np.argmax(viol, axis=1)
-                enter = viol[np.arange(len(k)), j] > 0
-                live[k[~enter]] = False
-                signs[k[enter], j[enter]] = np.sign(resid[enter, j[enter]])
-            converged[live & (taken >= max_iters), gi] = False
-            live &= taken < max_iters
-            run = np.flatnonzero(live)
-            if not len(run):
+            k = np.flatnonzero(live)
+            b = beta[k]
+            grad, diag, state = loss.derivatives(k, b)
+            signs = np.sign(b) * signed
+            gain = np.where(signed & (signs == 0),
+                            np.abs(grad) - lam - tolerance * diag, 0.0)
+            signs[gain > 0] = -np.sign(grad[gain > 0])
+            stop = solved[k] & ~(gain > 0).any(axis=1)
+            converged[k[~stop & (taken[k] >= max_iters)], gi] = False
+            stop |= taken[k] >= max_iters
+            live[k[stop]] = False
+            if stop.all():
                 break
-            act = signs[run] != 0
-            system = np.where(act[:, :, None] & act[:, None, :], grams[run], eye)
-            rhs = np.where(act, cvecs[run] - lam * signs[run], 0.0)
-            try:
-                target = np.linalg.solve(system, rhs[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                target = np.stack([_solve_block(a, r) for a, r in zip(system, rhs)])
-            b = beta[run]
-            d = target - b
-            miss = np.abs((system @ target[..., None])[..., 0] - rhs).max(axis=1)
-            free = ((act & (b == 0) & ~(signs[run] * target > 0)).any(axis=1)
-                    | ~(miss <= 1e-6 * np.abs(rhs).max(axis=1)))
+            k, b, grad, state, signs, gain = (
+                a[~stop] for a in (k, b, grad, state, signs, gain))
+
+            act = (signs != 0) | ~signed
+            order = np.argsort(~act, axis=1, kind="stable")[:, :act.sum(axis=1).max()]
+            at = (np.arange(len(k))[:, None], order)      # the blocks, padded
+            block = act[at]
+            hess = loss.hessian(state, order)
+            if not l1:                  # every coordinate, in order
+                hess += 2.0 * lam * np.diag(pen)
+            rhs = -(grad + lam * (signs if l1 else 2.0 * pen * b))
+            entering, toward = gain[at] > 0, signs[at]
+            system, r, d, free = _solve_blocks(hess, rhs[at], block)
+            free |= solved[k] & ~(entering & (toward * d > 0)).any(axis=1)
+            retry = np.flatnonzero(free & entering.any(axis=1))
+            if len(retry):
+                alone = solved[k, None] & (gain[at] == gain.max(axis=1, keepdims=True))
+                block[retry] &= ~entering[retry] | alone[retry]
+                system[retry], r[retry], d[retry], free[retry] = _solve_blocks(
+                    hess[retry], r[retry], block[retry])
+                free[retry] |= (entering & block & (toward * d <= 0))[retry].any(axis=1)
+            while True:
+                wrong = entering & block & (toward * d <= 0) & ~free[:, None]
+                redo = np.flatnonzero(wrong.any(axis=1))
+                if not len(redo):
+                    break
+                block[redo] &= ~wrong[redo]
+                system[redo], r[redo], d[redo], _ = _solve_blocks(
+                    hess[redo], r[redo], block[redo])
             for i in np.flatnonzero(free):
-                null = np.where(act[i], np.linalg.eigh(system[i])[1][:, 0], 0.0)
-                d[i] = -np.sign((grams[run[i]] @ b[i] - rhs[i]) @ null) * null
-            cross = act & (signs[run] * d < 0)
-            ratio = np.where(cross, -b / np.where(cross, d, 1.0), np.inf)
+                null = np.linalg.eigh(system[i])[1][:, 0] * block[i]
+                slope = r[i] @ null
+                # Flat along the null vector, the system has a solution
+                # after all (an ill-conditioned one): keep the solve's step.
+                free[i] = abs(slope) > 1e-6 * np.abs(r[i]).max()
+                d[i] = np.sign(slope) * null if free[i] else d[i]
+            dirn = np.zeros_like(b)
+            dirn[at] = d
+
+            cross = signs * dirn < 0
+            ratio = np.where(cross, -b / np.where(cross, dirn, 1.0), np.inf)
             t = np.minimum(ratio.min(axis=1), np.where(free, np.inf, 1.0))
             t[np.isinf(t)] = 0.0            # a free step with no crossing
-            full = ~free & (t == 1.0)
             hit = cross & (ratio <= t[:, None])
-            b = np.where(full[:, None], target, b + t[:, None] * d)
-            b[hit] = 0.0
-            beta[run] = b
-            signs[run] = np.where(hit, 0.0, signs[run])
-            solved[run] = full
-            taken[run] += 1
-            stuck = run[t <= 0.0]
-            converged[stuck, gi] = False
-            live[stuck] = False
+            step = t.copy()
+            while True:
+                trial = b + step[:, None] * dirn
+                trial[hit & (step == t)[:, None]] = 0.0
+                if loss.exact:
+                    break
+                value = loss.value(k, trial)
+                # Armijo; the 1e-15 absorbs rounding of the objective.
+                bad = (step >= 1e-12) & ~(
+                    value + penalty(trial) <= smooth[k] + penalty(b)
+                    - 1e-4 * step * np.sum(r * d, axis=1) + 1e-15)
+                if not bad.any():
+                    break
+                step[bad] *= 0.5
+            stuck = t <= 0.0
+            stall = (step < t) & (step < 1e-12)      # the line search gave up
+            trial[stall] = b[stall]
+            beta[k] = trial
+            if not loss.exact:
+                smooth[k] = np.where(stall, smooth[k], value)
+            converged[k[stuck], gi] = False
+            live[k[stuck | stall]] = False
+            solved[k] = ((t == 1.0) & ~free if loss.exact
+                         else np.abs(dirn).max(axis=1) < tolerance)
+            taken[k] += 1
         steps += int(taken.sum())
         path[:, gi] = beta
     return path, converged, steps
@@ -357,15 +476,15 @@ class _CrossValidation:
                             self.cv.num_lambdas)
 
     def fitted(self, kind: str, grid: np.ndarray, best: int, b0: float,
-               b: np.ndarray, converged: bool, cv_unconverged: int,
-               solver: str, link: str = _LINK_IDENTITY,
-               **own) -> LinearWorkingRegression:
+               b: np.ndarray, converged: np.ndarray, steps: int,
+               link: str = _LINK_IDENTITY, **own) -> LinearWorkingRegression:
         """The standardized fit b0 + ws @ b chosen at grid[best] on the
-        original columns, with the shared diagnostics and the fitter's
-        `own`; warns when `solver` did not converge there."""
+        original columns, with the shared diagnostics (from the solver's
+        mask over the folds and the full data, last, and its steps) and
+        the fitter's `own`; warns when the full-data fit did not converge."""
         lam = float(grid[best])
-        if not converged:
-            warnings.warn(f"{kind} {solver} did not converge at lambda = "
+        if not converged[-1, best]:
+            warnings.warn(f"{kind} active-set solver did not converge at lambda = "
                           f"{lam:g} within {self.cv.max_iters} steps")
         coef = np.zeros(self.width)
         coef[self.keep] = b / self.sds
@@ -373,9 +492,10 @@ class _CrossValidation:
             kind, float(b0 - self.means @ coef[self.keep]),
             coef[:self.d_x], coef[self.d_x:], link=link,
             diagnostics={"lambda": lam, "lambda_grid": np.asarray(grid, dtype=float),
-                         "converged": bool(converged),
+                         "converged": bool(converged[-1, best]),
                          "active": int(np.count_nonzero(b)),
-                         "cv_unconverged": cv_unconverged, **own})
+                         "cv_unconverged": int(np.count_nonzero(~converged[:-1])),
+                         "newton_steps": steps, **own})
 
 
 def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
@@ -402,32 +522,28 @@ def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
     grid = pipe.grid(float(np.max(np.abs(cvecs[-1]))))
 
     if kind == RIDGE:
-        eye = np.eye(p)
-        path = np.stack([np.linalg.solve(grams + lam * eye,
+        path = np.stack([np.linalg.solve(grams + lam * np.eye(p),
                                          cvecs[..., None])[..., 0]
                          for lam in grid], axis=1)
-        converged = np.ones((cv.folds + 1, len(grid)), dtype=bool)
-        steps = 0
+        converged, steps = np.ones(path.shape[:2], dtype=bool), 0
     else:
-        path, converged, steps = _lasso_paths(grams, cvecs, grid,
-                                              cv.tolerance, cv.max_iters)
+        path, converged, steps = _active_set_paths(
+            _Quadratic(grams, cvecs), grid, True, cv.tolerance, cv.max_iters)
 
     cv_err = np.zeros(len(grid))
     for f, va in enumerate(vas):
         cv_err += np.sum((yc[va, None] - ws[va] @ path[f].T) ** 2, axis=0)
     best = int(np.argmin(cv_err))
-    return pipe.fitted(kind, grid, best, y_mean, path[-1, best],
-                       converged[-1, best], int(np.count_nonzero(~converged[:-1])),
-                       "feature-sign search", cv_errors=cv_err / n,
-                       newton_steps=steps)
+    return pipe.fitted(kind, grid, best, y_mean, path[-1, best], converged, steps,
+                       cv_errors=cv_err / n)
 
 
 def fit_lasso(fit_part: Dataset, cv: CvConfig = CvConfig(),
               seed: int = 0) -> LinearWorkingRegression:
     """L1-penalized least squares, solved exactly at each penalty level
-    by feature-sign search (`_lasso_paths`), warm-started along the
-    path; the penalty level is chosen by k-fold CV. The diagnostics add
-    the `cv_errors`; `newton_steps` counts the active-set solves."""
+    by the active-set engine (`_active_set_paths`) on the downdated
+    fold Grams; the penalty level is chosen by k-fold CV. The
+    diagnostics add the `cv_errors`."""
     return _penalized_linear(fit_part, cv, seed, LASSO)
 
 
@@ -448,127 +564,14 @@ def fit_ridge(fit_part: Dataset, cv: CvConfig = CvConfig(),
     return _penalized_linear(fit_part, cv, seed, RIDGE)
 
 
-def _logistic_objective(yf: np.ndarray, coef: np.ndarray, lam: float,
-                        l1: bool) -> float:
-    """Mean log(1 + exp(-y f)) from the margins `yf`, plus lam |b|_1 (L1)
-    or lam ||b||^2 (L2) on the coefficients after the intercept b_0."""
-    b = coef[1:]
-    penalty = float(np.sum(np.abs(b))) if l1 else float(b @ b)
-    return float(np.mean(np.logaddexp(0.0, -yf))) + lam * penalty
-
-
-def _solve_block(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(hess, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(hess, rhs, rcond=None)[0]
-
-
-def _newton_logistic(design, y, lam: float, l1: bool, tolerance: float,
-                     max_iters: int, coef: np.ndarray):
-    """Active-set Newton on the penalized logistic loss at one penalty
-    level, from the warm start `coef` (column 0 of `design` is the
-    unpenalized intercept).
-
-    For L2 each step is a damped Newton step on all coefficients. For L1
-    it solves the Hessian system on the intercept, the nonzero
-    coefficients and the zeros that violate KKT (|grad_j| > lam), each
-    held to the sign that lowers the objective, so the objective is
-    smooth along the step; a violator whose Newton step points the other
-    way sits this step out. The step stops at the first coefficient
-    whose sign would change, which it leaves at exactly 0.0. Either
-    penalty backtracks on the objective, and stops once a step moves no
-    coefficient by `tolerance` and no zero violates KKT.
-
-    Returns the coefficients, whether they converged (False only when
-    `max_iters` steps ran out; a line search that cannot shrink the step
-    further stops at the current point and counts as converged) and the
-    number of steps taken.
-    """
-    n, width = design.shape
-    yf = y * (design @ coef)
-    loss = _logistic_objective(yf, coef, lam, l1)
-    signs = np.zeros(width)                 # the orthant of an L1 step
-    viol = np.zeros(width, dtype=bool)
-    idx = np.arange(width)
-    for step in range(1, max_iters + 1):
-        sig = 1.0 / (1.0 + np.exp(np.clip(yf, -500, 500)))   # expit(-yf)
-        grad = -(design.T @ (y * sig)) / n
-        if l1:
-            signs = np.sign(coef)
-            signs[0] = 0.0
-            viol = (signs == 0) & (np.abs(grad) > lam)
-            viol[0] = False
-            signs[viol] = -np.sign(grad[viol])
-            act = signs != 0
-            act[0] = True
-            idx = np.flatnonzero(act)
-            rhs = grad[idx] + lam * signs[idx]
-        else:
-            rhs = grad + 2.0 * lam * coef
-            rhs[0] = grad[0]
-        block = design[:, idx]
-        hess = (block.T * (sig * (1.0 - sig))) @ block / n
-        if not l1:
-            hess[1:, 1:] += 2.0 * lam * np.eye(width - 1)
-        while True:
-            d_act = -_solve_block(hess, rhs)
-            wrong = viol[idx] & (signs[idx] * d_act <= 0)
-            if not wrong.any():
-                break
-            keep = ~wrong
-            idx, rhs, hess = idx[keep], rhs[keep], hess[keep][:, keep]
-        direction = np.zeros(width)
-        direction[idx] = d_act
-        # Only nonzero coefficients can cross zero: violators move along
-        # their sign, and L2 steps have no orthant.
-        crossing = np.flatnonzero(signs * direction < 0)
-        ratios = -coef[crossing] / direction[crossing]
-        t_max = min(1.0, float(ratios.min(initial=1.0)))
-        hit = crossing[ratios == t_max] if t_max < 1.0 else crossing[:0]
-        slope = float(rhs @ d_act)
-        t = t_max
-        while True:
-            trial = coef + t * direction
-            if t == t_max:
-                trial[hit] = 0.0
-            trial_yf = y * (design @ trial)
-            trial_loss = _logistic_objective(trial_yf, trial, lam, l1)
-            # Armijo; the 1e-15 absorbs rounding of the loss at the optimum.
-            if trial_loss <= loss + 1e-4 * t * slope + 1e-15:
-                break
-            t *= 0.5
-            if t < 1e-12:
-                return coef, True, step
-        coef, yf, loss = trial, trial_yf, trial_loss
-        if not viol.any() and float(np.max(np.abs(direction))) < tolerance:
-            return coef, True, step
-    return coef, False, max_iters
-
-
-def _logistic_path(design, y, grid, l1: bool, cv: CvConfig):
-    """Warm-started Newton fits along `grid` from zero: the (len(grid),
-    width) path, a per-level convergence mask and the total steps."""
-    coef = np.zeros(design.shape[1])
-    path = np.empty((len(grid), design.shape[1]))
-    converged = np.empty(len(grid), dtype=bool)
-    steps = 0
-    for gi, lam in enumerate(grid):
-        coef, converged[gi], taken = _newton_logistic(
-            design, y, lam, l1, cv.tolerance, cv.max_iters, coef)
-        path[gi] = coef
-        steps += taken
-    return path, converged, steps
-
-
 def fit_logistic(fit_part: Dataset, penalty: str = "L1",
                  cv: CvConfig = CvConfig(), seed: int = 0) -> LinearWorkingRegression:
     """Penalized logistic regression for responses in {-1, +1}.
 
     Returns mu on the conditional-mean scale: mu(x, z) =
     2 expit(linear predictor) - 1, which lies in (-1, 1). The penalty
-    level is chosen by k-fold CV deviance; each level is fitted by
-    active-set Newton (`_newton_logistic`), warm-started along the path.
+    level is chosen by k-fold CV deviance; the folds and the full data
+    are fitted together by the active-set engine (`_active_set_paths`).
     The diagnostics add the `cv_deviance`.
     """
     if penalty not in ("L1", "L2"):
@@ -584,22 +587,18 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
     l1 = penalty == "L1"
     grid = pipe.grid(float(np.max(np.abs(design[:, 1:].T @ y))) / (2 * n))
 
-    cv_dev = np.zeros(len(grid))
-    cv_unconverged = steps = 0
-    for f in range(cv.folds):
-        tr = pipe.folds != f
-        va = ~tr
+    # One stack of problems: the CV folds' training rows, then all rows.
+    rows = pipe.folds != np.arange(cv.folds + 1)[:, None]
+    for f, tr in enumerate(rows[:-1]):
         if len(np.unique(y[tr])) < 2:
             raise DegenerateLabelsError(f"fold {f} training part is single-class")
-        path, converged, taken = _logistic_path(design[tr], y[tr], grid, l1, cv)
-        yf = y[va, None] * (design[va] @ path.T)
+    path, converged, steps = _active_set_paths(
+        _Logistic(design, y, rows), grid, l1, cv.tolerance, cv.max_iters)
+    cv_dev = np.zeros(len(grid))
+    for f, tr in enumerate(rows[:-1]):
+        yf = y[~tr, None] * (design[~tr] @ path[f].T)
         cv_dev += 2.0 * np.sum(np.logaddexp(0.0, -yf), axis=0)
-        cv_unconverged += int(np.count_nonzero(~converged))
-        steps += taken
     best = int(np.argmin(cv_dev))
-
-    path, converged, taken = _logistic_path(design, y, grid[:best + 1], l1, cv)
-    return pipe.fitted(LOGIT_L1 if l1 else LOGIT_L2, grid, best, path[-1, 0],
-                       path[-1, 1:], converged[-1], cv_unconverged,
-                       "Newton solver", link=_LINK_BINARY_MEAN,
-                       cv_deviance=cv_dev / n, newton_steps=steps + taken)
+    return pipe.fitted(LOGIT_L1 if l1 else LOGIT_L2, grid, best, path[-1, best, 0],
+                       path[-1, best, 1:], converged, steps,
+                       link=_LINK_BINARY_MEAN, cv_deviance=cv_dev / n)

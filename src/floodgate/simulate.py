@@ -532,16 +532,23 @@ def _run_replicate(spec: ExperimentSpec, replicate_index: int) -> list[dict]:
         mu_j = _focal_view(full_fit, j0)
         infer_ds = Dataset(infer_y, infer_w[:, j0:j0 + 1],
                            np.delete(infer_w, j0, axis=1))
+        # A zeroed focal coefficient makes every method's bound 0, so no
+        # covariate model is built; otherwise one serves every method.
+        if (spec.fitter in _ZERO_SHORTCUT_FITTERS
+                and full_fit.x_coef[j0] == 0.0):
+            model = None
+        elif spec.misspecification == MISSPEC_INSAMPLE:
+            model = _insample_gaussian_fit(w, j0, spec.misspec_m_rows or spec.n)
+        else:
+            model = focal_model(spec, variable)
         for mi, method in enumerate(spec.methods):
             estimand = MACM_GAP if method.name == MACM else MMSE_GAP
             seed = derive_seed(spec.base_seed, replicate_index, 6, j0, mi)
-            if (spec.fitter in _ZERO_SHORTCUT_FITTERS
-                    and full_fit.x_coef[j0] == 0.0):
+            if model is None:
                 rep = LcbReport(0.0, 0.0, 0.0, infer_ds.n, estimand,
                                 degenerate=True, seed=seed)
             else:
-                rep = _infer_one(spec, method, infer_ds, mu_j, variable,
-                                 seed, w)
+                rep = _infer_one(spec, method, infer_ds, mu_j, model, seed)
             rows.append({"replicate": replicate_index, "variable": variable,
                          "method": method.label, "lcb": rep.lcb,
                          "point": rep.point, "se": rep.se,
@@ -550,13 +557,8 @@ def _run_replicate(spec: ExperimentSpec, replicate_index: int) -> list[dict]:
 
 
 def _infer_one(spec: ExperimentSpec, method: MethodSpec, infer_ds: Dataset,
-               mu_j: WorkingRegression, variable: int, seed: int,
-               full_w: np.ndarray) -> LcbReport:
-    if spec.misspecification == MISSPEC_INSAMPLE:
-        model: CovariateModel = _insample_gaussian_fit(
-            full_w, variable - 1, spec.misspec_m_rows or spec.n)
-    else:
-        model = focal_model(spec, variable)
+               mu_j: WorkingRegression, model: CovariateModel,
+               seed: int) -> LcbReport:
     if method.name in (MMSE_EXACT, MMSE_MC):
         big_k = 0 if method.name == MMSE_EXACT else method.big_k
         cfg = FloodgateConfig(spec.alpha, big_k=big_k, seed=seed)

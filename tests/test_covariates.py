@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from floodgate import (Ar1Model, CopulaModel, DiscreteMarkovChain,
-                       GaussianLinearModel, model_from_json)
+from floodgate import (Ar1Model, CopulaModel, CustomRegression, Dataset,
+                       DiscreteMarkovChain, FloodgateConfig,
+                       GaussianLinearModel, cosufficient_lcb, floodgate_lcb,
+                       model_from_json)
 from floodgate.core import philox_rng
 from floodgate.covariates import ar1_covariance
 from floodgate.errors import (ShapeError, UnsupportedClosedFormError,
@@ -293,6 +295,22 @@ class TestDiscreteMarkovChain:
             DiscreteMarkovChain(np.array([0.5, 0.5]),
                                 [np.array([[0.7, 0.4], [0.5, 0.5]]),
                                  np.eye(2)], focal_index=2)
+
+    @pytest.mark.parametrize("bad", [0.5, -1.0, 2.0])
+    def test_neighbor_state_outside_the_chain_rejected(self, bad):
+        # Unchecked, 0.5 would be truncated to a state, -1 would read the
+        # last row of a transition matrix and K would index past it.
+        model = self._chain()
+        x, z = model.sample_joint(100, seed=3)
+        z[7, 0] = bad
+        data = Dataset(x[:, 0], x, z)
+        mu = CustomRegression(lambda xx, zz: xx[:, 0])
+        with pytest.raises(ValidationError, match=r"integers in 0\.\.1"):
+            model.conditional_pmf(z)
+        with pytest.raises(ValidationError, match=r"integers in 0\.\.1"):
+            floodgate_lcb(data, mu, model, FloodgateConfig(big_k=0))
+        with pytest.raises(ValidationError, match=r"integers in 0\.\.1"):
+            cosufficient_lcb(data, mu, model, n2=10, mc_k=0)
 
 
 class TestNullCopyBlocks:

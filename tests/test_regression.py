@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -339,17 +340,26 @@ def _random_design(seed, n, d_x, d_z, rho):
 
 
 def _recorded_paths(monkeypatch):
-    """Record the arguments and results of every `_lasso_paths` call."""
+    """Record the arguments and results of every `_active_set_paths`
+    call: (loss, grid, l1, tolerance, (path, converged, steps))."""
     calls = []
-    engine = regression._lasso_paths
+    engine = regression._active_set_paths
 
-    def recorded(grams, cvecs, grid, tolerance, max_iters):
-        out = engine(grams, cvecs, grid, tolerance, max_iters)
-        calls.append((grams, cvecs, grid, tolerance, out))
+    def recorded(loss, grid, l1, tolerance, max_iters):
+        out = engine(loss, grid, l1, tolerance, max_iters)
+        calls.append((loss, grid, l1, tolerance, out))
         return out
 
-    monkeypatch.setattr(regression, "_lasso_paths", recorded)
+    monkeypatch.setattr(regression, "_active_set_paths", recorded)
     return calls
+
+
+def _lasso_call(call):
+    """The Gram stack, cvecs, grid, tolerance and result of a recorded
+    LASSO call."""
+    loss, grid, l1, tolerance, out = call
+    assert l1 and loss.exact
+    return loss.grams, loss.cvecs, grid, tolerance, out
 
 
 def _assert_path_kkt(grams, cvecs, grid, tolerance, path):
@@ -428,7 +438,7 @@ class TestCrossValidationSetUp:
 
 
 class TestStackedLassoPath:
-    """The fold-stacked feature-sign engine against the per-fold scalar
+    """The fold-stacked active-set engine against the per-fold scalar
     coordinate-descent path, both run to the exact minimizer."""
 
     def _assert_matches(self, data, cv, seed):
@@ -454,7 +464,7 @@ class TestStackedLassoPath:
         assert d["cv_unconverged"] == 0
         # About one step per (slice, lambda) problem: the exact solve.
         assert 0 < d["newton_steps"] < 2 * 11 * len(d["lambda_grid"])
-        grams, cvecs, grid, tolerance, (path, converged, _) = calls[0]
+        grams, cvecs, grid, tolerance, (path, converged, _) = _lasso_call(calls[0])
         _assert_fold_problems(data, CvConfig(), seed, grams, cvecs)
         assert converged.all()
         _assert_path_kkt(grams, cvecs, grid, tolerance, path)
@@ -465,7 +475,7 @@ class TestStackedLassoPath:
         calls = _recorded_paths(monkeypatch)
         data, seed = _a1_fit_part(1, rho=0.9, n=400, p=20)
         self._assert_matches(data, CvConfig(), seed)
-        grams, cvecs, grid, tolerance, (path, converged, _) = calls[0]
+        grams, cvecs, grid, tolerance, (path, converged, _) = _lasso_call(calls[0])
         assert converged.all()
         left = (path[:, :-1] != 0) & (path[:, 1:] == 0)
         assert np.count_nonzero(left) > 0
@@ -487,7 +497,10 @@ class TestStackedLassoPath:
         assert fit.z_coef[1] == 0.0
 
     def test_step_cap_warns_and_counts(self):
-        data, seed = _a1_fit_part(3, n=300, p=15)
+        # On a correlated design coefficients cross zero, so one step per
+        # problem cannot reach every level's solution, the chosen one
+        # included.
+        data, seed = _a1_fit_part(1, rho=0.9, n=400, p=20)
         cv = CvConfig(folds=5, num_lambdas=12, max_iters=1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -496,18 +509,21 @@ class TestStackedLassoPath:
         assert not d["converged"]
         assert [str(w.message) for w in caught
                 if "did not converge" in str(w.message)] == [
-            f"LASSO feature-sign search did not converge at lambda = "
+            f"LASSO active-set solver did not converge at lambda = "
             f"{d['lambda']:g} within 1 steps"]
         assert 0 < d["cv_unconverged"] <= 5 * 12
         assert 0 < d["newton_steps"] <= 1 * 6 * 12
 
     @given(n=st.integers(2, 40), d_x=st.integers(1, 3), d_z=st.integers(0, 4),
            folds=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
-           rho=st.floats(0.0, 0.8))
+           rho=st.floats(0.0, 0.8), duplicate=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_kkt_on_random_designs(self, n, d_x, d_z, folds, seed, rho):
+    def test_kkt_on_random_designs(self, n, d_x, d_z, folds, seed, rho,
+                                   duplicate):
         folds = min(folds, n)          # includes n == folds
         data = _random_design(seed, n, d_x, d_z, rho)
+        if duplicate:
+            data = Dataset(data.y, data.x, np.hstack([data.z, data.x]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fit = fit_lasso(data, CvConfig(folds=folds, num_lambdas=20),
@@ -536,26 +552,29 @@ class TestStackedLassoPath:
         assert fit.diagnostics["cv_unconverged"] == 0
         assert _lasso_kkt_violation(data, fit, fit.diagnostics["lambda"]) < 1e-6
 
-    @pytest.mark.parametrize("seed, n, d_z, folds, solve_fails", [
+    @pytest.mark.parametrize("seed, n, d_z, folds, null_step", [
         (5, 12, 8, 2, False), (13, 3, 5, 3, True)])
     def test_short_fold_with_duplicate_column(self, monkeypatch, seed, n, d_z,
-                                              folds, solve_fails):
+                                              folds, null_step):
         # Folds train on fewer rows than the 1 + d_z + 1 columns, the last
-        # a copy of the first, so every fold Gram is singular; in the
-        # second case a batched solve meets an exactly singular block.
+        # a copy of the first, so every fold Gram is singular. Both copies
+        # enter one block, which the batched solve cannot factor (lstsq
+        # solves it); in the second case a block's system has no
+        # solution, and the step follows its null vector.
         calls = _recorded_paths(monkeypatch)
-        blocks = []
-        solve_block = regression._solve_block
-        monkeypatch.setattr(regression, "_solve_block",
-                            lambda *args: blocks.append(1) or solve_block(*args))
+        used = []
+        for name in ("lstsq", "eigh"):
+            monkeypatch.setattr(np.linalg, name, functools.partial(
+                lambda f, n, *a, **kw: used.append(n) or f(*a, **kw),
+                getattr(np.linalg, name), name))
         data = _random_design(seed, n, 1, d_z, 0.5)
         dup = Dataset(data.y, data.x, np.hstack([data.z, data.x]))
         fit = fit_lasso(dup, CvConfig(folds=folds, num_lambdas=20), 3)
-        assert bool(blocks) == solve_fails
+        assert "lstsq" in used and ("eigh" in used) == null_step
         d = fit.diagnostics
         assert d["converged"] and d["cv_unconverged"] == 0
         assert _lasso_kkt_violation(dup, fit, d["lambda"]) < 1e-9
-        grams, cvecs, grid, tolerance, (path, _, _) = calls[0]
+        grams, cvecs, grid, tolerance, (path, _, _) = _lasso_call(calls[0])
         assert np.linalg.matrix_rank(grams[0]) < grams.shape[1]
         _assert_path_kkt(grams, cvecs, grid, tolerance, path)
 
@@ -572,7 +591,7 @@ class TestStackedLassoPath:
         fit = fit_lasso(data, CvConfig(folds=folds, num_lambdas=30), seed % 1000)
         assert fit.diagnostics["converged"]
         assert _lasso_kkt_violation(data, fit, fit.diagnostics["lambda"]) < 1e-9
-        grams, cvecs, grid, tolerance, (path, converged, _) = calls[0]
+        grams, cvecs, grid, tolerance, (path, converged, _) = _lasso_call(calls[0])
         assert converged.all()
         _assert_path_kkt(grams, cvecs, grid, tolerance, path)
 
@@ -771,6 +790,43 @@ def _logistic_kkt(data, fit, penalty):
     return max(abs(grad[0]), float(np.max(np.abs(stationary)))), grad, coef
 
 
+def _logistic_stack(data, cv, seed):
+    """fit_logistic's problem stack: the design [1, standardized
+    columns], the (folds + 1, n) training rows (the last all rows) and
+    the penalty grid."""
+    pipe = regression._CrossValidation(data, cv, seed)
+    n = len(data.y)
+    design = np.hstack([np.ones((n, 1)), pipe.ws])
+    rows = pipe.folds != np.arange(cv.folds + 1)[:, None]
+    return design, rows, pipe.grid(float(np.max(np.abs(pipe.ws.T @ data.y)))
+                                   / (2 * n))
+
+
+def _assert_logistic_path_kkt(data, cv, seed, penalty):
+    """Runs the active-set engine directly on fit_logistic's stack and
+    checks the optimality conditions at every (slice, lambda) point
+    within 1e-6: a zero intercept gradient; under L1 a gradient of
+    -lam sign(b_j) on the nonzero coefficients and at most lam in size on
+    the zeros; under L2 a gradient of -2 lam b_j."""
+    design, rows, grid = _logistic_stack(data, cv, seed)
+    path, converged, _ = regression._active_set_paths(
+        regression._Logistic(design, data.y, rows), grid, penalty == "L1",
+        cv.tolerance, cv.max_iters)
+    assert converged.all()
+    lam = grid[:, None]
+    for f, tr in enumerate(rows):
+        x, y, coef = design[tr], data.y[tr], path[f]
+        sig = 0.5 - 0.5 * np.tanh(y * (coef @ x.T) / 2.0)   # expit(-y f)
+        grad = -(sig * y) @ x / len(y)
+        b, g = coef[:, 1:], grad[:, 1:]
+        assert np.all(np.abs(grad[:, 0]) <= 1e-6)
+        if penalty == "L1":
+            assert np.all(np.where(b != 0, np.abs(g + lam * np.sign(b)),
+                                   np.abs(g) - lam) <= 1e-6)
+        else:
+            assert np.all(np.abs(g + 2.0 * lam * b) <= 1e-6)
+
+
 def _proximal_gradient_logistic(data, penalty, cv, seed):
     """The backtracking proximal-gradient fitter that active-set Newton
     replaced, kept as a reference. Returns the chosen lambda index and
@@ -880,16 +936,38 @@ class TestNewtonLogistic:
 
     @given(n=st.integers(12, 80), p=st.integers(1, 10),
            seed=st.integers(0, 2**32 - 1), rho=st.floats(0.0, 0.8),
-           scale=st.floats(0.2, 4.0), penalty=st.sampled_from(["L1", "L2"]))
+           scale=st.floats(0.2, 4.0), penalty=st.sampled_from(["L1", "L2"]),
+           duplicate=st.booleans())
     @settings(max_examples=30, deadline=None)
-    def test_kkt_on_random_designs(self, n, p, seed, rho, scale, penalty):
+    def test_kkt_on_random_designs(self, n, p, seed, rho, scale, penalty,
+                                   duplicate):
         data = _logistic_design(seed, n, p, rho, scale)
+        if duplicate:
+            data = Dataset(data.y, data.x, np.hstack([data.z, data.x]))
         folds = fold_assignments(n, 3, seed % 1000)
         assume(all(len(np.unique(data.y[folds != f])) == 2 for f in range(3)))
-        fit = fit_logistic(data, penalty, CvConfig(folds=3, num_lambdas=10),
-                           seed % 1000)
+        cv = CvConfig(folds=3, num_lambdas=10)
+        fit = fit_logistic(data, penalty, cv, seed % 1000)
         assert fit.diagnostics["converged"]
         assert _logistic_kkt(data, fit, penalty)[0] <= 1e-6
+        _assert_logistic_path_kkt(data, cv, seed % 1000, penalty)
+
+    @pytest.mark.parametrize("penalty", ["L1", "L2"])
+    def test_engine_kkt_on_every_fold_and_level(self, monkeypatch, penalty):
+        # The engine on a logistic fold stack, every slice and level. With
+        # a copy of x, both copies enter one L1 block, which is singular:
+        # the batched solve cannot factor it and lstsq solves it.
+        data = _logistic_design(3, 300, 6, 0.4)
+        cv = CvConfig(folds=3, num_lambdas=10)
+        _assert_logistic_path_kkt(data, cv, 0, penalty)
+        used = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **kw: used.append(1) or lstsq(*a, **kw))
+        _assert_logistic_path_kkt(
+            Dataset(data.y, data.x, np.hstack([data.z, data.x])), cv, 0,
+            penalty)
+        assert bool(used) == (penalty == "L1")
 
     def test_duplicate_column(self):
         # Both copies violate KKT at once, so the L1 Newton block is
@@ -910,22 +988,22 @@ class TestNewtonLogistic:
             fit = fit_logistic(data, "L1", cv, 0)
         d = fit.diagnostics
         assert d["converged"] and d["cv_unconverged"] == 0
-        best = int(np.flatnonzero(d["lambda_grid"] == d["lambda"])[0])
-        assert 3 * 8 + best + 1 <= d["newton_steps"] <= 50 * (3 * 8 + best + 1)
+        # At least one step per (slice, level): three folds and the full
+        # data, each along the whole grid.
+        assert 4 * 8 <= d["newton_steps"] <= 50 * 4 * 8
 
         capped = CvConfig(folds=3, num_lambdas=8, max_iters=1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fit = fit_logistic(data, "L1", capped, 0)
         d = fit.diagnostics
-        best = int(np.flatnonzero(d["lambda_grid"] == d["lambda"])[0])
         assert not d["converged"]
         assert [str(w.message) for w in caught
                 if "did not converge" in str(w.message)] == [
-            f"LOGIT_L1 Newton solver did not converge at lambda = "
+            f"LOGIT_L1 active-set solver did not converge at lambda = "
             f"{d['lambda']:g} within 1 steps"]
         assert 0 < d["cv_unconverged"] <= 3 * 8
-        assert d["newton_steps"] == 3 * 8 + best + 1
+        assert d["newton_steps"] == 4 * 8
 
 
 class TestCvConfig:
