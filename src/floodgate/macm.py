@@ -16,6 +16,7 @@ O(block + n) while time is O(n (M + K)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -126,16 +127,78 @@ def macm_gap_enumerate(atoms, probs, cond_mean_y) -> float:
 _GH_NODES = 64
 
 
-def macm_gap_oracle(model: CovariateModel, cond_mean_y, x: np.ndarray,
-                    z: np.ndarray) -> tuple[float, float]:
-    """Monte Carlo MACM gap for a continuous model over n >= 2 joint
-    draws of (X, Z), such as model.sample_joint returns, with the inner
-    expectation E[Y|Z] computed by Gauss-Hermite quadrature against the
-    Gaussian law of X | Z. Returns (value, se).
+@functools.cache
+def _pair_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-node Gauss-Hermite rule for N(0, 1), built once, on first
+    use: importing numpy.polynomial costs every process about 1 MB. The
+    rule is symmetric, so it is kept as its positive nodes, each standing
+    for a +/- pair, with one node's normalized weight (the pairs sum to
+    1/2). The arrays are read-only, since every caller shares them."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(_GH_NODES)
+    rule = nodes[_GH_NODES // 2:], (weights / weights.sum())[_GH_NODES // 2:]
+    for part in rule:
+        part.setflags(write=False)
+    return rule
 
-    cond_mean_y(z) is called once, on the (n, d_z) draws of Z, and
-    returns given_z; given_z(x) maps (n, 1) focal values to
-    E[Y | X=x, Z=z] row by row, once per node and once on the drawn x.
+
+# Rows per slice of the pair loop, so its buffers stay in cache.
+_SLICE_ROWS = 8192
+
+
+def _tanh_node_mean(h: np.ndarray, scale: float) -> np.ndarray:
+    """E tanh(h + scale * xi / 2) for xi ~ N(0, 1), row by row, by the
+    64-node rule summed in +/- pairs. For a pair's t = scale * xi_k / 2,
+    with e = exp(-2|h|) per row and q = exp(-2t) per pair,
+
+        tanh(h + t) + tanh(h - t) = sign(h) 2 (1 - e^2) / (1 + e^2 + c e),
+
+    where c = q + 1/q. So each pair costs a multiply, two adds and a
+    divide, and no tanh. A pair whose q is below the normal range
+    (t > 354) takes the two tanh values directly: there c e could
+    overflow, lose the precision of a subnormal e, or be 0 * inf."""
+    nodes, weights = _pair_rule()
+    t = 0.5 * abs(float(scale)) * nodes
+    q = np.exp(-2.0 * t)
+    closed = q >= np.finfo(float).tiny
+    c = q[closed] + 1.0 / q[closed]
+    w_closed = weights[closed]
+    direct = list(zip(t[~closed], weights[~closed]))
+    out = np.empty_like(h)
+    buffers = np.empty((4, min(len(h), _SLICE_ROWS)))
+    for lo in range(0, len(h), _SLICE_ROWS):
+        hs = h[lo:lo + _SLICE_ROWS]
+        e, one_plus, acc, den = buffers[:, :len(hs)]
+        np.abs(hs, out=e)
+        np.multiply(e, -2.0, out=e)
+        np.exp(e, out=e)
+        np.multiply(e, e, out=one_plus)
+        one_plus += 1.0
+        acc[:] = 0.0
+        for ck, wk in zip(c, w_closed):
+            np.multiply(e, ck, out=den)
+            den += one_plus
+            np.divide(wk, den, out=den)
+            acc += den
+        # 2 (1 - e^2) as -2 expm1(-4|h|), which keeps its precision near h = 0.
+        acc *= np.copysign(-2.0 * np.expm1(-4.0 * np.abs(hs)), hs)
+        for tk, wk in direct:
+            acc += wk * (np.tanh(hs + tk) + np.tanh(hs - tk))
+        out[lo:lo + len(hs)] = acc
+    return out
+
+
+def macm_gap_oracle(model: CovariateModel, slope: float, offset,
+                    x: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo MACM gap of the logistic truth
+
+        E[Y | X, Z] = tanh((slope * X + offset) / 2)
+
+    over n >= 2 joint draws of (X, Z), such as model.sample_joint
+    returns; offset, the part of the linear predictor that does not
+    involve X, is a scalar or one value per draw. The inner expectation
+    E[Y | Z] is the 64-node Gauss-Hermite rule against the Gaussian law
+    of X | Z, summed in +/- node pairs in closed form (_tanh_node_mean).
+    Returns (value, se).
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -146,16 +209,18 @@ def macm_gap_oracle(model: CovariateModel, cond_mean_y, x: np.ndarray,
     n_draws = len(x)
     if n_draws < 2:
         raise SizeError("the MACM oracle needs at least two draws")
+    offset = np.asarray(offset, dtype=float)
+    if offset.shape not in ((), (n_draws,)):
+        raise ShapeError(f"offset must be a scalar or {n_draws} values, "
+                         f"got shape {offset.shape}")
+    slope = float(slope)
+    if not (math.isfinite(slope) and np.isfinite(offset).all()):
+        raise ValidationError("slope and offset must be finite")
     cond_mean_x, cond_cov = model.conditional_x_moments(z)
     if cond_mean_x.shape[1] != 1:
         raise ValidationError("quadrature oracle supports a scalar focal X")
     sd = math.sqrt(float(cond_cov[0, 0]))
-    nodes, weights = np.polynomial.hermite_e.hermegauss(_GH_NODES)
-    weights = weights / weights.sum()
-    given_z = cond_mean_y(z)
-    ey_z = np.zeros(n_draws)
-    for node, weight in zip(nodes, weights):
-        x_node = cond_mean_x + sd * node
-        ey_z += weight * np.asarray(given_z(x_node)).reshape(n_draws)
-    vals = np.abs(ey_z - np.asarray(given_z(x)).reshape(n_draws))
+    ey_z = _tanh_node_mean((offset + slope * cond_mean_x[:, 0]) / 2.0,
+                           slope * sd)
+    vals = np.abs(ey_z - np.tanh((offset + slope * x[:, 0]) / 2.0))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_draws))

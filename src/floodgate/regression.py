@@ -294,8 +294,13 @@ def _solve_blocks(hess, rhs, block):
     try:
         d = np.linalg.solve(system, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        d = np.stack([np.linalg.lstsq(a, r, rcond=None)[0]
-                      for a, r in zip(system, rhs)])
+        # Some slice is singular: only those go through lstsq.
+        d = np.empty_like(rhs)
+        for i, (a, r) in enumerate(zip(system, rhs)):
+            try:
+                d[i] = np.linalg.solve(a, r)
+            except np.linalg.LinAlgError:
+                d[i] = np.linalg.lstsq(a, r, rcond=None)[0]
     miss = np.abs((system @ d[..., None])[..., 0] - rhs).max(axis=1)
     return system, rhs, np.where(block, d, 0.0), ~(miss <= 1e-6 * np.abs(rhs).max(axis=1))
 

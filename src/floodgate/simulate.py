@@ -230,8 +230,9 @@ def macm_oracle_values(mu_star: RealizedMuStar, rho: float, n_draws: int,
     """MACM-gap oracle per variable for the logistic-linear model over
     AR(1) covariates: E[Y | W] = tanh(mu*(W) / 2), nulls are exactly 0.
     Each draw count makes one set of full rows, shared by every support
-    variable; the count doubles, up to 64 n_draws, for the variables
-    whose Monte Carlo SE has not yet met the target."""
+    variable j, whose oracle takes slope coef[j] and, as its offset, the
+    rest of mu* summed once. The count doubles, up to 64 n_draws, for the
+    variables whose Monte Carlo SE has not yet met the target."""
     if mu_star.coef is None:
         raise ValidationError("the MACM oracle expects a coefficient mu*")
     coef = mu_star.coef
@@ -245,15 +246,11 @@ def macm_oracle_values(mu_star: RealizedMuStar, rho: float, n_draws: int,
         del x, z    # so only w and one variable's z are held below
         unmet = []
         for j in pending:
-            def cond_mean_y(z, _j=j):
-                # Only the focal column changes across the quadrature
-                # nodes, so the rest of mu* is summed once.
-                offset = z @ np.delete(coef, _j)
-                return lambda x: np.tanh((offset + coef[_j] * x[:, 0]) / 2.0)
-
+            z_j = np.delete(w, j, axis=1)
             value, se = macm_gap_oracle(Ar1Model(mu_star.p, rho, j + 1),
-                                        cond_mean_y, w[:, j:j + 1],
-                                        np.delete(w, j, axis=1))
+                                        coef[j], z_j @ np.delete(coef, j),
+                                        w[:, j:j + 1], z_j)
+            del z_j     # before the next variable's copy is built
             out[j] = value
             if se >= se_target and draws < 64 * n_draws:
                 unmet.append(j)

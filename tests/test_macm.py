@@ -1,5 +1,6 @@
 import math
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from floodgate.mmse import mu_null_values
 from floodgate.errors import (DegenerateLabelsError, ShapeError, SizeError,
                               UnsupportedClosedFormError, ValidationError)
 from floodgate.regression import LOGIT_L1, OLS
+from floodgate.simulate import LOGISTIC_LINEAR, MuStarSpec, build_mu_star
 
 
 def _indep_model(sigma2=1.0):
@@ -148,13 +150,8 @@ class TestMonteCarloMoments:
         beta, zeta = 1.2, 0.4
         data, mu = _logit_draw(model, beta, zeta, 30000, seed=7)
 
-        def cond_mean_y(x, z):
-            x = np.asarray(x).reshape(len(z))
-            return np.tanh((beta * x + zeta * z[:, 0]) / 2.0)
-
-        truth, oracle_se = macm_gap_oracle(
-            model, lambda z: lambda x: cond_mean_y(x, z),
-            *model.sample_joint(200000, seed=8))
+        x, z = model.sample_joint(200000, seed=8)
+        truth, oracle_se = macm_gap_oracle(model, beta, zeta * z[:, 0], x, z)
         assert oracle_se < 0.002
         rep = macm_lcb(data, mu, model,
                        MacmConfig(m_copies=2000, k_copies=100, seed=10))
@@ -316,61 +313,107 @@ class TestMacmGapEnumerate:
         assert got == pytest.approx(0.0, abs=1e-12)
 
 
+def _per_node_tanh_mean(h, scale):
+    """The 64-node rule for E tanh(h + scale * xi / 2), one tanh per node."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(64)
+    weights = weights / weights.sum()
+    ey = np.zeros(len(h))
+    for node, weight in zip(nodes, weights):
+        ey += weight * np.tanh(h + scale * node / 2.0)
+    return ey
+
+
 class TestMacmGapOracle:
     def test_sign_response_has_unit_gap(self):
-        # E[Y | X, Z] = sign(X) with X symmetric about zero given Z:
-        # E[Y | Z] = 0, so the MACM gap is exactly 1.
+        # E[Y | X, Z] = tanh(1e6 X / 2), a sign up to 1e-6 in X, with X
+        # symmetric about zero given Z: E[Y | Z] = 0, so the MACM gap is
+        # 1. Every node pair's q = exp(-2t) underflows, so the pairs take
+        # their tanh values directly.
         model = _indep_model()
-        value, se = macm_gap_oracle(
-            model, lambda z: lambda x: np.sign(np.asarray(x).reshape(len(z))),
-            *model.sample_joint(50000, seed=3))
+        value, se = macm_gap_oracle(model, 1e6, 0.0,
+                                    *model.sample_joint(50000, seed=3))
         assert value == pytest.approx(1.0, abs=3 * se + 1e-9)
 
     def test_constant_response_has_zero_gap(self):
         model = _indep_model()
-        value, se = macm_gap_oracle(
-            model, lambda z: lambda x: np.full(len(z), 0.3),
-            *model.sample_joint(10000, seed=4))
+        value, se = macm_gap_oracle(model, 0.0, 2.0 * math.atanh(0.3),
+                                    *model.sample_joint(10000, seed=4))
         assert value == pytest.approx(0.0, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
 
-    def test_outer_callback_runs_once_per_draw_set(self):
-        model = Ar1Model(dim=5, rho=0.3, focal_index=2)
-        outer, inner = [], []
+    def test_pair_kernel_matches_per_node_tanh_sum(self):
+        # Random h and slope * sd from 0 to 1e3, so e = exp(-2|h|) and a
+        # pair's q = exp(-2t) each underflow, alone and together; the
+        # edge of the normal range (|h| and t near 354) is sampled too.
+        rng = np.random.default_rng(17)
+        h = np.concatenate([rng.uniform(-1e3, 1e3, 3000),
+                            rng.choice([-1.0, 1.0], 3000)
+                            * 10.0 ** rng.uniform(-8, 3, 3000),
+                            rng.uniform(350.0, 375.0, 1000),
+                            [0.0, -0.0, 1e-300, 354.0, -372.0, 745.0]])
+        nodes, _ = macm._pair_rule()
+        scales = np.concatenate([[0.0, 1e-12, 0.7, 1e3],
+                                 2.0 * 354.4 / nodes[[0, 5, 31]],
+                                 rng.uniform(0.0, 1e3, 20),
+                                 10.0 ** rng.uniform(-6, 3, 20)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in scales:
+                np.testing.assert_allclose(
+                    macm._tanh_node_mean(h, scale),
+                    _per_node_tanh_mean(h, scale), rtol=0.0, atol=1e-13)
 
-        def cond_mean_y(z):
-            outer.append(z.shape)
-
-            def given_z(x):
-                inner.append(x.shape)
-                return np.tanh(x[:, 0] + z[:, 0])
-            return given_z
-
-        macm_gap_oracle(model, cond_mean_y, *model.sample_joint(300, seed=5))
-        assert outer == [(300, 4)]
-        assert inner == [(300, 1)] * (macm._GH_NODES + 1)
+    def test_node_rule_matches_mpmath_at_a6_scale(self):
+        # On rows of the A6 design, where |slope| sd <= 0.7, the 64-node
+        # rule equals adaptive quadrature, split at the root of the linear
+        # predictor, within 1e-12.
+        mpmath = pytest.importorskip("mpmath")
+        mu = build_mu_star(MuStarSpec(LOGISTIC_LINEAR, sparsity=10,
+                                      amplitude=15.0, seed=606), 500, 40)
+        w = np.concatenate(Ar1Model(40, 0.3, 1).sample_joint(2000, seed=987),
+                           axis=1)
+        rng = np.random.default_rng(5)
+        for j in map(int, mu.support):
+            z_j = np.delete(w, j, axis=1)
+            mean, cov = Ar1Model(40, 0.3, j + 1).conditional_x_moments(z_j)
+            scale = abs(mu.coef[j]) * math.sqrt(cov[0, 0])
+            assert scale <= 0.7
+            rows = rng.choice(2000, 4, replace=False)
+            h = (z_j[rows] @ np.delete(mu.coef, j)
+                 + mu.coef[j] * mean[rows, 0]) / 2.0
+            for h_row, got in zip(h, macm._tanh_node_mean(h, scale)):
+                with mpmath.workdps(20):
+                    want = mpmath.quad(
+                        lambda xi: mpmath.tanh(h_row + scale * xi / 2)
+                        * mpmath.npdf(xi),
+                        [-mpmath.inf, -2 * h_row / scale, mpmath.inf])
+                assert got == pytest.approx(float(want), rel=0.0, abs=1e-12)
 
     def test_rejects_misshaped_draws(self):
         model = Ar1Model(dim=5, rho=0.3, focal_index=2)
         x, z = model.sample_joint(30, seed=6)
-        cond_mean_y = lambda z: lambda x: np.tanh(x[:, 0])
         for bad_x, bad_z in ((x[:, 0], z),                     # not 2-D
                              (np.hstack([x, x]), z),           # two columns
                              (x[:29], z),                      # row counts
                              (x, z[:29])):
             with pytest.raises(ShapeError):
-                macm_gap_oracle(model, cond_mean_y, bad_x, bad_z)
+                macm_gap_oracle(model, 1.0, 0.0, bad_x, bad_z)
+        for bad_offset in (np.zeros(29), np.zeros((30, 1))):
+            with pytest.raises(ShapeError):
+                macm_gap_oracle(model, 1.0, bad_offset, x, z)
+        for slope, offset in ((math.nan, 0.0), (1.0, np.full(30, math.inf))):
+            with pytest.raises(ValidationError):
+                macm_gap_oracle(model, slope, offset, x, z)
 
     def test_needs_two_draws(self):
         # One draw has no sample SE (numpy would return nan with a
         # RuntimeWarning).
         model = Ar1Model(dim=5, rho=0.3, focal_index=2)
         x, z = model.sample_joint(2, seed=7)
-        cond_mean_y = lambda z: lambda x: np.tanh(x[:, 0])
         for n in (0, 1):
             with pytest.raises(SizeError):
-                macm_gap_oracle(model, cond_mean_y, x[:n], z[:n])
-        _, se = macm_gap_oracle(model, cond_mean_y, x, z)
+                macm_gap_oracle(model, 2.0, 0.0, x[:n], z[:n])
+        _, se = macm_gap_oracle(model, 2.0, 0.0, x, z)
         assert math.isfinite(se)
 
 

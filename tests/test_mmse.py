@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from floodgate import (Ar1Model, CustomRegression, Dataset,
                        DiscreteMarkovChain, FloodgateConfig,
@@ -562,3 +563,95 @@ class TestZeroOutTransform:
     def test_bad_index(self):
         with pytest.raises(IndexError):
             zero_out_transform(self._reports(2), selected=[5])
+
+
+class TestInvarianceProperties:
+    """Invariances of the mMSE bounds, as hypothesis properties."""
+
+    MU = LinearWorkingRegression(OLS, 0.2, np.array([1.1]),
+                                 np.array([0.4, -0.3, 0.0]))
+
+    @staticmethod
+    def _data(model, n, seed):
+        x, z = model.sample_joint(n, seed % 10_000)
+        rng = np.random.default_rng(seed)
+        y = (TestInvarianceProperties.MU.predict(x, z) + np.sin(z[:, 0])
+             + rng.standard_normal(n))
+        return Dataset(y, x, z)
+
+    @given(kind=st.sampled_from(["ar1", "chain"]),
+           rho=st.floats(-0.6, 0.6),
+           n=st.integers(2, 150),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_mode_row_permutation(self, kind, rho, n, seed):
+        # Exact moments are per row, so a permutation reorders (R_i, V_i);
+        # only the summation order of their means changes.
+        if kind == "ar1":
+            model = Ar1Model(dim=4, rho=rho, focal_index=2)
+        else:
+            t = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3],
+                          [0.1, 0.3, 0.6]])
+            model = DiscreteMarkovChain(np.array([0.5, 0.3, 0.2]), [t] * 3,
+                                        focal_index=2)
+        data = self._data(model, n, seed)
+        order = np.random.default_rng(seed + 1).permutation(n)
+        permuted = Dataset(data.y[order], data.x[order], data.z[order])
+        cfg = FloodgateConfig(big_k=0, seed=seed)
+        ref = floodgate_lcb(data, self.MU, model, cfg)
+        got = floodgate_lcb(permuted, self.MU, model, cfg)
+        assert got.degenerate == ref.degenerate
+        for field in ("lcb", "point", "se"):
+            assert getattr(got, field) == pytest.approx(
+                getattr(ref, field), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the weighted R_i, mean_k (Y - mu~_k)^2 w w1_k - (Y - mu)^2 w, "
+        "sheds c mu + g(Z) only in expectation: its mu~^2 - mu^2 and g "
+        "cross terms cancel in E, not row by row"))
+    @given(rho=st.floats(-0.6, 0.6),
+           log_c=st.floats(-2.0, 2.0),
+           shift=st.floats(-3.0, 3.0),
+           slopes=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=20, deadline=None, phases=(Phase.generate,))
+    def test_weighted_scale_and_z_shift(self, rho, log_c, shift, slopes,
+                                        seed):
+        model = Ar1Model(dim=4, rho=rho, focal_index=2)
+        data = self._data(model, 80, seed)
+        rng = np.random.default_rng(seed + 2)
+        weights = (rng.uniform(0.2, 2.0, 80), rng.uniform(0.2, 2.0, (5, 80)))
+        c, b = math.exp(log_c), np.array(slopes)
+        probe = CustomRegression(
+            lambda xx, zz: (c * self.MU.predict(xx, zz) + shift + zz @ b
+                            + np.sin(zz[:, 0])),
+            linear_focal_coef=c * self.MU.x_coef)
+        cfg = FloodgateConfig(big_k=5, seed=seed)
+        ref = floodgate_lcb_weighted(data, self.MU, model, weights, cfg)
+        got = floodgate_lcb_weighted(data, probe, model, weights, cfg)
+        assert got.lcb == pytest.approx(ref.lcb, rel=1e-9, abs=1e-9)
+        assert got.point == pytest.approx(ref.point, rel=1e-9, abs=1e-9)
+
+    @given(rho=st.floats(-0.6, 0.6),
+           log2_c=st.integers(-30, 30),
+           c=st.floats(1e-3, 1e3),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_weighted_constant_weight_rescaling(self, rho, log2_c, c, seed):
+        # Both sample means are divided by the mean row weight. A power of
+        # two rescales every product without rounding, so the report is
+        # identical; any other constant rounds, e.g. in the last bit of
+        # se for c = 3, so it agrees within 1e-12.
+        model = Ar1Model(dim=4, rho=rho, focal_index=3)
+        data = self._data(model, 80, seed)
+        rng = np.random.default_rng(seed + 2)
+        w, w1 = rng.uniform(0.2, 2.0, 80), rng.uniform(0.2, 2.0, (5, 80))
+        cfg = FloodgateConfig(big_k=5, seed=seed)
+        ref = floodgate_lcb_weighted(data, self.MU, model, (w, w1), cfg)
+        assert floodgate_lcb_weighted(
+            data, self.MU, model, (2.0 ** log2_c * w, w1), cfg) == ref
+        got = floodgate_lcb_weighted(data, self.MU, model, (c * w, w1), cfg)
+        assert got.degenerate == ref.degenerate
+        for field in ("lcb", "point", "se"):
+            assert getattr(got, field) == pytest.approx(
+                getattr(ref, field), rel=1e-12, abs=1e-12)

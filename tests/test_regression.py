@@ -579,6 +579,29 @@ class TestStackedLassoPath:
         _assert_path_kkt(grams, cvecs, grid, tolerance, path)
 
 
+    def test_only_singular_blocks_go_to_lstsq(self, monkeypatch):
+        # One exactly singular slice in a batch of three: the other two
+        # keep np.linalg.solve's solutions, and lstsq sees only the one.
+        rng = np.random.default_rng(8)
+        root = rng.standard_normal((3, 4, 4))
+        hess = root @ root.transpose(0, 2, 1) + 4.0 * np.eye(4)
+        hess[1, :, 3] = hess[1, :, 2]
+        hess[1, 3, :] = hess[1, 2, :]
+        rhs = rng.standard_normal((3, 4))
+        rhs[1, 3] = rhs[1, 2]
+        block = np.ones((3, 4), dtype=bool)
+        block[2, 0] = False
+        seen = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda a, *rest, **kw: seen.append(a.copy())
+                            or lstsq(a, *rest, **kw))
+        system, r, d, _ = regression._solve_blocks(hess, rhs, block)
+        assert len(seen) == 1 and np.array_equal(seen[0], hess[1])
+        for i in (0, 2):
+            assert np.array_equal(d[i], np.linalg.solve(system[i], r[i]))
+        assert np.allclose(system[1] @ d[1], r[1])
+
     @pytest.mark.parametrize("seed, n, d_x, d_z, rho, folds", [
         (1070972612, 5, 3, 9, 0.6129742838485683, 5),
         (1333525774, 9, 3, 27, 0.1850809928571441, 6)])

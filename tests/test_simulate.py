@@ -147,10 +147,10 @@ class TestOracles:
         assert np.all(vals <= 1.0)
 
     def test_macm_oracle_matches_assembled_rows(self):
-        # The reference rebuilds the full covariate rows from x and z on
-        # every call, as the oracle's callback once did, on the same
-        # shared draw set. The oracle sums the non-focal part of mu* once,
-        # which rounds differently, so the match is to rtol 1e-12.
+        # The reference rebuilds the full covariate rows at every node,
+        # on the same shared draw set, and takes one tanh per node. The
+        # oracle sums the non-focal part of mu* once and the nodes in
+        # pairs, which rounds differently, so the match is to rtol 1e-12.
         mu = self._a6_mu_star()
         got = macm_oracle_values(mu, rho=0.3, n_draws=1001, seed=4,
                                  se_target=1.0)
@@ -165,8 +165,8 @@ class TestOracles:
         mu = self._a6_mu_star()
         calls = []
 
-        def recording(model, cond_mean_y, x, z):
-            value, se = macm_gap_oracle(model, cond_mean_y, x, z)
+        def recording(model, slope, offset, x, z):
+            value, se = macm_gap_oracle(model, slope, offset, x, z)
             calls.append((model.focal_index[0] - 1, len(x), value, se))
             return value, se
 
@@ -248,17 +248,25 @@ class TestOracles:
 
 
 def _assembled_row_oracle(mu, j, draws, seed):
-    """macm_gap_oracle for variable j on the oracle's shared draw set,
-    with a callback that evaluates mu* on reassembled full rows."""
+    """The MACM oracle for variable j on the oracle's shared draw set, by
+    the 64-node Gauss-Hermite rule one node at a time: E[Y | W] =
+    tanh(mu*(W) / 2) on full rows reassembled at each node."""
     x, z = Ar1Model(mu.p, 0.3, 1).sample_joint(draws,
                                                 derive_seed(seed, draws))
     w = np.concatenate([x, z], axis=1)
+    x_j, z_j = w[:, j:j + 1], np.delete(w, j, axis=1)
+    mean, cov = Ar1Model(mu.p, 0.3, j + 1).conditional_x_moments(z_j)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(64)
+    weights = weights / weights.sum()
 
-    def cond_mean_y(z_rows):
-        return lambda x_rows: np.tanh(mu.values(np.concatenate(
-            [z_rows[:, :j], x_rows, z_rows[:, j:]], axis=1)) / 2.0)
-    return macm_gap_oracle(Ar1Model(mu.p, 0.3, j + 1), cond_mean_y,
-                           w[:, j:j + 1], np.delete(w, j, axis=1))
+    def given_z(x_rows):
+        return np.tanh(mu.values(np.concatenate(
+            [z_j[:, :j], x_rows, z_j[:, j:]], axis=1)) / 2.0)
+    ey_z = np.zeros(draws)
+    for node, weight in zip(nodes, weights):
+        ey_z += weight * given_z(mean + math.sqrt(cov[0, 0]) * node)
+    vals = np.abs(ey_z - given_z(x_j))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws))
 
 
 class TestExperimentSpec:
