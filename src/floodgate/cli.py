@@ -52,7 +52,8 @@ def _write_manifest(out_path: Path, command: str, config: dict,
         "inputs": {str(p): _sha256(p) for p in inputs},
     }
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True),
+                             encoding="utf-8")
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -81,7 +82,7 @@ def _cmd_fit(args) -> int:
     data = Dataset.from_csv(args.data, x_cols=args.x_cols)
     mu = _fit(args.fitter, data, args.cv_folds, args.seed)
     out = Path(args.out)
-    out.write_text(mu.to_json())
+    out.write_text(mu.to_json(), encoding="utf-8")
     _write_manifest(out, "fit",
                     {"data": args.data, "fitter": args.fitter,
                      "cv_folds": args.cv_folds, "seed": args.seed,
@@ -113,14 +114,15 @@ def _cmd_infer(args) -> int:
         raise ValidationError("--method mmse_exact is mmse_mc --k 0")
     _resolve_run_options(args)
     data = Dataset.from_csv(args.data, x_cols=args.x_cols)
-    model = model_from_json(Path(args.model).read_text())
+    model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
     inputs = [Path(args.data), Path(args.model)]
     if args.mu is not None:
-        mu = regression_from_json(Path(args.mu).read_text())
+        mu = regression_from_json(Path(args.mu).read_text(encoding="utf-8"))
         infer_part = data
         inputs.append(Path(args.mu))
     else:
         parts = split_dataset(data, args.split, args.seed)
+        del data    # the parts hold every row
         mu = _fit(args.fit, parts.fit_part, args.cv_folds, args.seed)
         infer_part = parts.infer_part
 
@@ -150,7 +152,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = ExperimentSpec.from_json(Path(args.spec).read_text())
+    spec = ExperimentSpec.from_json(
+        Path(args.spec).read_text(encoding="utf-8"))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(spec, threads=_resolve_threads(args.threads))

@@ -93,7 +93,7 @@ def _erfc_slice(x: np.ndarray, out: np.ndarray) -> None:
     idx = np.flatnonzero(~small)
     if not len(idx):
         return
-    # fmin maps nan to the zero tail; _erfc restores it.
+    # fmin maps nan to the zero tail; it is restored below.
     ym = np.fmin(y.take(idx), _ERFC_ZERO)
     res = np.empty_like(ym)
     mid = ym <= 4.0
@@ -123,26 +123,31 @@ def _erfc_slice(x: np.ndarray, out: np.ndarray) -> None:
     t = np.floor(ym * 16.0) / 16.0
     res *= np.exp(-t * t) * np.exp(-(ym - t) * (ym + t))
     res[ym >= _ERFC_ZERO] = 0.0
-    neg = np.flatnonzero(x.take(idx) < 0.0)
+    xi = x.take(idx)
+    neg = np.flatnonzero(xi < 0.0)
     res[neg] = 2.0 - res[neg]
+    res[np.isnan(xi)] = np.nan
     out[idx] = res
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:
-    """Complementary error function of a float array, elementwise."""
-    flat = np.ascontiguousarray(x, dtype=float).ravel()
-    out = np.empty_like(flat)
+    """Complementary error function of a C-contiguous float array,
+    elementwise, written over x. The two branches of a slice read and
+    write disjoint elements, so none is read after it is overwritten."""
+    flat = x.reshape(-1)
     for start in range(0, flat.size, _SLICE):
         stop = start + _SLICE
-        _erfc_slice(flat[start:stop], out[start:stop])
-    out[np.isnan(flat)] = np.nan
-    return out.reshape(np.shape(x))
+        _erfc_slice(flat[start:stop], flat[start:stop])
+    return x
 
 
 def normal_cdf(x):
     """Standard normal CDF, elementwise on arrays; a scalar gives a float."""
     arr = np.asarray(x, dtype=float)
-    out = 0.5 * _erfc(-arr / math.sqrt(2.0))
+    # arr / -sqrt(2) is bitwise -arr / sqrt(2). The C order is part of
+    # the output: products on these values round according to layout.
+    out = _erfc(np.divide(arr, -math.sqrt(2.0), out=np.empty(arr.shape)))
+    out *= 0.5
     return float(out) if out.ndim == 0 else out
 
 
@@ -273,7 +278,10 @@ class Dataset:
         if x.shape[1] < 1:
             raise ShapeError("x must have at least one column")
         for name, arr in (("y", y), ("x", x), ("z", z)):
-            if arr.size and not np.all(np.isfinite(arr)):
+            # min or max is nan or infinite exactly when some value is;
+            # unlike np.isfinite, no temporary of the array's size.
+            if arr.size and not (np.isfinite(arr.min())
+                                 and np.isfinite(arr.max())):
                 raise ValidationError(f"{name} contains non-finite values")
 
     @property
@@ -297,7 +305,7 @@ class Dataset:
         header = (["y"]
                   + [f"x{j + 1}" for j in range(self.d_x)]
                   + [f"z{j + 1}" for j in range(self.d_z)])
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             np.savetxt(fh, np.column_stack([self.y, self.x, self.z]),
                        fmt="%.12g", delimiter=",", newline="\r\n",
                        header=",".join(header), comments="")
@@ -314,9 +322,11 @@ class Dataset:
         numpy parses the body: a cell may be quoted or padded with
         whitespace, blank lines are skipped, and '#' starts no comment.
         A row whose width differs from the header's raises ShapeError; a
-        cell that is not a decimal float raises ValidationError.
+        cell that is not a decimal float raises ValidationError. The file
+        is read as UTF-8; a leading byte-order mark (as spreadsheets
+        write) is skipped.
         """
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             try:
                 header = next(csv.reader(fh))
             except StopIteration:
@@ -355,8 +365,10 @@ class Dataset:
                     f"{path}: x-cols must be distinct and exclude y: {list(x_cols)}")
             x_names = list(x_cols)
             z_names = [h for h in header if h != "y" and h not in x_names]
+        # y is copied too, so that no view keeps the parse table alive.
         col = {name: j for j, name in enumerate(header)}
-        return cls(data[:, col["y"]], data[:, [col[c] for c in x_names]],
+        return cls(data[:, col["y"]].copy(),
+                   data[:, [col[c] for c in x_names]],
                    data[:, [col[c] for c in z_names]])
 
 
@@ -365,7 +377,7 @@ def _csv_body_fault(path, width: int, reason: str) -> NoReturn:
     whose width differs from the header's (ShapeError), else a cell that
     is not a number (ValidationError). Reads the body again with ``csv``,
     so well-formed files are parsed once."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         rows = [row for row in reader if row]
@@ -400,8 +412,9 @@ def split(data: Dataset, proportion: float, seed: int) -> SplitDataset:
         raise SizeError(
             f"split of n={n} at proportion={proportion} leaves an empty part")
     perm = seeded_rng(seed).permutation(n)
-    return SplitDataset(data.take(np.sort(perm[:n_fit])),
-                        data.take(np.sort(perm[n_fit:])))
+    perm[:n_fit].sort()     # in place: one index array of n
+    perm[n_fit:].sort()
+    return SplitDataset(data.take(perm[:n_fit]), data.take(perm[n_fit:]))
 
 
 @dataclass(frozen=True)
@@ -440,7 +453,7 @@ def _csv_cells(row: Iterable) -> list:
 def reports_to_csv(path, reports: Iterable[tuple[str, LcbReport]],
                    extra_columns: Sequence[str] = ()) -> None:
     """Write one CSV row per (variable/group, estimand)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_CSV_COLUMNS + list(extra_columns))
         for variable, rep in reports:

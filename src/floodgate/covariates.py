@@ -101,9 +101,14 @@ class _GaussianConditional(CovariateModel):
             raise ValidationError("big_k must be >= 1")
         mean, _ = self.conditional_x_moments(z)
         draws = philox_rng(seed).standard_normal((big_k, len(mean), self.d_x))
+        # In place where the draws allow: a sum or product has the same
+        # bits in either operand order.
         if self.d_x == 1:   # a 1 x 1 factor: the matmul's values, faster
-            return NullCopies(mean[None, :, :] + draws * self._cond_chol[0, 0])
-        return NullCopies(mean[None, :, :] + draws @ self._cond_chol.T)
+            draws *= self._cond_chol[0, 0]
+        else:
+            draws = draws @ self._cond_chol.T
+        draws += mean[None, :, :]
+        return NullCopies(draws)
 
 
 @dataclass(frozen=True)
@@ -234,7 +239,10 @@ class CopulaModel(CovariateModel):
 
     @staticmethod
     def _to_uniform(latent_vals: np.ndarray) -> np.ndarray:
-        return 2.0 * normal_cdf(latent_vals) - 1.0
+        u = normal_cdf(latent_vals)
+        u *= 2.0
+        u -= 1.0
+        return u
 
     @staticmethod
     def _to_latent(uniform_vals: np.ndarray) -> np.ndarray:

@@ -65,11 +65,17 @@ def mu_on_copies(mu: WorkingRegression, copies: np.ndarray,
         base = np.full(n, mu.intercept)
         if len(mu.z_coef):
             base = base + z @ mu.z_coef
+        # One (K, n) array, then in place; a sum has the same bits in
+        # either operand order.
         if d_x == 1 and len(mu.x_coef) == 1:
-            f = base[None, :] + copies[:, :, 0] * mu.x_coef[0]
+            f = copies[:, :, 0] * mu.x_coef[0]
         else:
-            f = base[None, :] + copies @ mu.x_coef
-        return np.tanh(f / 2.0) if mu.link == "binary_mean" else f
+            f = copies @ mu.x_coef
+        f += base[None, :]
+        if mu.link == "binary_mean":
+            f /= 2.0
+            np.tanh(f, out=f)
+        return f
     step = max(1, _BLOCK_VALUES // max(n * z.shape[1], 1))
     z_rep = np.tile(z, (min(step, big_k), 1))
     return np.concatenate([

@@ -447,18 +447,23 @@ class _CrossValidation:
     and CV loss."""
 
     def __init__(self, fit_part: Dataset, cv: CvConfig, seed: int) -> None:
+        n, d_x = fit_part.x.shape
+        if n < cv.folds:
+            raise SizeError(f"need n >= folds = {cv.folds}, got n = {n}")
+        # Drawn before w, so that their temporaries are gone by then.
+        self.folds = fold_assignments(n, cv.folds, seed)
+        # w is the one copy of the design, standardized in place.
         # Column-major, so that each column's moments are one contiguous
         # reduction whichever columns are kept.
-        n, d_x = fit_part.x.shape
         width = d_x + fit_part.z.shape[1]
         w = np.empty((n, width), order="F")
         w[:, :d_x], w[:, d_x:] = fit_part.x, fit_part.z
-        if n < cv.folds:
-            raise SizeError(f"need n >= folds = {cv.folds}, got n = {n}")
         # Constant by value, as a constant column's std can round above
-        # 0; a varying column's std can also underflow to 0.
-        sds = w.std(axis=0)
-        self.keep = np.flatnonzero((w != w[0]).any(axis=0) & (sds > 0))
+        # 0; a varying column's std can also underflow to 0. Per column
+        # and by max = min (the values are finite), no temporary of w's
+        # size; each std equals w.std(axis=0)'s bit for bit.
+        sds = np.array([col.std() for col in w.T])
+        self.keep = np.flatnonzero((w.max(axis=0) > w.min(axis=0)) & (sds > 0))
         if not len(self.keep):
             raise SingularDesignError("all columns of [x, z] are constant")
         if len(self.keep) < width:
@@ -466,9 +471,9 @@ class _CrossValidation:
                           "before fitting; their coefficients are set to 0")
             w = w[:, self.keep]
         self.means, self.sds = w.mean(axis=0), sds[self.keep]
-        self.ws = w - self.means
-        self.ws /= self.sds
-        self.folds = fold_assignments(n, cv.folds, seed)
+        w -= self.means
+        w /= self.sds
+        self.ws = w
         self.cv, self.d_x, self.width = cv, d_x, width
 
     def grid(self, lam_max: float) -> np.ndarray:

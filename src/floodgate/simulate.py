@@ -607,7 +607,7 @@ class ExperimentResult:
     def write_csvs(self, detail_path, summary_path) -> None:
         detail_cols = ["replicate", "variable", "method", "lcb", "point",
                        "se", "degenerate", "oracle", "covered", "half_width"]
-        with open(detail_path, "w", newline="") as fh:
+        with open(detail_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(detail_cols)
             for d in self.detail:
@@ -619,7 +619,7 @@ class ExperimentResult:
         summary_cols = ["method", "variable", "oracle", "replicates",
                         "coverage", "coverage_se", "mean_half_width",
                         "half_width_se", "degenerate_rate"]
-        with open(summary_path, "w", newline="") as fh:
+        with open(summary_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(summary_cols)
             for row in self.summary():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from floodgate import (ConfidenceLevel, Dataset, LcbReport, delta_method_se,
                        normal_cdf, normal_quantile, sample_mean_cov, split)
+from floodgate import core
 from floodgate.core import ratio_lcb, reports_to_csv, seeded_rng
 from floodgate.errors import (ShapeError, SizeError, ValidationError)
 
@@ -113,6 +114,44 @@ class TestArrayNumerics:
         want = np.array([_scalar_quantile_reference(v) for v in p])
         np.testing.assert_allclose(normal_quantile(p), want, rtol=0.0,
                                    atol=1e-12)
+
+    def test_cdf_equals_the_out_of_place_expression(self):
+        # The expression normal_cdf computed before it worked in place:
+        # 0.5 * erfc(-arr / sqrt(2)) into a separate output, with nan
+        # restored from the input.
+        def out_of_place(x):
+            arr = np.asarray(x, dtype=float)
+            flat = np.ascontiguousarray(-arr / math.sqrt(2.0)).ravel()
+            out = np.empty_like(flat)
+            for start in range(0, flat.size, core._SLICE):
+                stop = start + core._SLICE
+                core._erfc_slice(flat[start:stop], out[start:stop])
+            out[np.isnan(flat)] = np.nan
+            return 0.5 * out.reshape(arr.shape)
+
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                   2.2e-308, -2.2e-308, 1e308, -1e308]
+        for t in (0.46875, 4.0, 27.3):      # the branch thresholds
+            b = t * math.sqrt(2.0)
+            special += [s * v for s in (1.0, -1.0)
+                        for v in (b, np.nextafter(b, 0.0),
+                                  np.nextafter(b, np.inf))]
+        rng = np.random.default_rng(8)
+        x = np.concatenate([special,
+                            10.0 * rng.standard_normal(3 * core._SLICE)])
+        before = x.copy()
+        assert _same_bits(normal_cdf(x), out_of_place(x))
+        assert _same_bits(x, before)            # the input is not written
+        grid = np.asfortranarray(x[:4000].reshape(50, 80))
+        got = normal_cdf(grid)
+        assert got.flags.c_contiguous and _same_bits(got, out_of_place(grid))
+        assert _same_bits(normal_cdf(x[::3]), out_of_place(x[::3]))
+        for v in special:
+            got = normal_cdf(v)
+            assert type(got) is float
+            assert _same_bits(np.array(got), out_of_place(v))
+        ints = np.arange(-3, 4)
+        assert _same_bits(normal_cdf(ints), out_of_place(ints))
 
     def test_scalar_in_float_out(self):
         assert type(normal_cdf(0.3)) is float
@@ -307,6 +346,15 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(np.array([1.0, np.nan]), np.zeros((2, 1)), np.zeros((2, 0)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["y", "x", "z"])
+    def test_rejects_each_nonfinite_value(self, bad, where):
+        cols = {"y": np.array([1.0, -0.0, 3.0]), "x": np.zeros((3, 1)),
+                "z": np.full((3, 2), 1e308)}
+        cols[where].reshape(-1)[1] = bad
+        with pytest.raises(ValidationError, match=where):
+            Dataset(**cols)
+
     def test_empty_z_allowed(self):
         data = Dataset(np.ones(4), np.ones((4, 2)), np.empty((4, 0)))
         assert data.d_z == 0 and data.d_x == 2
@@ -391,6 +439,33 @@ class TestDataset:
         path = tmp_path / "d.csv"
         data.to_csv(path)
         assert path.read_bytes() == _reference_csv_bytes(data)
+
+    @pytest.mark.parametrize("first", ["y", "x1"])
+    def test_csv_read_skips_a_byte_order_mark(self, tmp_path, first):
+        # Spreadsheets write UTF-8 with a leading byte-order mark.
+        rest = [c for c in ("y", "x1", "z1") if c != first]
+        text = ",".join([first] + rest) + "\r\n1,2.5,-3\r\n4,5,6e-3\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        for x_cols in (None, ["x1"]):
+            want = Dataset.from_csv(plain, x_cols=x_cols)
+            got = Dataset.from_csv(marked, x_cols=x_cols)
+            for name in ("y", "x", "z"):
+                assert _same_bits(getattr(got, name), getattr(want, name))
+        # The body checks read the file again, past the mark too.
+        marked.write_bytes((text + "7,8\r\n").encode("utf-8-sig"))
+        with pytest.raises(ShapeError, match="data row 3 has 2 cells"):
+            Dataset.from_csv(marked)
+
+    def test_csv_y_owns_its_values(self, tmp_path):
+        path = tmp_path / "d.csv"
+        Dataset(np.arange(4.0), np.arange(8.0).reshape(4, 2),
+                np.ones((4, 1))).to_csv(path)
+        data = Dataset.from_csv(path)
+        # A view into the parse table would keep the whole table alive.
+        assert data.y.base is None and data.y.flags.c_contiguous
 
     @pytest.mark.parametrize("x_cols", [["x3"], ["y"], ["x1", "y"],
                                         ["x1", "x1"]])

@@ -1,0 +1,157 @@
+"""Each full-size array on the infer path exists once.
+
+Peaks are tracemalloc's count of the bytes allocated during a call
+(numpy reports its array buffers to it), so they are deterministic and
+independent of the allocator. The table is 20 000 rows of y and 20
+covariates. The in-place forms of the null-copy pipeline are checked
+against the out-of-place expressions they replaced, bit for bit, and
+for leaving their inputs unchanged.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from floodgate import (Ar1Model, CopulaModel, Dataset, GaussianLinearModel,
+                       LinearWorkingRegression)
+from floodgate import core
+from floodgate.cli import main
+from floodgate.core import philox_rng
+from floodgate.mmse import mu_null_values, mu_on_copies
+from floodgate.regression import CvConfig, _CrossValidation
+
+N_ROWS, N_COVARIATES = 20_000, 20
+TABLE_BYTES = N_ROWS * (1 + N_COVARIATES) * 8
+
+
+def _traced(fn):
+    """fn()'s result, the bytes it left allocated, and its peak."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def _table(n, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n, N_COVARIATES))
+    y = w[:, 0] + 0.3 * w[:, 1:6].sum(axis=1) + rng.standard_normal(n)
+    return Dataset(y, w[:, :1], w[:, 1:])
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """The table, a 60-row table for warming up, and an AR(1) model."""
+    root = tmp_path_factory.mktemp("memory")
+    _table(N_ROWS, 5).to_csv(root / "data.csv")
+    _table(60, 6).to_csv(root / "small.csv")
+    (root / "model.json").write_text(json.dumps(
+        {"model": "Ar1Model", "dim": N_COVARIATES, "rho": 0.3,
+         "focal_index": [1]}), encoding="utf-8")
+    return root
+
+
+def test_from_csv_keeps_only_its_three_arrays(files):
+    data, held, peak = _traced(lambda: Dataset.from_csv(files / "data.csv"))
+    assert data.n == N_ROWS and data.d_x + data.d_z == N_COVARIATES
+    assert held <= 1.05 * TABLE_BYTES
+    # The parse table and the three copies, each once.
+    assert peak <= 2.05 * TABLE_BYTES
+
+
+def test_cross_validation_holds_one_copy_of_the_design(files):
+    data = Dataset.from_csv(files / "data.csv")
+    n, width = data.n, data.d_x + data.d_z
+    pipe, _, peak = _traced(lambda: _CrossValidation(data, CvConfig(), 0))
+    assert pipe.ws.shape == (n, width)
+    # The design, its fold labels, one column's temporary and O(p^2).
+    assert peak <= n * width * 8 + 2 * n * 8 + 64 * width ** 2
+
+
+def test_infer_fit_peaks_at_two_tables(files, tmp_path):
+    def infer(name):
+        return main(["infer", str(files / name), "--model",
+                     str(files / "model.json"), "--fit", "lasso", "--method",
+                     "mmse_exact", "--out", str(tmp_path / f"{name}.out")])
+
+    assert infer("small.csv") == 0      # imports and caches come first
+    code, _, peak = _traced(lambda: infer("data.csv"))
+    assert code == 0
+    assert peak <= 2.1 * TABLE_BYTES
+
+
+def test_copula_block_peaks_at_two_blocks():
+    n, big_k = 2000, 1000
+    model = CopulaModel(Ar1Model(8, 0.3, [1]))
+    z = np.random.default_rng(2).uniform(-1.0, 1.0, (n, 7))
+    mu = LinearWorkingRegression("CUSTOM", 0.1, np.array([1.5]),
+                                 np.full(7, 0.8), link="binary_mean")
+    mu_null_values(mu, model, z, 2, 3)      # memoizes the latent z
+    values, _, peak = _traced(lambda: mu_null_values(mu, model, z, big_k, 3))
+    block = values.nbytes
+    assert block == big_k * n * 8
+    # The copies and the values, the erfc slices' workspace, and O(n).
+    assert peak <= 2 * block + 16 * core._SLICE * 8 + 64 * n
+
+
+def _gaussian_models():
+    return [GaussianLinearModel(np.array([0.5, 2.0, -1.0]), 0.7,
+                                np.zeros(2), np.eye(2)),
+            Ar1Model(6, 0.4, [3]), Ar1Model(6, 0.4, [2, 5])]
+
+
+@pytest.mark.parametrize("model", _gaussian_models())
+def test_gaussian_copies_equal_the_out_of_place_expression(model):
+    _, z = model.sample_joint(500, 1)
+    before = z.copy()
+    got = model.sample_null_copies(z, 7, 9).copies
+    mean, _ = model.conditional_x_moments(z)
+    draws = philox_rng(9).standard_normal((7, len(z), model.d_x))
+    chol = model._cond_chol
+    want = (mean[None, :, :] + draws * chol[0, 0] if model.d_x == 1
+            else mean[None, :, :] + draws @ chol.T)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(z.view(np.uint64), before.view(np.uint64))
+
+
+def test_copula_copies_equal_the_out_of_place_expression():
+    model = CopulaModel(Ar1Model(6, 0.4, [2]))
+    _, z = model.sample_joint(500, 1)
+    before = z.copy()
+    got = model.sample_null_copies(z, 7, 9).copies
+    latent = model.latent.sample_null_copies(model._to_latent(z), 7, 9).copies
+    latent_before = latent.copy()
+    want = 2.0 * core.normal_cdf(latent) - 1.0
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(model._to_uniform(latent).view(np.uint64),
+                          want.view(np.uint64))
+    assert np.array_equal(latent.view(np.uint64),
+                          latent_before.view(np.uint64))
+    assert np.array_equal(z.view(np.uint64), before.view(np.uint64))
+
+
+@pytest.mark.parametrize("link", ["identity", "binary_mean"])
+@pytest.mark.parametrize("d_x", [1, 2])
+def test_mu_on_copies_equals_the_out_of_place_expression(link, d_x):
+    rng = np.random.default_rng(d_x)
+    n, d_z = 300, 4
+    copies, z = rng.standard_normal((7, n, d_x)), rng.standard_normal((n, d_z))
+    mu = LinearWorkingRegression("CUSTOM", 0.3, rng.standard_normal(d_x),
+                                 rng.standard_normal(d_z), link=link)
+    copies_before, z_before = copies.copy(), z.copy()
+    got = mu_on_copies(mu, copies, z)
+    base = np.full(n, mu.intercept) + z @ mu.z_coef
+    f = (base[None, :] + copies[:, :, 0] * mu.x_coef[0] if d_x == 1
+         else base[None, :] + copies @ mu.x_coef)
+    want = np.tanh(f / 2.0) if link == "binary_mean" else f
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(copies.view(np.uint64),
+                          copies_before.view(np.uint64))
+    assert np.array_equal(z.view(np.uint64), z_before.view(np.uint64))
