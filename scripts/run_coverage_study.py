@@ -52,7 +52,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec_path = out_dir / "spec.json"
-    spec_path.write_text(build_spec(args).to_json())
+    spec_path.write_text(build_spec(args).to_json(), encoding="utf-8")
     return cli_main(["simulate", str(spec_path), "--out-dir", str(out_dir),
                      "--threads", str(args.threads)])
 

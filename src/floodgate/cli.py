@@ -24,7 +24,7 @@ from .regression import (CvConfig, fit_lasso, fit_logistic, fit_ols,
                          fit_ridge, regression_from_json)
 from .mmse import FloodgateConfig, floodgate_lcb, floodgate_lcb_scale_free
 from .macm import MacmConfig, macm_lcb
-from .cosufficient import cosufficient_lcb
+from .cosufficient import check_batch_counts, cosufficient_lcb
 from .simulate import ExperimentSpec, run_experiment
 
 EXIT_OK = 0
@@ -113,6 +113,14 @@ def _cmd_infer(args) -> int:
     if args.method == "mmse_exact" and args.k:
         raise ValidationError("--method mmse_exact is mmse_mc --k 0")
     _resolve_run_options(args)
+    # The copy counts are checked before any data is read.
+    if args.method == "macm":
+        cfg = MacmConfig(args.alpha, m_copies=args.m, k_copies=args.k,
+                         seed=args.seed)
+    elif args.method == "cosufficient":
+        check_batch_counts(args.n2, args.k)
+    else:
+        cfg = FloodgateConfig(args.alpha, big_k=args.k, seed=args.seed)
     data = Dataset.from_csv(args.data, x_cols=args.x_cols)
     model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
     inputs = [Path(args.data), Path(args.model)]
@@ -127,18 +135,14 @@ def _cmd_infer(args) -> int:
         infer_part = parts.infer_part
 
     if args.method == "macm":
-        cfg = MacmConfig(args.alpha, m_copies=args.m, k_copies=args.k,
-                         seed=args.seed)
         report = macm_lcb(infer_part, mu, model, cfg)
     elif args.method == "cosufficient":
         report = cosufficient_lcb(infer_part, mu, model, args.n2, args.alpha,
                                   mc_k=args.k, seed=args.seed)
+    elif args.method == "mmse_scale_free":
+        report = floodgate_lcb_scale_free(infer_part, mu, model, cfg)
     else:
-        cfg = FloodgateConfig(args.alpha, big_k=args.k, seed=args.seed)
-        if args.method == "mmse_scale_free":
-            report = floodgate_lcb_scale_free(infer_part, mu, model, cfg)
-        else:
-            report = floodgate_lcb(infer_part, mu, model, cfg)
+        report = floodgate_lcb(infer_part, mu, model, cfg)
 
     out = Path(args.out)
     label = ",".join(args.x_cols) if args.x_cols else "x"

@@ -123,6 +123,14 @@ def dmc_conditional_resample(model: DiscreteMarkovChain, x: np.ndarray,
         z, copies, seed).copies[:, :, 0]
 
 
+def check_batch_counts(n2: int, mc_k: int) -> None:
+    """Rejects n2 < 1, and an mc_k that is neither 0 (exact) nor >= 2."""
+    if mc_k == 1 or mc_k < 0:
+        raise ValidationError("mc_k must be 0 (exact) or >= 2")
+    if n2 < 1:
+        raise ValidationError(f"batch size n2 must be >= 1, got {n2}")
+
+
 def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
                      n2: int, alpha=0.05, mc_k: int = 100,
                      seed: int = 0) -> LcbReport:
@@ -132,10 +140,7 @@ def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
     linear mu for a Gaussian model; always available for the DMC);
     mc_k >= 2 estimates them from conditional resamples.
     """
-    if mc_k == 1 or mc_k < 0:
-        raise ValidationError("mc_k must be 0 (exact) or >= 2")
-    if n2 < 1:
-        raise ValidationError(f"batch size n2 must be >= 1, got {n2}")
+    check_batch_counts(n2, mc_k)
     level = as_confidence_level(alpha)
     n = infer_part.n
     if infer_part.d_x != 1:

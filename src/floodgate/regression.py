@@ -8,11 +8,12 @@ conditional-mean scale of a {-1, +1} response.
 
 The penalized fitters choose their penalty by k-fold cross-validation
 (CV) through one pipeline; LASSO and logistic fit the CV folds and the
-full data together by one active-set Newton engine. They share the
-diagnostics `lambda`, `lambda_grid`, `converged` (of the full-data
-fit), `active`, `cv_unconverged` (fold and penalty points that hit
-`max_iters`) and `newton_steps` (the engine's steps, summed over every
-fold, the full data and every penalty level; 0 for ridge).
+full data together by one active-set Newton engine, whose KKT slack and
+step cap are constants. They share the diagnostics `lambda`,
+`lambda_grid`, `converged` (of the full-data fit), `active`,
+`cv_unconverged` (fold and penalty points that hit the step cap) and
+`newton_steps` (the engine's steps, summed over every fold, the full
+data and every penalty level; 0 for ridge).
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ CUSTOM = "CUSTOM"
 
 _LINK_IDENTITY = "identity"
 _LINK_BINARY_MEAN = "binary_mean"   # mu = 2 expit(f) - 1
+_KKT_SLACK = 1e-7    # active-set KKT slack; a smaller Newton step is "solved"
+_STEP_CAP = 10_000   # active-set steps per problem and penalty level
 
 
 class WorkingRegression:
@@ -146,18 +149,12 @@ def regression_from_json(text: str) -> LinearWorkingRegression:
 
 @dataclass(frozen=True)
 class CvConfig:
-    """Cross-validation settings shared by the penalized fitters.
-    `tolerance` is the active-set engine's KKT slack and the Newton step
-    below which a problem is solved; `max_iters` caps the steps per
-    (fold, penalty) problem. Ridge is solved in closed form and reads
-    neither."""
+    """The penalized fitters' CV settings: the folds and the penalty path."""
 
     folds: int = 10
     lambda_grid: tuple[float, ...] | None = None   # None: automatic path
     num_lambdas: int = 50
     lambda_min_ratio: float = 1e-3
-    tolerance: float = 1e-7
-    max_iters: int = 10_000
 
     def __post_init__(self) -> None:
         if self.folds < 2:
@@ -169,8 +166,6 @@ class CvConfig:
             if any(b >= a for a, b in zip(grid, grid[1:])):
                 raise ValidationError("lambda_grid must be strictly decreasing")
             object.__setattr__(self, "lambda_grid", grid)
-        if self.tolerance <= 0 or self.max_iters < 1:
-            raise ValidationError("tolerance and max_iters must be positive")
 
 
 def fold_assignments(n: int, folds: int, seed: int) -> np.ndarray:
@@ -305,29 +300,28 @@ def _solve_blocks(hess, rhs, block):
     return system, rhs, np.where(block, d, 0.0), ~(miss <= 1e-6 * np.abs(rhs).max(axis=1))
 
 
-def _active_set_paths(loss, grid: np.ndarray, l1: bool, tolerance: float,
-                      max_iters: int):
+def _active_set_paths(loss, grid: np.ndarray, l1: bool):
     """Warm-started paths of a stack of F penalized problems, loss_f(b) +
     lam |b|_1 (`l1`) or lam ||b||^2 on the coordinates after the loss's
     unpenalized `lead`, by active-set Newton on all slices at once.
 
     A slice's block holds the unpenalized coordinates and (under L1) the
     nonzero ones, held to their signs s, plus each zero that violates
-    KKT, |g_j| - lam > tolerance H_jj, with the sign -sign(g_j) that
+    KKT, |g_j| - lam > _KKT_SLACK H_jj, with the sign -sign(g_j) that
     lowers the objective (under L2, every coordinate). A step solves
     H d = -(g + lam s) (-(g + 2 lam b)) on the live slices' blocks,
     padded with identity rows to the widest, and stops at the first sign
     crossing, left at exactly 0.0; an inexact loss then backtracks
     (Armijo). An entering coordinate whose step points against its sign
     sits the step out. A slice is solved after an exact full step or a
-    step below `tolerance`, and done once solved with no violator.
+    step below `_KKT_SLACK`, and done once solved with no violator.
 
     At a solved point some entering sign is right unless the block is
     singular. A block that fails the residual check, or whose entering
     coordinates all point the wrong way there, retries with the largest
     violator alone (none away from a solved point); failing again, the
     step follows its null vector downhill to the first crossing. A step
-    that cannot move, or `max_iters` steps, ends a level unconverged; a
+    that cannot move, or `_STEP_CAP` steps, ends a level unconverged; a
     line search that gives up ends it converged.
 
     Returns the (F, len(grid), width) path, the (F, len(grid))
@@ -357,11 +351,11 @@ def _active_set_paths(loss, grid: np.ndarray, l1: bool, tolerance: float,
             grad, diag, state = loss.derivatives(k, b)
             signs = np.sign(b) * signed
             gain = np.where(signed & (signs == 0),
-                            np.abs(grad) - lam - tolerance * diag, 0.0)
+                            np.abs(grad) - lam - _KKT_SLACK * diag, 0.0)
             signs[gain > 0] = -np.sign(grad[gain > 0])
             stop = solved[k] & ~(gain > 0).any(axis=1)
-            converged[k[~stop & (taken[k] >= max_iters)], gi] = False
-            stop |= taken[k] >= max_iters
+            converged[k[~stop & (taken[k] >= _STEP_CAP)], gi] = False
+            stop |= taken[k] >= _STEP_CAP
             live[k[stop]] = False
             if stop.all():
                 break
@@ -432,7 +426,7 @@ def _active_set_paths(loss, grid: np.ndarray, l1: bool, tolerance: float,
             converged[k[stuck], gi] = False
             live[k[stuck | stall]] = False
             solved[k] = ((t == 1.0) & ~free if loss.exact
-                         else np.abs(dirn).max(axis=1) < tolerance)
+                         else np.abs(dirn).max(axis=1) < _KKT_SLACK)
             taken[k] += 1
         steps += int(taken.sum())
         path[:, gi] = beta
@@ -469,7 +463,9 @@ class _CrossValidation:
         if len(self.keep) < width:
             warnings.warn(f"dropping {width - len(self.keep)} constant column(s) "
                           "before fitting; their coefficients are set to 0")
-            w = w[:, self.keep]
+            for i, j in enumerate(self.keep):   # in place: no second copy
+                w[:, i] = w[:, j]
+            w = w[:, :len(self.keep)]
         self.means, self.sds = w.mean(axis=0), sds[self.keep]
         w -= self.means
         w /= self.sds
@@ -495,7 +491,7 @@ class _CrossValidation:
         lam = float(grid[best])
         if not converged[-1, best]:
             warnings.warn(f"{kind} active-set solver did not converge at lambda = "
-                          f"{lam:g} within {self.cv.max_iters} steps")
+                          f"{lam:g} within {_STEP_CAP} steps")
         coef = np.zeros(self.width)
         coef[self.keep] = b / self.sds
         return LinearWorkingRegression(
@@ -538,7 +534,7 @@ def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
         converged, steps = np.ones(path.shape[:2], dtype=bool), 0
     else:
         path, converged, steps = _active_set_paths(
-            _Quadratic(grams, cvecs), grid, True, cv.tolerance, cv.max_iters)
+            _Quadratic(grams, cvecs), grid, True)
 
     cv_err = np.zeros(len(grid))
     for f, va in enumerate(vas):
@@ -557,20 +553,10 @@ def fit_lasso(fit_part: Dataset, cv: CvConfig = CvConfig(),
     return _penalized_linear(fit_part, cv, seed, LASSO)
 
 
-def ridge_unread(cv: CvConfig) -> list[str]:
-    """The solver settings of `cv` set away from their defaults."""
-    return [name for name in ("tolerance", "max_iters")
-            if getattr(cv, name) != getattr(CvConfig, name)]
-
-
 def fit_ridge(fit_part: Dataset, cv: CvConfig = CvConfig(),
               seed: int = 0) -> LinearWorkingRegression:
-    """L2-penalized least squares, closed-form per penalty level, so it
-    rejects the solver settings (`ridge_unread`); the diagnostics add
-    the `cv_errors`."""
-    unread = ridge_unread(cv)
-    if unread:
-        raise ValidationError(f"ridge does not read {', '.join(unread)}")
+    """L2-penalized least squares, closed-form per penalty level; the
+    diagnostics add the `cv_errors`."""
     return _penalized_linear(fit_part, cv, seed, RIDGE)
 
 
@@ -603,7 +589,7 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
         if len(np.unique(y[tr])) < 2:
             raise DegenerateLabelsError(f"fold {f} training part is single-class")
     path, converged, steps = _active_set_paths(
-        _Logistic(design, y, rows), grid, l1, cv.tolerance, cv.max_iters)
+        _Logistic(design, y, rows), grid, l1)
     cv_dev = np.zeros(len(grid))
     for f, tr in enumerate(rows[:-1]):
         yf = y[~tr, None] * (design[~tr] @ path[f].T)

@@ -27,11 +27,11 @@ from .errors import SizeError, ValidationError
 from .macm import MacmConfig, macm_gap_oracle, macm_lcb
 from .mmse import (FloodgateConfig, block_moments, floodgate_lcb,
                    null_mu_blocks)
-from .cosufficient import cosufficient_lcb
+from .cosufficient import check_batch_counts, cosufficient_lcb
 from .regression import (CUSTOM, CustomRegression, CvConfig, LASSO,
                          LinearWorkingRegression, LOGIT_L1, LOGIT_L2, OLS,
                          RIDGE, WorkingRegression, fit_lasso, fit_logistic,
-                         fit_ols, fit_ridge, ridge_unread)
+                         fit_ols, fit_ridge)
 
 LINEAR_SPARSE = "LINEAR_SPARSE"
 NONLINEAR_F1 = "NONLINEAR_F1"
@@ -288,6 +288,12 @@ class MethodSpec:
         if unread:
             raise ValidationError(
                 f"method {self.name} does not read {', '.join(unread)}")
+        if self.name == MMSE_MC and self.big_k == 0:
+            raise ValidationError("MMSE_MC needs big_k >= 2; 0 is MMSE_EXACT")
+        # Each bound's own rule; an unread count holds its valid default.
+        FloodgateConfig(big_k=self.big_k)
+        MacmConfig(k_copies=self.k_copies)
+        check_batch_counts(self.n2, self.mc_k)
 
     @property
     def label(self) -> str:
@@ -370,8 +376,6 @@ class ExperimentSpec:
         defaults = {f.name: f.default for f in fields(self)}
         unread = [name for name, reads in _STUDY_READS.items()
                   if not reads(self) and getattr(self, name) != defaults[name]]
-        if self.fitter == RIDGE:
-            unread += [f"cv.{name}" for name in ridge_unread(self.cv)]
         if unread:
             raise ValidationError(
                 f"this study does not read {', '.join(unread)}")

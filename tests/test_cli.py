@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 from pathlib import Path
 
@@ -6,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from floodgate import (Ar1Model, Dataset, DiscreteMarkovChain, ExperimentSpec,
-                       FloodgateConfig, GaussianLinearModel,
+from floodgate import (Ar1Model, CvConfig, Dataset, DiscreteMarkovChain,
+                       ExperimentSpec, FloodgateConfig, GaussianLinearModel,
                        LinearWorkingRegression, MacmConfig, MethodSpec,
-                       MuStarSpec, cosufficient_lcb, floodgate_lcb,
-                       floodgate_lcb_scale_free, macm_lcb)
+                       MuStarSpec, cosufficient_lcb, fit_logistic, fit_ridge,
+                       floodgate_lcb, floodgate_lcb_scale_free, macm_lcb,
+                       regression_from_json)
 from floodgate.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from floodgate.regression import OLS
 from floodgate.simulate import FIT_MU_STAR, LINEAR_SPARSE, MMSE_EXACT, MMSE_MC
@@ -234,6 +236,23 @@ class TestInfer:
         assert code == EXIT_VALIDATION
         assert "n2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, counts, message", [
+        ("mmse_mc", ["--k=1"], "big_k"),
+        ("mmse_scale_free", ["--k=1"], "big_k"),
+        ("macm", ["--k=-3"], "k_copies"),
+        ("macm", ["--m=0"], "m_copies"),
+        ("cosufficient", ["--n2=0"], "n2"),
+        ("cosufficient", ["--k=1"], "mc_k")])
+    def test_copy_counts_checked_before_the_data(self, workspace, capsys,
+                                                 method, counts, message):
+        # A missing data file exits 3 once it is opened: these exit 2.
+        code = main(["infer", str(workspace["dir"] / "nope.csv"),
+                     "--model", workspace["model"], "--fit", "lasso",
+                     "--method", method, *counts,
+                     "--out", str(workspace["dir"] / "x.csv")])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
     def test_chain_exact_mmse_runs_and_exact_macm_does_not(
             self, small_files, tmp_path, capsys):
         # A chain's conditional pmf gives exact mMSE moments for any mu;
@@ -373,6 +392,27 @@ class TestFit:
         assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize("fitter, kind, fit", [
+    ("ridge", "ar1", fit_ridge),
+    ("logit_l1", "signs", functools.partial(fit_logistic, penalty="L1")),
+    ("logit_l2", "signs", functools.partial(fit_logistic, penalty="L2"))])
+def test_penalized_fitters_fit_and_infer(small_files, tmp_path, fitter, kind,
+                                         fit):
+    # fit reads the default 10 folds; the logistic fits take +-1 labels.
+    data, model, _ = small_files[kind]
+    out = tmp_path / "mu.json"
+    assert main(["fit", data, "--fitter", fitter, "--seed", "5",
+                 "--out", str(out)]) == EXIT_OK
+    assert regression_from_json(out.read_text()) == fit(
+        Dataset.from_csv(data), cv=CvConfig(folds=10), seed=5)
+    manifest = json.loads((tmp_path / "mu.json.manifest.json").read_text())
+    assert manifest["config"]["cv_folds"] == 10
+    assert main(["infer", data, "--model", model, "--fit", fitter,
+                 "--cv-folds", "3", "--k", "4",
+                 "--out", str(tmp_path / "lcb.csv")]) == EXIT_OK
+    assert len(_read_csv(tmp_path / "lcb.csv")) == 1
+
+
 class TestSimulate:
     def _spec_path(self, tmp_path, replicates=3):
         spec = ExperimentSpec(
@@ -421,6 +461,16 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert ("typo_field" if where == "top" else "bogus") in err
+
+    @pytest.mark.parametrize("key", ["tolerance", "max_iters"])
+    def test_solver_constants_are_unknown_cv_keys(self, tmp_path, capsys, key):
+        path = self._spec_path(tmp_path)
+        spec = json.loads(path.read_text())
+        spec["cv"][key] = 1
+        path.write_text(json.dumps(spec))
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
 
     def test_unread_method_field(self, tmp_path, capsys):
         path = self._spec_path(tmp_path)

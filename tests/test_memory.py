@@ -10,6 +10,7 @@ for leaving their inputs unchanged.
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -69,10 +70,18 @@ def test_from_csv_keeps_only_its_three_arrays(files):
 def test_cross_validation_holds_one_copy_of_the_design(files):
     data = Dataset.from_csv(files / "data.csv")
     n, width = data.n, data.d_x + data.d_z
-    pipe, _, peak = _traced(lambda: _CrossValidation(data, CvConfig(), 0))
-    assert pipe.ws.shape == (n, width)
-    # The design, its fold labels, one column's temporary and O(p^2).
-    assert peak <= n * width * 8 + 2 * n * 8 + 64 * width ** 2
+    z = data.z.copy()
+    z[:, 3] = 2.0
+    flat = Dataset(data.y, data.x, z)
+    for table, kept in ((data, width), (flat, width - 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # the dropped column
+            pipe, _, peak = _traced(
+                lambda: _CrossValidation(table, CvConfig(), 0))
+        assert pipe.ws.shape == (n, kept) and pipe.ws.flags.f_contiguous
+        # The design, its fold labels, one column's temporary and O(p^2),
+        # with or without a constant column to drop.
+        assert peak <= n * width * 8 + 2 * n * 8 + 64 * width ** 2
 
 
 def test_infer_fit_peaks_at_two_tables(files, tmp_path):

@@ -12,7 +12,8 @@ from floodgate import (Ar1Model, CustomRegression, Dataset,
                        conditional_moments, floodgate_lcb,
                        floodgate_lcb_scale_free, floodgate_lcb_weighted,
                        trivial_ucb, zero_out_transform)
-from floodgate.core import (MMSE_GAP, LcbReport, delta_method_se,
+from floodgate.core import (MMSE_GAP, MMSE_GAP_SCALE_FREE, LcbReport,
+                            delta_method_se,
                             normal_quantile, ratio_lcb, sample_mean_cov)
 from floodgate.errors import (ShapeError, SizeError,
                               UnsupportedClosedFormError, ValidationError)
@@ -485,6 +486,18 @@ class TestScaleFree:
         rep = floodgate_lcb_scale_free(data, _mu(), model, FloodgateConfig(big_k=0))
         assert rep.degenerate and rep.lcb == 0.0
 
+    def test_degenerate_gap_keeps_its_report_under_the_scale_free_label(self):
+        # A mu that ignores x has a degenerate gap bound: reported as is,
+        # relabelled, without a variance UCB.
+        model = _simple_model()
+        data = _draw(model, _mu(), 200, seed=3)
+        flat = _mu(beta=0.0)
+        cfg = FloodgateConfig(big_k=0, seed=4)
+        rep = floodgate_lcb_scale_free(data, flat, model, cfg)
+        base = floodgate_lcb(data, flat, model, replace(cfg, alpha=0.025))
+        assert base.degenerate
+        assert rep == base.replace(estimand=MMSE_GAP_SCALE_FREE)
+
 
 class TestWeighted:
     def test_constant_weight_invariance(self):
@@ -527,6 +540,15 @@ class TestWeighted:
             floodgate_lcb_weighted(data, mu, model,
                                    (np.ones(20), np.ones((1, 20))),
                                    FloodgateConfig(big_k=0))
+
+    def test_zero_row_weights_are_degenerate(self):
+        model = _simple_model()
+        data = _draw(model, _mu(), 20, seed=2)
+        rep = floodgate_lcb_weighted(data, _mu(), model,
+                                     (np.zeros(20), np.ones((3, 20))),
+                                     FloodgateConfig(big_k=3, seed=6))
+        assert rep == LcbReport(0.0, 0.0, 0.0, 20, MMSE_GAP, degenerate=True,
+                                seed=6)
 
 
 class TestTrivialUcb:

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -281,8 +280,8 @@ def _reference_penalized(data, cv, seed, ridge=False):
         if ridge:
             return np.linalg.solve(gram + lam * np.eye(p), cvec), True
         beta = warm.copy()
-        ok = _scalar_path_point(gram, cvec, lam, beta, cv.tolerance,
-                                cv.max_iters)
+        ok = _scalar_path_point(gram, cvec, lam, beta, regression._KKT_SLACK,
+                                regression._STEP_CAP)
         return beta, ok
 
     gram_full = ws.T @ ws / n
@@ -341,13 +340,13 @@ def _random_design(seed, n, d_x, d_z, rho):
 
 def _recorded_paths(monkeypatch):
     """Record the arguments and results of every `_active_set_paths`
-    call: (loss, grid, l1, tolerance, (path, converged, steps))."""
+    call: (loss, grid, l1, (path, converged, steps))."""
     calls = []
     engine = regression._active_set_paths
 
-    def recorded(loss, grid, l1, tolerance, max_iters):
-        out = engine(loss, grid, l1, tolerance, max_iters)
-        calls.append((loss, grid, l1, tolerance, out))
+    def recorded(loss, grid, l1):
+        out = engine(loss, grid, l1)
+        calls.append((loss, grid, l1, out))
         return out
 
     monkeypatch.setattr(regression, "_active_set_paths", recorded)
@@ -355,20 +354,19 @@ def _recorded_paths(monkeypatch):
 
 
 def _lasso_call(call):
-    """The Gram stack, cvecs, grid, tolerance and result of a recorded
-    LASSO call."""
-    loss, grid, l1, tolerance, out = call
+    """The Gram stack, cvecs, grid and result of a recorded LASSO call."""
+    loss, grid, l1, out = call
     assert l1 and loss.exact
-    return loss.grams, loss.cvecs, grid, tolerance, out
+    return loss.grams, loss.cvecs, grid, out
 
 
-def _assert_path_kkt(grams, cvecs, grid, tolerance, path):
+def _assert_path_kkt(grams, cvecs, grid, path):
     """KKT of (1/2) b'Gb - c'b + lam |b|_1 on every (slice, lambda) point:
-    exact on the nonzero coefficients, within the entry slack
-    `tolerance` G_jj on the zeros."""
+    exact on the nonzero coefficients, within the engine's entry slack
+    `_KKT_SLACK` G_jj on the zeros."""
     grad = np.einsum("fjk,fgk->fgj", grams, path) - cvecs[:, None, :]
     lam = grid[None, :, None]
-    slack = tolerance * np.einsum("fjj->fj", grams)[:, None, :]
+    slack = regression._KKT_SLACK * np.einsum("fjj->fj", grams)[:, None, :]
     nonzero = path != 0
     assert np.all(np.abs(grad + lam * np.sign(path))[nonzero] <= 1e-12)
     assert np.all((np.abs(grad) - lam - slack)[~nonzero] <= 1e-12)
@@ -441,8 +439,8 @@ class TestStackedLassoPath:
     """The fold-stacked active-set engine against the per-fold scalar
     coordinate-descent path, both run to the exact minimizer."""
 
-    def _assert_matches(self, data, cv, seed):
-        cv = dataclasses.replace(cv, tolerance=1e-13)
+    def _assert_matches(self, monkeypatch, data, cv, seed):
+        monkeypatch.setattr(regression, "_KKT_SLACK", 1e-13)
         fit = fit_lasso(data, cv, seed)
         best, coef, intercept, cv_err, converged = _reference_penalized(
             data, cv, seed)
@@ -459,49 +457,50 @@ class TestStackedLassoPath:
     def test_a1_design_replicate(self, monkeypatch):
         calls = _recorded_paths(monkeypatch)
         data, seed = _a1_fit_part(0)
-        fit = self._assert_matches(data, CvConfig(), seed)
+        fit = self._assert_matches(monkeypatch, data, CvConfig(), seed)
         d = fit.diagnostics
         assert d["cv_unconverged"] == 0
         # About one step per (slice, lambda) problem: the exact solve.
         assert 0 < d["newton_steps"] < 2 * 11 * len(d["lambda_grid"])
-        grams, cvecs, grid, tolerance, (path, converged, _) = _lasso_call(calls[0])
+        grams, cvecs, grid, (path, converged, _) = _lasso_call(calls[0])
         _assert_fold_problems(data, CvConfig(), seed, grams, cvecs)
         assert converged.all()
-        _assert_path_kkt(grams, cvecs, grid, tolerance, path)
+        _assert_path_kkt(grams, cvecs, grid, path)
 
     def test_correlated_design_drops_at_sign_crossings(self, monkeypatch):
         # At AR rho = 0.9, coefficients enter and later leave the path;
         # only a step stopped at a sign crossing sets one back to 0.0.
         calls = _recorded_paths(monkeypatch)
         data, seed = _a1_fit_part(1, rho=0.9, n=400, p=20)
-        self._assert_matches(data, CvConfig(), seed)
-        grams, cvecs, grid, tolerance, (path, converged, _) = _lasso_call(calls[0])
+        self._assert_matches(monkeypatch, data, CvConfig(), seed)
+        grams, cvecs, grid, (path, converged, _) = _lasso_call(calls[0])
         assert converged.all()
         left = (path[:, :-1] != 0) & (path[:, 1:] == 0)
         assert np.count_nonzero(left) > 0
-        _assert_path_kkt(grams, cvecs, grid, tolerance, path)
+        _assert_path_kkt(grams, cvecs, grid, path)
 
-    def test_user_lambda_grid(self):
+    def test_user_lambda_grid(self, monkeypatch):
         data, seed = _a1_fit_part(2, n=300, p=15)
-        self._assert_matches(data, CvConfig(folds=5,
-                                            lambda_grid=(0.5, 0.2, 0.05, 0.01)),
-                             seed)
+        self._assert_matches(
+            monkeypatch, data,
+            CvConfig(folds=5, lambda_grid=(0.5, 0.2, 0.05, 0.01)), seed)
 
-    def test_constant_column(self):
+    def test_constant_column(self, monkeypatch):
         data = _linear_data(n=200, beta_z=(0.5, -1.0, 0.3), seed=21)
         z = data.z.copy()
         z[:, 1] = 4.0
         data = Dataset(data.y, data.x, z)
         with pytest.warns(UserWarning, match="constant column"):
-            fit = self._assert_matches(data, CvConfig(folds=5), 4)
+            fit = self._assert_matches(monkeypatch, data, CvConfig(folds=5), 4)
         assert fit.z_coef[1] == 0.0
 
-    def test_step_cap_warns_and_counts(self):
+    def test_step_cap_warns_and_counts(self, monkeypatch):
         # On a correlated design coefficients cross zero, so one step per
         # problem cannot reach every level's solution, the chosen one
         # included.
         data, seed = _a1_fit_part(1, rho=0.9, n=400, p=20)
-        cv = CvConfig(folds=5, num_lambdas=12, max_iters=1)
+        cv = CvConfig(folds=5, num_lambdas=12)
+        monkeypatch.setattr(regression, "_STEP_CAP", 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fit = fit_lasso(data, cv, seed)
@@ -531,7 +530,7 @@ class TestStackedLassoPath:
         assert fit.diagnostics["converged"]
         assert _lasso_kkt_violation(data, fit, fit.diagnostics["lambda"]) < 1e-5
 
-    def test_column_zero_on_a_training_fold(self):
+    def test_column_zero_on_a_training_fold(self, monkeypatch):
         # Fold 0 trains on the rows of fold 1, where this column is 0:
         # a zero Gram diagonal entry, whose coefficient must stay 0.
         n, seed = 40, 0
@@ -540,15 +539,15 @@ class TestStackedLassoPath:
         z = data.z.copy()
         z[:, 1] = 0.0
         z[in_fold_0, 1] = np.arange(in_fold_0.sum()) - (in_fold_0.sum() - 1) / 2
-        fit = self._assert_matches(Dataset(data.y, data.x, z), CvConfig(folds=2),
-                                   seed)
+        fit = self._assert_matches(monkeypatch, Dataset(data.y, data.x, z),
+                                   CvConfig(folds=2), seed)
         assert fit.diagnostics["cv_unconverged"] == 0
 
-    def test_fold_gram_diagonal_above_two(self):
+    def test_fold_gram_diagonal_above_two(self, monkeypatch):
         # Two folds of five rows leave two training rows in fold 0,
         # whose Gram diagonal reaches 2.42.
         data = _random_design(992441236, 5, 1, 4, 0.2955)
-        fit = self._assert_matches(data, CvConfig(folds=2), 236)
+        fit = self._assert_matches(monkeypatch, data, CvConfig(folds=2), 236)
         assert fit.diagnostics["cv_unconverged"] == 0
         assert _lasso_kkt_violation(data, fit, fit.diagnostics["lambda"]) < 1e-6
 
@@ -574,9 +573,9 @@ class TestStackedLassoPath:
         d = fit.diagnostics
         assert d["converged"] and d["cv_unconverged"] == 0
         assert _lasso_kkt_violation(dup, fit, d["lambda"]) < 1e-9
-        grams, cvecs, grid, tolerance, (path, _, _) = _lasso_call(calls[0])
+        grams, cvecs, grid, (path, _, _) = _lasso_call(calls[0])
         assert np.linalg.matrix_rank(grams[0]) < grams.shape[1]
-        _assert_path_kkt(grams, cvecs, grid, tolerance, path)
+        _assert_path_kkt(grams, cvecs, grid, path)
 
 
     def test_only_singular_blocks_go_to_lstsq(self, monkeypatch):
@@ -614,9 +613,9 @@ class TestStackedLassoPath:
         fit = fit_lasso(data, CvConfig(folds=folds, num_lambdas=30), seed % 1000)
         assert fit.diagnostics["converged"]
         assert _lasso_kkt_violation(data, fit, fit.diagnostics["lambda"]) < 1e-9
-        grams, cvecs, grid, tolerance, (path, converged, _) = _lasso_call(calls[0])
+        grams, cvecs, grid, (path, converged, _) = _lasso_call(calls[0])
         assert converged.all()
-        _assert_path_kkt(grams, cvecs, grid, tolerance, path)
+        _assert_path_kkt(grams, cvecs, grid, path)
 
 
 class TestFitRidge:
@@ -633,16 +632,7 @@ class TestFitRidge:
             assert abs(fit.intercept - intercept) <= 1e-12
             assert np.allclose(fit.diagnostics["cv_errors"], cv_err,
                                rtol=1e-12, atol=0.0)
-
-    def test_rejects_unread_solver_settings(self):
-        data = _linear_data(n=120, seed=8)
-        with pytest.raises(ValidationError, match="does not read tolerance$"):
-            fit_ridge(data, CvConfig(tolerance=1.0))
-        with pytest.raises(ValidationError,
-                           match="does not read tolerance, max_iters$"):
-            fit_ridge(data, CvConfig(tolerance=1e-3, max_iters=5))
-        fit = fit_ridge(data, CvConfig(folds=4, num_lambdas=5))
-        assert fit.diagnostics["newton_steps"] == 0
+            assert fit.diagnostics["newton_steps"] == 0
 
     def test_single_lambda_closed_form(self):
         data = _linear_data(n=250, seed=11)
@@ -734,17 +724,17 @@ class TestFitLogistic:
             else:
                 assert abs(grad[j]) <= lam + 1e-4
 
-    def test_diagnostics_report_convergence_and_active(self):
+    def test_diagnostics_report_convergence_and_active(self, monkeypatch):
         data = self._logit_data(n=300, seed=7)
         fit = fit_logistic(data, "L1", CvConfig(folds=3, num_lambdas=8),
                            seed=0)
         assert fit.diagnostics["converged"] is True
         assert fit.diagnostics["active"] == np.count_nonzero(
             np.concatenate([fit.x_coef, fit.z_coef]))
+        monkeypatch.setattr(regression, "_STEP_CAP", 2)
         with pytest.warns(UserWarning, match="did not converge"):
             capped = fit_logistic(data, "L2",
-                                  CvConfig(folds=3, num_lambdas=8,
-                                           max_iters=2), seed=0)
+                                  CvConfig(folds=3, num_lambdas=8), seed=0)
         assert capped.diagnostics["converged"] is False
         assert capped.diagnostics["active"] == 3
 
@@ -833,8 +823,7 @@ def _assert_logistic_path_kkt(data, cv, seed, penalty):
     the zeros; under L2 a gradient of -2 lam b_j."""
     design, rows, grid = _logistic_stack(data, cv, seed)
     path, converged, _ = regression._active_set_paths(
-        regression._Logistic(design, data.y, rows), grid, penalty == "L1",
-        cv.tolerance, cv.max_iters)
+        regression._Logistic(design, data.y, rows), grid, penalty == "L1")
     assert converged.all()
     lam = grid[:, None]
     for f, tr in enumerate(rows):
@@ -878,7 +867,7 @@ def _proximal_gradient_logistic(data, penalty, cv, seed):
         l2 = 0.0 if l1 else lam
         step = 4.0
         loss, grad = loss_grad(x, yy, coef, l2)
-        for _ in range(cv.max_iters):
+        for _ in range(regression._STEP_CAP):
             while True:
                 trial = coef - step * grad
                 if l1:
@@ -893,7 +882,7 @@ def _proximal_gradient_logistic(data, penalty, cv, seed):
                 step *= 0.5
                 if step < 1e-12:
                     return coef
-            if float(np.max(np.abs(trial - coef))) < cv.tolerance:
+            if float(np.max(np.abs(trial - coef))) < regression._KKT_SLACK:
                 return trial
             coef, loss, grad = trial, new_loss, new_grad
             step *= 1.3
@@ -1003,7 +992,8 @@ class TestNewtonLogistic:
             assert fit.diagnostics["converged"]
             assert _logistic_kkt(dup, fit, penalty)[0] <= 1e-6
 
-    def test_diagnostics_count_steps_and_unconverged_problems(self):
+    def test_diagnostics_count_steps_and_unconverged_problems(self,
+                                                              monkeypatch):
         data = _logistic_design(4, 300, 6, 0.4)
         cv = CvConfig(folds=3, num_lambdas=8)
         with warnings.catch_warnings():
@@ -1015,10 +1005,10 @@ class TestNewtonLogistic:
         # data, each along the whole grid.
         assert 4 * 8 <= d["newton_steps"] <= 50 * 4 * 8
 
-        capped = CvConfig(folds=3, num_lambdas=8, max_iters=1)
+        monkeypatch.setattr(regression, "_STEP_CAP", 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fit = fit_logistic(data, "L1", capped, 0)
+            fit = fit_logistic(data, "L1", cv, 0)
         d = fit.diagnostics
         assert not d["converged"]
         assert [str(w.message) for w in caught
@@ -1037,5 +1027,3 @@ class TestCvConfig:
             CvConfig(lambda_grid=(0.1, 0.5))
         with pytest.raises(ValidationError):
             CvConfig(lambda_grid=(0.5, -0.1))
-        with pytest.raises(ValidationError):
-            CvConfig(tolerance=0.0)

@@ -5,8 +5,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from floodgate import (ExperimentSpec, MethodSpec, MuStarSpec, build_mu_star,
-                       generate_replicate, oracle_values, run_experiment)
+from floodgate import (Dataset, ExperimentSpec, MethodSpec, MuStarSpec,
+                       build_mu_star, fit_ridge, generate_replicate,
+                       oracle_values, run_experiment)
 from floodgate import macm, mmse, simulate
 from floodgate.cli import EXIT_VALIDATION, main
 from floodgate.covariates import Ar1Model
@@ -325,6 +326,18 @@ class TestExperimentSpec:
         # Read fields, and unread ones at their defaults, are accepted.
         assert MethodSpec(COSUFFICIENT, n2=25, mc_k=10, big_k=500).n2 == 25
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(name=MMSE_MC, big_k=1), "big_k"),
+        (dict(name=MMSE_MC, big_k=0), "0 is MMSE_EXACT"),
+        (dict(name=MACM, k_copies=-3), "k_copies"),
+        (dict(name=COSUFFICIENT, n2=0), "n2"),
+        (dict(name=COSUFFICIENT, mc_k=1), "mc_k")])
+    def test_copy_counts_checked_at_construction(self, fields, message):
+        # The bound's own rule, before any study work: MMSE_MC with
+        # big_k = 0 would run the closed form under an MC label.
+        with pytest.raises(ValidationError, match=message):
+            MethodSpec(**fields)
+
     @pytest.mark.parametrize("name, unread", [
         ("corruption_tau", dict(corruption_tau=0.1)),
         ("misspec_m_rows", dict(misspec_m_rows=50)),
@@ -332,10 +345,7 @@ class TestExperimentSpec:
                                 corruption_tau=0.1, misspec_m_rows=50)),
         ("oracle_draws", dict(oracle_draws=2000)),
         ("cv", dict(cv=CvConfig(folds=5))),
-        ("cv", dict(fitter=OLS, cv=CvConfig(num_lambdas=5))),
-        ("cv.max_iters", dict(fitter=RIDGE, cv=CvConfig(max_iters=5))),
-        ("cv.tolerance, cv.max_iters",
-         dict(fitter=RIDGE, cv=CvConfig(tolerance=1e-3, max_iters=5)))])
+        ("cv", dict(fitter=OLS, cv=CvConfig(num_lambdas=5)))])
     def test_unread_study_settings(self, tmp_path, name, unread):
         # The base spec fits no model (FIT_MU_STAR) to a LINEAR_SPARSE mu*,
         # whose oracle is closed form, and has no misspecification.
@@ -353,7 +363,7 @@ class TestExperimentSpec:
         assert self._spec(misspecification=MISSPEC_INSAMPLE,
                           misspec_m_rows=50)
         assert self._spec(fitter=LASSO, cv=CvConfig(folds=5))
-        assert self._spec(fitter=LASSO, cv=CvConfig(tolerance=1e-9))
+        assert self._spec(fitter=LASSO, cv=CvConfig(lambda_min_ratio=1e-2))
         assert self._spec(fitter=RIDGE, cv=CvConfig(folds=5, num_lambdas=10))
         logistic = MuStarSpec(LOGISTIC_LINEAR, sparsity=2, seed=1)
         assert self._spec(mu_star=logistic, methods=(MethodSpec(MACM),),
@@ -522,6 +532,31 @@ class TestRunExperiment:
         result = run_experiment(spec, threads=8)
         assert started == ([] if workers is None else [workers])
         assert result.detail == run_experiment(spec).detail
+
+    def test_nonlinear_oracle_is_the_per_variable_nested_mc(self):
+        # p = 32 leaves two variables outside the 30-term support: 0.
+        spec = self._spec(p=32, mu_star=MuStarSpec(NONLINEAR_F1, sparsity=30,
+                                                   seed=2),
+                          oracle_draws=100, variables=None)
+        mu_star = build_mu_star(spec.mu_star, spec.n, spec.p)
+        want = np.zeros(spec.p)
+        for j0 in mu_star.support:
+            want[j0] = mmse_oracle_nested_mc(
+                mu_star, simulate.focal_model(spec, int(j0) + 1), 100, 400,
+                derive_seed(simulate._ORACLE_SEED, int(j0)), int(j0))[0]
+        assert np.count_nonzero(want) == 30
+        assert np.array_equal(oracle_values(spec), want)
+
+    def test_ridge_study(self):
+        spec = self._spec(fitter=RIDGE, cv=CvConfig(folds=3, num_lambdas=5),
+                          replicates=2)
+        w, y = generate_replicate(spec, 1)
+        fit_ds = Dataset(y, w, np.empty((len(y), 0)))
+        assert simulate._fit_working_regression(spec, fit_ds, 1) == fit_ridge(
+            fit_ds, spec.cv, derive_seed(spec.base_seed, 1, 3))
+        result = run_experiment(spec)
+        assert len(result.detail) == 2 * 3 * 2
+        assert all(np.isfinite(d["lcb"]) for d in result.detail)
 
     def test_macm_without_copies_is_closed_form(self, monkeypatch):
         def drew_copies(*args):
