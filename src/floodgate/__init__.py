@@ -28,8 +28,7 @@ from .mmse import (FloodgateConfig, conditional_moments, floodgate_lcb,
                    floodgate_lcb_scale_free, floodgate_lcb_weighted,
                    trivial_ucb, zero_out_transform)
 from .macm import MacmConfig, macm_gap_enumerate, macm_gap_oracle, macm_lcb
-from .cosufficient import (cosufficient_lcb, dmc_conditional_resample,
-                           gaussian_conditional_resample)
+from .cosufficient import cosufficient_lcb
 from .simulate import (ExperimentResult, ExperimentSpec, MethodSpec,
                        MuStarSpec, build_mu_star, generate_replicate,
                        oracle_values, run_experiment)

@@ -17,7 +17,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .core import Dataset, split as split_dataset, reports_to_csv
+from .core import (ConfidenceLevel, Dataset, check_split, reports_to_csv,
+                   split as split_dataset)
 from .covariates import model_from_json
 from .errors import FloodgateError, ValidationError
 from .regression import (CvConfig, fit_lasso, fit_logistic, fit_ols,
@@ -62,10 +63,9 @@ def _resolve_threads(value: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _fit(name: str, fit_part: Dataset, folds: int, seed: int):
+def _fit(name: str, fit_part: Dataset, cv: CvConfig | None, seed: int):
     if name == "ols":
         return fit_ols(fit_part)
-    cv = CvConfig(folds=folds)
     if name == "ridge":
         return fit_ridge(fit_part, cv, seed)
     if name == "lasso":
@@ -74,13 +74,42 @@ def _fit(name: str, fit_part: Dataset, folds: int, seed: int):
                         cv, seed)
 
 
+def _resolve_run_options(args) -> CvConfig | None:
+    """Check every option before any file is read: reject a set option
+    this run does not read, fill in the default of each one it reads, so
+    the manifest records it, and return the fitter's CvConfig (None for
+    OLS or --mu)."""
+    fitter = args.fitter if args.command == "fit" else args.fit
+    reads = {}
+    if args.command == "infer":
+        if (args.mu is None) == (fitter is None):
+            raise ValidationError("exactly one of --mu or --fit is required")
+        ConfidenceLevel(args.alpha)
+        if args.k is None:
+            args.k = {"mmse_exact": 0, "cosufficient": 100}.get(args.method,
+                                                                  500)
+        if args.method == "mmse_exact" and args.k:
+            raise ValidationError("--method mmse_exact is mmse_mc --k 0")
+        reads = {"m": args.method == "macm" and args.k > 0,
+                 "n2": args.method == "cosufficient",
+                 "split": fitter is not None}
+    reads["cv_folds"] = fitter not in (None, "ols")
+    unread = [f"--{name.replace('_', '-')}" for name, read in reads.items()
+              if not read and getattr(args, name) is not None]
+    if unread:
+        raise ValidationError(f"this run does not read {', '.join(unread)}")
+    for name, default in (("n2", 100), ("split", 0.5), ("cv_folds", 10)):
+        if reads.get(name) and getattr(args, name) is None:
+            setattr(args, name, default)
+    if reads.get("split"):
+        check_split(args.split)
+    return CvConfig(folds=args.cv_folds) if reads["cv_folds"] else None
+
+
 def _cmd_fit(args) -> int:
-    if args.fitter == "ols" and args.cv_folds is not None:
-        raise ValidationError("this run does not read --cv-folds")
-    if args.fitter != "ols" and args.cv_folds is None:
-        args.cv_folds = 10
+    cv = _resolve_run_options(args)
     data = Dataset.from_csv(args.data, x_cols=args.x_cols)
-    mu = _fit(args.fitter, data, args.cv_folds, args.seed)
+    mu = _fit(args.fitter, data, cv, args.seed)
     out = Path(args.out)
     out.write_text(mu.to_json(), encoding="utf-8")
     _write_manifest(out, "fit",
@@ -91,28 +120,8 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _resolve_run_options(args) -> None:
-    """Reject a set option this run does not read, and fill in the
-    default of each one it reads, so the manifest records it."""
-    reads = {"m": args.method == "macm" and args.k > 0,
-             "n2": args.method == "cosufficient",
-             "split": args.fit is not None,
-             "cv_folds": args.fit not in (None, "ols")}
-    unread = [f"--{name.replace('_', '-')}" for name, read in reads.items()
-              if not read and getattr(args, name) is not None]
-    if unread:
-        raise ValidationError(f"this run does not read {', '.join(unread)}")
-    for name, default in (("n2", 100), ("split", 0.5), ("cv_folds", 10)):
-        if reads[name] and getattr(args, name) is None:
-            setattr(args, name, default)
-
-
 def _cmd_infer(args) -> int:
-    if args.k is None:
-        args.k = {"mmse_exact": 0, "cosufficient": 100}.get(args.method, 500)
-    if args.method == "mmse_exact" and args.k:
-        raise ValidationError("--method mmse_exact is mmse_mc --k 0")
-    _resolve_run_options(args)
+    cv = _resolve_run_options(args)
     # The copy counts are checked before any data is read.
     if args.method == "macm":
         cfg = MacmConfig(args.alpha, m_copies=args.m, k_copies=args.k,
@@ -131,7 +140,7 @@ def _cmd_infer(args) -> int:
     else:
         parts = split_dataset(data, args.split, args.seed)
         del data    # the parts hold every row
-        mu = _fit(args.fit, parts.fit_part, args.cv_folds, args.seed)
+        mu = _fit(args.fit, parts.fit_part, cv, args.seed)
         infer_part = parts.infer_part
 
     if args.method == "macm":
@@ -225,14 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "infer" and (args.mu is None) == (args.fit is None):
-        print("error: exactly one of --mu or --fit is required",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.command == "infer" and not 0.0 < args.alpha < 1.0:
-        print(f"error: --alpha must lie in (0, 1), got {args.alpha}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         return args.func(args)
     except FloodgateError as exc:

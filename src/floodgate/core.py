@@ -402,16 +402,20 @@ class SplitDataset:
     infer_part: Dataset
 
 
-def split(data: Dataset, proportion: float, seed: int) -> SplitDataset:
-    """Seeded random split; the fit part gets floor(proportion * n) rows."""
+def check_split(proportion: float, n: int | None = None) -> None:
+    """split's rule: a proportion in (0, 1) leaving, given n, no part empty."""
     if not 0.0 < proportion < 1.0:
         raise ValidationError(f"split proportion must lie in (0,1), got {proportion}")
-    n = data.n
-    n_fit = int(math.floor(proportion * n))
-    if n_fit < 1 or n - n_fit < 1:
+    if n is not None and not 1 <= math.floor(proportion * n) < n:
         raise SizeError(
             f"split of n={n} at proportion={proportion} leaves an empty part")
-    perm = seeded_rng(seed).permutation(n)
+
+
+def split(data: Dataset, proportion: float, seed: int) -> SplitDataset:
+    """Seeded random split; the fit part gets floor(proportion * n) rows."""
+    check_split(proportion, data.n)
+    n_fit = int(math.floor(proportion * data.n))
+    perm = seeded_rng(seed).permutation(data.n)
     perm[:n_fit].sort()     # in place: one index array of n
     perm[n_fit:].sort()
     return SplitDataset(data.take(perm[:n_fit]), data.take(perm[n_fit:]))

@@ -167,6 +167,11 @@ class CvConfig:
                 raise ValidationError("lambda_grid must be strictly decreasing")
             object.__setattr__(self, "lambda_grid", grid)
 
+    def check_rows(self, n: int) -> None:
+        """Rejects a fit on fewer rows than folds."""
+        if n < self.folds:
+            raise SizeError(f"need n >= folds = {self.folds}, got n = {n}")
+
 
 def fold_assignments(n: int, folds: int, seed: int) -> np.ndarray:
     """Deterministic fold labels in [0, folds) from (seed, n)."""
@@ -442,8 +447,7 @@ class _CrossValidation:
 
     def __init__(self, fit_part: Dataset, cv: CvConfig, seed: int) -> None:
         n, d_x = fit_part.x.shape
-        if n < cv.folds:
-            raise SizeError(f"need n >= folds = {cv.folds}, got n = {n}")
+        cv.check_rows(n)
         # Drawn before w, so that their temporaries are gone by then.
         self.folds = fold_assignments(n, cv.folds, seed)
         # w is the one copy of the design, standardized in place.

@@ -19,15 +19,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (Dataset, LcbReport, MACM_GAP, MMSE_GAP, _csv_cells,
-                   seeded_rng, split)
+from .core import (ConfidenceLevel, Dataset, LcbReport, MACM_GAP, MMSE_GAP,
+                   _csv_cells, check_split, seeded_rng, split)
 from .covariates import (Ar1Model, CopulaModel, CovariateModel,
                          GaussianLinearModel, ar1_covariance)
 from .errors import SizeError, ValidationError
 from .macm import MacmConfig, macm_gap_oracle, macm_lcb
 from .mmse import (FloodgateConfig, block_moments, floodgate_lcb,
                    null_mu_blocks)
-from .cosufficient import check_batch_counts, cosufficient_lcb
+from .cosufficient import (check_batch_counts, check_batch_plan,
+                           cosufficient_lcb)
 from .regression import (CUSTOM, CustomRegression, CvConfig, LASSO,
                          LinearWorkingRegression, LOGIT_L1, LOGIT_L2, OLS,
                          RIDGE, WorkingRegression, fit_lasso, fit_logistic,
@@ -384,6 +385,21 @@ class ExperimentSpec:
                                tuple(int(v) for v in self.variables))
             if any(v < 1 or v > self.p for v in self.variables):
                 raise ValidationError("variables must be 1-based in [1, p]")
+        # The rules a replicate applies after the oracle, by their owners.
+        ConfidenceLevel(self.alpha)
+        check_split(self.split_proportion, self.n)
+        n_fit = math.floor(self.split_proportion * self.n)
+        if _STUDY_READS["cv"](self):
+            self.cv.check_rows(n_fit)
+        model = focal_model(self, 1)    # its Ar1Model checks rho
+        if self.misspecification == MISSPEC_INSAMPLE:
+            _check_insample_rows(self.misspec_m_rows or self.n, self.p)
+            # The bounds get a Gaussian refit: the latent law's family.
+            model = Ar1Model(self.p, self.rho, 1)
+        for method in self.methods:
+            if method.name == COSUFFICIENT:
+                check_batch_plan(model, self.n - n_fit, self.p - 1,
+                                 method.n2, method.mc_k)
 
     @property
     def fit_link(self) -> str:
@@ -496,13 +512,17 @@ def _focal_view(full_fit: LinearWorkingRegression, j0: int
         np.delete(coef, j0), link=full_fit.link)
 
 
+def _check_insample_rows(m: int, p: int) -> None:
+    if m < p + 2:
+        raise SizeError(f"in-sample fit needs m >= p + 2 = {p + 2} rows")
+
+
 def _insample_gaussian_fit(w: np.ndarray, j0: int,
                            m: int) -> GaussianLinearModel:
     """Refits the conditional law of W_j on the other columns from m
     in-sample rows by ridge-regularized Gaussian regression."""
     p = w.shape[1]
-    if m < p + 2:
-        raise SizeError(f"in-sample fit needs m >= p + 2 = {p + 2} rows")
+    _check_insample_rows(m, p)
     rows = w[:m]
     x = rows[:, j0]
     z = np.delete(rows, j0, axis=1)

@@ -20,8 +20,7 @@ from floodgate import (Ar1Model, Dataset, DiscreteMarkovChain,
                        cosufficient_lcb, floodgate_lcb, floodgate_lcb_weighted,
                        run_experiment, split, trivial_ucb)
 from floodgate.cli import EXIT_OK, main
-from floodgate.cosufficient import (dmc_conditional_resample, dmc_strata,
-                                    gaussian_conditional_resample, hat_matrix)
+from floodgate.cosufficient import _ChainBatch, _GaussianBatch
 from floodgate.regression import OLS, CustomRegression, CvConfig
 from floodgate.simulate import (COSUFFICIENT, FIT_MU_STAR,
                                 FIT_MU_STAR_CORRUPTED, LINEAR_SPARSE,
@@ -270,15 +269,18 @@ class TestA7CosufficientCoverageAndSamplers:
             variables=(focal,))
         coverage = run_experiment(spec).summary()[0]["coverage"]
 
-        # Gaussian resampler: the sufficient statistic U'X is preserved.
+        # Gaussian batch law: the sufficient statistic U'X is preserved.
+        # H is the hat matrix of U = (1, Z), by least squares.
         rng = np.random.default_rng(77)
         z = rng.standard_normal((120, 6))
         x = z @ rng.standard_normal(6) + 0.8 * rng.standard_normal(120)
-        h = hat_matrix(z)
-        tilde = gaussian_conditional_resample(x, z, 0.64, seed=5, copies=50)
+        u = np.hstack([np.ones((120, 1)), z])
+        h = u @ np.linalg.lstsq(u, np.eye(120), rcond=None)[0]
+        tilde = _GaussianBatch(x, z, 0.64).sample_null_copies(
+            z, 50, 5).copies[:, :, 0]
         stat_err = float(np.max(np.abs((tilde - x[None, :]) @ h.T)))
 
-        # Markov-chain resampler: neighbor-pair count tables preserved
+        # Markov-chain batch law: neighbor-pair count tables preserved
         # exactly, and within-stratum permutations are uniform.
         chain = DiscreteMarkovChain(
             [0.5, 0.3, 0.2],
@@ -286,8 +288,9 @@ class TestA7CosufficientCoverageAndSamplers:
             focal_index=3)
         cx, cz = chain.sample_joint(200, seed=11)
         cx = cx[:, 0]
-        copies = dmc_conditional_resample(chain, cx, cz, seed=13, copies=400)
-        strata = dmc_strata(chain, cz)
+        law = _ChainBatch(chain, cx, cz)
+        copies = law.sample_null_copies(cz, 400, 13).copies[:, :, 0]
+        strata = law.strata
         counts_ok = all(
             np.array_equal(np.sort(copies[c, s]), np.sort(cx[s]))
             for s in strata for c in range(0, 400, 57))

@@ -354,6 +354,43 @@ def test_infer_exit_contract(small_files, kind, fit, method, k, m, n2, split,
     assert main(argv) in (EXIT_OK, EXIT_VALIDATION, EXIT_IO)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--fitter", "lasso", "--cv-folds", "1"], "folds"),
+    (["fit", "--fitter", "ridge", "--cv-folds", "0"], "folds"),
+    (["fit", "--fitter", "ols", "--cv-folds", "5"], "--cv-folds"),
+    (["infer", "--fit", "lasso", "--cv-folds", "1"], "folds"),
+    (["infer", "--fit", "lasso", "--split", "1.5"], "split"),
+    (["infer", "--fit", "ols", "--split", "0"], "split"),
+    (["infer", "--fit", "ols", "--alpha", "1.5"], "alpha"),
+    (["infer", "--mu", "MU", "--method", "cosufficient", "--alpha", "0"],
+     "alpha"),
+    (["infer", "--mu", "MU", "--fit", "ols"], "exactly one of --mu or --fit"),
+    (["infer"], "exactly one of --mu or --fit")])
+def test_options_checked_before_any_file_is_read(tmp_path, capsys, argv,
+                                                 message):
+    # Every input is missing, so a run that opens one exits 3 (EXIT_IO).
+    command, options = argv[0], [str(tmp_path / "mu.json") if a == "MU"
+                                 else a for a in argv[1:]]
+    if command == "infer":
+        options += ["--model", str(tmp_path / "model.json")]
+    code = main([command, str(tmp_path / "missing.csv"), *options,
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--fitter", "lasso", "--cv-folds", "2"],
+    ["infer", "--fit", "lasso", "--cv-folds", "2", "--split", "0.9",
+     "--alpha", "0.5"]])
+def test_valid_options_reach_the_missing_file(tmp_path, argv):
+    options = argv[1:] + (["--model", str(tmp_path / "model.json")]
+                          if argv[0] == "infer" else [])
+    code = main([argv[0], str(tmp_path / "missing.csv"), *options,
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_IO
+
+
 class TestFit:
     def test_fit_writes_regression_json(self, workspace):
         out = workspace["dir"] / "fit.json"

@@ -7,12 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from floodgate import (Ar1Model, CopulaModel, CustomRegression, Dataset,
                        DiscreteMarkovChain, GaussianLinearModel,
-                       LinearWorkingRegression, cosufficient_lcb,
-                       dmc_conditional_resample,
-                       gaussian_conditional_resample)
-from floodgate.cosufficient import dmc_strata, hat_matrix
-from floodgate.errors import (ShapeError, SingularDesignError, SizeError,
-                              ValidationError)
+                       LinearWorkingRegression, cosufficient_lcb)
+from floodgate.cosufficient import _ChainBatch, _GaussianBatch
+from floodgate.errors import SingularDesignError, SizeError, ValidationError
 from floodgate.regression import OLS
 
 
@@ -26,6 +23,24 @@ def _gaussian_data(model, mu, n, seed, noise=1.0):
     rng = np.random.default_rng(seed + 1)
     y = mu.predict(x, z) + noise * rng.standard_normal(n)
     return Dataset(y, x, z)
+
+
+def _hat(z):
+    """The hat matrix of (1, Z), from least squares rather than a basis."""
+    u = np.hstack([np.ones((len(z), 1)), z])
+    return u @ np.linalg.lstsq(u, np.eye(len(z)), rcond=None)[0]
+
+
+def _gaussian_draws(x, z, sigma2, seed, copies):
+    """copies draws of the batch's X | (Z, T), shape (copies, n2)."""
+    law = _GaussianBatch(x, z, sigma2)
+    return law.sample_null_copies(z, copies, seed).copies[:, :, 0]
+
+
+def _chain_draws(model, x, z, seed, copies):
+    """copies draws of the chain batch's X | (Z, T), shape (copies, n2)."""
+    law = _ChainBatch(model, x, z)
+    return law.sample_null_copies(z, copies, seed).copies[:, :, 0]
 
 
 def _chain():
@@ -79,20 +94,24 @@ class TestBatchPlan:
 
 
 class TestHatMatrix:
+    """The Gaussian batch law's basis q: H = q q' is the hat matrix."""
+
     def test_projection_properties(self):
         rng = np.random.default_rng(0)
         z = rng.standard_normal((20, 3))
-        h = hat_matrix(z)
+        q = _GaussianBatch(rng.standard_normal(20), z, 1.0).q
+        h = q @ q.T
         assert np.allclose(h, h.T, atol=1e-12)
         assert np.allclose(h @ h, h, atol=1e-10)
         u = np.hstack([np.ones((20, 1)), z])
         assert np.allclose(h @ u, u, atol=1e-10)
         assert np.trace(h) == pytest.approx(4.0, abs=1e-10)
+        assert np.allclose(h, _hat(z), atol=1e-10)
 
     def test_rank_deficient_batch(self):
         z = np.ones((10, 1))      # collinear with the intercept
         with pytest.raises(SingularDesignError):
-            hat_matrix(z)
+            _GaussianBatch(np.arange(10.0), z, 1.0)
 
 
 class TestGaussianConditionalResample:
@@ -101,7 +120,7 @@ class TestGaussianConditionalResample:
         z = rng.standard_normal((30, 2))
         x = rng.standard_normal(30)
         u = np.hstack([np.ones((30, 1)), z])
-        tilde = gaussian_conditional_resample(x, z, 0.8, seed=3, copies=25)
+        tilde = _gaussian_draws(x, z, 0.8, seed=3, copies=25)
         for c in range(25):
             assert np.allclose(u.T @ tilde[c], u.T @ x, atol=1e-8)
 
@@ -110,9 +129,8 @@ class TestGaussianConditionalResample:
         z = rng.standard_normal((12, 1))
         x = rng.standard_normal(12)
         sigma2 = 0.6
-        tilde = gaussian_conditional_resample(x, z, sigma2, seed=4,
-                                              copies=60000)
-        h = hat_matrix(z)
+        tilde = _gaussian_draws(x, z, sigma2, seed=4, copies=60000)
+        h = _hat(z)
         assert np.allclose(tilde.mean(axis=0), h @ x, atol=0.02)
         expected_var = sigma2 * (1.0 - np.diag(h))
         assert np.allclose(tilde.var(axis=0, ddof=1), expected_var, atol=0.02)
@@ -121,16 +139,8 @@ class TestGaussianConditionalResample:
         rng = np.random.default_rng(3)
         z = rng.standard_normal((8, 1))
         x = rng.standard_normal(8)
-        tilde = gaussian_conditional_resample(x, z, 0.0, seed=5, copies=3)
-        h = hat_matrix(z)
-        assert np.allclose(tilde, (h @ x)[None, :], atol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ShapeError):
-            gaussian_conditional_resample(np.ones(3), np.ones((4, 1)), 1.0, 0, 2)
-        with pytest.raises(ValidationError):
-            gaussian_conditional_resample(np.ones(3), np.ones((3, 1)) * [[1], [2], [3]],
-                                          -1.0, 0, 2)
+        tilde = _gaussian_draws(x, z, 0.0, seed=5, copies=3)
+        assert np.allclose(tilde, (_hat(z) @ x)[None, :], atol=1e-12)
 
 
 class TestDmcResample:
@@ -138,13 +148,17 @@ class TestDmcResample:
         model = _chain()
         x, z = model.sample_joint(200, seed=7)
         k1, k2 = model.neighbor_states(z)
-        for stratum in dmc_strata(model, z):
+        strata = _ChainBatch(model, x[:, 0], z).strata
+        assert sorted(np.concatenate(strata)) == list(range(200))
+        for stratum in strata:
             assert len(set(zip(k1[stratum], k2[stratum]))) == 1
+        pairs = [(k1[s[0]], k2[s[0]]) for s in strata]
+        assert len(set(pairs)) == len(pairs)
 
     def test_count_table_preserved_exactly(self):
         model = _chain()
         x, z = model.sample_joint(150, seed=8)
-        tilde = dmc_conditional_resample(model, x[:, 0], z, seed=9, copies=10)
+        tilde = _chain_draws(model, x[:, 0], z, seed=9, copies=10)
         k1, k2 = model.neighbor_states(z)
         def table(values):
             t = {}
@@ -159,9 +173,8 @@ class TestDmcResample:
         scipy_stats = pytest.importorskip("scipy.stats")
         model = _chain()
         x, z = model.sample_joint(60, seed=10)
-        tilde = dmc_conditional_resample(model, x[:, 0], z, seed=11,
-                                         copies=4000)
-        stratum = max(dmc_strata(model, z), key=len)
+        tilde = _chain_draws(model, x[:, 0], z, seed=11, copies=4000)
+        stratum = max(_ChainBatch(model, x[:, 0], z).strata, key=len)
         vals, counts = np.unique(x[stratum, 0], return_counts=True)
         if len(vals) > 1:
             i = stratum[0]

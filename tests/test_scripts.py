@@ -53,3 +53,33 @@ def test_readme_library_quick_start_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     lcb, point, se = map(float, capsys.readouterr().out.split())
     assert 0.0 <= lcb <= point and se > 0.0
+
+
+def test_readme_qualified_names_resolve():
+    # Each backticked name the README qualifies by a floodgate module
+    # (`mmse.null_mu_blocks`, `floodgate.simulate.ExperimentSpec`) or by
+    # a name floodgate exports (`Dataset.to_csv`) must exist.
+    import importlib
+    import re
+
+    import floodgate
+
+    cited = set(re.findall(r"`([A-Za-z_][\w.]*\.[A-Za-z_]\w*)",
+                           README.read_text()))
+    resolved = []
+    for name in sorted(cited):
+        parts = name.split(".")
+        if parts[0] == "floodgate":
+            parts = parts[1:]
+        try:
+            obj = importlib.import_module(f"floodgate.{parts[0]}")
+        except ModuleNotFoundError:
+            if parts[0] not in floodgate.__all__:
+                continue        # numpy, csv, a variable, a file name
+            obj = getattr(floodgate, parts[0])
+        for attr in parts[1:]:
+            assert hasattr(obj, attr), f"README cites {name}, which is gone"
+            obj = getattr(obj, attr)
+        resolved.append(name)
+    assert "regression._active_set_paths" in resolved
+    assert "Dataset.to_csv" in resolved

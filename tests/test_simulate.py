@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -11,7 +12,7 @@ from floodgate import (Dataset, ExperimentSpec, MethodSpec, MuStarSpec,
 from floodgate import macm, mmse, simulate
 from floodgate.cli import EXIT_VALIDATION, main
 from floodgate.covariates import Ar1Model
-from floodgate.errors import ValidationError
+from floodgate.errors import FloodgateError, ValidationError
 from floodgate.macm import macm_gap_oracle
 from floodgate.regression import CvConfig, LASSO, LOGIT_L1, LOGIT_L2, OLS, RIDGE
 from floodgate.simulate import (COSUFFICIENT, FIT_MU_STAR,
@@ -393,7 +394,7 @@ class TestExperimentSpec:
         assert self._spec(mu_star=logistic, fitter=LOGIT_L1,
                           methods=(MethodSpec(MACM, k_copies=5),
                                    MethodSpec(MMSE_MC, big_k=5),
-                                   MethodSpec(COSUFFICIENT, mc_k=5)))
+                                   MethodSpec(COSUFFICIENT, n2=20, mc_k=5)))
 
     @pytest.mark.parametrize("kind, methods", [
         (LINEAR_SPARSE, (MethodSpec(MMSE_EXACT),)),
@@ -432,6 +433,67 @@ class TestExperimentSpec:
         path.write_text(json.dumps(spec))
         code = main(["simulate", str(path), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
+
+
+_NONLINEAR = dict(p=30, mu_star=MuStarSpec(NONLINEAR_F1, sparsity=30, seed=1),
+                  fitter=LASSO, oracle_draws=2000)
+
+
+class TestSpecRejectsWhatAReplicateWould:
+    """Each setting that would fail at the first replicate, or after the
+    oracle, fails when the spec is built."""
+
+    def _spec(self, **kwargs):
+        base = dict(n=100, p=6,
+                    mu_star=MuStarSpec(LINEAR_SPARSE, sparsity=2, seed=1),
+                    methods=(MethodSpec(MMSE_EXACT),), fitter=FIT_MU_STAR,
+                    replicates=2)
+        base.update(kwargs)
+        return ExperimentSpec(**base)
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(_NONLINEAR, alpha=0.0), "alpha"),
+        (dict(_NONLINEAR, n=400, model_kind=MODEL_COPULA_AR1,
+              methods=(MethodSpec(COSUFFICIENT, n2=100),)), "Gaussian"),
+        (dict(mu_star=MuStarSpec(LOGISTIC_LINEAR, sparsity=2, seed=1),
+              methods=(MethodSpec(MACM),), split_proportion=1.5), "split"),
+        (dict(rho=1.5), "rho"),
+        (dict(n=20, fitter=LASSO, cv=CvConfig(folds=15)), "folds"),
+        (dict(n=120, methods=(MethodSpec(COSUFFICIENT, n2=40),)),
+         "fewer than 2 batches"),
+        (dict(methods=(MethodSpec(COSUFFICIENT, n2=7),)), "d_z + 2"),
+        (dict(misspecification=MISSPEC_INSAMPLE, misspec_m_rows=3),
+         "m >= p + 2")])
+    def test_rejected_before_the_oracle(self, tmp_path, monkeypatch,
+                                        settings, message):
+        def ran_oracle(spec):
+            raise AssertionError("the oracle ran before the spec was checked")
+
+        monkeypatch.setattr(simulate, "oracle_values", ran_oracle)
+        with pytest.raises(FloodgateError, match=re.escape(message)):
+            self._spec(**settings)
+        # The same spec as a file: floodgate simulate exits 2.
+        spec = json.loads(self._spec().to_json())
+        spec.update(json.loads(json.dumps(
+            {k: asdict(v) if isinstance(v, (MuStarSpec, CvConfig)) else
+             [asdict(m) for m in v] if k == "methods" else v
+             for k, v in settings.items()})))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("settings", [
+        dict(n=20, fitter=LASSO, cv=CvConfig(folds=10)),
+        dict(n=120, methods=(MethodSpec(COSUFFICIENT, n2=30),)),
+        dict(methods=(MethodSpec(COSUFFICIENT, n2=8),)),
+        dict(misspecification=MISSPEC_INSAMPLE, misspec_m_rows=8),
+        # The bounds get the in-sample Gaussian refit, not the copula.
+        dict(_NONLINEAR, n=400, model_kind=MODEL_COPULA_AR1,
+             misspecification=MISSPEC_INSAMPLE,
+             methods=(MethodSpec(COSUFFICIENT, n2=100),))])
+    def test_boundary_settings_accepted(self, settings):
+        assert self._spec(**settings)
 
 
 class TestGenerateReplicate:
