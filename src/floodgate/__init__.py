@@ -33,4 +33,31 @@ from .simulate import (ExperimentResult, ExperimentSpec, MethodSpec,
                        MuStarSpec, build_mu_star, generate_replicate,
                        oracle_values, run_experiment)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # core
+    "ConfidenceLevel", "Dataset", "LcbReport", "SplitDataset",
+    "delta_method_se", "normal_cdf", "normal_quantile", "sample_mean_cov",
+    "split",
+    # covariates
+    "Ar1Model", "CopulaModel", "CovariateModel", "DiscreteMarkovChain",
+    "GaussianLinearModel", "NullCopies", "model_from_json",
+    # errors
+    "DegenerateLabelsError", "FloodgateError", "ShapeError",
+    "SingularDesignError", "SizeError", "UnsupportedClosedFormError",
+    "ValidationError",
+    # regression
+    "CustomRegression", "CvConfig", "LinearWorkingRegression",
+    "WorkingRegression", "fit_lasso", "fit_logistic", "fit_ols", "fit_ridge",
+    "ols_oracle_lcb", "regression_from_json",
+    # mmse
+    "FloodgateConfig", "conditional_moments", "floodgate_lcb",
+    "floodgate_lcb_scale_free", "floodgate_lcb_weighted", "trivial_ucb",
+    "zero_out_transform",
+    # macm
+    "MacmConfig", "macm_gap_enumerate", "macm_gap_oracle", "macm_lcb",
+    # cosufficient
+    "cosufficient_lcb",
+    # simulate
+    "ExperimentResult", "ExperimentSpec", "MethodSpec", "MuStarSpec",
+    "build_mu_star", "generate_replicate", "oracle_values", "run_experiment",
+]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import normal_cdf, normal_quantile, philox_rng
+from .core import _normal_cdf_into, normal_quantile, philox_rng
 from .errors import (ShapeError, UnsupportedClosedFormError, ValidationError)
 
 
@@ -238,8 +238,14 @@ class CopulaModel(CovariateModel):
         return self.latent.d_z
 
     @staticmethod
-    def _to_uniform(latent_vals: np.ndarray) -> np.ndarray:
-        u = normal_cdf(latent_vals)
+    def _to_uniform(latent_vals: np.ndarray, out: np.ndarray | None = None
+                    ) -> np.ndarray:
+        """2 Phi(latent) - 1, into a new C-ordered array, or into out: a
+        C-contiguous float array of the same shape, which may be
+        latent_vals itself."""
+        latent_vals = np.asarray(latent_vals, dtype=float)
+        u = _normal_cdf_into(latent_vals, np.empty(latent_vals.shape)
+                             if out is None else out)
         u *= 2.0
         u -= 1.0
         return u
@@ -258,8 +264,9 @@ class CopulaModel(CovariateModel):
         memo = self._latent_z      # read once: a race costs a recompute
         if memo is None or not np.array_equal(memo[0], z):
             memo = self._latent_z = (z.copy(), self._to_latent(z))
-        lat_copies = self.latent.sample_null_copies(memo[1], big_k, seed)
-        return NullCopies(self._to_uniform(lat_copies.copies))
+        copies = self.latent.sample_null_copies(memo[1], big_k, seed).copies
+        # The latent draws are ours: map them to uniforms where they lie.
+        return NullCopies(self._to_uniform(copies, out=copies))
 
     def to_config(self):
         return {"latent": self.latent.to_config()}

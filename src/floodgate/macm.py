@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .covariates import CovariateModel
 from .errors import (DegenerateLabelsError, ShapeError, SizeError,
                      UnsupportedClosedFormError, ValidationError)
 from .regression import WorkingRegression
-from .mmse import conditional_moments, fold_sum, null_mu_blocks
+from .mmse import conditional_moments, null_mu_blocks, sum_blocks
 
 
 @dataclass(frozen=True)
@@ -77,9 +76,13 @@ def _mc_r_samples(infer_part: Dataset, mu: WorkingRegression,
     # One continuing stream of M + K null copies per row: the first M
     # estimate the conditional mean, the next K feed the indicator average.
     rng = philox_rng(cfg.seed)
-    g_m = reduce(fold_sum, null_mu_blocks(mu, model, z, m, rng), None) / m
-    wrong = sum((y * (tilde - g_m) < 0).sum(axis=0)
-                for tilde in null_mu_blocks(mu, model, z, cfg.k_copies, rng))
+    g_m = sum_blocks(null_mu_blocks(mu, model, z, m, rng)) / m
+    wrong = 0
+    for tilde in null_mu_blocks(mu, model, z, cfg.k_copies, rng):
+        tilde -= g_m
+        tilde *= y
+        wrong = wrong + (tilde < 0).sum(axis=0)
+        del tilde           # freed before the next block is drawn
     obs_wrong = (y * (mu.predict(infer_part.x, z) - g_m) < 0)
     return wrong / cfg.k_copies - obs_wrong.astype(float)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -46,19 +45,24 @@ class FloodgateConfig:
                 f"big_k must be 0 (closed form) or >= 2, got {self.big_k}")
 
 
-# Values held at once: mu values per block of null_mu_blocks (every
+# Values held at once: the copies of one block of null_mu_blocks (every
 # Monte Carlo path), and the tiled z per generic-mu chunk in mu_on_copies.
-_BLOCK_VALUES = 1 << 21
+# A block's steps run in place, so about one block (4 MB) is alive at a
+# time. Each block also pays O(n d_z) for the conditional mean and z @
+# coef, so much smaller blocks slow a bound on many rows.
+_BLOCK_VALUES = 1 << 19
 
 
 def mu_on_copies(mu: WorkingRegression, copies: np.ndarray,
-                 z: np.ndarray) -> np.ndarray:
+                 z: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     """mu on a (K, n, d_x) stack of copies of x, each paired with the n
     rows of z; shape (K, n). A generic mu gets chunks of copies whose
     tiled z holds about _BLOCK_VALUES values, so its value on a row must
     not depend on the other rows in the call. One computing ``z @ coef``
     breaks this in the last bits: BLAS rounds a product's last rows
-    differently, so moving the chunk cuts can change them."""
+    differently, so moving the chunk cuts can change them. With
+    overwrite and one focal column, mu is evaluated into the copies' own
+    storage, which the result then shares."""
     big_k, n, d_x = copies.shape
     if isinstance(mu, LinearWorkingRegression):
         # Evaluate the z part once instead of retiling it per copy.
@@ -68,7 +72,8 @@ def mu_on_copies(mu: WorkingRegression, copies: np.ndarray,
         # One (K, n) array, then in place; a sum has the same bits in
         # either operand order.
         if d_x == 1 and len(mu.x_coef) == 1:
-            f = copies[:, :, 0] * mu.x_coef[0]
+            f = np.multiply(copies[:, :, 0], mu.x_coef[0],
+                            out=copies[:, :, 0] if overwrite else None)
         else:
             f = copies @ mu.x_coef
         f += base[None, :]
@@ -78,10 +83,13 @@ def mu_on_copies(mu: WorkingRegression, copies: np.ndarray,
         return f
     step = max(1, _BLOCK_VALUES // max(n * z.shape[1], 1))
     z_rep = np.tile(z, (min(step, big_k), 1))
-    return np.concatenate([
-        mu.predict(part.reshape(-1, d_x), z_rep[:len(part) * n])
-        .reshape(len(part), n)
-        for part in np.split(copies, range(step, big_k, step))])
+    # A chunk's copies are read before its values are written.
+    out = copies[:, :, 0] if overwrite and d_x == 1 else np.empty((big_k, n))
+    for lo in range(0, big_k, step):
+        part = copies[lo:lo + step]
+        out[lo:lo + len(part)] = mu.predict(
+            part.reshape(-1, d_x), z_rep[:len(part) * n]).reshape(len(part), n)
+    return out
 
 
 def conditional_moments(model, mu: WorkingRegression, z: np.ndarray):
@@ -112,8 +120,10 @@ def mu_null_values(mu: WorkingRegression, model: CovariateModel,
                    z: np.ndarray, big_k: int,
                    seed: int | np.random.Generator) -> np.ndarray:
     """mu on K null copies of x drawn from model; shape (K, n). A
-    Generator seed continues its stream, as in sample_null_copies."""
-    return mu_on_copies(mu, model.sample_null_copies(z, big_k, seed).copies, z)
+    Generator seed continues its stream, as in sample_null_copies. The
+    draws are fresh, so a linear mu is evaluated over them."""
+    return mu_on_copies(mu, model.sample_null_copies(z, big_k, seed).copies,
+                        z, overwrite=True)
 
 
 def null_mu_blocks(mu: WorkingRegression, model: CovariateModel,
@@ -135,6 +145,16 @@ def fold_sum(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
     return block.sum(axis=0)
 
 
+def sum_blocks(blocks) -> np.ndarray:
+    """The axis-0 sum over a stream of (rows, n) blocks (overwriting
+    them), bit-identical to summing the stacked blocks."""
+    total = None
+    for block in blocks:
+        total = fold_sum(total, block)
+        del block           # freed before the next block is drawn
+    return total
+
+
 def block_moments(blocks) -> tuple[int, np.ndarray, np.ndarray]:
     """Per-column (count, sum, M2) over a stream of (rows, n) blocks. Block
     M2 values merge by Chan, Golub & LeVeque (1983), so M2 / (count - 1)
@@ -142,15 +162,21 @@ def block_moments(blocks) -> tuple[int, np.ndarray, np.ndarray]:
     count, total, m2 = 0, None, 0.0
     for block in blocks:
         rows, own = len(block), block.sum(axis=0)
-        sq = block - own / rows
-        sq *= sq
         if count:
             delta = own / rows - total / count
             m2 = m2 + delta * delta * (count * rows / (count + rows))
-        m2 = m2 + sq.sum(axis=0)
-        total = own if total is None else fold_sum(total, block)
+        if total is None:
+            total = own
+        else:           # fold_sum overwrites the first row: keep it
+            first = block[0].copy()
+            total = fold_sum(total, block)
+            block[0] = first
+        # The squared deviations, over the block.
+        block -= own / rows
+        block *= block
+        m2 = m2 + block.sum(axis=0)
         count += rows
-        del block, sq       # freed before the next block is drawn
+        del block           # freed before the next block is drawn
     return count, total, m2
 
 
@@ -170,8 +196,8 @@ def moment_samples(infer_part: Dataset, mu: WorkingRegression,
         # K copies of the stream and R_i the next K.
         rng = philox_rng(cfg.seed)
         if cfg.center_y:
-            center = reduce(fold_sum, null_mu_blocks(
-                mu, model, infer_part.z, cfg.big_k, rng), None) / cfg.big_k
+            center = sum_blocks(null_mu_blocks(
+                mu, model, infer_part.z, cfg.big_k, rng)) / cfg.big_k
         k, total, m2 = block_moments(
             null_mu_blocks(mu, model, infer_part.z, cfg.big_k, rng))
         g = total / k

@@ -386,6 +386,9 @@ class ExperimentSpec:
             if any(v < 1 or v > self.p for v in self.variables):
                 raise ValidationError("variables must be 1-based in [1, p]")
         # The rules a replicate applies after the oracle, by their owners.
+        mu_star = build_mu_star(self.mu_star, self.n, self.p)
+        if self.fitter in (FIT_MU_STAR, FIT_MU_STAR_CORRUPTED):
+            _mu_star_coef(mu_star)
         ConfidenceLevel(self.alpha)
         check_split(self.split_proportion, self.n)
         n_fit = math.floor(self.split_proportion * self.n)
@@ -478,15 +481,20 @@ def oracle_values(spec: ExperimentSpec) -> np.ndarray:
     return out
 
 
+def _mu_star_coef(mu_star: RealizedMuStar) -> np.ndarray:
+    """The coefficients that the mu* fitters hand out as the fit."""
+    if mu_star.coef is None:
+        raise ValidationError("coefficient fitters need a linear mu*")
+    return mu_star.coef
+
+
 def _fit_working_regression(spec: ExperimentSpec, fit_ds: Dataset,
                             replicate_index: int) -> LinearWorkingRegression:
     """Fits (or fabricates) a full-p coefficient working regression."""
     mu_star = build_mu_star(spec.mu_star, spec.n, spec.p)
     fit_seed = derive_seed(spec.base_seed, replicate_index, 3)
     if spec.fitter in (FIT_MU_STAR, FIT_MU_STAR_CORRUPTED):
-        if mu_star.coef is None:
-            raise ValidationError("coefficient fitters need a linear mu*")
-        coef = mu_star.coef.copy()
+        coef = _mu_star_coef(mu_star).copy()
         if spec.fitter == FIT_MU_STAR_CORRUPTED:
             noise_rng = seeded_rng(spec.base_seed, replicate_index, 4)
             coef = coef + spec.corruption_tau * noise_rng.standard_normal(spec.p)

@@ -176,13 +176,15 @@ def _materialised_lcb(data, mu, model, cfg):
 
 
 class TestStreamedPool:
-    @pytest.mark.parametrize("block_values", [None, 1 << 20, 600 * 7])
+    @pytest.mark.parametrize("block_values",
+                             [None, 1 << 22, 1 << 20, 600 * 7])
     @pytest.mark.parametrize("custom", [False, True])
     def test_matches_materialised_pool(self, monkeypatch, block_values,
                                        custom):
         # n = 600 with the default M = 4n and K = 100: a pool of 1.5M
-        # values, drawn one block per segment, with the M segment cut
-        # after 1747 copies, or in blocks of 7 copies.
+        # values, drawn in the default blocks of 873 copies, one block
+        # per segment, with the M segment cut after 1747 copies, or in
+        # blocks of 7 copies.
         if block_values is not None:
             monkeypatch.setattr(mmse, "_BLOCK_VALUES", block_values)
         model = Ar1Model(dim=6, rho=0.3, focal_index=1)
@@ -228,7 +230,9 @@ class TestStreamedPool:
 
     def test_memory_linear_in_n(self, rss_growth_mb):
         # n = 4000 with M = 4n: a materialised pool grows peak RSS by
-        # about 1.9 GB; the streamed one stays within a fixed budget.
+        # about 1.9 GB. The streamed one holds one 4 MB block at a time
+        # and grew by about 3 MB; the bound leaves room for two more
+        # blocks and the allocator.
         script = textwrap.dedent("""
             import resource
             import numpy as np
@@ -250,12 +254,14 @@ class TestStreamedPool:
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             print((after - before) / 1024.0)
         """)
-        assert rss_growth_mb(script) < 200.0
+        assert rss_growth_mb(script) < 12.0
 
     def test_generic_mu_memory_bounded(self, rss_growth_mb):
         # A mu that is not a LinearWorkingRegression sees tiled z rows:
         # one whole block of copies at n = 1500 times d_z = 39 columns
-        # would take about 650 MB, so the tile is chunked.
+        # would take about 160 MB, so the tile is chunked. One block, its
+        # values and one 3.7 MB tile grew peak RSS by about 7 MB; the
+        # bound leaves room for about three more blocks.
         script = textwrap.dedent("""
             import resource
             import numpy as np
@@ -278,7 +284,7 @@ class TestStreamedPool:
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             print((after - before) / 1024.0)
         """)
-        assert rss_growth_mb(script) < 200.0
+        assert rss_growth_mb(script) < 20.0
 
 
 class TestMacmGapEnumerate:

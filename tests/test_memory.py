@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from floodgate import (Ar1Model, CopulaModel, Dataset, GaussianLinearModel,
-                       LinearWorkingRegression)
-from floodgate import core
+                       LinearWorkingRegression, MacmConfig, macm_lcb)
+from floodgate import core, mmse
 from floodgate.cli import main
 from floodgate.core import philox_rng
 from floodgate.mmse import mu_null_values, mu_on_copies
@@ -96,18 +96,41 @@ def test_infer_fit_peaks_at_two_tables(files, tmp_path):
     assert peak <= 2.1 * TABLE_BYTES
 
 
-def test_copula_block_peaks_at_two_blocks():
+def _copula_mu(d_z):
+    return LinearWorkingRegression("CUSTOM", 0.1, np.array([1.5]),
+                                   np.full(d_z, 0.8), link="binary_mean")
+
+
+def test_copula_block_peaks_at_one_block():
     n, big_k = 2000, 1000
     model = CopulaModel(Ar1Model(8, 0.3, [1]))
     z = np.random.default_rng(2).uniform(-1.0, 1.0, (n, 7))
-    mu = LinearWorkingRegression("CUSTOM", 0.1, np.array([1.5]),
-                                 np.full(7, 0.8), link="binary_mean")
+    mu = _copula_mu(7)
     mu_null_values(mu, model, z, 2, 3)      # memoizes the latent z
     values, _, peak = _traced(lambda: mu_null_values(mu, model, z, big_k, 3))
     block = values.nbytes
     assert block == big_k * n * 8
-    # The copies and the values, the erfc slices' workspace, and O(n).
-    assert peak <= 2 * block + 16 * core._SLICE * 8 + 64 * n
+    # The copies, which become the uniforms and then the values, the
+    # erfc slices' workspace (at most 8 slices of doubles), and O(n).
+    assert peak <= block + 8 * core._SLICE * 8 + 64 * n
+
+
+def test_macm_copula_peak_does_not_grow_with_copies():
+    # M = 4n spans a few blocks and M = 16n four times as many; each
+    # block is freed before the next is drawn, so the peak is one block.
+    n = 600
+    model = CopulaModel(Ar1Model(8, 0.3, 1))
+    x, z = model.sample_joint(n, 1)
+    y = np.where(np.random.default_rng(2).random(n) < 0.5, 1.0, -1.0)
+    data, mu = Dataset(y, x, z), _copula_mu(7)
+    macm_lcb(data, mu, model, MacmConfig(m_copies=2, k_copies=2, seed=1))
+    peaks = [_traced(lambda: macm_lcb(
+        data, mu, model, MacmConfig(m_copies=m, k_copies=100, seed=3)))[2]
+        for m in (4 * n, 16 * n)]
+    block = mmse._BLOCK_VALUES // n * n * 8
+    assert 4 * n * n * 8 > 2 * block      # M = 4n spans whole blocks
+    assert abs(peaks[1] - peaks[0]) <= 64 * n
+    assert max(peaks) <= block + 8 * core._SLICE * 8 + 64 * n
 
 
 def _gaussian_models():

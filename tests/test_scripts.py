@@ -55,6 +55,27 @@ def test_readme_library_quick_start_runs(capsys):
     assert 0.0 <= lcb <= point and se > 0.0
 
 
+def test_package_exports_every_import_and_no_module():
+    import types
+
+    import floodgate
+
+    exported = set(floodgate.__all__)
+    assert len(exported) == len(floodgate.__all__)
+    modules = {name for name in exported
+               if isinstance(getattr(floodgate, name), types.ModuleType)}
+    assert not modules
+    # Every function and class the package imports is exported.
+    imported = {name for name, obj in vars(floodgate).items()
+                if not name.startswith("_")
+                and not isinstance(obj, types.ModuleType)}
+    assert exported == imported
+    star = {}
+    exec("from floodgate import *", star)
+    star.pop("__builtins__")
+    assert set(star) == exported
+
+
 def test_readme_qualified_names_resolve():
     # Each backticked name the README qualifies by a floodgate module
     # (`mmse.null_mu_blocks`, `floodgate.simulate.ExperimentSpec`) or by

@@ -463,7 +463,17 @@ class TestSpecRejectsWhatAReplicateWould:
          "fewer than 2 batches"),
         (dict(methods=(MethodSpec(COSUFFICIENT, n2=7),)), "d_z + 2"),
         (dict(misspecification=MISSPEC_INSAMPLE, misspec_m_rows=3),
-         "m >= p + 2")])
+         "m >= p + 2"),
+        (dict(_NONLINEAR, fitter=FIT_MU_STAR), "need a linear mu*"),
+        (dict(_NONLINEAR, fitter=FIT_MU_STAR_CORRUPTED, corruption_tau=0.5),
+         "need a linear mu*"),
+        (dict(mu_star=MuStarSpec(LINEAR_SPARSE, sparsity=7, seed=1)),
+         "sparsity cannot exceed p"),
+        (dict(mu_star=MuStarSpec(LOGISTIC_LINEAR, sparsity=7, seed=1),
+              methods=(MethodSpec(MACM),)), "sparsity cannot exceed p"),
+        (dict(_NONLINEAR, p=29), "needs p >= 30"),
+        (dict(_NONLINEAR, mu_star=MuStarSpec(NONLINEAR_F1, sparsity=10)),
+         "defined for sparsity 30")])
     def test_rejected_before_the_oracle(self, tmp_path, monkeypatch,
                                         settings, message):
         def ran_oracle(spec):
@@ -520,9 +530,10 @@ class TestGenerateReplicate:
         assert set(np.unique(y)) <= {-1.0, 1.0}
 
     def test_copula_covariates_bounded(self):
+        # A nonlinear mu* needs a fitted mu; the draw does not read it.
         spec = self._spec(p=30, model_kind=MODEL_COPULA_AR1,
                           mu_star=MuStarSpec(NONLINEAR_F1, sparsity=30,
-                                             seed=2))
+                                             seed=2), fitter=LASSO)
         w, _ = generate_replicate(spec, 0)
         assert w.min() > -1.0 and w.max() < 1.0
 
@@ -597,9 +608,10 @@ class TestRunExperiment:
 
     def test_nonlinear_oracle_is_the_per_variable_nested_mc(self):
         # p = 32 leaves two variables outside the 30-term support: 0.
+        # A nonlinear mu* needs a fitted mu; the oracle does not read it.
         spec = self._spec(p=32, mu_star=MuStarSpec(NONLINEAR_F1, sparsity=30,
                                                    seed=2),
-                          oracle_draws=100, variables=None)
+                          oracle_draws=100, variables=None, fitter=LASSO)
         mu_star = build_mu_star(spec.mu_star, spec.n, spec.p)
         want = np.zeros(spec.p)
         for j0 in mu_star.support:
