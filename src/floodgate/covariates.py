@@ -169,6 +169,18 @@ def ar1_covariance(dim: int, rho: float) -> np.ndarray:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
+def _ar1_rows(dim: int, rho: float, n: int, seed: int) -> np.ndarray:
+    """n draws of the stationary AR(1) vector, coordinate-major: shape
+    (dim, n), so each step of the recursion writes one contiguous row."""
+    rng = philox_rng(seed)
+    w = np.empty((dim, n))
+    w[0] = rng.standard_normal(n)
+    scale = math.sqrt(1.0 - rho ** 2)
+    for j in range(1, dim):
+        w[j] = rho * w[j - 1] + scale * rng.standard_normal(n)
+    return w
+
+
 class Ar1Model(_GaussianConditional):
     """Stationary Gaussian AR(1) vector with unit marginal variances.
 
@@ -204,17 +216,20 @@ class Ar1Model(_GaussianConditional):
     def sample_joint(self, n, seed):
         if n < 1:
             raise ValidationError("n must be >= 1")
-        # Coordinate-major: each step of the recursion writes one
-        # contiguous row.
-        rng = philox_rng(seed)
-        w = np.empty((self.dim, n))
-        w[0] = rng.standard_normal(n)
-        scale = math.sqrt(1.0 - self.rho ** 2)
-        for j in range(1, self.dim):
-            w[j] = self.rho * w[j - 1] + scale * rng.standard_normal(n)
+        w = _ar1_rows(self.dim, self.rho, n, seed)
         # Column-major (n, d) views. Matrix products on x and z round
         # according to their layout, so the layout is part of the output.
         return w[self._focal0].T, w[self._rest0].T
+
+    def row_weights(self) -> tuple[np.ndarray, float]:
+        """The conditional law of a single focal coordinate as a map of
+        full rows: E[X | Z] = weights @ w for a (dim,) or (dim, n) w in
+        coordinate order (the focal weight is 0), and the conditional sd."""
+        if self.d_x != 1:
+            raise ValidationError("row weights need a single focal index")
+        weights = np.zeros(self.dim)
+        weights[self._rest0] = self._coef[0]
+        return weights, math.sqrt(float(self._cond_cov[0, 0]))
 
     def to_config(self):
         return {"dim": self.dim, "rho": self.rho,

@@ -190,40 +190,41 @@ def _tanh_node_mean(h: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def macm_gap_oracle(model: CovariateModel, slope: float, offset,
-                    x: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+def macm_gap_oracle(slope: float, offset, x: np.ndarray,
+                    cond_mean: np.ndarray, cond_sd: float
+                    ) -> tuple[float, float]:
     """Monte Carlo MACM gap of the logistic truth
 
         E[Y | X, Z] = tanh((slope * X + offset) / 2)
 
-    over n >= 2 joint draws of (X, Z), such as model.sample_joint
-    returns; offset, the part of the linear predictor that does not
-    involve X, is a scalar or one value per draw. The inner expectation
-    E[Y | Z] is the 64-node Gauss-Hermite rule against the Gaussian law
-    of X | Z, summed in +/- node pairs in closed form (_tanh_node_mean).
-    Returns (value, se).
+    over n >= 2 joint draws: x holds the draws of X, cond_mean the
+    conditional mean E[X | Z] at each draw, and cond_sd the sd of the
+    Gaussian law of X | Z, the same for every draw. offset, the part of
+    the linear predictor that does not involve X, is a scalar or one
+    value per draw. The inner expectation E[Y | Z] is the 64-node
+    Gauss-Hermite rule against N(cond_mean, cond_sd^2), summed in +/-
+    node pairs in closed form (_tanh_node_mean). Returns (value, se).
     """
     x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 1:
-        raise ShapeError(f"x must be one column, got shape {x.shape}")
-    if len(x) != len(z):
-        raise ShapeError(f"x has {len(x)} rows but z has {len(z)}")
+    cond_mean = np.asarray(cond_mean, dtype=float)
+    if x.ndim != 1:
+        raise ShapeError(f"x must be one value per draw, got shape {x.shape}")
     n_draws = len(x)
+    if cond_mean.shape != (n_draws,):
+        raise ShapeError(f"cond_mean must be {n_draws} values, "
+                         f"got shape {cond_mean.shape}")
     if n_draws < 2:
         raise SizeError("the MACM oracle needs at least two draws")
     offset = np.asarray(offset, dtype=float)
     if offset.shape not in ((), (n_draws,)):
         raise ShapeError(f"offset must be a scalar or {n_draws} values, "
                          f"got shape {offset.shape}")
-    slope = float(slope)
+    slope, cond_sd = float(slope), float(cond_sd)
     if not (math.isfinite(slope) and np.isfinite(offset).all()):
         raise ValidationError("slope and offset must be finite")
-    cond_mean_x, cond_cov = model.conditional_x_moments(z)
-    if cond_mean_x.shape[1] != 1:
-        raise ValidationError("quadrature oracle supports a scalar focal X")
-    sd = math.sqrt(float(cond_cov[0, 0]))
-    ey_z = _tanh_node_mean((offset + slope * cond_mean_x[:, 0]) / 2.0,
-                           slope * sd)
-    vals = np.abs(ey_z - np.tanh((offset + slope * x[:, 0]) / 2.0))
+    if not (math.isfinite(cond_sd) and cond_sd >= 0.0):
+        raise ValidationError("cond_sd must be finite and nonnegative")
+    ey_z = _tanh_node_mean((offset + slope * cond_mean) / 2.0,
+                           slope * cond_sd)
+    vals = np.abs(ey_z - np.tanh((offset + slope * x) / 2.0))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_draws))

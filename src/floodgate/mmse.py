@@ -52,6 +52,9 @@ class FloodgateConfig:
 # coef, so much smaller blocks slow a bound on many rows.
 _BLOCK_VALUES = 1 << 19
 
+# Values in the weighted bound's one buffer for its weighted squares.
+_WEIGHTED_SLICE_VALUES = 1 << 14
+
 
 def mu_on_copies(mu: WorkingRegression, copies: np.ndarray,
                  z: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
@@ -290,14 +293,28 @@ def floodgate_lcb_weighted(infer_part: Dataset, mu: WorkingRegression,
     mu_obs = mu.predict(infer_part.x, infer_part.z)
     y, big_k = infer_part.y, cfg.big_k
     sq_sum = dev_sum = tilde_sum = None
+    # The weighted squares are formed a slice of copies at a time in one
+    # reused buffer, so no block-sized temporary sits beside the block.
+    # Sums add rows in order, so slicing does not change their bits.
+    buf = np.empty((min(big_k, max(1, _WEIGHTED_SLICE_VALUES // n)), n))
     start = 0
     for tilde in null_mu_blocks(mu, model, infer_part.z, big_k, cfg.seed):
-        w1_rows = w1[start:start + len(tilde)]
+        for lo in range(0, len(tilde), len(buf)):
+            t = tilde[lo:lo + len(buf)]
+            w1_rows = w1[start + lo:start + lo + len(t)]
+            b = buf[:len(t)]
+            np.subtract(y, t, out=b)            # (y - tilde) ** 2 * w1
+            np.square(b, out=b)
+            b *= w1_rows
+            sq_sum = fold_sum(sq_sum, b)
+            np.subtract(mu_obs, t, out=b)       # 2 (mu_obs - tilde) ** 2 * w1
+            np.square(b, out=b)
+            b *= 2.0
+            b *= w1_rows
+            dev_sum = fold_sum(dev_sum, b)
         start += len(tilde)
-        sq_sum = fold_sum(sq_sum, (y - tilde) ** 2 * w1_rows)
-        dev_sum = fold_sum(dev_sum, 2.0 * (mu_obs - tilde) ** 2 * w1_rows)
         tilde_sum = fold_sum(tilde_sum, tilde)
-        del tilde           # freed before the next block is drawn
+        del tilde, t        # freed (with its last view) before the next block
     r = (sq_sum / big_k * w - (y - mu_obs) ** 2 * w) / w_bar
     v = dev_sum / big_k * w / w_bar
     scale_sq = float(np.mean((mu_obs - tilde_sum / big_k) ** 2))

@@ -12,6 +12,7 @@ closed forms where available and seeded Monte Carlo elsewhere.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
@@ -22,7 +23,7 @@ import numpy as np
 from .core import (ConfidenceLevel, Dataset, LcbReport, MACM_GAP, MMSE_GAP,
                    _csv_cells, check_split, seeded_rng, split)
 from .covariates import (Ar1Model, CopulaModel, CovariateModel,
-                         GaussianLinearModel, ar1_covariance)
+                         GaussianLinearModel, _ar1_rows, ar1_covariance)
 from .errors import SizeError, ValidationError
 from .macm import MacmConfig, macm_gap_oracle, macm_lcb
 from .mmse import (FloodgateConfig, block_moments, floodgate_lcb,
@@ -230,10 +231,11 @@ def macm_oracle_values(mu_star: RealizedMuStar, rho: float, n_draws: int,
                        seed: int, se_target: float = 0.002) -> np.ndarray:
     """MACM-gap oracle per variable for the logistic-linear model over
     AR(1) covariates: E[Y | W] = tanh(mu*(W) / 2), nulls are exactly 0.
-    Each draw count makes one set of full rows, shared by every support
-    variable j, whose oracle takes slope coef[j] and, as its offset, the
-    rest of mu* summed once. The count doubles, up to 64 n_draws, for the
-    variables whose Monte Carlo SE has not yet met the target."""
+    Each draw count makes one (p, draws) set of full rows, shared by
+    every support variable j: its oracle takes slope coef[j], the rest
+    of mu* as the offset, and the conditional mean of W_j given the rest,
+    each a weighted sum of the rows. The count doubles, up to 64 n_draws,
+    for the variables whose Monte Carlo SE has not yet met the target."""
     if mu_star.coef is None:
         raise ValidationError("the MACM oracle expects a coefficient mu*")
     coef = mu_star.coef
@@ -241,22 +243,20 @@ def macm_oracle_values(mu_star: RealizedMuStar, rho: float, n_draws: int,
     pending = [int(j) for j in mu_star.support]
     draws = n_draws
     while pending:
-        x, z = Ar1Model(mu_star.p, rho, 1).sample_joint(
-            draws, derive_seed(seed, draws))
-        w = np.concatenate([x, z], axis=1)
-        del x, z    # so only w and one variable's z are held below
+        w = _ar1_rows(mu_star.p, rho, draws, derive_seed(seed, draws))
         unmet = []
         for j in pending:
-            z_j = np.delete(w, j, axis=1)
-            value, se = macm_gap_oracle(Ar1Model(mu_star.p, rho, j + 1),
-                                        coef[j], z_j @ np.delete(coef, j),
-                                        w[:, j:j + 1], z_j)
-            del z_j     # before the next variable's copy is built
+            weights, cond_sd = Ar1Model(mu_star.p, rho, j + 1).row_weights()
+            rest = coef.copy()
+            rest[j] = 0.0
+            value, se = macm_gap_oracle(coef[j], rest @ w, w[j],
+                                        weights @ w, cond_sd)
             out[j] = value
             if se >= se_target and draws < 64 * n_draws:
                 unmet.append(j)
         pending = unmet
         draws *= 2
+        del w       # before the next count's set is drawn
     return out
 
 
@@ -386,7 +386,7 @@ class ExperimentSpec:
             if any(v < 1 or v > self.p for v in self.variables):
                 raise ValidationError("variables must be 1-based in [1, p]")
         # The rules a replicate applies after the oracle, by their owners.
-        mu_star = build_mu_star(self.mu_star, self.n, self.p)
+        mu_star = self.realized_mu_star     # by build_mu_star's rules
         if self.fitter in (FIT_MU_STAR, FIT_MU_STAR_CORRUPTED):
             _mu_star_coef(mu_star)
         ConfidenceLevel(self.alpha)
@@ -403,6 +403,12 @@ class ExperimentSpec:
             if method.name == COSUFFICIENT:
                 check_batch_plan(model, self.n - n_fit, self.p - 1,
                                  method.n2, method.mc_k)
+
+    @functools.cached_property
+    def realized_mu_star(self) -> RealizedMuStar:
+        """The mu* of this study, built once: the oracle and every
+        replicate share it, and a pickled spec carries it to workers."""
+        return build_mu_star(self.mu_star, self.n, self.p)
 
     @property
     def fit_link(self) -> str:
@@ -448,11 +454,10 @@ def focal_model(spec: ExperimentSpec, variable: int) -> CovariateModel:
 def generate_replicate(spec: ExperimentSpec, replicate_index: int
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Covariates W (n, p) and responses y for one replicate."""
-    mu_star = build_mu_star(spec.mu_star, spec.n, spec.p)
     x, z = focal_model(spec, 1).sample_joint(
         spec.n, derive_seed(spec.base_seed, replicate_index, 1))
     w = np.concatenate([x, z], axis=1)
-    signal = mu_star.values(w)
+    signal = spec.realized_mu_star.values(w)
     rng = seeded_rng(spec.base_seed, replicate_index, 2)
     if spec.mu_star.kind == LOGISTIC_LINEAR:
         prob = 1.0 / (1.0 + np.exp(-signal))
@@ -464,7 +469,7 @@ def generate_replicate(spec: ExperimentSpec, replicate_index: int
 
 def oracle_values(spec: ExperimentSpec) -> np.ndarray:
     """Per-variable importance oracle (same for every replicate)."""
-    mu_star = build_mu_star(spec.mu_star, spec.n, spec.p)
+    mu_star = spec.realized_mu_star
     if spec.mu_star.kind == LINEAR_SPARSE:
         return mmse_oracle_linear(mu_star.coef, spec.rho)
     if spec.mu_star.kind == LOGISTIC_LINEAR:
@@ -491,10 +496,9 @@ def _mu_star_coef(mu_star: RealizedMuStar) -> np.ndarray:
 def _fit_working_regression(spec: ExperimentSpec, fit_ds: Dataset,
                             replicate_index: int) -> LinearWorkingRegression:
     """Fits (or fabricates) a full-p coefficient working regression."""
-    mu_star = build_mu_star(spec.mu_star, spec.n, spec.p)
     fit_seed = derive_seed(spec.base_seed, replicate_index, 3)
     if spec.fitter in (FIT_MU_STAR, FIT_MU_STAR_CORRUPTED):
-        coef = _mu_star_coef(mu_star).copy()
+        coef = _mu_star_coef(spec.realized_mu_star).copy()
         if spec.fitter == FIT_MU_STAR_CORRUPTED:
             noise_rng = seeded_rng(spec.base_seed, replicate_index, 4)
             coef = coef + spec.corruption_tau * noise_rng.standard_normal(spec.p)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -113,6 +114,39 @@ class TestAr1Model:
             assert np.array_equal(got, want)
             assert got.strides == want.strides
             assert got.flags.f_contiguous
+
+    @pytest.mark.parametrize("focal, digest", [
+        (1, "d25f330d071d3f1c17af116bd7ffac69"),
+        (4, "654f62f8d9c0eef4f3de1d6e9164537a"),
+        (7, "46fa8b09a587f22a53e0aa203ad12767"),
+        ((3, 4), "e631d6bd04e3d4ae97fff6450f568a4a")])
+    def test_joint_draws_are_pinned(self, focal, digest):
+        # Values and layout recorded from the sampler before it shared
+        # its coordinate-major draw with the MACM oracle: a focal set at
+        # the start, the middle and the end, and a two-column block.
+        x, z = Ar1Model(7, 0.4, focal).sample_joint(9, seed=13)
+        d_x = len(np.atleast_1d(focal))
+        assert x.shape == (9, d_x) and z.shape == (9, 7 - d_x)
+        for part in (x, z):
+            assert part.strides == (8, 72) and part.flags.f_contiguous
+        got = hashlib.sha256(x.tobytes() + z.tobytes()).hexdigest()
+        assert got[:32] == digest
+
+    @pytest.mark.parametrize("focal", [1, 4, 7])
+    def test_row_weights_give_the_conditional_law(self, focal):
+        model = Ar1Model(7, 0.4, focal)
+        x, z = model.sample_joint(50, seed=3)
+        w = np.empty((50, 7))
+        w[:, focal - 1] = x[:, 0]
+        w[:, [j for j in range(7) if j != focal - 1]] = z
+        weights, sd = model.row_weights()
+        mean, cov = model.conditional_x_moments(z)
+        assert weights[focal - 1] == 0.0
+        np.testing.assert_allclose(weights @ w.T, mean[:, 0], rtol=0.0,
+                                   atol=1e-14)
+        assert sd == math.sqrt(cov[0, 0])
+        with pytest.raises(ValidationError):
+            Ar1Model(7, 0.4, (focal, 2 if focal != 2 else 3)).row_weights()
 
     def test_scalar_focal_copies_multiply_matches_matmul(self):
         model = Ar1Model(dim=7, rho=0.45, focal_index=3)

@@ -24,6 +24,14 @@ def _indep_model(sigma2=1.0):
                                np.eye(1))
 
 
+def _oracle_on_draws(model, slope, offset, x, z):
+    """macm_gap_oracle on joint draws (x, z) of a one-column Gaussian
+    model, with X | Z from the model's conditional moments."""
+    mean, cov = model.conditional_x_moments(z)
+    return macm_gap_oracle(slope, offset, x[:, 0], mean[:, 0],
+                           math.sqrt(cov[0, 0]))
+
+
 def _logit_draw(model, beta, zeta, n, seed):
     x, z = model.sample_joint(n, seed)
     f = beta * x[:, 0] + zeta * z[:, 0]
@@ -151,7 +159,7 @@ class TestMonteCarloMoments:
         data, mu = _logit_draw(model, beta, zeta, 30000, seed=7)
 
         x, z = model.sample_joint(200000, seed=8)
-        truth, oracle_se = macm_gap_oracle(model, beta, zeta * z[:, 0], x, z)
+        truth, oracle_se = _oracle_on_draws(model, beta, zeta * z[:, 0], x, z)
         assert oracle_se < 0.002
         rep = macm_lcb(data, mu, model,
                        MacmConfig(m_copies=2000, k_copies=100, seed=10))
@@ -336,14 +344,14 @@ class TestMacmGapOracle:
         # 1. Every node pair's q = exp(-2t) underflows, so the pairs take
         # their tanh values directly.
         model = _indep_model()
-        value, se = macm_gap_oracle(model, 1e6, 0.0,
-                                    *model.sample_joint(50000, seed=3))
+        value, se = _oracle_on_draws(model, 1e6, 0.0,
+                                     *model.sample_joint(50000, seed=3))
         assert value == pytest.approx(1.0, abs=3 * se + 1e-9)
 
     def test_constant_response_has_zero_gap(self):
         model = _indep_model()
-        value, se = macm_gap_oracle(model, 0.0, 2.0 * math.atanh(0.3),
-                                    *model.sample_joint(10000, seed=4))
+        value, se = _oracle_on_draws(model, 0.0, 2.0 * math.atanh(0.3),
+                                     *model.sample_joint(10000, seed=4))
         assert value == pytest.approx(0.0, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
 
@@ -398,18 +406,23 @@ class TestMacmGapOracle:
     def test_rejects_misshaped_draws(self):
         model = Ar1Model(dim=5, rho=0.3, focal_index=2)
         x, z = model.sample_joint(30, seed=6)
-        for bad_x, bad_z in ((x[:, 0], z),                     # not 2-D
-                             (np.hstack([x, x]), z),           # two columns
-                             (x[:29], z),                      # row counts
-                             (x, z[:29])):
+        x = x[:, 0]
+        mean = model.conditional_x_moments(z)[0][:, 0]
+        for bad_x, bad_mean in ((x[:, None], mean),            # not 1-D
+                                (np.column_stack([x, x]), mean),
+                                (x[:29], mean),                # lengths
+                                (x, mean[:29]),
+                                (x, mean[:, None])):
             with pytest.raises(ShapeError):
-                macm_gap_oracle(model, 1.0, 0.0, bad_x, bad_z)
+                macm_gap_oracle(1.0, 0.0, bad_x, bad_mean, 1.0)
         for bad_offset in (np.zeros(29), np.zeros((30, 1))):
             with pytest.raises(ShapeError):
-                macm_gap_oracle(model, 1.0, bad_offset, x, z)
-        for slope, offset in ((math.nan, 0.0), (1.0, np.full(30, math.inf))):
+                macm_gap_oracle(1.0, bad_offset, x, mean, 1.0)
+        for slope, offset, sd in ((math.nan, 0.0, 1.0),
+                                  (1.0, np.full(30, math.inf), 1.0),
+                                  (1.0, 0.0, -0.5), (1.0, 0.0, math.inf)):
             with pytest.raises(ValidationError):
-                macm_gap_oracle(model, slope, offset, x, z)
+                macm_gap_oracle(slope, offset, x, mean, sd)
 
     def test_needs_two_draws(self):
         # One draw has no sample SE (numpy would return nan with a
@@ -418,8 +431,8 @@ class TestMacmGapOracle:
         x, z = model.sample_joint(2, seed=7)
         for n in (0, 1):
             with pytest.raises(SizeError):
-                macm_gap_oracle(model, 2.0, 0.0, x[:n], z[:n])
-        _, se = macm_gap_oracle(model, 2.0, 0.0, x, z)
+                _oracle_on_draws(model, 2.0, 0.0, x[:n], z[:n])
+        _, se = _oracle_on_draws(model, 2.0, 0.0, x, z)
         assert math.isfinite(se)
 
 

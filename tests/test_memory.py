@@ -1,4 +1,5 @@
-"""Each full-size array on the infer path exists once.
+"""Each full-size array on the infer path exists once, and the Monte
+Carlo paths hold one block (or, for the MACM oracle, one draw set).
 
 Peaks are tracemalloc's count of the bytes allocated during a call
 (numpy reports its array buffers to it), so they are deterministic and
@@ -15,13 +16,16 @@ import warnings
 import numpy as np
 import pytest
 
-from floodgate import (Ar1Model, CopulaModel, Dataset, GaussianLinearModel,
-                       LinearWorkingRegression, MacmConfig, macm_lcb)
+from floodgate import (Ar1Model, CopulaModel, Dataset, FloodgateConfig,
+                       GaussianLinearModel, LinearWorkingRegression,
+                       MacmConfig, MuStarSpec, build_mu_star,
+                       floodgate_lcb_weighted, macm_lcb)
 from floodgate import core, mmse
 from floodgate.cli import main
 from floodgate.core import philox_rng
 from floodgate.mmse import mu_null_values, mu_on_copies
 from floodgate.regression import CvConfig, _CrossValidation
+from floodgate.simulate import LOGISTIC_LINEAR, macm_oracle_values
 
 N_ROWS, N_COVARIATES = 20_000, 20
 TABLE_BYTES = N_ROWS * (1 + N_COVARIATES) * 8
@@ -131,6 +135,43 @@ def test_macm_copula_peak_does_not_grow_with_copies():
     assert 4 * n * n * 8 > 2 * block      # M = 4n spans whole blocks
     assert abs(peaks[1] - peaks[0]) <= 64 * n
     assert max(peaks) <= block + 8 * core._SLICE * 8 + 64 * n
+
+
+def test_weighted_bound_peaks_at_one_block():
+    # The block of mu on copies, the weighted squares' one buffer, and
+    # O(n); w1 is the caller's input, allocated before tracing.
+    n, big_k = 2000, 1000
+    model = Ar1Model(6, 0.4, 2)
+    x, z = model.sample_joint(n, 1)
+    rng = np.random.default_rng(4)
+    data = Dataset(x[:, 0] + z[:, 0] + rng.standard_normal(n), x, z)
+    mu = LinearWorkingRegression("CUSTOM", 0.2, np.array([1.1]),
+                                 np.array([0.5, -0.3, 0.0, 0.2, 0.1]))
+    w, w1 = rng.uniform(0.5, 2.0, n), rng.uniform(0.2, 3.0, (big_k, n))
+    cfg = FloodgateConfig(big_k=big_k, seed=3)
+    _, _, peak = _traced(lambda: floodgate_lcb_weighted(data, mu, model,
+                                                        (w, w1), cfg))
+    block = mmse._BLOCK_VALUES // n * n * 8
+    assert big_k * n * 8 > 2 * block        # K spans several blocks
+    assert peak <= block + 8 * (mmse._WEIGHTED_SLICE_VALUES + 16 * n)
+
+
+def _a6_mu_star():
+    return build_mu_star(MuStarSpec(LOGISTIC_LINEAR, sparsity=10,
+                                    amplitude=15.0, seed=606), 500, 40)
+
+
+@pytest.mark.parametrize("n_draws, se_target, final_draws", [
+    (20_000, 1.0, 20_000),          # one draw count
+    (1000, 1e-9, 64_000)])          # doubled six times, up to the cap
+def test_macm_oracle_holds_one_draw_set(n_draws, se_target, final_draws):
+    # The (p, draws) rows of the last count, shared by every variable,
+    # and O(draws) per variable; the previous count's set is freed first.
+    mu = _a6_mu_star()
+    macm_oracle_values(mu, 0.3, 50, 987, se_target=1.0)    # builds the rule
+    _, _, peak = _traced(lambda: macm_oracle_values(
+        mu, 0.3, n_draws, 987, se_target=se_target))
+    assert peak <= 1.25 * 40 * final_draws * 8
 
 
 def _gaussian_models():

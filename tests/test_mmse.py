@@ -361,6 +361,24 @@ class TestStreamedMoments:
         assert got == _materialised_weighted(data, mu, model, w, w1, cfg)
 
     @pytest.mark.parametrize("block_values", BLOCKS)
+    @pytest.mark.parametrize("slice_copies", [1, 3, 8])
+    def test_weighted_slices_match_materialised_pool(
+            self, monkeypatch, block_values, slice_copies):
+        # The weighted squares are formed a few copies at a time: slices
+        # of 1, 3 or 8 copies, cut across the blocks' own cuts.
+        if block_values is not None:
+            monkeypatch.setattr(mmse, "_BLOCK_VALUES", block_values)
+        monkeypatch.setattr(mmse, "_WEIGHTED_SLICE_VALUES",
+                            200 * slice_copies)
+        model, mu, data = self._case(False)
+        cfg = FloodgateConfig(big_k=50, seed=9)
+        rng = np.random.default_rng(11)
+        w = rng.uniform(0.5, 1.5, data.n)
+        w1 = rng.uniform(0.5, 1.5, (cfg.big_k, data.n))
+        got = floodgate_lcb_weighted(data, mu, model, (w, w1), cfg)
+        assert got == _materialised_weighted(data, mu, model, w, w1, cfg)
+
+    @pytest.mark.parametrize("block_values", BLOCKS)
     def test_weighted_w1_indexes_the_documented_copies(self, monkeypatch,
                                                        block_values):
         # w1[k, i] is the ratio at copy k of row i of one

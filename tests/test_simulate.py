@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 from dataclasses import asdict
 
@@ -167,9 +168,9 @@ class TestOracles:
         mu = self._a6_mu_star()
         calls = []
 
-        def recording(model, slope, offset, x, z):
-            value, se = macm_gap_oracle(model, slope, offset, x, z)
-            calls.append((model.focal_index[0] - 1, len(x), value, se))
+        def recording(slope, offset, x, cond_mean, cond_sd):
+            value, se = macm_gap_oracle(slope, offset, x, cond_mean, cond_sd)
+            calls.append((_drawn_variable(x, 9), len(x), value, se))
             return value, se
 
         monkeypatch.setattr(simulate, "macm_gap_oracle", recording)
@@ -205,13 +206,13 @@ class TestOracles:
     def test_macm_oracle_draws_once_per_draw_count(self, monkeypatch):
         mu = self._a6_mu_star()
         drawn = []
-        sample_joint = Ar1Model.sample_joint
+        ar1_rows = simulate._ar1_rows
 
-        def counting(self, n, seed):
+        def counting(dim, rho, n, seed):
             drawn.append(n)
-            return sample_joint(self, n, seed)
+            return ar1_rows(dim, rho, n, seed)
 
-        monkeypatch.setattr(Ar1Model, "sample_joint", counting)
+        monkeypatch.setattr(simulate, "_ar1_rows", counting)
         macm_oracle_values(mu, rho=0.3, n_draws=40, seed=9, se_target=1e-9)
         assert drawn == [40 * 2 ** k for k in range(7)]
 
@@ -247,6 +248,15 @@ class TestOracles:
             want = (math.sqrt(max(float(cond_var.mean()), 0.0)),
                     float(cond_var.std(ddof=1) / math.sqrt(outer)))
             assert got == want
+
+
+def _drawn_variable(x, seed):
+    """The variable whose draws x is in the A6 oracle's shared draw set of
+    len(x) rows (p = 40, rho = 0.3)."""
+    draws = len(x)
+    w = np.concatenate(Ar1Model(40, 0.3, 1).sample_joint(
+        draws, derive_seed(seed, draws)), axis=1)
+    return next(j for j in range(40) if np.array_equal(w[:, j], x))
 
 
 def _assembled_row_oracle(mu, j, draws, seed):
@@ -582,6 +592,34 @@ class TestRunExperiment:
         serial = run_experiment(spec, threads=1)
         parallel = run_experiment(spec, threads=2)
         assert serial.detail == parallel.detail
+
+    def test_mu_star_is_realized_once_per_study(self, monkeypatch, tmp_path):
+        # Construction realizes mu* (its rules are checked there); the
+        # oracle, each replicate's draw and each mu* fit reuse it, and a
+        # pickled spec, as the spawn pool sends it, carries it along.
+        built = []
+
+        def counting(spec, n, p):
+            built.append((spec, n, p))
+            return build_mu_star(spec, n, p)
+
+        monkeypatch.setattr(simulate, "build_mu_star", counting)
+        spec = self._spec(replicates=3)
+        assert len(built) == 1
+        serial = run_experiment(spec)
+        assert len(built) == 1
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert np.array_equal(clone.realized_mu_star.coef,
+                              spec.realized_mu_star.coef)
+        assert len(built) == 1
+        parallel = run_experiment(spec, threads=2)
+        outputs = []
+        for tag, result in (("serial", serial), ("parallel", parallel)):
+            paths = tmp_path / f"{tag}_detail.csv", tmp_path / f"{tag}_sum.csv"
+            result.write_csvs(*paths)
+            outputs.append([path.read_bytes() for path in paths])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("replicates, workers", [(1, None), (2, 2)])
     def test_at_most_one_worker_per_replicate(self, monkeypatch, replicates,
