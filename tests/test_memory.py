@@ -156,18 +156,14 @@ def test_weighted_bound_peaks_at_one_block():
     assert peak <= block + 8 * (mmse._WEIGHTED_SLICE_VALUES + 16 * n)
 
 
-def _a6_mu_star():
-    return build_mu_star(MuStarSpec(LOGISTIC_LINEAR, sparsity=10,
-                                    amplitude=15.0, seed=606), 500, 40)
-
-
 @pytest.mark.parametrize("n_draws, se_target, final_draws", [
     (20_000, 1.0, 20_000),          # one draw count
     (1000, 1e-9, 64_000)])          # doubled six times, up to the cap
 def test_macm_oracle_holds_one_draw_set(n_draws, se_target, final_draws):
     # The (p, draws) rows of the last count, shared by every variable,
     # and O(draws) per variable; the previous count's set is freed first.
-    mu = _a6_mu_star()
+    mu = build_mu_star(MuStarSpec(LOGISTIC_LINEAR, sparsity=10,
+                                  amplitude=15.0, seed=606), 500, 40)
     macm_oracle_values(mu, 0.3, 50, 987, se_target=1.0)    # builds the rule
     _, _, peak = _traced(lambda: macm_oracle_values(
         mu, 0.3, n_draws, 987, se_target=se_target))
