@@ -4,8 +4,8 @@ T of the X | Z model family, so only the family (not its parameters) is
 needed. cosufficient_lcb is the entry point.
 
 Rows are shuffled and cut into n1 contiguous batches of size n2
-(remainder dropped). mmse.moment_samples, given the batch's law of X
-given (Z_m, T_m) as the model, turns each batch m into
+(remainder dropped). mmse.moment_samples, given the family model and the
+batch's law of X given (Z_m, T_m) as its rows, turns each batch m into
 
     R_m = (1/n2) sum_i Y_i (mu_i - E[mu_i | Z_m, T_m])
     V_m = (1/n2) sum_i Var(mu_i | Z_m, T_m)
@@ -13,75 +13,72 @@ given (Z_m, T_m) as the model, turns each batch m into
 and the across-batch delta-method LCB is
 max{ R-bar / sqrt(V-bar) - z_alpha s / sqrt(n1), 0 }.
 
-One batch law per family draws the copies and gives the exact moments.
-_GaussianBatch serves a Gaussian X | Z, linear in Z with a known sigma2
-(GaussianLinearModel or Ar1Model with one focal column): T is (sum X_i,
-sum X_i Z_i) and the law is N(H x, sigma2 (I - H)) for the hat matrix H
-of (1, Z). _ChainBatch serves the discrete Markov chain: T is the
-neighbour-pair count table and the law uniformly permutes the focal
-values within each neighbour-pair stratum.
+One batch row kind per family draws the copies and gives the exact
+moments. _GaussianBatch serves a Gaussian X | Z, linear in Z with a
+known sigma2 (GaussianLinearModel or Ar1Model with one focal column): T
+is (sum X_i, sum X_i Z_i) and the law is N(H x, sigma2 (I - H)) for the
+hat matrix H of (1, Z). _ChainBatch serves the discrete Markov chain: T
+is the neighbour-pair count table and the law uniformly permutes the
+focal values within each neighbour-pair stratum.
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 import numpy as np
 
 from .core import (Dataset, LcbReport, MMSE_GAP, as_confidence_level,
                    philox_rng, ratio_lcb)
-from .covariates import DiscreteMarkovChain, NullCopies, _GaussianConditional
+from .covariates import (DiscreteMarkovChain, FiniteRows, GaussianRows,
+                         _GaussianConditional)
 from .errors import ShapeError, SizeError, ValidationError
 from .regression import WorkingRegression, full_rank_qr
 from .mmse import FloodgateConfig, moment_samples
 
 
-class _GaussianBatch:
-    """X | (Z, T) on one batch of a Gaussian X | Z with known sigma2:
-    draws H x + (I - H) eps keep U'X~ = U'x; H = Q Q' for the orthonormal
-    basis q of U = (1, Z) is never formed."""
+class _GaussianBatch(GaussianRows):
+    """X | (Z, T) on one batch of a Gaussian X | Z with known sigma2: rows
+    N(H x, sigma2 (I - H)), drawn as H x + (I - H) eps, sd(eps) = chol, which
+    keeps U'X~ = U'x; H = Q Q' for the basis q of U = (1, Z) is never formed."""
 
     def __init__(self, x: np.ndarray, z: np.ndarray, sigma2: float) -> None:
         self.q = full_rank_qr(np.hstack([np.ones((len(z), 1)), z]),
                               "batch design (1, Z) is rank deficient")[0]
-        self.sigma2, self.hx = sigma2, self.q @ (self.q.T @ x)
-
-    def conditional_x_moments(self, z):
         h_diag = np.einsum("ij,ij->i", self.q, self.q)
-        return self.hx[:, None], (self.sigma2 * (1.0 - h_diag))[:, None, None]
+        super().__init__(z, (self.q @ (self.q.T @ x))[:, None],
+                         (sigma2 * (1.0 - h_diag))[:, None, None],
+                         np.sqrt([[sigma2]]))
 
-    def sample_null_copies(self, z, big_k, seed):
-        eps = math.sqrt(self.sigma2) * philox_rng(seed).standard_normal(
-            (big_k, len(self.hx)))
-        return NullCopies((self.hx + eps - (eps @ self.q) @ self.q.T)[:, :, None])
+    def sample(self, k, rng):
+        eps = self.chol[0, 0] * rng.standard_normal((k, len(self.z)))
+        return (self.mean[:, 0] + eps - (eps @ self.q) @ self.q.T)[:, :, None]
 
 
-class _ChainBatch:
+class _ChainBatch(FiniteRows):
     """X | (Z, T) on one batch of a DiscreteMarkovChain. Given the count
     table of neighbour pairs, each stratum (the rows of one pair) is
     exchangeable: a row takes each value of its stratum with its share."""
 
     def __init__(self, model: DiscreteMarkovChain, x, z) -> None:
-        self.x, self.num_states = x, model.num_states
+        self.x = x
         k1, k2 = model.neighbor_states(z)
         key = k1 * model.num_states + k2
         order = np.argsort(key, kind="stable")
         self.strata = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
-
-    def conditional_pmf(self, z):
-        states = self.x.astype(np.int64)
-        pmf = np.empty((len(states), self.num_states))
+        states = x.astype(np.int64)
+        pmf = np.empty((len(states), model.num_states))
         for s in self.strata:
-            pmf[s] = np.bincount(states[s], minlength=self.num_states) / len(s)
-        return pmf
+            pmf[s] = np.bincount(states[s], minlength=model.num_states) / len(s)
+        super().__init__(z, pmf)
 
-    def sample_null_copies(self, z, big_k, seed):
-        rng = philox_rng(seed)
-        out = np.tile(self.x, (big_k, 1))
+    def sample(self, k, rng):
+        # Each stratum in the order of its uniform keys, one row of keys
+        # per copy, so a then b copies are a + b copies.
+        out = rng.random((k, len(self.x)))      # the keys, then the draws
         for s in self.strata:
-            out[:, s] = rng.permuted(out[:, s], axis=1)
-        return NullCopies(out[:, :, None])
+            out[:, s] = self.x[s][np.argsort(out[:, s], axis=1)]
+        return out[:, :, None]
 
 
 def check_batch_counts(n2: int, mc_k: int) -> None:
@@ -132,10 +129,9 @@ def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
         if not np.isin(infer_part.x, np.arange(model.num_states)).all():
             raise ValidationError(
                 f"chain focal values must be states 0..{model.num_states - 1}")
-        batch_law = partial(_ChainBatch, model)
+        batch_rows = partial(_ChainBatch, model)
     else:
-        sigma2 = model.conditional_x_moments(infer_part.z[:0])[1][0, 0]
-        batch_law = partial(_GaussianBatch, sigma2=float(sigma2))
+        batch_rows = partial(_GaussianBatch, sigma2=model._cond_cov[0, 0])
     order = philox_rng(seed).permutation(infer_part.n)
     samples = []
     for m in range(n1):
@@ -143,7 +139,7 @@ def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
         cfg = FloodgateConfig(big_k=mc_k, center_y=False,
                               seed=seed + 1_000_003 * (m + 1))
         r, v, scale = moment_samples(
-            batch, mu, batch_law(batch.x[:, 0], batch.z), cfg)
+            batch, mu, model, batch_rows(batch.x[:, 0], batch.z), cfg)
         samples.append((np.mean(r), np.mean(v), scale))
     r, v, scale = np.array(samples).T
     report = ratio_lcb(r, v, level, estimand=MMSE_GAP,

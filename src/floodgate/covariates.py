@@ -1,8 +1,8 @@
 """Conditional laws of X given Z.
 
-Each model can simulate full covariate rows, draw null copies of the
-focal block from X | Z, and (where the law is Gaussian) report
-closed-form conditional moments of X given Z.
+Each model simulates full covariate rows, and given(z) computes once what
+its law of X takes from rows z: GaussianRows, FiniteRows or, for the copula,
+MappedRows of latent Gaussian rows, on which sample_null_copies draws.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _normal_cdf_into, normal_quantile, philox_rng
-from .errors import (ShapeError, UnsupportedClosedFormError, ValidationError)
+from .errors import ShapeError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,46 @@ class NullCopies:
     """K resampled versions of the focal covariates, shape (K, n, d_x)."""
 
     copies: np.ndarray
+
+
+class GaussianRows:
+    """X | Z = z_i ~ N(mean[i], cov) on the rows z, chol the Cholesky factor
+    of a (d_x, d_x) cov (or cov per row, (n, d_x, d_x)); sample is (k, n, d_x)."""
+
+    def __init__(self, z, mean, cov, chol) -> None:
+        self.z, self.mean, self.cov, self.chol = z, mean, cov, chol
+
+    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        draws = rng.standard_normal((k,) + self.mean.shape)
+        # In place where the draws allow: a sum or product has the same
+        # bits in either operand order.
+        if self.mean.shape[1] == 1:   # a 1 x 1 factor: the matmul's values, faster
+            draws *= self.chol[0, 0]
+        else:
+            draws = draws @ self.chol.T
+        draws += self.mean[None, :, :]
+        return draws
+
+
+class FiniteRows:
+    """X | Z = z_i takes the value k with probability pmf[i, k];
+    sample(k, rng) is (k, n, 1)."""
+
+    def __init__(self, z, pmf) -> None:
+        self.z, self.pmf = z, pmf
+
+    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        cum = np.cumsum(self.pmf, axis=1)
+        u = rng.random((k, len(self.pmf)))
+        copies = (u[:, :, None] > cum[None, :, :]).sum(axis=2)
+        return copies.astype(float)[:, :, None]
+
+
+class MappedRows:
+    """Rows whose X is a fixed map of a latent X drawn from latent rows."""
+
+    def __init__(self, z, latent) -> None:
+        self.z, self.latent = z, latent
 
 
 class CovariateModel(ABC):
@@ -41,20 +81,20 @@ class CovariateModel(ABC):
         """Draw n i.i.d. rows; returns (x, z) with shapes (n,d_x), (n,d_z)."""
 
     @abstractmethod
-    def sample_null_copies(self, z: np.ndarray, big_k: int,
+    def given(self, z: np.ndarray):
+        """The law of X on the rows z, as a row kind whose z is this z if 2-D float."""
+
+    def sample_null_copies(self, rows, big_k: int,
                            seed: int | np.random.Generator) -> NullCopies:
-        """Draw big_k conditionally independent copies of X given each z row.
+        """Draw big_k conditionally independent copies of X on the rows.
 
         A Generator seed is advanced in place, so successive calls on one
         generator continue its stream: drawing a then b copies equals
         drawing a + b copies at once, row for row.
         """
-
-    def conditional_x_moments(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row conditional mean (n, d_x) and the conditional covariance
-        (d_x, d_x) of X given Z, when the law is Gaussian."""
-        raise UnsupportedClosedFormError(
-            f"{type(self).__name__} has no closed-form conditional moments")
+        if big_k < 1:
+            raise ValidationError("big_k must be >= 1")
+        return NullCopies(rows.sample(big_k, philox_rng(seed)))
 
     @abstractmethod
     def to_config(self) -> dict: ...
@@ -92,23 +132,10 @@ class _GaussianConditional(CovariateModel):
     def d_z(self) -> int:
         return self._coef.shape[1]
 
-    def conditional_x_moments(self, z):
+    def given(self, z):
         z = self._check_z(z)
-        return z @ self._coef.T + self._shift, self._cond_cov
-
-    def sample_null_copies(self, z, big_k, seed):
-        if big_k < 1:
-            raise ValidationError("big_k must be >= 1")
-        mean, _ = self.conditional_x_moments(z)
-        draws = philox_rng(seed).standard_normal((big_k, len(mean), self.d_x))
-        # In place where the draws allow: a sum or product has the same
-        # bits in either operand order.
-        if self.d_x == 1:   # a 1 x 1 factor: the matmul's values, faster
-            draws *= self._cond_chol[0, 0]
-        else:
-            draws = draws @ self._cond_chol.T
-        draws += mean[None, :, :]
-        return NullCopies(draws)
+        return GaussianRows(z, z @ self._coef.T + self._shift,
+                            self._cond_cov, self._cond_chol)
 
 
 @dataclass(frozen=True)
@@ -123,7 +150,8 @@ class GaussianLinearModel(_GaussianConditional):
     def __post_init__(self) -> None:
         gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
         z_mean = np.atleast_1d(np.asarray(self.z_mean, dtype=float))
-        z_cov = np.atleast_2d(np.asarray(self.z_cov, dtype=float))
+        z_cov = np.asarray(self.z_cov, dtype=float)  # JSON holds 0 x 0 as []
+        z_cov = np.atleast_2d(z_cov) if z_cov.size else z_cov.reshape(0, 0)
         if self.sigma2 <= 0:
             raise ValidationError(f"sigma2 must be positive, got {self.sigma2}")
         d_z = len(z_mean)
@@ -149,7 +177,7 @@ class GaussianLinearModel(_GaussianConditional):
             z = self.z_mean + rng.standard_normal((n, self.d_z)) @ chol.T
         else:
             z = np.empty((n, 0))
-        mean = self.conditional_x_moments(z)[0][:, 0]
+        mean = self.given(z).mean[:, 0]
         x = mean + math.sqrt(self.sigma2) * rng.standard_normal(n)
         return x[:, None], z
 
@@ -242,7 +270,6 @@ class CopulaModel(CovariateModel):
 
     def __init__(self, latent: Ar1Model) -> None:
         self.latent = latent
-        self._latent_z = None   # (z, latent z): streamed blocks share z
 
     @property
     def d_x(self) -> int:
@@ -274,12 +301,12 @@ class CopulaModel(CovariateModel):
         x_lat, z_lat = self.latent.sample_joint(n, seed)
         return self._to_uniform(x_lat), self._to_uniform(z_lat)
 
-    def sample_null_copies(self, z, big_k, seed):
+    def given(self, z):
         z = self._check_z(z)
-        memo = self._latent_z      # read once: a race costs a recompute
-        if memo is None or not np.array_equal(memo[0], z):
-            memo = self._latent_z = (z.copy(), self._to_latent(z))
-        copies = self.latent.sample_null_copies(memo[1], big_k, seed).copies
+        return MappedRows(z, self.latent.given(self._to_latent(z)))
+
+    def sample_null_copies(self, rows, big_k, seed):
+        copies = self.latent.sample_null_copies(rows.latent, big_k, seed).copies
         # The latent draws are ours: map them to uniforms where they lie.
         return NullCopies(self._to_uniform(copies, out=copies))
 
@@ -354,8 +381,9 @@ class DiscreteMarkovChain(CovariateModel):
                                   f"0..{self.num_states - 1}")
         return pair[:, 0].astype(np.int64), pair[:, 1].astype(np.int64)
 
-    def conditional_pmf(self, z: np.ndarray) -> np.ndarray:
+    def given(self, z):
         """Rows of q(. | k1, k2) proportional to A[k1, k] * B[k, k2]."""
+        z = self._check_z(z)
         k1, k2 = self.neighbor_states(z)
         a = self.transitions[self.focal_index - 2]   # into the focal variable
         b = self.transitions[self.focal_index - 1]   # out of the focal variable
@@ -363,16 +391,7 @@ class DiscreteMarkovChain(CovariateModel):
         totals = w.sum(axis=1, keepdims=True)
         if np.any(totals <= 0):
             raise ValidationError("a neighbor pair has zero path probability")
-        return w / totals
-
-    def sample_null_copies(self, z, big_k, seed):
-        if big_k < 1:
-            raise ValidationError("big_k must be >= 1")
-        pmf = self.conditional_pmf(z)
-        cum = np.cumsum(pmf, axis=1)
-        u = philox_rng(seed).random((big_k, len(pmf)))
-        copies = (u[:, :, None] > cum[None, :, :]).sum(axis=2)
-        return NullCopies(copies.astype(float)[:, :, None])
+        return FiniteRows(z, w / totals)
 
     def to_config(self):
         return {"initial": self.initial.tolist(),
@@ -380,22 +399,20 @@ class DiscreteMarkovChain(CovariateModel):
                 "focal_index": self.focal_index}
 
 
-_MODEL_TYPES = {
-    "GaussianLinearModel": lambda c: GaussianLinearModel(
-        np.array(c["gamma"]), c["sigma2"], np.array(c["z_mean"]),
-        np.array(c["z_cov"])),
-    "Ar1Model": lambda c: Ar1Model(c["dim"], c["rho"], c["focal_index"]),
-    "CopulaModel": lambda c: CopulaModel(
-        Ar1Model(c["latent"]["dim"], c["latent"]["rho"],
-                 c["latent"]["focal_index"])),
-    "DiscreteMarkovChain": lambda c: DiscreteMarkovChain(
-        c["initial"], c["transitions"], c["focal_index"]),
-}
+_MODELS = (GaussianLinearModel, Ar1Model, CopulaModel, DiscreteMarkovChain)
 
 
 def model_from_json(text: str) -> CovariateModel:
+    """The model whose to_json is text: its constructor's arguments."""
     cfg = json.loads(text)
-    kind = cfg.pop("model", None)
-    if kind not in _MODEL_TYPES:
-        raise ValidationError(f"unknown covariate model type: {kind!r}")
-    return _MODEL_TYPES[kind](cfg)
+    kind = cfg.pop("model", None) if isinstance(cfg, dict) else type(cfg)
+    cls = next((c for c in _MODELS if c.__name__ == kind), None)
+    if cls is None:
+        raise ValidationError("model JSON must be an object naming a known "
+                              f"covariate model type, got {kind!r}")
+    try:        # an unknown or a missing key raises TypeError
+        if cls is CopulaModel and "latent" in cfg:
+            cfg["latent"] = Ar1Model(**cfg["latent"])
+        return cls(**cfg)
+    except TypeError as exc:
+        raise ValidationError(f"{kind} JSON: {exc}") from None

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (ConfidenceLevel, Dataset, LcbReport, MACM_GAP,
                    as_confidence_level, philox_rng)
-from .covariates import CovariateModel
+from .covariates import CovariateModel, GaussianRows
 from .errors import (DegenerateLabelsError, ShapeError, SizeError,
                      UnsupportedClosedFormError, ValidationError)
 from .regression import WorkingRegression
@@ -56,29 +56,29 @@ class MacmConfig:
 
 
 def _exact_r_samples(infer_part: Dataset, mu: WorkingRegression,
-                     model: CovariateModel) -> np.ndarray:
-    """Exact-mode R_i for partially linear mu under a Gaussian model:
+                     rows) -> np.ndarray:
+    """Exact-mode R_i for partially linear mu under Gaussian rows:
     U | Z is centered normal, so the conditional probability of either
     strict half-line is 1/2 whenever the focal coefficient is nonzero
     and 0 when it vanishes."""
-    if hasattr(model, "conditional_pmf"):
+    if not isinstance(rows, GaussianRows):
         raise UnsupportedClosedFormError("exact MACM needs a Gaussian X | Z")
-    g, var_u = conditional_moments(model, mu, infer_part.z)
+    g, var_u = conditional_moments(rows, mu)
     u = mu.predict(infer_part.x, infer_part.z) - g
     wrong_side = np.where(infer_part.y > 0, u < 0, u > 0)
     return np.where(var_u > 0, 0.5, 0.0) - wrong_side
 
 
 def _mc_r_samples(infer_part: Dataset, mu: WorkingRegression,
-                  model: CovariateModel, cfg: MacmConfig) -> np.ndarray:
+                  model: CovariateModel, rows, cfg: MacmConfig) -> np.ndarray:
     z, y = infer_part.z, infer_part.y
     m = cfg.m_copies if cfg.m_copies is not None else 4 * infer_part.n
     # One continuing stream of M + K null copies per row: the first M
     # estimate the conditional mean, the next K feed the indicator average.
     rng = philox_rng(cfg.seed)
-    g_m = sum_blocks(null_mu_blocks(mu, model, z, m, rng)) / m
+    g_m = sum_blocks(null_mu_blocks(mu, model, rows, m, rng)) / m
     wrong = 0
-    for tilde in null_mu_blocks(mu, model, z, cfg.k_copies, rng):
+    for tilde in null_mu_blocks(mu, model, rows, cfg.k_copies, rng):
         tilde -= g_m
         tilde *= y
         wrong = wrong + (tilde < 0).sum(axis=0)
@@ -95,9 +95,9 @@ def macm_lcb(infer_part: Dataset, mu: WorkingRegression,
     if not np.all(np.isin(infer_part.y, (-1.0, 1.0))):
         raise DegenerateLabelsError("MACM inference requires y in {-1, +1}")
     if cfg.k_copies == 0:
-        r = _exact_r_samples(infer_part, mu, model)
+        r = _exact_r_samples(infer_part, mu, model.given(infer_part.z))
     else:
-        r = _mc_r_samples(infer_part, mu, model, cfg)
+        r = _mc_r_samples(infer_part, mu, model, model.given(infer_part.z), cfg)
     n = len(r)
     r_bar = float(r.mean())
     s = float(r.std(ddof=1))

@@ -17,7 +17,7 @@ import numpy as np
 from .core import (ConfidenceLevel, Dataset, LcbReport, MMSE_GAP,
                    MMSE_GAP_SCALE_FREE, as_confidence_level, philox_rng,
                    ratio_lcb)
-from .covariates import CovariateModel
+from .covariates import CovariateModel, FiniteRows, GaussianRows
 from .errors import (ShapeError, SizeError, UnsupportedClosedFormError,
                      ValidationError)
 from .regression import LinearWorkingRegression, WorkingRegression
@@ -48,8 +48,8 @@ class FloodgateConfig:
 # Values held at once: the copies of one block of null_mu_blocks (every
 # Monte Carlo path), and the tiled z per generic-mu chunk in mu_on_copies.
 # A block's steps run in place, so about one block (4 MB) is alive at a
-# time. Each block also pays O(n d_z) for the conditional mean and z @
-# coef, so much smaller blocks slow a bound on many rows.
+# time. Each block also pays O(n d_z) for a linear mu's z @ coef, so much
+# smaller blocks slow a bound on many rows.
 _BLOCK_VALUES = 1 << 19
 
 # Values in the weighted bound's one buffer for its weighted squares.
@@ -95,49 +95,48 @@ def mu_on_copies(mu: WorkingRegression, copies: np.ndarray,
     return out
 
 
-def conditional_moments(model, mu: WorkingRegression, z: np.ndarray):
-    """Per-row (mean, variance) of mu(X, Z) given Z in closed form: any
-    mu under a finite `conditional_pmf` (column k is focal value k), or a
-    partially linear mu (a.x + g(z)) under a Gaussian law whose
-    covariance is (d_x, d_x) for all rows or (n, d_x, d_x). Raises
-    UnsupportedClosedFormError otherwise."""
-    if hasattr(model, "conditional_pmf"):
-        pmf = model.conditional_pmf(z)
+def conditional_moments(rows, mu: WorkingRegression):
+    """Per-row (mean, variance) of mu(X, Z) given Z in closed form on the
+    rows of model.given(z): any mu under FiniteRows (column k of the pmf
+    is focal value k), or a partially linear mu (a.x + g(z)) under
+    GaussianRows. Raises UnsupportedClosedFormError otherwise."""
+    z = rows.z
+    if isinstance(rows, FiniteRows):
+        pmf = rows.pmf
         keep = np.flatnonzero(pmf.any(axis=0))    # values a row can take
         at = mu_on_copies(mu, np.broadcast_to(
             keep[:, None, None].astype(float), (len(keep), len(z), 1)), z).T
         mean = np.sum(pmf[:, keep] * at, axis=1)
         return mean, np.sum(pmf[:, keep] * (at - mean[:, None]) ** 2, axis=1)
     a = getattr(mu, "linear_focal_coef", None)
-    if a is None:
-        raise UnsupportedClosedFormError(
-            "mu does not declare a linear focal coefficient")
-    mean_x, cov = model.conditional_x_moments(z)
+    if a is None or not isinstance(rows, GaussianRows):
+        raise UnsupportedClosedFormError("closed-form moments need finite "
+                                         "rows, or Gaussian rows and a mu "
+                                         "with a linear focal coefficient")
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.shape[0] != mean_x.shape[1]:
+    if a.shape[0] != rows.mean.shape[1]:
         raise ShapeError("focal coefficient length does not match d_x")
-    return mu.predict(mean_x, z), np.full(len(mean_x), a @ cov @ a)
+    return mu.predict(rows.mean, z), np.full(len(z), a @ rows.cov @ a)
 
 
-def mu_null_values(mu: WorkingRegression, model: CovariateModel,
-                   z: np.ndarray, big_k: int,
-                   seed: int | np.random.Generator) -> np.ndarray:
-    """mu on K null copies of x drawn from model; shape (K, n). A
-    Generator seed continues its stream, as in sample_null_copies. The
+def mu_null_values(mu: WorkingRegression, model: CovariateModel, rows,
+                   big_k: int, seed: int | np.random.Generator) -> np.ndarray:
+    """mu on K null copies of x drawn from model on rows; shape (K, n).
+    A Generator seed continues its stream, as in sample_null_copies. The
     draws are fresh, so a linear mu is evaluated over them."""
-    return mu_on_copies(mu, model.sample_null_copies(z, big_k, seed).copies,
-                        z, overwrite=True)
+    return mu_on_copies(mu, model.sample_null_copies(rows, big_k, seed).copies,
+                        rows.z, overwrite=True)
 
 
-def null_mu_blocks(mu: WorkingRegression, model: CovariateModel,
-                   z: np.ndarray, count: int, rng: int | np.random.Generator):
+def null_mu_blocks(mu: WorkingRegression, model: CovariateModel, rows,
+                   count: int, rng: int | np.random.Generator):
     """Yield mu on count null copies in (rows, n) blocks of at most
     max(1, _BLOCK_VALUES // n) copies, one mu_null_values call each, from
     one continuing stream (a Generator continues across calls)."""
     rng = philox_rng(rng)
-    step = max(1, _BLOCK_VALUES // len(z))
+    step = max(1, _BLOCK_VALUES // len(rows.z))
     for start in range(0, count, step):
-        yield mu_null_values(mu, model, z, min(step, count - start), rng)
+        yield mu_null_values(mu, model, rows, min(step, count - start), rng)
 
 
 def fold_sum(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
@@ -184,13 +183,13 @@ def block_moments(blocks) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def moment_samples(infer_part: Dataset, mu: WorkingRegression,
-                   model: CovariateModel, cfg: FloodgateConfig
+                   model: CovariateModel, rows, cfg: FloodgateConfig
                    ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-row (R_i, V_i) samples and the squared scale of the centered
-    mu values (used by the degeneracy threshold)."""
+    """Per-row (R_i, V_i) samples, with rows = model.given(infer_part.z),
+    and the squared scale of the centered mu (the degeneracy threshold's)."""
     mu_obs = mu.predict(infer_part.x, infer_part.z)
     if cfg.big_k == 0:
-        g, v = conditional_moments(model, mu, infer_part.z)
+        g, v = conditional_moments(rows, mu)
         center = g
     else:
         # The centering function must be independent of the copies that
@@ -200,9 +199,9 @@ def moment_samples(infer_part: Dataset, mu: WorkingRegression,
         rng = philox_rng(cfg.seed)
         if cfg.center_y:
             center = sum_blocks(null_mu_blocks(
-                mu, model, infer_part.z, cfg.big_k, rng)) / cfg.big_k
+                mu, model, rows, cfg.big_k, rng)) / cfg.big_k
         k, total, m2 = block_moments(
-            null_mu_blocks(mu, model, infer_part.z, cfg.big_k, rng))
+            null_mu_blocks(mu, model, rows, cfg.big_k, rng))
         g = total / k
         v = m2 / (k - 1)
     centered = mu_obs - g
@@ -217,7 +216,8 @@ def floodgate_lcb(infer_part: Dataset, mu: WorkingRegression,
     """Delta-method LCB for the mMSE-gap floodgate functional."""
     if infer_part.n < 2:
         raise SizeError("floodgate needs at least two inference rows")
-    r, v, scale_sq = moment_samples(infer_part, mu, model, cfg)
+    r, v, scale_sq = moment_samples(infer_part, mu, model,
+                                    model.given(infer_part.z), cfg)
     return ratio_lcb(r, v, cfg.alpha, estimand=MMSE_GAP,
                      mu_scale_sq=scale_sq, seed=cfg.seed)
 
@@ -260,8 +260,8 @@ def floodgate_lcb_weighted(infer_part: Dataset, mu: WorkingRegression,
     weights is a pair (w, w1): w has shape (n,) and carries the joint
     covariate-density ratio at the observed rows; w1 has shape (K, n)
     and carries the conditional ratio at the null copies X~, which are
-    model.sample_null_copies(infer_part.z, K, cfg.seed).copies: the
-    streamed blocks equal that one draw. Per row,
+    model.sample_null_copies(model.given(infer_part.z), K, cfg.seed).copies:
+    the streamed blocks equal that one draw. Per row,
 
         R_i = mean_k (Y_i - mu(X~_ik, Z_i))^2 w_i w1_ik
               - (Y_i - mu(X_i, Z_i))^2 w_i
@@ -298,7 +298,8 @@ def floodgate_lcb_weighted(infer_part: Dataset, mu: WorkingRegression,
     # Sums add rows in order, so slicing does not change their bits.
     buf = np.empty((min(big_k, max(1, _WEIGHTED_SLICE_VALUES // n)), n))
     start = 0
-    for tilde in null_mu_blocks(mu, model, infer_part.z, big_k, cfg.seed):
+    rows = model.given(infer_part.z)
+    for tilde in null_mu_blocks(mu, model, rows, big_k, cfg.seed):
         for lo in range(0, len(tilde), len(buf)):
             t = tilde[lo:lo + len(buf)]
             w1_rows = w1[start + lo:start + lo + len(t)]

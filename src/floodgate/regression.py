@@ -141,10 +141,10 @@ class CustomRegression(WorkingRegression):
 
 def regression_from_json(text: str) -> LinearWorkingRegression:
     cfg = json.loads(text)
-    return LinearWorkingRegression(cfg["kind"], cfg["intercept"],
-                                   np.array(cfg["x_coef"]),
-                                   np.array(cfg["z_coef"]),
-                                   cfg.get("link", _LINK_IDENTITY))
+    try:        # a non-object, an unknown or a missing key raise TypeError
+        return LinearWorkingRegression(**cfg)
+    except TypeError as exc:
+        raise ValidationError(f"regression JSON: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -219,8 +219,8 @@ def mmse_oracle_nested_mc(mu_star: RealizedMuStar, model: CovariateModel,
     j = focal_0based
     mu = CustomRegression(lambda x, z_rows: mu_star.values(
         np.concatenate([z_rows[:, :j], x, z_rows[:, j:]], axis=1)))
-    count, _, m2 = block_moments(
-        null_mu_blocks(mu, model, z, inner, derive_seed(seed, 1)))
+    count, _, m2 = block_moments(null_mu_blocks(
+        mu, model, model.given(z), inner, derive_seed(seed, 1)))
     cond_var = m2 / (count - 1)
     gap_sq = float(cond_var.mean())
     se = float(cond_var.std(ddof=1) / math.sqrt(outer))

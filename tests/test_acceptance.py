@@ -20,6 +20,7 @@ from floodgate import (Ar1Model, Dataset, DiscreteMarkovChain,
                        cosufficient_lcb, floodgate_lcb, floodgate_lcb_weighted,
                        run_experiment, split, trivial_ucb)
 from floodgate.cli import EXIT_OK, main
+from floodgate.core import philox_rng
 from floodgate.cosufficient import _ChainBatch, _GaussianBatch
 from floodgate.regression import OLS, CustomRegression, CvConfig
 from floodgate.simulate import (COSUFFICIENT, FIT_MU_STAR,
@@ -276,8 +277,7 @@ class TestA7CosufficientCoverageAndSamplers:
         x = z @ rng.standard_normal(6) + 0.8 * rng.standard_normal(120)
         u = np.hstack([np.ones((120, 1)), z])
         h = u @ np.linalg.lstsq(u, np.eye(120), rcond=None)[0]
-        tilde = _GaussianBatch(x, z, 0.64).sample_null_copies(
-            z, 50, 5).copies[:, :, 0]
+        tilde = _GaussianBatch(x, z, 0.64).sample(50, philox_rng(5))[:, :, 0]
         stat_err = float(np.max(np.abs((tilde - x[None, :]) @ h.T)))
 
         # Markov-chain batch law: neighbor-pair count tables preserved
@@ -289,7 +289,7 @@ class TestA7CosufficientCoverageAndSamplers:
         cx, cz = chain.sample_joint(200, seed=11)
         cx = cx[:, 0]
         law = _ChainBatch(chain, cx, cz)
-        copies = law.sample_null_copies(cz, 400, 13).copies[:, :, 0]
+        copies = law.sample(400, philox_rng(13))[:, :, 0]
         strata = law.strata
         counts_ok = all(
             np.array_equal(np.sort(copies[c, s]), np.sort(cx[s]))
@@ -388,7 +388,8 @@ class TestA10WeightedIdentity:
     def _identity_ratio_weights(self, data):
         # Density ratio of the target covariate law to the model's,
         # computed numerically with the target equal to the model.
-        mean, cov = self.MODEL.conditional_x_moments(data.z)
+        rows = self.MODEL.given(data.z)
+        mean, cov = rows.mean, rows.cov
         log_num = -0.5 * (data.x[:, 0] - mean[:, 0]) ** 2 / cov[0, 0]
         return np.exp(log_num - log_num)
 

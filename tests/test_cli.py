@@ -316,6 +316,37 @@ class TestInfer:
                      "--out", str(workspace["dir"] / "x.csv")])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("which, text, named", [
+        ("model", "[1, 2]", "object"),
+        ("model", '"Ar1Model"', "object"),
+        ("model", '{"model": "Ar1Model", "dim": 6, "rh0": 0.3, '
+                  '"focal_index": [1]}', "rh0"),
+        ("model", '{"model": "Ar1Model", "dim": 6, "focal_index": [1]}',
+         "rho"),
+        ("model", '{"model": "CopulaModel"}', "latent"),
+        ("model", '{"model": "CopulaModel", "latent": [6, 0.3, [1]]}',
+         "mapping"),
+        ("model", '{"model": "CopulaModel", "latent": {"dim": 6, "rho": 0.3, '
+                  '"focal_index": [1], "extra": 1}}', "extra"),
+        ("mu", "[3]", "mapping"),
+        ("mu", '{"kind": "OLS", "intercept": 0.0, "x_coef": [1.5], '
+               '"z_coef": [0, 0, 0, 0, 0], "lnk": "identity"}', "lnk"),
+        ("mu", '{"kind": "OLS", "x_coef": [1.5], "z_coef": [0, 0, 0, 0, 0]}',
+         "intercept"),
+    ])
+    def test_json_inputs_reject_what_they_do_not_read(self, workspace, capsys,
+                                                      which, text, named):
+        bad = workspace["dir"] / "bad.json"
+        bad.write_text(text)
+        inputs = {"model": workspace["model"], "mu": workspace["mu"],
+                  which: str(bad)}
+        code = main(["infer", workspace["data"], "--model", inputs["model"],
+                     "--mu", inputs["mu"],
+                     "--out", str(workspace["dir"] / "x.csv")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
 
 def _optional(*values):
     """One of values, or the option left out (three times in four), so

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from floodgate import (Ar1Model, CopulaModel, CustomRegression, Dataset,
                        DiscreteMarkovChain, GaussianLinearModel,
                        LinearWorkingRegression, cosufficient_lcb)
+from floodgate import mmse
+from floodgate.core import philox_rng
 from floodgate.cosufficient import _ChainBatch, _GaussianBatch
 from floodgate.errors import SingularDesignError, SizeError, ValidationError
 from floodgate.regression import OLS
@@ -33,14 +35,14 @@ def _hat(z):
 
 def _gaussian_draws(x, z, sigma2, seed, copies):
     """copies draws of the batch's X | (Z, T), shape (copies, n2)."""
-    law = _GaussianBatch(x, z, sigma2)
-    return law.sample_null_copies(z, copies, seed).copies[:, :, 0]
+    rows = _GaussianBatch(x, z, sigma2)
+    return rows.sample(copies, philox_rng(seed))[:, :, 0]
 
 
 def _chain_draws(model, x, z, seed, copies):
     """copies draws of the chain batch's X | (Z, T), shape (copies, n2)."""
-    law = _ChainBatch(model, x, z)
-    return law.sample_null_copies(z, copies, seed).copies[:, :, 0]
+    rows = _ChainBatch(model, x, z)
+    return rows.sample(copies, philox_rng(seed))[:, :, 0]
 
 
 def _chain():
@@ -345,6 +347,23 @@ class TestCosufficientLcb:
         data = Dataset(np.zeros(60), x[:, :1], z)
         with pytest.raises(ValidationError):
             cosufficient_lcb(data, mu, model, n2=20, mc_k=0, seed=0)
+
+
+def test_chain_mc_bound_does_not_move_with_the_block_size(monkeypatch):
+    # Chain batch draws continue their stream, so the copies a bound
+    # uses do not depend on how many a block holds: 40 copies of 50 rows
+    # in one block, or in blocks of 7.
+    model = _chain()
+    x, z = model.sample_joint(2000, seed=5)
+    y = x[:, 0] + np.random.default_rng(6).standard_normal(2000)
+    mu = LinearWorkingRegression(OLS, 0.0, np.array([1.0]), np.zeros(3))
+    reports = []
+    for block in (1 << 19, 7 * 50):
+        monkeypatch.setattr(mmse, "_BLOCK_VALUES", block)
+        rep = cosufficient_lcb(Dataset(y, x, z), mu, model, n2=50, mc_k=40,
+                               seed=1)
+        reports.append((rep.lcb, rep.point, rep.se))
+    assert reports[0] == reports[1]
 
 
 class TestCosufficientInvariance:

@@ -7,9 +7,10 @@ import pytest
 
 from floodgate import (Ar1Model, CopulaModel, CustomRegression, Dataset,
                        DiscreteMarkovChain, FloodgateConfig,
-                       GaussianLinearModel, cosufficient_lcb, floodgate_lcb,
-                       model_from_json)
+                       GaussianLinearModel, conditional_moments,
+                       cosufficient_lcb, floodgate_lcb, model_from_json)
 from floodgate.core import philox_rng
+from floodgate.cosufficient import _ChainBatch, _GaussianBatch
 from floodgate.covariates import ar1_covariance
 from floodgate.errors import (ShapeError, UnsupportedClosedFormError,
                               ValidationError)
@@ -46,7 +47,8 @@ class TestAr1Model:
         model = Ar1Model(dim=5, rho=rho, focal_index=3)
         rng = np.random.default_rng(0)
         z = rng.standard_normal((9, 4))
-        mean, cov = model.conditional_x_moments(z)
+        rows = model.given(z)
+        mean, cov = rows.mean, rows.cov
         expected_mean = rho * (z[:, 1] + z[:, 2]) / (1 + rho ** 2)
         assert np.allclose(mean[:, 0], expected_mean, atol=1e-12)
         assert cov[0, 0] == pytest.approx((1 - rho ** 2) / (1 + rho ** 2),
@@ -57,7 +59,8 @@ class TestAr1Model:
         rho = 0.6
         model = Ar1Model(dim=4, rho=rho, focal_index=1)
         z = np.array([[0.5, -1.0, 2.0], [0.0, 0.0, 0.0]])
-        mean, cov = model.conditional_x_moments(z)
+        rows = model.given(z)
+        mean, cov = rows.mean, rows.cov
         assert np.allclose(mean[:, 0], rho * z[:, 0], atol=1e-12)
         assert cov[0, 0] == pytest.approx(1 - rho ** 2, abs=1e-12)
 
@@ -70,7 +73,8 @@ class TestAr1Model:
         solve = np.linalg.solve(full[np.ix_(r, r)], full[np.ix_(r, s)])
         rng = np.random.default_rng(1)
         z = rng.standard_normal((5, 4))
-        mean, cov = model.conditional_x_moments(z)
+        rows = model.given(z)
+        mean, cov = rows.mean, rows.cov
         assert np.allclose(mean, z @ solve, atol=1e-12)
         expected_cov = full[np.ix_(s, s)] - full[np.ix_(s, r)] @ solve
         assert np.allclose(cov, expected_cov, atol=1e-12)
@@ -78,8 +82,9 @@ class TestAr1Model:
     def test_null_copies_match_conditional_moments(self):
         model = Ar1Model(dim=4, rho=0.5, focal_index=2)
         z = np.array([[1.0, -0.5, 0.25], [0.0, 2.0, -1.0]])
-        copies = model.sample_null_copies(z, 40000, seed=5).copies
-        mean, cov = model.conditional_x_moments(z)
+        copies = model.sample_null_copies(model.given(z), 40000, seed=5).copies
+        rows = model.given(z)
+        mean, cov = rows.mean, rows.cov
         assert copies.shape == (40000, 2, 1)
         assert np.allclose(copies.mean(axis=0), mean, atol=0.02)
         assert np.allclose(copies.var(axis=0, ddof=1)[:, 0], cov[0, 0],
@@ -140,7 +145,8 @@ class TestAr1Model:
         w[:, focal - 1] = x[:, 0]
         w[:, [j for j in range(7) if j != focal - 1]] = z
         weights, sd = model.row_weights()
-        mean, cov = model.conditional_x_moments(z)
+        rows = model.given(z)
+        mean, cov = rows.mean, rows.cov
         assert weights[focal - 1] == 0.0
         np.testing.assert_allclose(weights @ w.T, mean[:, 0], rtol=0.0,
                                    atol=1e-14)
@@ -151,10 +157,10 @@ class TestAr1Model:
     def test_scalar_focal_copies_multiply_matches_matmul(self):
         model = Ar1Model(dim=7, rho=0.45, focal_index=3)
         _, z = model.sample_joint(300, seed=2)
-        mean, _ = model.conditional_x_moments(z)
+        mean = model.given(z).mean
         draws = philox_rng(9).standard_normal((40, 300, 1))
         want = mean[None, :, :] + draws @ model._cond_chol.T
-        got = model.sample_null_copies(z, 40, seed=9).copies
+        got = model.sample_null_copies(model.given(z), 40, seed=9).copies
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dim, focal", [(1, 1), (3, (1, 2, 3))])
@@ -162,10 +168,12 @@ class TestAr1Model:
         model = Ar1Model(dim=dim, rho=0.4, focal_index=focal)
         x, z = model.sample_joint(50, seed=3)
         assert x.shape == (50, dim) and z.shape == (50, 0)
-        mean, cov = model.conditional_x_moments(z)
+        rows = model.given(z)
+        mean, cov = rows.mean, rows.cov
         assert np.array_equal(mean, np.zeros((50, dim)))
         assert np.array_equal(cov, ar1_covariance(dim, 0.4))
-        assert model.sample_null_copies(z, 4, seed=1).copies.shape == (4, 50, dim)
+        copies = model.sample_null_copies(rows, 4, seed=1).copies
+        assert copies.shape == (4, 50, dim)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValidationError):
@@ -185,7 +193,8 @@ class TestGaussianLinearModel:
     def test_conditional_moments(self):
         model = self._model()
         z = np.array([[1.0, 1.0], [0.0, 3.0]])
-        mean, cov = model.conditional_x_moments(z)
+        rows = model.given(z)
+        mean, cov = rows.mean, rows.cov
         assert np.allclose(mean[:, 0], [2.0, -2.0], atol=1e-14)
         assert cov[0, 0] == pytest.approx(0.25)
 
@@ -199,7 +208,7 @@ class TestGaussianLinearModel:
     def test_null_copy_shape_and_law(self):
         model = self._model()
         z = np.zeros((3, 2))
-        copies = model.sample_null_copies(z, 20000, seed=1).copies
+        copies = model.sample_null_copies(model.given(z), 20000, seed=1).copies
         assert copies.shape == (20000, 3, 1)
         assert np.allclose(copies.mean(axis=0)[:, 0], 1.0, atol=0.02)
 
@@ -232,30 +241,36 @@ class TestCopulaModel:
     def test_null_copies_preserve_latent_conditional(self):
         model = self._model()
         z = model.sample_joint(4, seed=2)[1]
-        copies = model.sample_null_copies(z, 30000, seed=3).copies
+        copies = model.sample_null_copies(model.given(z), 30000, seed=3).copies
         lat = model._to_latent(copies[:, :, 0])
-        mean, cov = model.latent.conditional_x_moments(model._to_latent(z))
+        latent = model.given(z).latent
+        mean, cov = latent.mean, latent.cov
         assert np.allclose(lat.mean(axis=0), mean[:, 0], atol=0.03)
         assert np.allclose(lat.var(axis=0), cov[0, 0], atol=0.03)
 
     def test_latent_memo_follows_z(self):
-        # The memo of the latent z is keyed by z's values: a new z, or
-        # the same array changed in place, gives a fresh model's copies.
+        # The model keeps no latent z between calls: copies drawn on the
+        # rows of a new z, or of the same array changed in place, equal a
+        # fresh model's.
         model = self._model()
         z1 = model.sample_joint(30, seed=1)[1]
         z2 = model.sample_joint(30, seed=2)[1]
         for z in (z1, z2, z1, z1[:20], z1):
-            want = self._model().sample_null_copies(z, 4, seed=7).copies
-            assert np.array_equal(model.sample_null_copies(z, 4, seed=7).copies,
-                                  want)
+            fresh = self._model()
+            want = fresh.sample_null_copies(fresh.given(z), 4, seed=7).copies
+            got = model.sample_null_copies(model.given(z), 4, seed=7).copies
+            assert np.array_equal(got, want)
         z1[0, 0] = -z1[0, 0]
-        want = self._model().sample_null_copies(z1, 4, seed=7).copies
-        assert np.array_equal(model.sample_null_copies(z1, 4, seed=7).copies,
-                              want)
+        fresh = self._model()
+        want = fresh.sample_null_copies(fresh.given(z1), 4, seed=7).copies
+        assert np.array_equal(
+            model.sample_null_copies(model.given(z1), 4, seed=7).copies, want)
 
     def test_no_closed_form_moments(self):
+        rows = self._model().given(np.zeros((2, 3)))
+        mu = CustomRegression(lambda xx, zz: xx[:, 0], linear_focal_coef=1.0)
         with pytest.raises(UnsupportedClosedFormError):
-            self._model().conditional_x_moments(np.zeros((2, 3)))
+            conditional_moments(rows, mu)
 
 
 class TestDiscreteMarkovChain:
@@ -276,7 +291,7 @@ class TestDiscreteMarkovChain:
         for k1 in range(2):
             for k2 in range(2):
                 z = np.array([[float(k1), float(k2)]])
-                pmf = model.conditional_pmf(z)[0]
+                pmf = model.given(z).pmf[0]
                 total = sum(joint[(k1, m, k2)] for m in range(2))
                 for m in range(2):
                     assert pmf[m] == pytest.approx(joint[(k1, m, k2)] / total,
@@ -298,7 +313,7 @@ class TestDiscreteMarkovChain:
 
         for rest in itertools.product(range(3), repeat=3):
             z = np.array([[float(v) for v in rest]])
-            pmf = model.conditional_pmf(z)[0]
+            pmf = model.given(z).pmf[0]
             probs = np.array([path_prob((rest[0], rest[1], m, rest[2]))
                               for m in range(3)])
             assert np.allclose(pmf, probs / probs.sum(), atol=1e-12)
@@ -306,8 +321,9 @@ class TestDiscreteMarkovChain:
     def test_null_copy_frequencies(self):
         model = self._chain()
         z = np.array([[0.0, 1.0], [1.0, 0.0]])
-        pmf = model.conditional_pmf(z)
-        copies = model.sample_null_copies(z, 40000, seed=8).copies[:, :, 0]
+        pmf = model.given(z).pmf
+        copies = model.sample_null_copies(model.given(z), 40000,
+                                          seed=8).copies[:, :, 0]
         for i in range(2):
             freq = np.mean(copies[:, i] == 0)
             assert freq == pytest.approx(pmf[i, 0], abs=0.01)
@@ -340,7 +356,7 @@ class TestDiscreteMarkovChain:
         data = Dataset(x[:, 0], x, z)
         mu = CustomRegression(lambda xx, zz: xx[:, 0])
         with pytest.raises(ValidationError, match=r"integers in 0\.\.1"):
-            model.conditional_pmf(z)
+            model.given(z)
         with pytest.raises(ValidationError, match=r"integers in 0\.\.1"):
             floodgate_lcb(data, mu, model, FloodgateConfig(big_k=0))
         with pytest.raises(ValidationError, match=r"integers in 0\.\.1"):
@@ -362,16 +378,40 @@ class TestNullCopyBlocks:
     ])
     def test_blocks_equal_one_draw(self, model):
         _, z = model.sample_joint(37, seed=4)
-        whole = model.sample_null_copies(z, 12, seed=8).copies
+        rows = model.given(z)
+        whole = model.sample_null_copies(rows, 12, seed=8).copies
         rng = philox_rng(8)
-        parts = [model.sample_null_copies(z, k, rng).copies for k in (5, 1, 6)]
+        parts = [model.sample_null_copies(rows, k, rng).copies
+                 for k in (5, 1, 6)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "gaussian_block", "finite",
+                                      "mapped", "gaussian_batch",
+                                      "chain_batch"])
+    def test_rows_continue_their_stream(self, kind):
+        # Every row kind, the co-sufficient batches included: a then b
+        # copies from one generator equal a + b copies at once.
+        chain = DiscreteMarkovChain(np.array([0.5, 0.3, 0.2]),
+                                    [np.full((3, 3), 1.0 / 3.0)] * 3, 2)
+        model = {"gaussian": Ar1Model(6, 0.4, 3),
+                 "gaussian_block": Ar1Model(6, -0.2, (1, 4)),
+                 "finite": chain, "gaussian_batch": Ar1Model(6, 0.4, 3),
+                 "mapped": CopulaModel(Ar1Model(5, 0.5, 2)),
+                 "chain_batch": chain}[kind]
+        x, z = model.sample_joint(60, seed=4)
+        rows = {"gaussian_batch": lambda: _GaussianBatch(x[:, 0], z, 0.8),
+                "chain_batch": lambda: _ChainBatch(chain, x[:, 0], z)}.get(
+                    kind, lambda: model.given(z))()
+        whole = model.sample_null_copies(rows, 12, seed=8).copies
+        rng = philox_rng(8)
+        parts = [model.sample_null_copies(rows, k, rng).copies for k in (5, 7)]
         assert np.array_equal(np.concatenate(parts), whole)
 
     def test_generator_and_int_seed_agree(self):
         model = Ar1Model(dim=4, rho=0.3, focal_index=2)
         _, z = model.sample_joint(10, seed=1)
-        a = model.sample_null_copies(z, 3, seed=2**64 + 5).copies
-        b = model.sample_null_copies(z, 3, philox_rng(5)).copies
+        a = model.sample_null_copies(model.given(z), 3, seed=2**64 + 5).copies
+        b = model.sample_null_copies(model.given(z), 3, philox_rng(5)).copies
         assert np.array_equal(a, b)
 
 
@@ -384,6 +424,8 @@ class TestSerialization:
         DiscreteMarkovChain(np.array([0.4, 0.6]),
                             [np.array([[0.9, 0.1], [0.2, 0.8]])] * 2,
                             focal_index=2),
+        GaussianLinearModel(np.array([0.5]), 2.0, np.zeros(0),
+                            np.empty((0, 0))),
     ])
     def test_json_round_trip(self, model):
         back = model_from_json(model.to_json())
@@ -396,3 +438,20 @@ class TestSerialization:
     def test_unknown_model_kind(self):
         with pytest.raises(ValidationError):
             model_from_json('{"model": "Mystery"}')
+
+    @pytest.mark.parametrize("text, named", [
+        ("[1, 2]", "object"), ("3", "object"), ('{"dim": 5}', "object"),
+        ('{"model": "Ar1Model", "dim": 5, "rh0": 0.3, "focal_index": [2]}',
+         "rh0"),
+        ('{"model": "Ar1Model", "dim": 5, "focal_index": [2]}', "rho"),
+        ('{"model": "GaussianLinearModel", "gamma": [0.5], "sigma2": 1.0, '
+         '"z_mean": []}', "z_cov"),
+        ('{"model": "CopulaModel"}', "latent"),
+        ('{"model": "CopulaModel", "latent": 3}', "mapping"),
+        ('{"model": "CopulaModel", "latent": {"dim": 3, "rho": 0.5}}',
+         "focal_index"),
+        ('{"model": "DiscreteMarkovChain", "initial": [0.5, 0.5], '
+         '"transitions": [], "focal_index": 2, "states": 2}', "states")])
+    def test_json_rejects_what_it_does_not_read(self, text, named):
+        with pytest.raises(ValidationError, match=named):
+            model_from_json(text)

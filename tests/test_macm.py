@@ -27,9 +27,9 @@ def _indep_model(sigma2=1.0):
 def _oracle_on_draws(model, slope, offset, x, z):
     """macm_gap_oracle on joint draws (x, z) of a one-column Gaussian
     model, with X | Z from the model's conditional moments."""
-    mean, cov = model.conditional_x_moments(z)
-    return macm_gap_oracle(slope, offset, x[:, 0], mean[:, 0],
-                           math.sqrt(cov[0, 0]))
+    rows = model.given(z)
+    return macm_gap_oracle(slope, offset, x[:, 0], rows.mean[:, 0],
+                           math.sqrt(rows.cov[0, 0]))
 
 
 def _logit_draw(model, beta, zeta, n, seed):
@@ -170,7 +170,8 @@ class TestMonteCarloMoments:
 def _materialised_lcb(data, mu, model, cfg):
     """The MACM bound from one (M + K, n) pool of null copies held at once."""
     m = cfg.m_copies if cfg.m_copies is not None else 4 * data.n
-    tilde = mu_null_values(mu, model, data.z, m + cfg.k_copies, cfg.seed)
+    tilde = mu_null_values(mu, model, model.given(data.z), m + cfg.k_copies,
+                           cfg.seed)
     g_m = tilde[:m].mean(axis=0)
     mu_obs = np.asarray(mu.predict(data.x, data.z), dtype=float).reshape(data.n)
     y = data.y
@@ -213,9 +214,9 @@ class TestStreamedPool:
             data, mu, model, cfg)
 
     def test_copula_latent_z_computed_once(self, monkeypatch):
-        # Blocks of 7 copies make 44 sample_null_copies calls on one z;
-        # the copula maps z to its latent scale once, with the values of
-        # a pool drawn at once.
+        # Blocks of 7 copies make 44 sample_null_copies calls on the rows
+        # of one z; the copula's given maps z to its latent scale once per
+        # bound, with the values of a pool drawn at once.
         model = CopulaModel(Ar1Model(dim=6, rho=0.3, focal_index=1))
         x, z = model.sample_joint(200, seed=4)
         coef = np.array([0.8, 0.0, -0.5, 0.0, 0.3])
@@ -389,7 +390,8 @@ class TestMacmGapOracle:
         rng = np.random.default_rng(5)
         for j in map(int, mu.support):
             z_j = np.delete(w, j, axis=1)
-            mean, cov = Ar1Model(40, 0.3, j + 1).conditional_x_moments(z_j)
+            rows = Ar1Model(40, 0.3, j + 1).given(z_j)
+            mean, cov = rows.mean, rows.cov
             scale = abs(mu.coef[j]) * math.sqrt(cov[0, 0])
             assert scale <= 0.7
             rows = rng.choice(2000, 4, replace=False)
@@ -407,7 +409,7 @@ class TestMacmGapOracle:
         model = Ar1Model(dim=5, rho=0.3, focal_index=2)
         x, z = model.sample_joint(30, seed=6)
         x = x[:, 0]
-        mean = model.conditional_x_moments(z)[0][:, 0]
+        mean = model.given(z).mean[:, 0]
         for bad_x, bad_mean in ((x[:, None], mean),            # not 1-D
                                 (np.column_stack([x, x]), mean),
                                 (x[:29], mean),                # lengths

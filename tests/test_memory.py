@@ -110,8 +110,9 @@ def test_copula_block_peaks_at_one_block():
     model = CopulaModel(Ar1Model(8, 0.3, [1]))
     z = np.random.default_rng(2).uniform(-1.0, 1.0, (n, 7))
     mu = _copula_mu(7)
-    mu_null_values(mu, model, z, 2, 3)      # memoizes the latent z
-    values, _, peak = _traced(lambda: mu_null_values(mu, model, z, big_k, 3))
+    rows = model.given(z)                   # the latent z, once per bound
+    values, _, peak = _traced(
+        lambda: mu_null_values(mu, model, rows, big_k, 3))
     block = values.nbytes
     assert block == big_k * n * 8
     # The copies, which become the uniforms and then the values, the
@@ -180,8 +181,8 @@ def _gaussian_models():
 def test_gaussian_copies_equal_the_out_of_place_expression(model):
     _, z = model.sample_joint(500, 1)
     before = z.copy()
-    got = model.sample_null_copies(z, 7, 9).copies
-    mean, _ = model.conditional_x_moments(z)
+    got = model.sample_null_copies(model.given(z), 7, 9).copies
+    mean = model.given(z).mean
     draws = philox_rng(9).standard_normal((7, len(z), model.d_x))
     chol = model._cond_chol
     want = (mean[None, :, :] + draws * chol[0, 0] if model.d_x == 1
@@ -194,8 +195,9 @@ def test_copula_copies_equal_the_out_of_place_expression():
     model = CopulaModel(Ar1Model(6, 0.4, [2]))
     _, z = model.sample_joint(500, 1)
     before = z.copy()
-    got = model.sample_null_copies(z, 7, 9).copies
-    latent = model.latent.sample_null_copies(model._to_latent(z), 7, 9).copies
+    got = model.sample_null_copies(model.given(z), 7, 9).copies
+    latent = model.latent.sample_null_copies(
+        model.latent.given(model._to_latent(z)), 7, 9).copies
     latent_before = latent.copy()
     want = 2.0 * core.normal_cdf(latent) - 1.0
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -9,12 +9,14 @@ from hypothesis import Phase, given, settings, strategies as st
 from floodgate import (Ar1Model, CustomRegression, Dataset,
                        DiscreteMarkovChain, FloodgateConfig,
                        GaussianLinearModel, LinearWorkingRegression,
-                       conditional_moments, floodgate_lcb,
+                       MacmConfig, conditional_moments, cosufficient_lcb,
+                       floodgate_lcb, macm_lcb,
                        floodgate_lcb_scale_free, floodgate_lcb_weighted,
                        trivial_ucb, zero_out_transform)
 from floodgate.core import (MMSE_GAP, MMSE_GAP_SCALE_FREE, LcbReport,
                             delta_method_se,
                             normal_quantile, ratio_lcb, sample_mean_cov)
+from floodgate.covariates import GaussianRows
 from floodgate.errors import (ShapeError, SizeError,
                               UnsupportedClosedFormError, ValidationError)
 from floodgate import mmse
@@ -66,8 +68,8 @@ class TestMuNullValues:
         generic = CustomRegression(
             lambda x, z: 0.5 + 3.0 * x[:, 0] + 1.0 * z[:, 0])
         z = np.random.default_rng(0).standard_normal((7, 1))
-        a = mu_null_values(mu, model, z, 5, seed=3)
-        b = mu_null_values(generic, model, z, 5, seed=3)
+        a = mu_null_values(mu, model, model.given(z), 5, seed=3)
+        b = mu_null_values(generic, model, model.given(z), 5, seed=3)
         assert a.shape == (5, 7)
         assert np.allclose(a, b, atol=1e-12)
 
@@ -78,8 +80,9 @@ class TestMuNullValues:
         generic = CustomRegression(
             lambda x, z: np.tanh((0.1 + 0.7 * x[:, 0] - 0.2 * z[:, 0]) / 2.0))
         z = np.random.default_rng(1).standard_normal((4, 1))
-        assert np.allclose(mu_null_values(mu, model, z, 3, seed=5),
-                           mu_null_values(generic, model, z, 3, seed=5),
+        rows = model.given(z)
+        assert np.allclose(mu_null_values(mu, model, rows, 3, seed=5),
+                           mu_null_values(generic, model, rows, 3, seed=5),
                            atol=1e-12)
 
     def test_scalar_focal_multiply_matches_matmul(self):
@@ -87,9 +90,10 @@ class TestMuNullValues:
         _, z = model.sample_joint(200, seed=4)
         mu = LinearWorkingRegression(OLS, 0.2, np.array([1.7]),
                                      np.linspace(-1.0, 1.0, 7))
-        copies = model.sample_null_copies(z, 30, seed=6).copies
+        copies = model.sample_null_copies(model.given(z), 30, seed=6).copies
         want = (np.full(200, 0.2) + z @ mu.z_coef)[None, :] + copies @ mu.x_coef
-        assert np.array_equal(mu_null_values(mu, model, z, 30, seed=6), want)
+        assert np.array_equal(
+            mu_null_values(mu, model, model.given(z), 30, seed=6), want)
 
     @pytest.mark.parametrize("block_values", [None, 50 * 3 * 4, 7])
     def test_chunked_generic_mu_matches_one_tile(self, monkeypatch,
@@ -108,11 +112,12 @@ class TestMuNullValues:
             return np.tanh(1.5 * x[:, 0] + 0.3 * z_rows[:, 0]
                            - z_rows[:, 2] ** 2)
         mu = CustomRegression(fn)
-        copies = model.sample_null_copies(z, 11, seed=5).copies
+        copies = model.sample_null_copies(model.given(z), 11, seed=5).copies
         want = mu.predict(copies.reshape(550, 1),
                           np.tile(z, (11, 1))).reshape(11, 50)
         seen.clear()
-        assert np.array_equal(mu_null_values(mu, model, z, 11, seed=5), want)
+        assert np.array_equal(
+            mu_null_values(mu, model, model.given(z), 11, seed=5), want)
         assert np.array_equal(mu_on_copies(mu, copies, z), want)
         step = {None: 11, 50 * 3 * 4: 4, 7: 1}[block_values]
         assert [len(z_rows) for z_rows in seen] == \
@@ -131,7 +136,7 @@ class TestExactMoments:
         y = np.array([1.0, -1.0, 2.0])
         data = Dataset(y, x, z)
         cfg = FloodgateConfig(big_k=0, center_y=False)
-        r, v, scale_sq = moment_samples(data, mu, model, cfg)
+        r, v, scale_sq = moment_samples(data, mu, model, model.given(data.z), cfg)
         cond_mean_x = 1.0 + 2.0 * z[:, 0]
         g = 0.5 + 3.0 * cond_mean_x + 1.0 * z[:, 0]
         mu_obs = 0.5 + 3.0 * x[:, 0] + 1.0 * z[:, 0]
@@ -145,7 +150,7 @@ class TestExactMoments:
         data = _draw(model, mu, 200, seed=4)
         cfg = FloodgateConfig(alpha=0.05, big_k=0, center_y=False)
         rep = floodgate_lcb(data, mu, model, cfg)
-        r, v, _ = moment_samples(data, mu, model, cfg)
+        r, v, _ = moment_samples(data, mu, model, model.given(data.z), cfg)
         r_bar, v_bar, cov = sample_mean_cov(np.column_stack([r, v]))
         se = delta_method_se(r_bar, v_bar, cov)
         point = r_bar / math.sqrt(v_bar)
@@ -179,8 +184,9 @@ class TestConditionalMoments:
                                      x_coef=np.array([3.0]),
                                      z_coef=np.array([0.5, -0.5]))
         z = np.array([[1.0, 0.0], [0.0, 2.0]])
-        mean, var = conditional_moments(model, mu, z)
-        cond_mean_x, cond_cov = model.conditional_x_moments(z)
+        rows = model.given(z)
+        mean, var = conditional_moments(rows, mu)
+        cond_mean_x, cond_cov = rows.mean, rows.cov
         expected = 1.0 + 3.0 * cond_mean_x[:, 0] + z @ np.array([0.5, -0.5])
         assert np.allclose(mean, expected, atol=1e-12)
         assert np.allclose(var, 9.0 * cond_cov[0, 0], atol=1e-12)
@@ -191,20 +197,18 @@ class TestConditionalMoments:
                                      x_coef=np.array([1.0]),
                                      z_coef=np.zeros(2), link="binary_mean")
         with pytest.raises(UnsupportedClosedFormError):
-            conditional_moments(model, mu, np.zeros((2, 2)))
+            conditional_moments(model.given(np.zeros((2, 2))), mu)
 
     def test_covariance_per_row(self):
         # A Gaussian law may give each row its own covariance: the
         # variance of a.x + g(z) is then a' cov_i a row by row.
-        class PerRow:
-            def conditional_x_moments(self, z):
-                return (z[:, :2].copy(),
-                        np.stack([np.diag([1.0 + t, 2.0]) for t in z[:, 0]]))
-
         z = np.array([[0.0, 1.0, 3.0], [2.0, -1.0, 0.5]])
+        per_row = GaussianRows(
+            z, z[:, :2].copy(),
+            np.stack([np.diag([1.0 + t, 2.0]) for t in z[:, 0]]), None)
         mu = LinearWorkingRegression(OLS, 0.5, np.array([2.0, -1.0]),
                                      np.array([0.0, 0.0, 1.0]))
-        mean, var = conditional_moments(PerRow(), mu, z)
+        mean, var = conditional_moments(per_row, mu)
         assert np.allclose(mean, 0.5 + 2.0 * z[:, 0] - z[:, 1] + z[:, 2])
         assert np.allclose(var, 4.0 * (1.0 + z[:, 0]) + 2.0)
 
@@ -221,8 +225,9 @@ class TestConditionalMoments:
 
     def test_chain_matches_per_state_brute_force(self):
         model, mu, data = self._chain_case()
-        mean, var = conditional_moments(model, mu, data.z)
-        pmf = model.conditional_pmf(data.z)
+        rows = model.given(data.z)
+        mean, var = conditional_moments(rows, mu)
+        pmf = rows.pmf
         for i in range(0, data.n, 7):
             at = np.array([mu.predict(np.array([[float(k)]]), data.z[i:i + 1])[0]
                            for k in range(model.num_states)])
@@ -275,7 +280,7 @@ class TestMonteCarloMoments:
         for rep in range(reps):
             data = _draw(model, mu, 100, seed=1000 + rep)
             cfg = FloodgateConfig(big_k=2, center_y=True, seed=rep)
-            r, v, _ = moment_samples(data, mu, model, cfg)
+            r, v, _ = moment_samples(data, mu, model, model.given(data.z), cfg)
             total += r.mean()
         truth = 4.0 * 0.5        # beta^2 Var(X|Z)
         assert total / reps == pytest.approx(truth, abs=0.1)
@@ -291,7 +296,8 @@ def _materialised_samples(data, mu, model, cfg):
     """(R_i, V_i, scale) from one (2K, n) pool of null copies held at
     once: centring takes the first K copies and R_i the last K."""
     k = cfg.big_k
-    pool = mu_null_values(mu, model, data.z, (1 + cfg.center_y) * k, cfg.seed)
+    pool = mu_null_values(mu, model, model.given(data.z),
+                          (1 + cfg.center_y) * k, cfg.seed)
     mu_obs = np.asarray(mu.predict(data.x, data.z), dtype=float).reshape(data.n)
     tilde = pool[-k:]
     centered = mu_obs - tilde.mean(axis=0)
@@ -302,7 +308,7 @@ def _materialised_samples(data, mu, model, cfg):
 
 def _materialised_weighted(data, mu, model, w, w1, cfg):
     """The weighted bound from one (K, n) array of mu on null copies."""
-    tilde = mu_null_values(mu, model, data.z, cfg.big_k, cfg.seed)
+    tilde = mu_null_values(mu, model, model.given(data.z), cfg.big_k, cfg.seed)
     mu_obs = np.asarray(mu.predict(data.x, data.z), dtype=float).reshape(data.n)
     y, w_bar = data.y, float(w.mean())
     sq_tilde = (y[None, :] - tilde) ** 2
@@ -337,7 +343,7 @@ class TestStreamedMoments:
             monkeypatch.setattr(mmse, "_BLOCK_VALUES", block_values)
         model, mu, data = self._case(custom)
         cfg = FloodgateConfig(big_k=50, center_y=center_y, seed=8)
-        r, v, scale_sq = moment_samples(data, mu, model, cfg)
+        r, v, scale_sq = moment_samples(data, mu, model, model.given(data.z), cfg)
         want_r, want_v, want_scale = _materialised_samples(data, mu, model,
                                                            cfg)
         assert np.array_equal(r, want_r) and scale_sq == want_scale
@@ -382,12 +388,14 @@ class TestStreamedMoments:
     def test_weighted_w1_indexes_the_documented_copies(self, monkeypatch,
                                                        block_values):
         # w1[k, i] is the ratio at copy k of row i of one
-        # sample_null_copies(z, K, seed) draw, however the copies stream.
+        # sample_null_copies(given(z), K, seed) draw, however the copies
+        # stream.
         if block_values is not None:
             monkeypatch.setattr(mmse, "_BLOCK_VALUES", block_values)
         model, mu, data = self._case(custom=True)
         cfg = FloodgateConfig(big_k=50, seed=9)
-        copies = model.sample_null_copies(data.z, cfg.big_k, cfg.seed).copies
+        copies = model.sample_null_copies(model.given(data.z), cfg.big_k,
+                                          cfg.seed).copies
         w1 = np.exp(-0.5 * copies[:, :, 0] ** 2)
         w = np.random.default_rng(10).uniform(0.5, 1.5, data.n)
         got = floodgate_lcb_weighted(data, mu, model, (w, w1), cfg)
@@ -456,6 +464,41 @@ class TestStreamedMoments:
             print((after - before) / 1024.0)
         """)
         assert rss_growth_mb(script) < 150.0
+
+
+@pytest.mark.parametrize("bound", [
+    "mmse_exact", "mmse_mc", "scale_free", "weighted", "macm_exact",
+    "macm_mc", "cosufficient_exact", "cosufficient_mc"])
+def test_every_bound_runs_without_z(bound):
+    # d_z = 0: X ~ N(0.3, 0.64) on its own, so given(z) gets an (n, 0) z.
+    # A strong signal, y = 2 X + noise, gives every bound a positive LCB.
+    model = GaussianLinearModel(np.array([0.3]), 0.64, np.zeros(0),
+                                np.empty((0, 0)))
+    x, z = model.sample_joint(400, seed=1)
+    assert z.shape == (400, 0)
+    noise = np.random.default_rng(2).standard_normal(400)
+    data = Dataset(2.0 * x[:, 0] + noise, x, z)
+    signs = Dataset(np.where(2.0 * x[:, 0] - 0.6 + noise > 0, 1.0, -1.0), x, z)
+    mu = LinearWorkingRegression(OLS, 0.0, np.array([2.0]), np.empty(0))
+    mc = FloodgateConfig(big_k=50, seed=3)
+    report = {
+        "mmse_exact": lambda: floodgate_lcb(data, mu, model,
+                                            FloodgateConfig(big_k=0)),
+        "mmse_mc": lambda: floodgate_lcb(data, mu, model, mc),
+        "scale_free": lambda: floodgate_lcb_scale_free(data, mu, model, mc),
+        "weighted": lambda: floodgate_lcb_weighted(
+            data, mu, model, (np.ones(400), np.ones((50, 400))), mc),
+        "macm_exact": lambda: macm_lcb(signs, mu, model,
+                                       MacmConfig(k_copies=0)),
+        "macm_mc": lambda: macm_lcb(signs, mu, model,
+                                    MacmConfig(k_copies=50, seed=3)),
+        "cosufficient_exact": lambda: cosufficient_lcb(data, mu, model,
+                                                       n2=50, mc_k=0),
+        "cosufficient_mc": lambda: cosufficient_lcb(data, mu, model, n2=50,
+                                                    mc_k=20),
+    }[bound]()
+    assert not report.degenerate
+    assert 0.0 < report.lcb <= report.point
 
 
 class TestVarianceUcb:

@@ -69,8 +69,25 @@ class TestLinearWorkingRegression:
                                      np.array([2.0, 3.0]))
         back = regression_from_json(mu.to_json())
         assert back == mu
+        assert back.to_json() == mu.to_json()
         payload = json.loads(mu.to_json())
         assert payload["kind"] == RIDGE
+
+    def test_json_link_is_optional(self):
+        payload = json.loads(LinearWorkingRegression(
+            OLS, 0.5, np.array([1.0]), np.empty(0), link="binary_mean").to_json())
+        back = regression_from_json(json.dumps(payload))
+        assert back.link == "binary_mean"
+        del payload["link"]
+        assert regression_from_json(json.dumps(payload)).link == "identity"
+
+    @pytest.mark.parametrize("text", [
+        "[3]", "3",
+        '{"kind": "OLS", "intercept": 0, "x_coef": [1], "z_coef": [], "x": 1}',
+        '{"kind": "OLS", "intercept": 0, "x_coef": [1]}'])
+    def test_json_rejects_what_it_does_not_read(self, text):
+        with pytest.raises(ValidationError, match="regression JSON"):
+            regression_from_json(text)
 
 
 class TestCustomRegression:

@@ -236,7 +236,7 @@ class TestOracles:
             model = Ar1Model(40, 0.3, j + 1)
             got = mmse_oracle_nested_mc(mu_star, model, outer, inner, seed, j)
             _, z = model.sample_joint(outer, seed)
-            copies = model.sample_null_copies(z, inner,
+            copies = model.sample_null_copies(model.given(z), inner,
                                               derive_seed(seed, 1)).copies
             w = np.empty((inner, outer, mu_star.p))
             w[:, :, :] = np.concatenate(
@@ -267,7 +267,8 @@ def _assembled_row_oracle(mu, j, draws, seed):
                                                 derive_seed(seed, draws))
     w = np.concatenate([x, z], axis=1)
     x_j, z_j = w[:, j:j + 1], np.delete(w, j, axis=1)
-    mean, cov = Ar1Model(mu.p, 0.3, j + 1).conditional_x_moments(z_j)
+    rows = Ar1Model(mu.p, 0.3, j + 1).given(z_j)
+    mean, cov = rows.mean, rows.cov
     nodes, weights = np.polynomial.hermite_e.hermegauss(64)
     weights = weights / weights.sum()
 
