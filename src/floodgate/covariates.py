@@ -26,8 +26,8 @@ class NullCopies:
 
 
 class GaussianRows:
-    """X | Z = z_i ~ N(mean[i], cov) on the rows z, chol the Cholesky factor
-    of a (d_x, d_x) cov (or cov per row, (n, d_x, d_x)); sample is (k, n, d_x)."""
+    """X | Z = z_i ~ N(mean[i], cov), cov (d_x, d_x) or per row (n, d_x, d_x);
+    sample draws (k, n, d_x) with chol, a shared (d_x, d_x) Cholesky factor."""
 
     def __init__(self, z, mean, cov, chol) -> None:
         self.z, self.mean, self.cov, self.chol = z, mean, cov, chol
@@ -36,7 +36,7 @@ class GaussianRows:
         draws = rng.standard_normal((k,) + self.mean.shape)
         # In place where the draws allow: a sum or product has the same
         # bits in either operand order.
-        if self.mean.shape[1] == 1:   # a 1 x 1 factor: the matmul's values, faster
+        if self.chol.size == 1:   # a 1 x 1 factor: the matmul's values, faster
             draws *= self.chol[0, 0]
         else:
             draws = draws @ self.chol.T
@@ -82,7 +82,7 @@ class CovariateModel(ABC):
 
     @abstractmethod
     def given(self, z: np.ndarray):
-        """The law of X on the rows z, as a row kind whose z is this z if 2-D float."""
+        """Law of X on the rows z, a row kind (rows.z is z if 2-D float)."""
 
     def sample_null_copies(self, rows, big_k: int,
                            seed: int | np.random.Generator) -> NullCopies:

@@ -141,8 +141,8 @@ class CustomRegression(WorkingRegression):
 
 def regression_from_json(text: str) -> LinearWorkingRegression:
     cfg = json.loads(text)
-    try:        # a non-object, an unknown or a missing key raise TypeError
-        return LinearWorkingRegression(**cfg)
+    try:    # a non-object; an unknown, missing or diagnostics key: TypeError
+        return LinearWorkingRegression(**cfg, diagnostics={})
     except TypeError as exc:
         raise ValidationError(f"regression JSON: {exc}") from None
 

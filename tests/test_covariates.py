@@ -248,7 +248,7 @@ class TestCopulaModel:
         assert np.allclose(lat.mean(axis=0), mean[:, 0], atol=0.03)
         assert np.allclose(lat.var(axis=0), cov[0, 0], atol=0.03)
 
-    def test_latent_memo_follows_z(self):
+    def test_copies_follow_z(self):
         # The model keeps no latent z between calls: copies drawn on the
         # rows of a new z, or of the same array changed in place, equal a
         # fresh model's.

@@ -84,7 +84,9 @@ class TestLinearWorkingRegression:
     @pytest.mark.parametrize("text", [
         "[3]", "3",
         '{"kind": "OLS", "intercept": 0, "x_coef": [1], "z_coef": [], "x": 1}',
-        '{"kind": "OLS", "intercept": 0, "x_coef": [1]}'])
+        '{"kind": "OLS", "intercept": 0, "x_coef": [1]}',
+        '{"kind": "OLS", "intercept": 0, "x_coef": [1], "z_coef": [], '
+        '"diagnostics": {}}'])
     def test_json_rejects_what_it_does_not_read(self, text):
         with pytest.raises(ValidationError, match="regression JSON"):
             regression_from_json(text)
