@@ -390,8 +390,8 @@ class TestMacmGapOracle:
         rng = np.random.default_rng(5)
         for j in map(int, mu.support):
             z_j = np.delete(w, j, axis=1)
-            rows = Ar1Model(40, 0.3, j + 1).given(z_j)
-            mean, cov = rows.mean, rows.cov
+            law = Ar1Model(40, 0.3, j + 1).given(z_j)
+            mean, cov = law.mean, law.cov
             scale = abs(mu.coef[j]) * math.sqrt(cov[0, 0])
             assert scale <= 0.7
             rows = rng.choice(2000, 4, replace=False)
