@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NoReturn, Sequence
@@ -522,6 +523,44 @@ def reports_to_csv(path, reports: Iterable[tuple[str, LcbReport]],
                  "" if rep.seed is None else rep.seed]
                 + [rep.diagnostics.get(c, float("nan"))
                    for c in extra_columns]))
+
+
+def _json_kind_holds(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_json_kind_holds(value, k) for k in kind)
+    if kind is str:
+        return isinstance(value, str)
+    if isinstance(value, bool):         # JSON true and false are no numbers
+        return False
+    if kind is int:
+        return isinstance(value, int)
+    if kind is float:
+        return isinstance(value, (int, float))
+    try:                                # a ragged list raises ValueError
+        arr = np.asarray(value)
+    except ValueError:
+        return False
+    return arr.dtype.kind in "iuf" and (arr.ndim == kind or arr.size == 0)
+
+
+def _json_kind_name(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(_json_kind_name(k) for k in kind)
+    names = {str: "a string", int: "an integer", float: "a number"}
+    return names.get(kind) or f"a {kind}-d array of numbers"
+
+
+def check_json_values(what: str, cfg: dict, kinds: dict) -> None:
+    """Raises ValidationError naming the first key of cfg whose value is not
+    of its kind in kinds: str, int, float (any number), d for a
+    d-dimensional array of numbers ([] passes for any d), or a tuple of
+    kinds, any of which will do. Keys that kinds does not list, and
+    missing keys, are left to the constructor."""
+    for key, kind in kinds.items():
+        if key in cfg and not _json_kind_holds(cfg[key], kind):
+            raise ValidationError(
+                f"{what} JSON: {key} must be {_json_kind_name(kind)}, "
+                f"got {reprlib.repr(cfg[key])}")
 
 
 def sample_mean_cov(pairs) -> tuple[float, float, np.ndarray]:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _normal_cdf_into, normal_quantile, philox_rng
+from .core import (_normal_cdf_into, check_json_values, normal_quantile,
+                   philox_rng)
 from .errors import ShapeError, ValidationError
 
 
@@ -197,16 +198,27 @@ def ar1_covariance(dim: int, rho: float) -> np.ndarray:
     return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-def _ar1_rows(dim: int, rho: float, n: int, seed: int) -> np.ndarray:
-    """n draws of the stationary AR(1) vector, coordinate-major: shape
-    (dim, n), so each step of the recursion writes one contiguous row."""
+def _ar1_rows(dim: int, rho: float, n: int, seed: int, block: int):
+    """n draws of the stationary AR(1) vector, yielded in blocks of block
+    draws and a shorter last one, each coordinate-major: shape (dim, draws),
+    so each step of the recursion writes one contiguous row. A last block
+    of one draw joins the block before it (block + 1 draws), so no block
+    holds a single draw unless n = 1. The blocks continue one stream,
+    coordinate by coordinate within a block, so how n is cut into blocks
+    decides which normals each draw gets. Every block is written into one
+    buffer: a caller that keeps a block past the next one must copy it."""
+    sizes = [block] * (n // block) + ([n % block] if n % block else [])
+    if len(sizes) > 1 and sizes[-1] == 1:
+        sizes[-2:] = [block + 1]
     rng = philox_rng(seed)
-    w = np.empty((dim, n))
-    w[0] = rng.standard_normal(n)
+    buf = np.empty((dim, max(sizes)))
     scale = math.sqrt(1.0 - rho ** 2)
-    for j in range(1, dim):
-        w[j] = rho * w[j - 1] + scale * rng.standard_normal(n)
-    return w
+    for size in sizes:
+        w = buf[:, :size]
+        w[0] = rng.standard_normal(size)
+        for j in range(1, dim):
+            w[j] = rho * w[j - 1] + scale * rng.standard_normal(size)
+        yield w
 
 
 class Ar1Model(_GaussianConditional):
@@ -244,7 +256,7 @@ class Ar1Model(_GaussianConditional):
     def sample_joint(self, n, seed):
         if n < 1:
             raise ValidationError("n must be >= 1")
-        w = _ar1_rows(self.dim, self.rho, n, seed)
+        w, = _ar1_rows(self.dim, self.rho, n, seed, n)
         # Column-major (n, d) views. Matrix products on x and z round
         # according to their layout, so the layout is part of the output.
         return w[self._focal0].T, w[self._rest0].T
@@ -399,7 +411,16 @@ class DiscreteMarkovChain(CovariateModel):
                 "focal_index": self.focal_index}
 
 
-_MODELS = (GaussianLinearModel, Ar1Model, CopulaModel, DiscreteMarkovChain)
+# Each model by its constructor, with the JSON value kind of each of its
+# arguments (core.check_json_values); the copula's latent is an Ar1Model.
+_MODELS = {
+    GaussianLinearModel: {"gamma": 1, "sigma2": float, "z_mean": 1,
+                          "z_cov": 2},
+    Ar1Model: {"dim": int, "rho": float, "focal_index": (int, 1)},
+    CopulaModel: {},
+    DiscreteMarkovChain: {"initial": 1, "transitions": 3,
+                          "focal_index": int},
+}
 
 
 def model_from_json(text: str) -> CovariateModel:
@@ -410,8 +431,12 @@ def model_from_json(text: str) -> CovariateModel:
     if cls is None:
         raise ValidationError("model JSON must be an object naming a known "
                               f"covariate model type, got {kind!r}")
+    check_json_values(kind, cfg, _MODELS[cls])
     try:        # an unknown or a missing key raises TypeError
         if cls is CopulaModel and "latent" in cfg:
+            if isinstance(cfg["latent"], dict):
+                check_json_values(f"{kind} latent", cfg["latent"],
+                                  _MODELS[Ar1Model])
             cfg["latent"] = Ar1Model(**cfg["latent"])
         return cls(**cfg)
     except TypeError as exc:

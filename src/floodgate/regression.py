@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, normal_quantile, seeded_rng
+from .core import Dataset, check_json_values, normal_quantile, seeded_rng
 from .errors import (DegenerateLabelsError, ShapeError, SingularDesignError,
                      SizeError, ValidationError)
 
@@ -141,6 +141,10 @@ class CustomRegression(WorkingRegression):
 
 def regression_from_json(text: str) -> LinearWorkingRegression:
     cfg = json.loads(text)
+    if isinstance(cfg, dict):
+        check_json_values("regression", cfg, {
+            "kind": str, "intercept": float, "x_coef": 1, "z_coef": 1,
+            "link": str})
     try:    # a non-object; an unknown, missing or diagnostics key: TypeError
         return LinearWorkingRegression(**cfg, diagnostics={})
     except TypeError as exc:

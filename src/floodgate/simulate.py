@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import mmse
 from .core import (ConfidenceLevel, Dataset, LcbReport, MACM_GAP, MMSE_GAP,
                    _csv_cells, check_split, seeded_rng, split)
 from .covariates import (Ar1Model, CopulaModel, CovariateModel,
@@ -227,36 +228,66 @@ def mmse_oracle_nested_mc(mu_star: RealizedMuStar, model: CovariateModel,
     return math.sqrt(max(gap_sq, 0.0)), se
 
 
+def _merge_draw_blocks(acc, count: int, value: float, se: float):
+    """Folds one block's oracle (value, se) over count draws into acc, the
+    (count, mean, M2, se) of the blocks before it, or None: the block's M2
+    is se^2 count (count - 1), and the two merge by Chan, Golub & LeVeque
+    (1983). A single block keeps its (value, se) as they are."""
+    m2 = se * se * count * (count - 1)
+    if acc is None:
+        return count, value, m2, se
+    count_a, mean_a, m2_a, _ = acc
+    total = count_a + count
+    delta = value - mean_a
+    mean = mean_a + delta * (count / total)
+    m2 = m2_a + m2 + delta * delta * (count_a * count / total)
+    return total, mean, m2, math.sqrt(m2 / (total - 1) / total)
+
+
 def macm_oracle_values(mu_star: RealizedMuStar, rho: float, n_draws: int,
                        seed: int, se_target: float = 0.002) -> np.ndarray:
     """MACM-gap oracle per variable for the logistic-linear model over
     AR(1) covariates: E[Y | W] = tanh(mu*(W) / 2), nulls are exactly 0.
-    Each draw count makes one (p, draws) set of full rows, shared by
-    every support variable j: its oracle takes slope coef[j], the rest
-    of mu* as the offset, and the conditional mean of W_j given the rest,
-    each a weighted sum of the rows. The count doubles, up to 64 n_draws,
-    for the variables whose Monte Carlo SE has not yet met the target."""
+    Each draw count streams its full rows in blocks of
+    mmse._BLOCK_VALUES // p draws (4 MB, the null-copy block), so memory
+    does not grow with the count. Every pending support variable j makes
+    one macm_gap_oracle call per block: slope coef[j], the rest of mu* as
+    the offset, and the conditional mean of W_j given the rest, each a
+    weighted sum of the block's rows. The blocks' results merge exactly
+    (_merge_draw_blocks), and a count that fits one block returns its one
+    call's (value, se). The count doubles, up to 64 n_draws, for the
+    variables whose Monte Carlo SE has not yet met the target."""
     if mu_star.coef is None:
         raise ValidationError("the MACM oracle expects a coefficient mu*")
-    coef = mu_star.coef
-    out = np.zeros(mu_star.p)
-    pending = [int(j) for j in mu_star.support]
+    if n_draws < 2:
+        raise SizeError("the MACM oracle needs at least two draws")
+    p, coef = mu_star.p, mu_star.coef
+    laws = {}
+    for j in map(int, mu_star.support):
+        rest = coef.copy()
+        rest[j] = 0.0
+        laws[j] = (rest, *Ar1Model(p, rho, j + 1).row_weights())
+    block = max(2, mmse._BLOCK_VALUES // p)
+    out = np.zeros(p)
+    pending = list(laws)
     draws = n_draws
     while pending:
-        w = _ar1_rows(mu_star.p, rho, draws, derive_seed(seed, draws))
+        merged = dict.fromkeys(pending)
+        for w in _ar1_rows(p, rho, draws, derive_seed(seed, draws), block):
+            for j in pending:
+                rest, weights, cond_sd = laws[j]
+                merged[j] = _merge_draw_blocks(
+                    merged[j], w.shape[1],
+                    *macm_gap_oracle(coef[j], rest @ w, w[j], weights @ w,
+                                     cond_sd))
+        del w       # the block buffer, before the next count's is made
         unmet = []
         for j in pending:
-            weights, cond_sd = Ar1Model(mu_star.p, rho, j + 1).row_weights()
-            rest = coef.copy()
-            rest[j] = 0.0
-            value, se = macm_gap_oracle(coef[j], rest @ w, w[j],
-                                        weights @ w, cond_sd)
-            out[j] = value
+            _, out[j], _, se = merged[j]
             if se >= se_target and draws < 64 * n_draws:
                 unmet.append(j)
         pending = unmet
         draws *= 2
-        del w       # before the next count's set is drawn
     return out
 
 
@@ -380,6 +411,9 @@ class ExperimentSpec:
         if unread:
             raise ValidationError(
                 f"this study does not read {', '.join(unread)}")
+        if _STUDY_READS["oracle_draws"](self) and self.oracle_draws < 2:
+            raise ValidationError(
+                f"oracle_draws must be >= 2, got {self.oracle_draws}")
         if self.variables is not None:
             object.__setattr__(self, "variables",
                                tuple(int(v) for v in self.variables))

@@ -347,6 +347,51 @@ class TestInfer:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("which, text, named", [
+        ("model", '{"model": "Ar1Model", "dim": "a", "rho": 0.3, '
+                  '"focal_index": [1]}', "dim must be an integer"),
+        ("model", '{"model": "Ar1Model", "dim": 6, "rho": "0.3", '
+                  '"focal_index": [1]}', "rho must be a number"),
+        ("model", '{"model": "Ar1Model", "dim": 6, "rho": 0.3, '
+                  '"focal_index": "1"}', "focal_index must be an integer or"),
+        ("model", '{"model": "CopulaModel", "latent": {"dim": true, '
+                  '"rho": 0.3, "focal_index": [1]}}', "dim must be an integer"),
+        ("model", '{"model": "DiscreteMarkovChain", "initial": 3, '
+                  '"transitions": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]], '
+                  '"focal_index": 2}', "initial must be a 1-d array"),
+        ("model", '{"model": "DiscreteMarkovChain", "initial": [0.5, 0.5], '
+                  '"transitions": [[[1, 0], [0, 1]], [[1, 0]]], '
+                  '"focal_index": 2}', "transitions must be a 3-d array"),
+        ("model", '{"model": "GaussianLinearModel", "gamma": [0, 1], '
+                  '"sigma2": 1, "z_mean": [0], "z_cov": [["a"]]}',
+         "z_cov must be a 2-d array"),
+        ("mu", '{"kind": "OLS", "intercept": "a", "x_coef": [1.5], '
+               '"z_coef": [0, 0, 0, 0, 0]}', "intercept must be a number"),
+        ("mu", '{"kind": "OLS", "intercept": 0.0, "x_coef": [[1.5]], '
+               '"z_coef": [0, 0, 0, 0, 0]}', "x_coef must be a 1-d array"),
+        ("mu", '{"kind": "OLS", "intercept": 0.0, "x_coef": [1.5], '
+               '"z_coef": [0, null, 0, 0, 0]}', "z_coef must be a 1-d array"),
+        ("mu", '{"kind": 1, "intercept": 0.0, "x_coef": [1.5], '
+               '"z_coef": [0, 0, 0, 0, 0]}', "kind must be a string"),
+        ("mu", '{"kind": "OLS", "intercept": 0.0, "x_coef": [1.5], '
+               '"z_coef": [0, 0, 0, 0, 0], "link": null}',
+         "link must be a string"),
+    ])
+    def test_json_inputs_check_value_kinds(self, workspace, capsys, which,
+                                           text, named):
+        # The readers name the key whose value has the wrong kind, rather
+        # than a numpy traceback or Python's own TypeError text.
+        bad = workspace["dir"] / "bad.json"
+        bad.write_text(text)
+        inputs = {"model": workspace["model"], "mu": workspace["mu"],
+                  which: str(bad)}
+        code = main(["infer", workspace["data"], "--model", inputs["model"],
+                     "--mu", inputs["mu"],
+                     "--out", str(workspace["dir"] / "x.csv")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
 
 def _optional(*values):
     """One of values, or the option left out (three times in four), so

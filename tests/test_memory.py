@@ -1,5 +1,5 @@
 """Each full-size array on the infer path exists once, and the Monte
-Carlo paths hold one block (or, for the MACM oracle, one draw set).
+Carlo paths, the simulation's MACM oracle among them, hold one block.
 
 Peaks are tracemalloc's count of the bytes allocated during a call
 (numpy reports its array buffers to it), so they are deterministic and
@@ -160,15 +160,18 @@ def test_weighted_bound_peaks_at_one_block():
 @pytest.mark.parametrize("n_draws, se_target, final_draws", [
     (20_000, 1.0, 20_000),          # one draw count
     (1000, 1e-9, 64_000)])          # doubled six times, up to the cap
-def test_macm_oracle_holds_one_draw_set(n_draws, se_target, final_draws):
-    # The (p, draws) rows of the last count, shared by every variable,
-    # and O(draws) per variable; the previous count's set is freed first.
+def test_macm_oracle_holds_one_block(n_draws, se_target, final_draws):
+    # Each count streams its rows through one buffer of a block of draws,
+    # shared by every variable, plus O(block draws) per call; the buffer
+    # of one count is freed before the next count's is made.
     mu = build_mu_star(MuStarSpec(LOGISTIC_LINEAR, sparsity=10,
                                   amplitude=15.0, seed=606), 500, 40)
     macm_oracle_values(mu, 0.3, 50, 987, se_target=1.0)    # builds the rule
     _, _, peak = _traced(lambda: macm_oracle_values(
         mu, 0.3, n_draws, 987, se_target=se_target))
-    assert peak <= 1.25 * 40 * final_draws * 8
+    block = mmse._BLOCK_VALUES // 40 * 40 * 8
+    assert 40 * final_draws * 8 > block     # the last count spans blocks
+    assert peak <= 1.5 * block
 
 
 def _gaussian_models():

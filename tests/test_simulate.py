@@ -12,8 +12,9 @@ from floodgate import (Dataset, ExperimentSpec, MethodSpec, MuStarSpec,
                        oracle_values, run_experiment)
 from floodgate import macm, mmse, simulate
 from floodgate.cli import EXIT_VALIDATION, main
-from floodgate.covariates import Ar1Model
-from floodgate.errors import FloodgateError, ValidationError
+from floodgate.core import philox_rng
+from floodgate.covariates import Ar1Model, _ar1_rows
+from floodgate.errors import FloodgateError, SizeError, ValidationError
 from floodgate.macm import macm_gap_oracle
 from floodgate.regression import CvConfig, LASSO, LOGIT_L1, LOGIT_L2, OLS, RIDGE
 from floodgate.simulate import (COSUFFICIENT, FIT_MU_STAR,
@@ -159,7 +160,8 @@ class TestOracles:
                                  se_target=1.0)
         want = np.zeros(40)
         for j in mu.support:
-            want[j] = _assembled_row_oracle(mu, int(j), 1001, 4)[0]
+            want[j] = _assembled_row_oracle(mu, int(j),
+                                            _joint_rows(mu, 1001, 4))[0]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert not np.array_equal(got, np.zeros(40))
 
@@ -183,7 +185,8 @@ class TestOracles:
             (d, int(j)) for j in mu.support for d in counts)
         se_at = {(j, d): se for j, d, _, se in calls}
         for j in mu.support:
-            want, _ = _assembled_row_oracle(mu, int(j), counts[-1], 9)
+            want, _ = _assembled_row_oracle(
+                mu, int(j), _joint_rows(mu, counts[-1], 9))
             assert got[j] == pytest.approx(want, rel=1e-12, abs=0.0)
         # The median SE at 4 n_draws as the target: each variable stops
         # at its first count whose SE is below it (the draw set of a count
@@ -199,22 +202,100 @@ class TestOracles:
                             counts[-1])
             assert [d for jj, d, _, _ in calls if jj == j] == [
                 d for d in counts if d <= final[j]]
-            want, _ = _assembled_row_oracle(mu, j, final[j], 9)
+            want, _ = _assembled_row_oracle(mu, j, _joint_rows(mu, final[j], 9))
             assert got[j] == pytest.approx(want, rel=1e-12, abs=0.0)
         assert len(set(final.values())) > 1
 
     def test_macm_oracle_draws_once_per_draw_count(self, monkeypatch):
+        # Every count up to 64 x 40 draws fits one block at p = 40.
         mu = self._a6_mu_star()
         drawn = []
         ar1_rows = simulate._ar1_rows
 
-        def counting(dim, rho, n, seed):
-            drawn.append(n)
-            return ar1_rows(dim, rho, n, seed)
+        def counting(dim, rho, n, seed, block):
+            drawn.append((n, [w.shape[1] for w in ar1_rows(
+                dim, rho, n, seed, block)]))
+            return ar1_rows(dim, rho, n, seed, block)
 
         monkeypatch.setattr(simulate, "_ar1_rows", counting)
         macm_oracle_values(mu, rho=0.3, n_draws=40, seed=9, se_target=1e-9)
-        assert drawn == [40 * 2 ** k for k in range(7)]
+        assert drawn == [(40 * 2 ** k, [40 * 2 ** k]) for k in range(7)]
+        drawn.clear()
+        monkeypatch.setattr(mmse, "_BLOCK_VALUES", 40 * 300)
+        macm_oracle_values(mu, rho=0.3, n_draws=1001, seed=9, se_target=1.0)
+        assert drawn == [(1001, [300, 300, 300, 101])]
+
+    @pytest.mark.parametrize("n, block, sizes", [
+        (1, 300, [1]), (2, 300, [2]), (300, 300, [300]), (301, 300, [301]),
+        (600, 300, [300, 300]), (601, 300, [300, 301]),
+        (602, 300, [300, 300, 2]), (3, 1, [1, 2])])
+    def test_ar1_blocks_leave_no_single_draw_tail(self, n, block, sizes):
+        # A last block of one draw joins the block before it, so the MACM
+        # oracle, which needs two draws per call, can take every block.
+        blocks = [w.copy() for w in _ar1_rows(5, 0.3, n, 4, block)]
+        assert [w.shape for w in blocks] == [(5, s) for s in sizes]
+        assert np.array_equal(np.concatenate(blocks, axis=1),
+                              _block_drawn_rows(5, 0.3, n, 4, sizes))
+
+    def test_ar1_one_block_is_the_joint_sample(self):
+        x, z = Ar1Model(6, 0.3, [2, 5]).sample_joint(500, 7)
+        w, = _ar1_rows(6, 0.3, 500, 7, 500)
+        assert np.array_equal(x, w[[1, 4]].T)
+        assert np.array_equal(z, w[[0, 2, 3, 5]].T)
+        assert x.strides == (8, 500 * 8) and z.strides == (8, 500 * 8)
+
+    @pytest.mark.parametrize("n_draws, sizes", [
+        (1001, [300, 300, 300, 101]), (301, [301]), (601, [300, 301])])
+    def test_macm_oracle_streams_blocks_of_draws(self, monkeypatch, n_draws,
+                                                 sizes):
+        # A 300-draw block at p = 40. The reference lays out the same
+        # block-drawn rows at once and takes the oracle on all of them;
+        # the oracle merges one (value, se) per block, which rounds
+        # differently, so the match is to rtol 1e-12 in value and SE.
+        monkeypatch.setattr(mmse, "_BLOCK_VALUES", 40 * 300)
+        mu = self._a6_mu_star()
+        merged = []
+
+        def recording(*args):
+            merged.append(merge(*args))
+            return merged[-1]
+
+        merge = simulate._merge_draw_blocks
+        monkeypatch.setattr(simulate, "_merge_draw_blocks", recording)
+        got = macm_oracle_values(mu, rho=0.3, n_draws=n_draws, seed=4,
+                                 se_target=1.0)
+        support = [int(j) for j in mu.support]
+        final = merged[-len(support):]      # the last block, per variable
+        w = _block_drawn_rows(40, 0.3, n_draws, derive_seed(4, n_draws),
+                              sizes).T
+        for j, (count, value, _, se) in zip(support, final):
+            want_value, want_se = _assembled_row_oracle(mu, j, w)
+            assert count == n_draws
+            assert value == got[j]
+            assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+            assert se == pytest.approx(want_se, rel=1e-12, abs=0.0)
+        assert len(merged) == len(support) * len(sizes)
+
+    def test_macm_oracle_one_block_is_one_call(self):
+        # 1001 draws fit one block: each value is that one call's, bit for
+        # bit, on the coordinate-major rows of the joint sample.
+        mu = self._a6_mu_star()
+        got = macm_oracle_values(mu, rho=0.3, n_draws=1001, seed=4,
+                                 se_target=1.0)
+        x, z = Ar1Model(40, 0.3, 1).sample_joint(1001, derive_seed(4, 1001))
+        w = np.ascontiguousarray(np.concatenate([x, z], axis=1).T)
+        for j in map(int, mu.support):
+            weights, cond_sd = Ar1Model(40, 0.3, j + 1).row_weights()
+            rest = mu.coef.copy()
+            rest[j] = 0.0
+            value, _ = macm_gap_oracle(mu.coef[j], rest @ w, w[j],
+                                       weights @ w, cond_sd)
+            assert got[j] == value
+
+    def test_macm_oracle_needs_two_draws(self):
+        with pytest.raises(SizeError, match="two draws"):
+            macm_oracle_values(self._a6_mu_star(), rho=0.3, n_draws=1,
+                               seed=4)
 
     @staticmethod
     def _a6_mu_star():
@@ -259,13 +340,25 @@ def _drawn_variable(x, seed):
     return next(j for j in range(40) if np.array_equal(w[:, j], x))
 
 
-def _assembled_row_oracle(mu, j, draws, seed):
-    """The MACM oracle for variable j on the oracle's shared draw set, by
-    the 64-node Gauss-Hermite rule one node at a time: E[Y | W] =
+def _block_drawn_rows(dim, rho, n, seed, sizes):
+    """The (dim, n) AR(1) rows drawn in blocks of the given sizes from one
+    stream, each block coordinate by coordinate."""
+    rng, scale, blocks = philox_rng(seed), math.sqrt(1.0 - rho ** 2), []
+    assert sum(sizes) == n
+    for size in sizes:
+        w = np.empty((dim, size))
+        w[0] = rng.standard_normal(size)
+        for j in range(1, dim):
+            w[j] = rho * w[j - 1] + scale * rng.standard_normal(size)
+        blocks.append(w)
+    return np.concatenate(blocks, axis=1)
+
+
+def _assembled_row_oracle(mu, j, w):
+    """The MACM oracle for variable j on the (draws, p) rows w, by the
+    64-node Gauss-Hermite rule one node at a time: E[Y | W] =
     tanh(mu*(W) / 2) on full rows reassembled at each node."""
-    x, z = Ar1Model(mu.p, 0.3, 1).sample_joint(draws,
-                                                derive_seed(seed, draws))
-    w = np.concatenate([x, z], axis=1)
+    draws = len(w)
     x_j, z_j = w[:, j:j + 1], np.delete(w, j, axis=1)
     rows = Ar1Model(mu.p, 0.3, j + 1).given(z_j)
     mean, cov = rows.mean, rows.cov
@@ -280,6 +373,12 @@ def _assembled_row_oracle(mu, j, draws, seed):
         ey_z += weight * given_z(mean + math.sqrt(cov[0, 0]) * node)
     vals = np.abs(ey_z - given_z(x_j))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws))
+
+
+def _joint_rows(mu, draws, seed):
+    """The oracle's rows at a count that fits one block: the joint sample."""
+    return np.concatenate(Ar1Model(mu.p, 0.3, 1).sample_joint(
+        draws, derive_seed(seed, draws)), axis=1)
 
 
 class TestExperimentSpec:
@@ -380,6 +479,29 @@ class TestExperimentSpec:
         logistic = MuStarSpec(LOGISTIC_LINEAR, sparsity=2, seed=1)
         assert self._spec(mu_star=logistic, methods=(MethodSpec(MACM),),
                           oracle_draws=2000)
+
+    @pytest.mark.parametrize("draws", [-5, 0, 1])
+    @pytest.mark.parametrize("study", [
+        dict(mu_star=MuStarSpec(LOGISTIC_LINEAR, sparsity=2, seed=1),
+             methods=(MethodSpec(MACM),)),
+        dict(p=30, mu_star=MuStarSpec(NONLINEAR_F1, seed=1), fitter=OLS)])
+    def test_oracle_draws_checked_at_construction(self, tmp_path, capsys,
+                                                  draws, study):
+        # Both oracles that read it, the MACM and the nested one, need
+        # two draws; a study finds out before it runs a replicate.
+        with pytest.raises(ValidationError, match="oracle_draws must be >= 2"):
+            self._spec(oracle_draws=draws, **study)
+        assert self._spec(oracle_draws=2, **study)
+        spec = json.loads(self._spec(oracle_draws=2, **study).to_json())
+        spec["oracle_draws"] = draws
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        capsys.readouterr()
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "oracle_draws must be >= 2" in err
+        assert "Traceback" not in err
 
     def test_default_variables_cover_all(self):
         spec = self._spec(variables=None)
