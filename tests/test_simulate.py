@@ -213,9 +213,10 @@ class TestOracles:
         ar1_rows = simulate._ar1_rows
 
         def counting(dim, rho, n, seed, block):
-            drawn.append((n, [w.shape[1] for w in ar1_rows(
-                dim, rho, n, seed, block)]))
-            return ar1_rows(dim, rho, n, seed, block)
+            drawn.append((n, []))
+            for w in ar1_rows(dim, rho, n, seed, block):
+                drawn[-1][1].append(w.shape[1])
+                yield w
 
         monkeypatch.setattr(simulate, "_ar1_rows", counting)
         macm_oracle_values(mu, rho=0.3, n_draws=40, seed=9, se_target=1e-9)
@@ -292,9 +293,10 @@ class TestOracles:
                                        weights @ w, cond_sd)
             assert got[j] == value
 
-    def test_macm_oracle_needs_two_draws(self):
+    @pytest.mark.parametrize("n_draws", [-3, 0, 1])
+    def test_macm_oracle_needs_two_draws(self, n_draws):
         with pytest.raises(SizeError, match="two draws"):
-            macm_oracle_values(self._a6_mu_star(), rho=0.3, n_draws=1,
+            macm_oracle_values(self._a6_mu_star(), rho=0.3, n_draws=n_draws,
                                seed=4)
 
     @staticmethod
