@@ -17,8 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .core import (ConfidenceLevel, Dataset, check_split, reports_to_csv,
-                   split as split_dataset)
+from .core import ConfidenceLevel, Dataset, check_split, reports_to_csv
 from .covariates import model_from_json
 from .errors import FloodgateError, ValidationError
 from .regression import (CvConfig, fit_lasso, fit_logistic, fit_ols,
@@ -130,7 +129,10 @@ def _cmd_infer(args) -> int:
         check_batch_counts(args.n2, args.k)
     else:
         cfg = FloodgateConfig(args.alpha, big_k=args.k, seed=args.seed)
-    data = Dataset.from_csv(args.data, x_cols=args.x_cols)
+    # With --fit the rows go from the parse straight into the two parts.
+    data = Dataset.from_csv(
+        args.data, x_cols=args.x_cols,
+        split_at=None if args.mu is not None else (args.split, args.seed))
     model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
     inputs = [Path(args.data), Path(args.model)]
     if args.mu is not None:
@@ -138,10 +140,8 @@ def _cmd_infer(args) -> int:
         infer_part = data
         inputs.append(Path(args.mu))
     else:
-        parts = split_dataset(data, args.split, args.seed)
-        del data    # the parts hold every row
-        mu = _fit(args.fit, parts.fit_part, cv, args.seed)
-        infer_part = parts.infer_part
+        mu = _fit(args.fit, data.fit_part, cv, args.seed)
+        infer_part = data.infer_part
 
     if args.method == "macm":
         report = macm_lcb(infer_part, mu, model, cfg)

@@ -444,41 +444,52 @@ def _active_set_paths(loss, grid: np.ndarray, l1: bool):
 
 class _CrossValidation:
     """The CV pipeline of the penalized fitters. The set-up drops the
-    constant columns of [x, z] (with a warning), standardizes the rest
-    to `ws` and assigns the rows to `folds`; `grid` is the penalty rule
-    and `fitted` the read-out. Each fitter brings its own checks, solver
-    and CV loss."""
+    constant columns of [x, z] (with a warning), takes the `means` and
+    `sds` of the kept ones (`keep`) and assigns the rows to `folds`;
+    `standardized` gives the kept columns, standardized, on a set of
+    rows, `grid` is the penalty rule and `fitted` the read-out. Each
+    fitter brings its own checks, solver and CV loss."""
 
     def __init__(self, fit_part: Dataset, cv: CvConfig, seed: int) -> None:
         n, d_x = fit_part.x.shape
         cv.check_rows(n)
-        # Drawn before w, so that their temporaries are gone by then.
         self.folds = fold_assignments(n, cv.folds, seed)
-        # w is the one copy of the design, standardized in place.
-        # Column-major, so that each column's moments are one contiguous
-        # reduction whichever columns are kept.
-        width = d_x + fit_part.z.shape[1]
-        w = np.empty((n, width), order="F")
-        w[:, :d_x], w[:, d_x:] = fit_part.x, fit_part.z
+        self.x, self.z = fit_part.x, fit_part.z
+        width = d_x + self.z.shape[1]
         # Constant by value, as a constant column's std can round above
-        # 0; a varying column's std can also underflow to 0. Per column
-        # and by max = min (the values are finite), no temporary of w's
-        # size; each std equals w.std(axis=0)'s bit for bit.
-        sds = np.array([col.std() for col in w.T])
-        self.keep = np.flatnonzero((w.max(axis=0) > w.min(axis=0)) & (sds > 0))
+        # 0; a varying column's std can also underflow to 0. By max = min
+        # (the values are finite), on one contiguous copy of a column at
+        # a time: each std and mean equals the column-major design's
+        # w.std(axis=0) and w.mean(axis=0) bit for bit.
+        moments = np.empty((3, width))
+        for j, col in enumerate([*self.x.T, *self.z.T]):
+            col = np.ascontiguousarray(col)
+            moments[:, j] = col.max() > col.min(), col.std(), col.mean()
+        self.keep = np.flatnonzero((moments[0] > 0) & (moments[1] > 0))
         if not len(self.keep):
             raise SingularDesignError("all columns of [x, z] are constant")
         if len(self.keep) < width:
             warnings.warn(f"dropping {width - len(self.keep)} constant column(s) "
                           "before fitting; their coefficients are set to 0")
-            for i, j in enumerate(self.keep):   # in place: no second copy
-                w[:, i] = w[:, j]
-            w = w[:, :len(self.keep)]
-        self.means, self.sds = w.mean(axis=0), sds[self.keep]
-        w -= self.means
-        w /= self.sds
-        self.ws = w
+        self.sds, self.means = moments[1, self.keep], moments[2, self.keep]
         self.cv, self.d_x, self.width = cv, d_x, width
+
+    def standardized(self, rows: np.ndarray | None = None,
+                     intercept: bool = False) -> np.ndarray:
+        """The kept columns of [x, z], standardized, on `rows` (every row
+        when None), after a column of ones if `intercept`. Column-major,
+        as np.hstack of the column-major design made it: products on it
+        round according to layout."""
+        lead = int(intercept)
+        x, z = (self.x, self.z) if rows is None else (self.x[rows], self.z[rows])
+        out = np.empty((len(x), lead + len(self.keep)), order="F")
+        out[:, :lead] = 1.0
+        for i, j in enumerate(self.keep, lead):
+            out[:, i] = x[:, j] if j < self.d_x else z[:, j - self.d_x]
+        body = out[:, lead:]
+        body -= self.means
+        body /= self.sds
+        return out
 
     def grid(self, lam_max: float) -> np.ndarray:
         """`cv.lambda_grid` if set, else `num_lambdas` geometric levels
@@ -492,10 +503,11 @@ class _CrossValidation:
     def fitted(self, kind: str, grid: np.ndarray, best: int, b0: float,
                b: np.ndarray, converged: np.ndarray, steps: int,
                link: str = _LINK_IDENTITY, **own) -> LinearWorkingRegression:
-        """The standardized fit b0 + ws @ b chosen at grid[best] on the
-        original columns, with the shared diagnostics (from the solver's
-        mask over the folds and the full data, last, and its steps) and
-        the fitter's `own`; warns when the full-data fit did not converge."""
+        """The standardized fit b0 + standardized() @ b chosen at
+        grid[best] on the original columns, with the shared diagnostics
+        (from the solver's mask over the folds and the full data, last,
+        and its steps) and the fitter's `own`; warns when the full-data
+        fit did not converge."""
         lam = float(grid[best])
         if not converged[-1, best]:
             warnings.warn(f"{kind} active-set solver did not converge at lambda = "
@@ -515,22 +527,26 @@ class _CrossValidation:
 def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
                       kind: str) -> LinearWorkingRegression:
     pipe = _CrossValidation(fit_part, cv, seed)
-    ws, folds = pipe.ws, pipe.folds
-    n, p = ws.shape
+    n, p = len(fit_part.y), len(pipe.keep)
     y_mean = fit_part.y.mean()
     yc = fit_part.y - y_mean
 
     # One stack of problems: the CV folds, then the full data (last).
-    # A fold's Gram is the full one less its validation rows'.
-    vas = [folds == f for f in range(cv.folds)]
-    gram_all, cvec_all = ws.T @ ws, ws.T @ yc
+    # Each fold's validation block gives its Gram; the full Gram is
+    # their sum and a fold's is the full one less its own.
+    vas = [np.flatnonzero(pipe.folds == f) for f in range(cv.folds)]
     grams = np.empty((cv.folds + 1, p, p))
     cvecs = np.empty((cv.folds + 1, p))
     for f, va in enumerate(vas):
-        w_va = ws[va]
-        n_tr = n - len(w_va)
-        grams[f] = (gram_all - w_va.T @ w_va) / n_tr
-        cvecs[f] = (cvec_all - w_va.T @ yc[va]) / n_tr
+        w_va = pipe.standardized(va)
+        grams[f] = w_va.T @ w_va
+        cvecs[f] = w_va.T @ yc[va]
+        del w_va        # before the next fold's block is made
+    gram_all, cvec_all = grams[:-1].sum(axis=0), cvecs[:-1].sum(axis=0)
+    for f, va in enumerate(vas):
+        n_tr = n - len(va)
+        grams[f] = (gram_all - grams[f]) / n_tr
+        cvecs[f] = (cvec_all - cvecs[f]) / n_tr
     grams[-1] = gram_all / n
     cvecs[-1] = cvec_all / n
     grid = pipe.grid(float(np.max(np.abs(cvecs[-1]))))
@@ -544,9 +560,17 @@ def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
         path, converged, steps = _active_set_paths(
             _Quadratic(grams, cvecs), grid, True)
 
+    # The residuals come p penalty levels at a time, so that they are
+    # no larger than the fold's block.
     cv_err = np.zeros(len(grid))
     for f, va in enumerate(vas):
-        cv_err += np.sum((yc[va, None] - ws[va] @ path[f].T) ** 2, axis=0)
+        w_va = pipe.standardized(va)
+        for lo in range(0, len(grid), p):
+            resid = w_va @ path[f, lo:lo + p].T
+            np.subtract(yc[va, None], resid, out=resid)
+            resid *= resid
+            cv_err[lo:lo + p] += resid.sum(axis=0)
+        del w_va, resid
     best = int(np.argmin(cv_err))
     return pipe.fitted(kind, grid, best, y_mean, path[-1, best], converged, steps,
                        cv_errors=cv_err / n)
@@ -587,7 +611,7 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
         raise DegenerateLabelsError("both classes must be present in the fit split")
     pipe = _CrossValidation(fit_part, cv, seed)
     n = len(y)
-    design = np.hstack([np.ones((n, 1)), pipe.ws])
+    design = pipe.standardized(intercept=True)     # the one copy
     l1 = penalty == "L1"
     grid = pipe.grid(float(np.max(np.abs(design[:, 1:].T @ y))) / (2 * n))
 

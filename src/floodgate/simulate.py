@@ -22,7 +22,8 @@ import numpy as np
 
 from . import mmse
 from .core import (ConfidenceLevel, Dataset, LcbReport, MACM_GAP, MMSE_GAP,
-                   _csv_cells, check_split, seeded_rng, split)
+                   _csv_cells, check_json_values, check_split, seeded_rng,
+                   split)
 from .covariates import (Ar1Model, CopulaModel, CovariateModel,
                          GaussianLinearModel, _ar1_rows, ar1_covariance)
 from .errors import SizeError, ValidationError
@@ -463,18 +464,44 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        d = json.loads(text)
+        d = _json_object("spec", json.loads(text), _SPEC_KINDS)
         try:
-            d["mu_star"] = MuStarSpec(**d["mu_star"])
-            d["methods"] = tuple(MethodSpec(**m) for m in d["methods"])
+            d["mu_star"] = MuStarSpec(
+                **_json_object("spec mu_star", d["mu_star"], _MU_STAR_KINDS))
+            d["methods"] = tuple(
+                MethodSpec(**_json_object("spec method", m, _METHOD_KINDS))
+                for m in d["methods"])
             # The constructors make lambda_grid and variables tuples.
             if d.get("cv") is not None:
-                d["cv"] = CvConfig(**d["cv"])
+                d["cv"] = CvConfig(**_json_object("spec cv", d["cv"], _CV_KINDS))
             else:
                 d.pop("cv", None)
             return cls(**d)
         except TypeError as exc:     # names an unknown or missing key
             raise ValidationError(f"spec JSON: {exc}") from None
+
+
+# The JSON value kind of each field of a spec and of its parts
+# (core.check_json_values).
+_SPEC_KINDS = {"n": int, "p": int, "model_kind": str, "rho": float,
+               "fitter": str, "split_proportion": float, "replicates": int,
+               "base_seed": int, "alpha": float, "variables": (None, 1),
+               "misspecification": str, "misspec_m_rows": int,
+               "corruption_tau": float, "oracle_draws": int}
+_MU_STAR_KINDS = {"kind": str, "sparsity": int, "amplitude": float,
+                  "seed": int}
+_METHOD_KINDS = {"name": str, "big_k": int, "k_copies": int, "n2": int,
+                 "mc_k": int}
+_CV_KINDS = {"folds": int, "lambda_grid": (None, 1), "num_lambdas": int,
+             "lambda_min_ratio": float}
+
+
+def _json_object(what: str, cfg, kinds: dict):
+    """cfg, its value kinds checked when it is a JSON object; anything
+    else is left to the constructor, whose TypeError names it."""
+    if isinstance(cfg, dict):
+        check_json_values(what, cfg, kinds)
+    return cfg
 
 
 def focal_model(spec: ExperimentSpec, variable: int) -> CovariateModel:

@@ -365,12 +365,21 @@ class TestInfer:
         ("model", '{"model": "GaussianLinearModel", "gamma": [0, 1], '
                   '"sigma2": 1, "z_mean": [0], "z_cov": [["a"]]}',
          "z_cov must be a 2-d array"),
+        # numpy reads [1, true] as the integers [1, 1].
+        ("model", '{"model": "GaussianLinearModel", "gamma": [1, true], '
+                  '"sigma2": 1, "z_mean": [0], "z_cov": [[1]]}',
+         "gamma must be a 1-d array"),
+        ("model", '{"model": "GaussianLinearModel", "gamma": [0, 1], '
+                  '"sigma2": 1, "z_mean": [0], "z_cov": [[false]]}',
+         "z_cov must be a 2-d array"),
         ("mu", '{"kind": "OLS", "intercept": "a", "x_coef": [1.5], '
                '"z_coef": [0, 0, 0, 0, 0]}', "intercept must be a number"),
         ("mu", '{"kind": "OLS", "intercept": 0.0, "x_coef": [[1.5]], '
                '"z_coef": [0, 0, 0, 0, 0]}', "x_coef must be a 1-d array"),
         ("mu", '{"kind": "OLS", "intercept": 0.0, "x_coef": [1.5], '
                '"z_coef": [0, null, 0, 0, 0]}', "z_coef must be a 1-d array"),
+        ("mu", '{"kind": "OLS", "intercept": 0.0, "x_coef": [true], '
+               '"z_coef": [0, 0, 0, 0, 0]}', "x_coef must be a 1-d array"),
         ("mu", '{"kind": 1, "intercept": 0.0, "x_coef": [1.5], '
                '"z_coef": [0, 0, 0, 0, 0]}', "kind must be a string"),
         ("mu", '{"kind": "OLS", "intercept": 0.0, "x_coef": [1.5], '
@@ -593,6 +602,33 @@ class TestSimulate:
         code = main(["simulate", str(path), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_VALIDATION
         assert "big_k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, key, value, named", [
+        ((), "n", "a", "spec JSON: n must be an integer"),
+        ((), "rho", "0.3", "spec JSON: rho must be a number"),
+        ((), "replicates", 2.5, "spec JSON: replicates must be an integer"),
+        ((), "base_seed", True, "spec JSON: base_seed must be an integer"),
+        ((), "variables", [1, True], "spec JSON: variables must be null or"),
+        (("mu_star",), "amplitude", "10", "mu_star JSON: amplitude must be"),
+        (("methods", 1), "big_k", 5.0, "method JSON: big_k must be"),
+        (("cv",), "lambda_grid", [1, "a"], "cv JSON: lambda_grid must be"),
+    ])
+    def test_spec_value_kinds(self, tmp_path, capsys, where, key, value,
+                              named):
+        # The spec reader names the key whose value has the wrong kind;
+        # none of these reaches run_experiment or Python's own TypeError.
+        path = self._spec_path(tmp_path)
+        spec = json.loads(path.read_text())
+        part = spec
+        for step in where:
+            part = part[step]
+        part[key] = value
+        path.write_text(json.dumps(spec))
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_spec(self, tmp_path):
         path = tmp_path / "spec.json"

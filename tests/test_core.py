@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -475,6 +476,168 @@ class TestDataset:
                 np.ones((4, 1))).to_csv(path)
         with pytest.raises(ValidationError):
             Dataset.from_csv(path, x_cols=x_cols)
+
+
+def _loadtxt_reference(path, x_cols=None):
+    """Dataset.from_csv as one np.loadtxt call over the whole body, with
+    the csv-module fault scan over a list of every row: the Dataset, or
+    the (exception type, message) of a fault."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                  quotechar='"')
+            reason = (None if data.shape[1] == len(header)
+                      else f"rows have {data.shape[1]} cells")
+        except ValueError as exc:
+            reason = str(exc)
+    if reason is not None:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            rows = [row for row in reader if row]
+        for i, row in enumerate(rows):
+            if len(row) != len(header):
+                return ShapeError, (f"{path}: data row {i + 1} has {len(row)} "
+                                    f"cells, header has {len(header)}")
+        try:
+            [float(v) for row in rows for v in row]
+        except ValueError as exc:
+            reason = str(exc)
+        return ValidationError, f"{path}: non-numeric cell ({reason})"
+    col = {name: j for j, name in enumerate(header)}
+    if x_cols is None:
+        x_names = sorted((h for h in header if h.startswith("x")),
+                         key=lambda h: int(h[1:]))
+        z_names = sorted((h for h in header if h.startswith("z")),
+                         key=lambda h: int(h[1:]))
+    else:
+        x_names = list(x_cols)
+        z_names = [h for h in header if h != "y" and h not in x_names]
+    return Dataset(data[:, col["y"]].copy(),
+                   data[:, [col[c] for c in x_names]],
+                   data[:, [col[c] for c in z_names]])
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """The same values, bit for bit, dtype and layout."""
+    return (a.dtype == b.dtype and a.shape == b.shape and _same_bits(a, b)
+            and (a.size == 0 or a.strides == b.strides)
+            and a.flags.c_contiguous == b.flags.c_contiguous
+            and a.flags.f_contiguous == b.flags.f_contiguous)
+
+
+def _same_dataset(a: Dataset, b: Dataset) -> bool:
+    return all(_same_array(getattr(a, k), getattr(b, k)) for k in "yxz")
+
+
+# The chunked reader at 12 values a chunk: 3 rows of the 4-column tables
+# below.
+_CHUNK_ROWS = 3
+
+
+def _chunked_text(rows: int) -> str:
+    """A 4-column table of `rows` rows behind a byte-order mark, with CRLF
+    line ends, quoted and padded cells, and blank lines inside chunks and
+    at their edges."""
+    rng = np.random.default_rng(rows)
+    dress = ["{}", '"{}"', " {} ", '\t{}', '" {}"']
+    lines = ["z2,y,x1,z1"]
+    for i in range(rows):
+        cells = (rng.standard_normal(4) * 10.0 ** i).tolist()
+        lines.append(",".join(dress[(i + j) % 5].format(repr(v))
+                              for j, v in enumerate(cells)))
+        if i % _CHUNK_ROWS != 1:
+            lines.append("")
+    return "\ufeff" + "\r\n".join(lines) + "\r\n"
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(core, "_CSV_CHUNK_VALUES", 4 * _CHUNK_ROWS)
+
+
+def _with_rows(text: str, edits: dict) -> str:
+    """text with data row i (0-based) replaced by edits[i]."""
+    lines = text.split("\r\n")
+    data = [k for k, line in enumerate(lines) if k and line]
+    for i, line in edits.items():
+        lines[data[i]] = line
+    return "\r\n".join(lines)
+
+
+class TestChunkedCsv:
+    @pytest.mark.parametrize("rows", [_CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                      _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("x_cols", [None, ["z1", "x1"]])
+    def test_read_matches_one_loadtxt(self, small_chunks, tmp_path, rows,
+                                      x_cols):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_chunked_text(rows).encode("utf-8"))
+        got = Dataset.from_csv(path, x_cols=x_cols)
+        assert _same_dataset(got, _loadtxt_reference(path, x_cols))
+        assert got.x.flags.f_contiguous and got.y.base is None
+
+    @pytest.mark.parametrize("edits", [
+        {9: "1,2,3"},                               # ragged, last chunk
+        {9: "1,abc,3,4"},                           # bad cell, last chunk
+        {8: "1,1_0,3,4"},                           # numpy's own refusal
+        {4: "1,abc,3,4", 9: "1,2,3,4,5"},           # ragged beats the cell
+        {4: "1,1_0,3,4", 9: "1,2,3,4,5"},
+        {r: "1,2,3" for r in range(6, 10)},         # every later row short
+        {2: "1,\u0661,3,4"},                        # a chunk's last row
+    ])
+    def test_a_fault_in_a_later_chunk(self, small_chunks, tmp_path, edits):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(_with_rows(_chunked_text(10), edits).encode("utf-8"))
+        error, message = _loadtxt_reference(path)
+        with pytest.raises(error) as info:
+            Dataset.from_csv(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rows", [4, 3 * _CHUNK_ROWS + 1, 40])
+    @pytest.mark.parametrize("proportion, seed", [(0.5, 0), (0.3, 7),
+                                                  (0.9, 2)])
+    def test_split_at_read_equals_split_of_the_read(
+            self, small_chunks, tmp_path, rows, proportion, seed):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_chunked_text(rows).encode("utf-8"))
+        for x_cols in (None, ["z2"]):
+            got = Dataset.from_csv(path, x_cols=x_cols,
+                                   split_at=(proportion, seed))
+            want = split(Dataset.from_csv(path, x_cols=x_cols), proportion,
+                         seed)
+            assert _same_dataset(got.fit_part, want.fit_part)
+            assert _same_dataset(got.infer_part, want.infer_part)
+            assert got.fit_part.z.flags.c_contiguous
+
+    def test_split_at_read_checks_the_proportion(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_chunked_text(4).encode("utf-8"))
+        with pytest.raises(SizeError):
+            Dataset.from_csv(path, split_at=(0.1, 0))
+
+    @pytest.mark.parametrize("rows", [1, 5, 6, 7, 19])
+    @pytest.mark.parametrize("chunk", [20, 1 << 15])
+    def test_write_matches_one_savetxt(self, monkeypatch, tmp_path, rows,
+                                       chunk):
+        # The writer formats a chunk at a time; the bytes are those of one
+        # np.savetxt call on the stacked table.
+        monkeypatch.setattr(core, "_CSV_CHUNK_VALUES", chunk)
+        rng = np.random.default_rng(rows)
+        data = Dataset(rng.standard_normal(rows) * 1e9,
+                       rng.standard_normal((rows, 2)),
+                       np.where(rng.random((rows, 2)) < 0.3, -0.0,
+                                rng.standard_normal((rows, 2)) / 7.0))
+        path = tmp_path / "d.csv"
+        data.to_csv(path)
+        want = io.StringIO(newline="")
+        np.savetxt(want, np.column_stack([data.y, data.x, data.z]),
+                   fmt="%.12g", delimiter=",", newline="\r\n",
+                   header="y,x1,x2,z1,z2", comments="")
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 class TestLcbReport:

@@ -23,8 +23,9 @@ from floodgate import (Ar1Model, CopulaModel, Dataset, FloodgateConfig,
 from floodgate import core, mmse
 from floodgate.cli import main
 from floodgate.core import philox_rng
+from floodgate.errors import ValidationError
 from floodgate.mmse import mu_null_values, mu_on_copies
-from floodgate.regression import CvConfig, _CrossValidation
+from floodgate.regression import CvConfig, fit_lasso, fit_ridge
 from floodgate.simulate import LOGISTIC_LINEAR, macm_oracle_values
 
 N_ROWS, N_COVARIATES = 20_000, 20
@@ -71,21 +72,42 @@ def test_from_csv_keeps_only_its_three_arrays(files):
     assert peak <= 2.05 * TABLE_BYTES
 
 
-def test_cross_validation_holds_one_copy_of_the_design(files):
+def test_csv_fault_scan_holds_less_than_a_good_read(files, tmp_path):
+    # A non-numeric cell in the last row: the parse up to it, then the
+    # fault scan one row at a time, not the body as Python lists.
+    head, last = (files / "data.csv").read_bytes().rstrip().rsplit(b"\r\n", 1)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(head + b"\r\n" + last.rsplit(b",", 1)[0] + b",abc\r\n")
+    _, _, good = _traced(lambda: Dataset.from_csv(files / "data.csv"))
+
+    def read_bad():
+        with pytest.raises(ValidationError, match="abc"):
+            Dataset.from_csv(bad)
+
+    _, _, peak = _traced(read_bad)
+    assert peak < good
+    assert peak <= 1.1 * TABLE_BYTES
+
+
+@pytest.mark.parametrize("fit", [fit_lasso, fit_ridge])
+def test_penalized_fit_holds_fold_blocks_not_the_design(files, fit):
     data = Dataset.from_csv(files / "data.csv")
-    n, width = data.n, data.d_x + data.d_z
+    n, width, folds = data.n, data.d_x + data.d_z, CvConfig().folds
     z = data.z.copy()
     z[:, 3] = 2.0
     flat = Dataset(data.y, data.x, z)
-    for table, kept in ((data, width), (flat, width - 1)):
+    block = -(-n // folds) * width * 8      # one fold's standardized rows
+    fit(Dataset.from_csv(files / "small.csv"), CvConfig(), 0)
+    for table in (data, flat):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")     # the dropped column
-            pipe, _, peak = _traced(
-                lambda: _CrossValidation(table, CvConfig(), 0))
-        assert pipe.ws.shape == (n, kept) and pipe.ws.flags.f_contiguous
-        # The design, its fold labels, one column's temporary and O(p^2),
-        # with or without a constant column to drop.
-        assert peak <= n * width * 8 + 2 * n * 8 + 64 * width ** 2
+            _, _, peak = _traced(lambda: fit(table, CvConfig(), 0))
+        # A fold block and its residuals, a few vectors of n (the fold
+        # labels and indices, the centred response, a column's
+        # temporary) and the (folds + 1) problem stack; a standardized
+        # design (10 blocks) would not fit.
+        assert peak <= 3 * block + 6 * n * 8
+        assert 3 * block + 6 * n * 8 < n * width * 8
 
 
 def test_infer_fit_peaks_at_two_tables(files, tmp_path):

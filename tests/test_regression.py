@@ -395,7 +395,7 @@ def _assert_fold_problems(data, cv, seed, grams, cvecs):
     """Each fold's Gram and correlation vector in the stack equal the
     products over its training rows; the last slice is the full data."""
     pipe = regression._CrossValidation(data, cv, seed)
-    ws, yc = pipe.ws, data.y - data.y.mean()
+    ws, yc = pipe.standardized(), data.y - data.y.mean()
     assert len(grams) == cv.folds + 1
     for f in range(cv.folds + 1):
         tr = pipe.folds != f
@@ -406,8 +406,9 @@ def _assert_fold_problems(data, cv, seed, grams, cvecs):
 
 class TestCrossValidationSetUp:
     def test_standardized_design_matches_column_formula(self):
-        # One std pass on the column-major design gives the same bits as
-        # the column-by-column formula on the kept columns.
+        # The moments of each column view give the same bits as the
+        # formula on the kept columns of the whole design, and a block of
+        # rows is those rows of the standardized design.
         data = _linear_data(n=333, beta_z=(0.5, -1.0, 0.3), seed=4)
         z = data.z.copy()
         z[:, 1] = 4.0
@@ -416,7 +417,14 @@ class TestCrossValidationSetUp:
                                                CvConfig(), 0)
         wk = np.hstack([data.x, z])[:, [0, 1, 3]]
         assert np.array_equal(pipe.keep, [0, 1, 3])
-        assert np.array_equal(pipe.ws, (wk - wk.mean(axis=0)) / wk.std(axis=0))
+        ws = pipe.standardized()
+        assert np.array_equal(ws, (wk - wk.mean(axis=0)) / wk.std(axis=0))
+        assert ws.flags.f_contiguous
+        rows = np.array([2, 5, 6, 300])
+        assert np.array_equal(pipe.standardized(rows), ws[rows])
+        design = pipe.standardized(rows, intercept=True)
+        assert np.array_equal(design, np.hstack([np.ones((4, 1)), ws[rows]]))
+        assert design.flags.f_contiguous
 
     def test_constant_column_whose_std_rounds_above_zero(self):
         # 1697 rows of 3.7: a row-by-row mean rounds, so the column's std
@@ -828,10 +836,10 @@ def _logistic_stack(data, cv, seed):
     the penalty grid."""
     pipe = regression._CrossValidation(data, cv, seed)
     n = len(data.y)
-    design = np.hstack([np.ones((n, 1)), pipe.ws])
+    design = pipe.standardized(intercept=True)
     rows = pipe.folds != np.arange(cv.folds + 1)[:, None]
-    return design, rows, pipe.grid(float(np.max(np.abs(pipe.ws.T @ data.y)))
-                                   / (2 * n))
+    return design, rows, pipe.grid(
+        float(np.max(np.abs(design[:, 1:].T @ data.y))) / (2 * n))
 
 
 def _assert_logistic_path_kkt(data, cv, seed, penalty):
