@@ -20,19 +20,14 @@ from . import __version__
 from .core import ConfidenceLevel, Dataset, check_split, reports_to_csv
 from .covariates import model_from_json
 from .errors import FloodgateError, ValidationError
-from .regression import (CvConfig, fit_lasso, fit_logistic, fit_ols,
-                         fit_ridge, regression_from_json)
-from .mmse import FloodgateConfig, floodgate_lcb, floodgate_lcb_scale_free
-from .macm import MacmConfig, macm_lcb
-from .cosufficient import check_batch_counts, cosufficient_lcb
-from .simulate import ExperimentSpec, run_experiment
+# fit_lasso: read by perfbench's test_tracer_install_and_uninstall_restore_every_binding
+from .regression import (FITTERS, PENALIZED, CvConfig, fit, fit_lasso,
+                         regression_from_json)
+from .simulate import METHODS, ExperimentSpec, run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
-
-_FITTERS = ("ols", "ridge", "lasso", "logit_l1", "logit_l2")
-_METHODS = ("mmse_exact", "mmse_mc", "mmse_scale_free", "macm", "cosufficient")
 
 
 def _sha256(path: Path) -> str:
@@ -62,17 +57,6 @@ def _resolve_threads(value: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _fit(name: str, fit_part: Dataset, cv: CvConfig | None, seed: int):
-    if name == "ols":
-        return fit_ols(fit_part)
-    if name == "ridge":
-        return fit_ridge(fit_part, cv, seed)
-    if name == "lasso":
-        return fit_lasso(fit_part, cv, seed)
-    return fit_logistic(fit_part, "L1" if name == "logit_l1" else "L2",
-                        cv, seed)
-
-
 def _resolve_run_options(args) -> CvConfig | None:
     """Check every option before any file is read: reject a set option
     this run does not read, fill in the default of each one it reads, so
@@ -84,15 +68,15 @@ def _resolve_run_options(args) -> CvConfig | None:
         if (args.mu is None) == (fitter is None):
             raise ValidationError("exactly one of --mu or --fit is required")
         ConfidenceLevel(args.alpha)
+        method = METHODS[args.method.upper()]
         if args.k is None:
-            args.k = {"mmse_exact": 0, "cosufficient": 100}.get(args.method,
-                                                                  500)
-        if args.method == "mmse_exact" and args.k:
-            raise ValidationError("--method mmse_exact is mmse_mc --k 0")
-        reads = {"m": args.method == "macm" and args.k > 0,
-                 "n2": args.method == "cosufficient",
+            args.k = {"mmse_exact": 0, "cosufficient": 100}.get(args.method, 500)
+        if args.k and not method.reads:
+            raise ValidationError(f"--method {args.method} is mmse_mc --k 0")
+        reads = {"m": "m_copies" in method.reads and args.k > 0,
+                 "n2": "n2" in method.reads,
                  "split": fitter is not None}
-    reads["cv_folds"] = fitter not in (None, "ols")
+    reads["cv_folds"] = fitter is not None and fitter.upper() in PENALIZED
     unread = [f"--{name.replace('_', '-')}" for name, read in reads.items()
               if not read and getattr(args, name) is not None]
     if unread:
@@ -108,7 +92,7 @@ def _resolve_run_options(args) -> CvConfig | None:
 def _cmd_fit(args) -> int:
     cv = _resolve_run_options(args)
     data = Dataset.from_csv(args.data, x_cols=args.x_cols)
-    mu = _fit(args.fitter, data, cv, args.seed)
+    mu = fit(args.fitter.upper(), data, cv, args.seed)
     out = Path(args.out)
     out.write_text(mu.to_json(), encoding="utf-8")
     _write_manifest(out, "fit",
@@ -121,14 +105,11 @@ def _cmd_fit(args) -> int:
 
 def _cmd_infer(args) -> int:
     cv = _resolve_run_options(args)
-    # The copy counts are checked before any data is read.
-    if args.method == "macm":
-        cfg = MacmConfig(args.alpha, m_copies=args.m, k_copies=args.k,
-                         seed=args.seed)
-    elif args.method == "cosufficient":
-        check_batch_counts(args.n2, args.k)
-    else:
-        cfg = FloodgateConfig(args.alpha, big_k=args.k, seed=args.seed)
+    # The counts are checked before any data is read; --k is the copy count.
+    method = METHODS[args.method.upper()]
+    counts = {"n2": args.n2, "m_copies": args.m}
+    bound = method.bound(args.alpha, args.seed, **{
+        name: counts.get(name, args.k) for name in method.reads})
     # With --fit the rows go from the parse straight into the two parts.
     data = Dataset.from_csv(
         args.data, x_cols=args.x_cols,
@@ -140,18 +121,9 @@ def _cmd_infer(args) -> int:
         infer_part = data
         inputs.append(Path(args.mu))
     else:
-        mu = _fit(args.fit, data.fit_part, cv, args.seed)
+        mu = fit(args.fit.upper(), data.fit_part, cv, args.seed)
         infer_part = data.infer_part
-
-    if args.method == "macm":
-        report = macm_lcb(infer_part, mu, model, cfg)
-    elif args.method == "cosufficient":
-        report = cosufficient_lcb(infer_part, mu, model, args.n2, args.alpha,
-                                  mc_k=args.k, seed=args.seed)
-    elif args.method == "mmse_scale_free":
-        report = floodgate_lcb_scale_free(infer_part, mu, model, cfg)
-    else:
-        report = floodgate_lcb(infer_part, mu, model, cfg)
+    report = bound(infer_part, mu, model)
 
     out = Path(args.out)
     label = ",".join(args.x_cols) if args.x_cols else "x"
@@ -190,9 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("data", help="dataset CSV (columns y, x*, z*)")
     p_infer.add_argument("--model", required=True, help="covariate model JSON")
     p_infer.add_argument("--mu", help="serialized working regression JSON")
-    p_infer.add_argument("--fit", choices=_FITTERS,
+    p_infer.add_argument("--fit", choices=[f.lower() for f in FITTERS],
                          help="fit mu on a split instead of loading one")
-    p_infer.add_argument("--method", choices=_METHODS, default="mmse_mc")
+    p_infer.add_argument("--method", choices=[m.lower() for m in METHODS],
+                         default="mmse_mc")
     p_infer.add_argument("--alpha", type=float, default=0.05)
     p_infer.add_argument("--k", type=int, default=None,
                          help="null copies per row, 0 = closed-form moments "
@@ -215,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit and serialize a working regression")
     p_fit.add_argument("data")
-    p_fit.add_argument("--fitter", choices=_FITTERS, required=True)
+    p_fit.add_argument("--fitter", choices=[f.lower() for f in FITTERS],
+                       required=True)
     p_fit.add_argument("--cv-folds", type=int, default=None,
                        help="CV folds of a penalized fitter (default 10)")
     p_fit.add_argument("--x-cols", nargs="+", default=None)

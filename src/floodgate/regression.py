@@ -36,6 +36,9 @@ LASSO = "LASSO"
 LOGIT_L1 = "LOGIT_L1"
 LOGIT_L2 = "LOGIT_L2"
 CUSTOM = "CUSTOM"
+# The fitters of `fit`; the penalized ones read a CvConfig.
+PENALIZED = (RIDGE, LASSO, LOGIT_L1, LOGIT_L2)
+FITTERS = (OLS,) + PENALIZED
 
 _LINK_IDENTITY = "identity"
 _LINK_BINARY_MEAN = "binary_mean"   # mu = 2 expit(f) - 1
@@ -630,3 +633,15 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
     return pipe.fitted(LOGIT_L1 if l1 else LOGIT_L2, grid, best, path[-1, best, 0],
                        path[-1, best, 1:], converged, steps,
                        link=_LINK_BINARY_MEAN, cv_deviance=cv_dev / n)
+
+
+def fit(name: str, fit_part: Dataset, cv: CvConfig | None,
+        seed: int) -> LinearWorkingRegression:
+    """Fits fitter `name`, one of FITTERS, on fit_part."""
+    if name == OLS:
+        return fit_ols(fit_part)
+    if name == RIDGE:
+        return fit_ridge(fit_part, cv, seed)
+    if name == LASSO:
+        return fit_lasso(fit_part, cv, seed)
+    return fit_logistic(fit_part, {LOGIT_L1: "L1", LOGIT_L2: "L2"}[name], cv, seed)

@@ -16,7 +16,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,13 +29,13 @@ from .covariates import (Ar1Model, CopulaModel, CovariateModel,
 from .errors import SizeError, ValidationError
 from .macm import MacmConfig, macm_gap_oracle, macm_lcb
 from .mmse import (FloodgateConfig, block_moments, floodgate_lcb,
-                   null_mu_blocks)
+                   floodgate_lcb_scale_free, null_mu_blocks)
 from .cosufficient import (check_batch_counts, check_batch_plan,
                            cosufficient_lcb)
-from .regression import (CUSTOM, CustomRegression, CvConfig, LASSO,
-                         LinearWorkingRegression, LOGIT_L1, LOGIT_L2, OLS,
-                         RIDGE, WorkingRegression, fit_lasso, fit_logistic,
-                         fit_ols, fit_ridge)
+# fit_lasso: read by perfbench's test_tracer_install_and_uninstall_restore_every_binding
+from .regression import (CUSTOM, CustomRegression, CvConfig, FITTERS, LASSO,
+                         LinearWorkingRegression, LOGIT_L1, LOGIT_L2,
+                         PENALIZED, fit, fit_lasso)
 
 LINEAR_SPARSE = "LINEAR_SPARSE"
 NONLINEAR_F1 = "NONLINEAR_F1"
@@ -43,6 +43,7 @@ LOGISTIC_LINEAR = "LOGISTIC_LINEAR"
 
 MMSE_EXACT = "MMSE_EXACT"
 MMSE_MC = "MMSE_MC"
+MMSE_SCALE_FREE = "MMSE_SCALE_FREE"
 MACM = "MACM"
 COSUFFICIENT = "COSUFFICIENT"
 
@@ -296,15 +297,47 @@ def macm_oracle_values(mu_star: RealizedMuStar, rho: float, n_draws: int,
 # Experiment specification
 
 
-# The MethodSpec fields each method reads.
-_METHOD_FIELDS = {MMSE_EXACT: (), MMSE_MC: ("big_k",), MACM: ("k_copies",),
-                  COSUFFICIENT: ("n2", "mc_k")}
+# An inference method of `floodgate infer` and MethodSpec: the counts it
+# reads, named as in MethodSpec with the copy count first, and bound(alpha,
+# seed, **counts), which checks the counts by the bound's own rule and gives
+# the bound to run on (infer_part, mu, model), looked up by name as it runs.
+# MMSE_SCALE_FREE is the CLI's alone. MethodSpec has no m_copies (None: 4n).
+class Method(NamedTuple):
+    reads: tuple[str, ...]
+    bound: Callable
+
+
+def _mmse_bound(alpha, seed, big_k=0):
+    cfg = FloodgateConfig(alpha, big_k=big_k, seed=seed)
+    return lambda *run: floodgate_lcb(*run, cfg)
+
+
+def _scale_free_bound(alpha, seed, big_k):
+    cfg = FloodgateConfig(alpha, big_k=big_k, seed=seed)
+    return lambda *run: floodgate_lcb_scale_free(*run, cfg)
+
+
+def _macm_bound(alpha, seed, k_copies, m_copies):
+    cfg = MacmConfig(alpha, m_copies=m_copies, k_copies=k_copies, seed=seed)
+    return lambda *run: macm_lcb(*run, cfg)
+
+
+def _cosufficient_bound(alpha, seed, mc_k, n2):
+    check_batch_counts(n2, mc_k)
+    return lambda *run: cosufficient_lcb(*run, n2, alpha, mc_k=mc_k, seed=seed)
+
+
+METHODS = {MMSE_EXACT: Method((), _mmse_bound),
+           MMSE_MC: Method(("big_k",), _mmse_bound),
+           MMSE_SCALE_FREE: Method(("big_k",), _scale_free_bound),
+           MACM: Method(("k_copies", "m_copies"), _macm_bound),
+           COSUFFICIENT: Method(("mc_k", "n2"), _cosufficient_bound)}
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One inference method to run per focal variable. A field the
-    method does not read must keep its default."""
+    """One inference method of METHODS to run per focal variable. A
+    field the method does not read must keep its default."""
 
     name: str
     big_k: int = 500          # MMSE_MC null copies
@@ -313,9 +346,9 @@ class MethodSpec:
     mc_k: int = 0             # co-sufficient within-batch copies (0 = exact)
 
     def __post_init__(self) -> None:
-        if self.name not in _METHOD_FIELDS:
+        if self.name not in METHODS or self.name == MMSE_SCALE_FREE:
             raise ValidationError(f"unknown method {self.name!r}")
-        read = ("name",) + _METHOD_FIELDS[self.name]
+        read = ("name",) + METHODS[self.name].reads
         unread = [f.name for f in fields(self) if f.name not in read
                   and getattr(self, f.name) != f.default]
         if unread:
@@ -323,10 +356,11 @@ class MethodSpec:
                 f"method {self.name} does not read {', '.join(unread)}")
         if self.name == MMSE_MC and self.big_k == 0:
             raise ValidationError("MMSE_MC needs big_k >= 2; 0 is MMSE_EXACT")
-        # Each bound's own rule; an unread count holds its valid default.
-        FloodgateConfig(big_k=self.big_k)
-        MacmConfig(k_copies=self.k_copies)
-        check_batch_counts(self.n2, self.mc_k)
+        self.bound(alpha=0.05, seed=0)      # checks the counts
+
+    def bound(self, alpha, seed):
+        reads, bound = METHODS[self.name]
+        return bound(alpha, seed, **{n: getattr(self, n, None) for n in reads})
 
     @property
     def label(self) -> str:
@@ -338,11 +372,8 @@ class MethodSpec:
 
     @property
     def closed_form(self) -> bool:
-        """Whether the method uses closed-form moments, which need a mu
-        that is linear in x on the identity link."""
-        return (self.name == MMSE_EXACT
-                or (self.name == MACM and self.k_copies == 0)
-                or (self.name == COSUFFICIENT and self.mc_k == 0))
+        """Whether it uses closed-form moments (0 copies): mu must be linear in x."""
+        return all(getattr(self, f) == 0 for f in METHODS[self.name].reads[:1])
 
 
 # The ExperimentSpec fields only some studies read, each with the test
@@ -351,7 +382,7 @@ _STUDY_READS = {
     "corruption_tau": lambda spec: spec.fitter == FIT_MU_STAR_CORRUPTED,
     "misspec_m_rows": lambda spec: spec.misspecification == MISSPEC_INSAMPLE,
     "oracle_draws": lambda spec: spec.mu_star.kind != LINEAR_SPARSE,
-    "cv": lambda spec: spec.fitter in (LASSO, RIDGE, LOGIT_L1, LOGIT_L2),
+    "cv": lambda spec: spec.fitter in PENALIZED,
 }
 
 
@@ -388,12 +419,11 @@ class ExperimentSpec:
             # The linear and logistic oracles assume Gaussian AR(1) rows.
             raise ValidationError(
                 f"{self.mu_star.kind} has no oracle under {MODEL_COPULA_AR1}")
-        if not self.methods:
-            raise ValidationError("at least one method is required")
-        if isinstance(self.methods, list):
-            object.__setattr__(self, "methods", tuple(self.methods))
-        if self.fitter not in (LASSO, RIDGE, OLS, LOGIT_L1, LOGIT_L2,
-                               FIT_MU_STAR, FIT_MU_STAR_CORRUPTED):
+        object.__setattr__(self, "methods", tuple(self.methods))
+        labels = [m.label for m in self.methods]   # the summary's keys
+        if not labels or len(set(labels)) < len(labels):
+            raise ValidationError(f"need methods with distinct labels, got {labels}")
+        if self.fitter not in FITTERS + (FIT_MU_STAR, FIT_MU_STAR_CORRUPTED):
             raise ValidationError(f"unknown fitter {self.fitter!r}")
         closed = [m.label for m in self.methods if m.closed_form]
         if closed and self.fit_link == "binary_mean":
@@ -416,10 +446,11 @@ class ExperimentSpec:
             raise ValidationError(
                 f"oracle_draws must be >= 2, got {self.oracle_draws}")
         if self.variables is not None:
-            object.__setattr__(self, "variables",
-                               tuple(int(v) for v in self.variables))
-            if any(v < 1 or v > self.p for v in self.variables):
-                raise ValidationError("variables must be 1-based in [1, p]")
+            variables = tuple(int(v) for v in self.variables if float(v).is_integer())
+            if len(set(variables) & set(range(1, self.p + 1))) < len(self.variables):
+                raise ValidationError("variables must be distinct whole numbers in "
+                                      f"[1, p], got {list(self.variables)}")
+            object.__setattr__(self, "variables", variables)
         # The rules a replicate applies after the oracle, by their owners.
         mu_star = self.realized_mu_star     # by build_mu_star's rules
         if self.fitter in (FIT_MU_STAR, FIT_MU_STAR_CORRUPTED):
@@ -557,7 +588,6 @@ def _mu_star_coef(mu_star: RealizedMuStar) -> np.ndarray:
 def _fit_working_regression(spec: ExperimentSpec, fit_ds: Dataset,
                             replicate_index: int) -> LinearWorkingRegression:
     """Fits (or fabricates) a full-p coefficient working regression."""
-    fit_seed = derive_seed(spec.base_seed, replicate_index, 3)
     if spec.fitter in (FIT_MU_STAR, FIT_MU_STAR_CORRUPTED):
         coef = _mu_star_coef(spec.realized_mu_star).copy()
         if spec.fitter == FIT_MU_STAR_CORRUPTED:
@@ -565,14 +595,8 @@ def _fit_working_regression(spec: ExperimentSpec, fit_ds: Dataset,
             coef = coef + spec.corruption_tau * noise_rng.standard_normal(spec.p)
         return LinearWorkingRegression(CUSTOM, 0.0, coef, np.empty(0),
                                        link=spec.fit_link)
-    if spec.fitter == LASSO:
-        return fit_lasso(fit_ds, spec.cv, fit_seed)
-    if spec.fitter == RIDGE:
-        return fit_ridge(fit_ds, spec.cv, fit_seed)
-    if spec.fitter == OLS:
-        return fit_ols(fit_ds)
-    penalty = "L1" if spec.fitter == LOGIT_L1 else "L2"
-    return fit_logistic(fit_ds, penalty, spec.cv, fit_seed)
+    return fit(spec.fitter, fit_ds, spec.cv,
+               derive_seed(spec.base_seed, replicate_index, 3))
 
 
 def _focal_view(full_fit: LinearWorkingRegression, j0: int
@@ -642,26 +666,12 @@ def _run_replicate(spec: ExperimentSpec, replicate_index: int) -> list[dict]:
                 rep = LcbReport(0.0, 0.0, 0.0, infer_ds.n, estimand,
                                 degenerate=True, seed=seed)
             else:
-                rep = _infer_one(spec, method, infer_ds, mu_j, model, seed)
+                rep = method.bound(spec.alpha, seed)(infer_ds, mu_j, model)
             rows.append({"replicate": replicate_index, "variable": variable,
                          "method": method.label, "lcb": rep.lcb,
                          "point": rep.point, "se": rep.se,
                          "degenerate": int(rep.degenerate)})
     return rows
-
-
-def _infer_one(spec: ExperimentSpec, method: MethodSpec, infer_ds: Dataset,
-               mu_j: WorkingRegression, model: CovariateModel,
-               seed: int) -> LcbReport:
-    if method.name in (MMSE_EXACT, MMSE_MC):
-        big_k = 0 if method.name == MMSE_EXACT else method.big_k
-        cfg = FloodgateConfig(spec.alpha, big_k=big_k, seed=seed)
-        return floodgate_lcb(infer_ds, mu_j, model, cfg)
-    if method.name == MACM:
-        cfg = MacmConfig(spec.alpha, k_copies=method.k_copies, seed=seed)
-        return macm_lcb(infer_ds, mu_j, model, cfg)
-    return cosufficient_lcb(infer_ds, mu_j, model, method.n2, spec.alpha,
-                            mc_k=method.mc_k, seed=seed)
 
 
 def _covered(lcb: float, oracle: float) -> bool:

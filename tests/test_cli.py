@@ -609,6 +609,7 @@ class TestSimulate:
         ((), "replicates", 2.5, "spec JSON: replicates must be an integer"),
         ((), "base_seed", True, "spec JSON: base_seed must be an integer"),
         ((), "variables", [1, True], "spec JSON: variables must be null or"),
+        ((), "variables", [1.5, 2.9], "variables must be distinct whole"),
         (("mu_star",), "amplitude", "10", "mu_star JSON: amplitude must be"),
         (("methods", 1), "big_k", 5.0, "method JSON: big_k must be"),
         (("cv",), "lambda_grid", [1, "a"], "cv JSON: lambda_grid must be"),

@@ -608,7 +608,16 @@ class TestSpecRejectsWhatAReplicateWould:
               methods=(MethodSpec(MACM),)), "sparsity cannot exceed p"),
         (dict(_NONLINEAR, p=29), "needs p >= 30"),
         (dict(_NONLINEAR, mu_star=MuStarSpec(NONLINEAR_F1, sparsity=10)),
-         "defined for sparsity 30")])
+         "defined for sparsity 30"),
+        # A fractional variable would be truncated, and a repeated variable
+        # or method label would pool two rows into one summary row.
+        (dict(variables=(1.5, 2.9)), "variables must be distinct whole"),
+        (dict(variables=(2, 2)), "variables must be distinct whole"),
+        (dict(methods=(MethodSpec(MMSE_EXACT), MethodSpec(MMSE_EXACT))),
+         "distinct labels"),
+        (dict(methods=(MethodSpec(MACM), MethodSpec(MACM, k_copies=0)),
+              mu_star=MuStarSpec(LOGISTIC_LINEAR, sparsity=2, seed=1)),
+         "distinct labels")])
     def test_rejected_before_the_oracle(self, tmp_path, monkeypatch,
                                         settings, message):
         def ran_oracle(spec):
