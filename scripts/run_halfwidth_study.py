@@ -1,53 +1,48 @@
 #!/usr/bin/env python3
 """Half-width scaling study: how fast the bound closes on the truth.
 
-Runs the exact-moment mMSE-gap bound with the true sparse linear signal
-as the working regression at several sample sizes and reports the
-median half-width (oracle importance minus the bound), raw and scaled
-by sqrt(n). An accurate working regression should keep the scaled
-column roughly flat.
+Runs the design of studies/a4_halfwidth.json (the exact-moment mMSE-gap
+bound, with the true sparse linear signal as the working regression, on
+one support variable) at several sample sizes and reports the median
+half-width (oracle importance minus the bound), raw and scaled by
+sqrt(n). An accurate working regression should keep the scaled column
+roughly flat.
 
 Example:
     python scripts/run_halfwidth_study.py --sizes 500 2000 8000
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
-from floodgate.simulate import (ExperimentSpec, FIT_MU_STAR, LINEAR_SPARSE,
-                                MethodSpec, MMSE_EXACT, MuStarSpec,
-                                build_mu_star, run_experiment)
+from floodgate.simulate import ExperimentSpec, run_experiment
+
+STUDY = ROOT / "studies" / "a4_halfwidth.json"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+",
                         default=[500, 2000, 8000])
-    parser.add_argument("--p", type=int, default=40)
-    parser.add_argument("--sparsity", type=int, default=10)
-    parser.add_argument("--amplitude", type=float, default=20.0)
-    parser.add_argument("--replicates", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=4040)
-    parser.add_argument("--mu-seed", type=int, default=404)
+    parser.add_argument("--replicates", type=int, default=None,
+                        help="replicates per size (default: the study's)")
     args = parser.parse_args(argv)
 
-    mu_spec = MuStarSpec(LINEAR_SPARSE, sparsity=args.sparsity,
-                         amplitude=args.amplitude, seed=args.mu_seed)
-    focal = int(build_mu_star(mu_spec, args.sizes[0], args.p).support[0]) + 1
+    spec = ExperimentSpec.from_json(STUDY.read_text(encoding="utf-8"))
+    if args.replicates is not None:
+        spec = dataclasses.replace(spec, replicates=args.replicates)
+    focal, = spec.variables
     print(f"{'n':>8} {'median hw':>12} {'sqrt(n) x hw':>14}")
     for n in args.sizes:
-        spec = ExperimentSpec(
-            n=n, p=args.p, mu_star=mu_spec,
-            methods=(MethodSpec(MMSE_EXACT),), fitter=FIT_MU_STAR,
-            replicates=args.replicates, base_seed=args.seed,
-            variables=(focal,))
-        result = run_experiment(spec)
+        result = run_experiment(dataclasses.replace(spec, n=n))
         oracle = float(result.oracle[focal - 1])
         hw = float(np.median([oracle - d["lcb"] for d in result.detail]))
         print(f"{n:>8} {hw:>12.5f} {hw * math.sqrt(n):>14.4f}")

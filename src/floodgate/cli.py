@@ -17,7 +17,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .core import ConfidenceLevel, Dataset, check_split, reports_to_csv
+from .core import (ConfidenceLevel, Dataset, check_seed, check_split,
+                   reports_to_csv)
 from .covariates import model_from_json
 from .errors import FloodgateError, ValidationError
 # fit_lasso: read by perfbench's test_tracer_install_and_uninstall_restore_every_binding
@@ -63,6 +64,7 @@ def _resolve_run_options(args) -> CvConfig | None:
     the manifest records it, and return the fitter's CvConfig (None for
     OLS or --mu)."""
     fitter = args.fitter if args.command == "fit" else args.fit
+    check_seed(args.seed, "--seed")
     reads = {}
     if args.command == "infer":
         if (args.mu is None) == (fitter is None):

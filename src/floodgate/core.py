@@ -28,6 +28,17 @@ MMSE_GAP_SCALE_FREE = "MMSE_GAP_SCALE_FREE"
 MACM_GAP = "MACM_GAP"
 
 
+def check_seed(seed, name: str = "seed") -> int:
+    """seed as an int when it is a whole number in [0, 2^64), the seeds
+    both generators take; otherwise a ValidationError that names it."""
+    if isinstance(seed, np.integer):
+        seed = int(seed)
+    if not isinstance(seed, int) or not 0 <= seed < 1 << 64:
+        raise ValidationError(
+            f"{name} must be a whole number in [0, 2^64), got {seed!r}")
+    return seed
+
+
 def philox_rng(seed: int | np.random.Generator) -> np.random.Generator:
     """A Philox generator keyed by an integer seed; a Generator passes
     through, so a caller can continue one stream across several draws.
@@ -38,14 +49,14 @@ def philox_rng(seed: int | np.random.Generator) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
+    return np.random.Generator(np.random.Philox(key=np.uint64(check_seed(seed))))
 
 
 def seeded_rng(*keys: int) -> np.random.Generator:
-    """A PCG64 generator keyed by a tuple of nonnegative integers.
+    """A PCG64 generator keyed by a tuple of integers in [0, 2^64).
     One key gives the stream of ``SeedSequence(entropy=key)``."""
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=[int(k) for k in keys]))
+        np.random.SeedSequence(entropy=[check_seed(k) for k in keys]))
 
 
 # Coefficients of Cody's (1969) rational Chebyshev approximations to
@@ -436,6 +447,12 @@ class _CsvRows:
         if not self.n:
             raise SizeError(f"{path}: no data rows")
         if x_cols is None:
+            unnamed = [h for h in header
+                       if h != "y" and not re.fullmatch(r"[xz][0-9]+", h)]
+            if unnamed:
+                raise ValidationError(
+                    f"{path}: without x-cols every column but y is x or z "
+                    f"followed by digits, not {unnamed}")
             x_names = sorted((h for h in header if h.startswith("x")),
                              key=lambda h: int(h[1:]))
             z_names = sorted((h for h in header if h.startswith("z")),

@@ -136,8 +136,9 @@ def cosufficient_lcb(infer_part: Dataset, mu: WorkingRegression, model,
     samples = []
     for m in range(n1):
         batch = infer_part.take(order[m * n2:(m + 1) * n2])
+        # Modulo 2^64, the range of a Philox key.
         cfg = FloodgateConfig(big_k=mc_k, center_y=False,
-                              seed=seed + 1_000_003 * (m + 1))
+                              seed=(seed + 1_000_003 * (m + 1)) % (1 << 64))
         r, v, scale = moment_samples(
             batch, mu, model, batch_rows(batch.x[:, 0], batch.z), cfg)
         samples.append((np.mean(r), np.mean(v), scale))

@@ -236,6 +236,8 @@ def floodgate_lcb_scale_free(infer_part: Dataset, mu: WorkingRegression,
     gap LCB with an alpha/2 variance UCB by Bonferroni; clipped to [0,1]."""
     half = cfg.alpha.alpha / 2.0
     y = infer_part.y
+    if infer_part.n < 2:
+        raise SizeError("floodgate needs at least two inference rows")
     if y.std(ddof=1) == 0.0:
         return LcbReport(0.0, 0.0, 0.0, infer_part.n, MMSE_GAP_SCALE_FREE,
                          degenerate=True, seed=cfg.seed)

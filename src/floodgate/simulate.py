@@ -22,8 +22,8 @@ import numpy as np
 
 from . import mmse
 from .core import (ConfidenceLevel, Dataset, LcbReport, MACM_GAP, MMSE_GAP,
-                   _csv_cells, check_json_values, check_split, seeded_rng,
-                   split)
+                   _csv_cells, check_json_values, check_seed, check_split,
+                   seeded_rng, split)
 from .covariates import (Ar1Model, CopulaModel, CovariateModel,
                          GaussianLinearModel, _ar1_rows, ar1_covariance)
 from .errors import SizeError, ValidationError
@@ -105,6 +105,7 @@ class MuStarSpec:
             raise ValidationError(f"unknown mu* kind {self.kind!r}")
         if self.sparsity < 1:
             raise ValidationError("sparsity must be >= 1")
+        check_seed(self.seed, "mu_star seed")
 
 
 @dataclass(frozen=True)
@@ -433,6 +434,7 @@ class ExperimentSpec:
                 f"fitter {self.fitter} gives a binary_mean link")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
+        check_seed(self.base_seed, "base_seed")
         if self.misspecification not in (MISSPEC_NONE, MISSPEC_INSAMPLE):
             raise ValidationError(
                 f"unknown misspecification mode {self.misspecification!r}")

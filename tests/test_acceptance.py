@@ -6,9 +6,10 @@ Monte Carlo studies and take a few minutes each at the larger replicate
 counts; thresholds include the sampling slack noted inline.
 """
 
-import json
+import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,22 +17,21 @@ from scipy import stats
 
 from floodgate import (Ar1Model, Dataset, DiscreteMarkovChain,
                        ExperimentSpec, FloodgateConfig, GaussianLinearModel,
-                       LinearWorkingRegression, MethodSpec, MuStarSpec,
-                       cosufficient_lcb, floodgate_lcb, floodgate_lcb_weighted,
-                       run_experiment, split, trivial_ucb)
+                       LinearWorkingRegression, cosufficient_lcb,
+                       floodgate_lcb, floodgate_lcb_weighted, run_experiment,
+                       split, trivial_ucb)
 from floodgate.cli import EXIT_OK, main
 from floodgate.core import philox_rng
 from floodgate.cosufficient import _ChainBatch, _GaussianBatch
-from floodgate.regression import OLS, CustomRegression, CvConfig
-from floodgate.simulate import (COSUFFICIENT, FIT_MU_STAR,
-                                FIT_MU_STAR_CORRUPTED, LINEAR_SPARSE,
-                                LOGISTIC_LINEAR, MACM, MISSPEC_INSAMPLE,
-                                MMSE_EXACT, MMSE_MC, _fit_working_regression,
-                                _focal_view, build_mu_star, derive_seed,
-                                focal_model, generate_replicate,
-                                macm_oracle_values, mmse_oracle_linear)
+from floodgate.regression import OLS, CustomRegression
+from floodgate.simulate import (FIT_MU_STAR_CORRUPTED,
+                                _fit_working_regression, _focal_view,
+                                build_mu_star, derive_seed, focal_model,
+                                generate_replicate, macm_oracle_values,
+                                mmse_oracle_linear)
 
 COVERAGE_FLOOR = 0.923          # 0.95 - 2 sqrt(0.05 * 0.95 / 256)
+STUDIES = Path(__file__).resolve().parents[1] / "studies"
 
 
 def _announce(capsys, name, ok, detail):
@@ -39,26 +39,18 @@ def _announce(capsys, name, ok, detail):
         print(f"\n[{name}] {'PASS' if ok else 'FAIL'} {detail}")
 
 
-# The shared linear coverage design: n=600, p=40, sparsity 10, signal
-# amplitude 5/sqrt(n), AR(1) rho=0.3 covariates, cross-validated LASSO
-# working regression on a 50/50 split.
-def _linear_design(**overrides):
-    base = dict(
-        n=600, p=40,
-        mu_star=MuStarSpec(LINEAR_SPARSE, sparsity=10, amplitude=5.0,
-                           seed=101),
-        methods=(MethodSpec(MMSE_EXACT),),
-        rho=0.3, fitter="LASSO", split_proportion=0.5,
-        replicates=256, base_seed=101)
-    base.update(overrides)
-    return ExperimentSpec(**base)
+def _study(name):
+    """The design of studies/<name>.json."""
+    return ExperimentSpec.from_json(
+        (STUDIES / f"{name}.json").read_text(encoding="utf-8"))
 
 
 class TestA1MmseCoverage:
     def test_per_variable_coverage_all_moment_modes(self, capsys):
-        spec = _linear_design(methods=(MethodSpec(MMSE_EXACT),
-                                       MethodSpec(MMSE_MC, big_k=2),
-                                       MethodSpec(MMSE_MC, big_k=500)))
+        # n=600, p=40, sparsity 10, signal amplitude 5/sqrt(n), AR(1)
+        # rho=0.3 covariates, cross-validated LASSO on a 50/50 split, and
+        # exact, K = 2 and K = 500 moments.
+        spec = _study("a1_linear_coverage")
         t0 = time.monotonic()
         result = run_experiment(spec)
         elapsed = time.monotonic() - t0
@@ -155,21 +147,16 @@ class TestA3Invariance:
 
 class TestA4HalfWidthRate:
     def test_root_n_scaling_and_corruption_penalty(self, capsys):
-        mu_spec = MuStarSpec(LINEAR_SPARSE, sparsity=10, amplitude=20.0,
-                             seed=404)
-        focal = int(build_mu_star(mu_spec, 500, 40).support[0]) + 1
+        # The true mu (MU_STAR) at n = 500; a support variable is focal.
+        spec = _study("a4_halfwidth")
+        focal, = spec.variables
         scaled_medians = {}
         sign_pvalues = {}
         for n in (500, 2000, 8000):
-            tau = 2.0 * 20.0 / math.sqrt(n)
-            common = dict(n=n, p=40, mu_star=mu_spec,
-                          methods=(MethodSpec(MMSE_EXACT),),
-                          replicates=64, base_seed=4040, variables=(focal,))
-            clean = run_experiment(
-                ExperimentSpec(fitter=FIT_MU_STAR, **common))
-            corrupt = run_experiment(
-                ExperimentSpec(fitter=FIT_MU_STAR_CORRUPTED,
-                               corruption_tau=tau, **common))
+            tau = 2.0 * spec.mu_star.amplitude / math.sqrt(n)
+            clean = run_experiment(dataclasses.replace(spec, n=n))
+            corrupt = run_experiment(dataclasses.replace(
+                spec, n=n, fitter=FIT_MU_STAR_CORRUPTED, corruption_tau=tau))
             oracle = float(clean.oracle[focal - 1])
             hw_clean = np.array([oracle - d["lcb"] for d in clean.detail])
             hw_corrupt = np.array([oracle - d["lcb"] for d in corrupt.detail])
@@ -191,7 +178,8 @@ class TestA4HalfWidthRate:
 
 class TestA5TrivialUcbSandwich:
     def test_lcb_squared_below_ucb_with_irreducible_slack(self, capsys):
-        spec = _linear_design()
+        # A1's design; this test runs its own exact bound per variable.
+        spec = _study("a1_linear_coverage")
         oracle_sq = mmse_oracle_linear(
             build_mu_star(spec.mu_star, spec.n, spec.p).coef, spec.rho) ** 2
         violations = 0
@@ -230,14 +218,9 @@ class TestA5TrivialUcbSandwich:
 
 class TestA6MacmCoverage:
     def test_logistic_design_coverage_vs_mc_oracle(self, capsys):
-        spec = ExperimentSpec(
-            n=500, p=40,
-            mu_star=MuStarSpec(LOGISTIC_LINEAR, sparsity=10, amplitude=15.0,
-                               seed=606),
-            methods=(MethodSpec(MACM, k_copies=100),),
-            rho=0.3, fitter="LOGIT_L1",
-            cv=CvConfig(folds=5, num_lambdas=20),
-            replicates=256, base_seed=4242)
+        # A logistic mu* over AR(1) covariates, an L1-logistic fit, and
+        # Monte Carlo MACM with K = 100.
+        spec = _study("a6_logistic_macm")
         # The oracle targets an internal Monte Carlo standard error below
         # 0.002; verify empirically by recomputing with an independent
         # seed (two draws differ by at most ~3 sigma sqrt(2)).
@@ -259,16 +242,10 @@ class TestA6MacmCoverage:
 
 class TestA7CosufficientCoverageAndSamplers:
     def test_gaussian_coverage_and_conditional_samplers(self, capsys):
-        mu_spec = MuStarSpec(LINEAR_SPARSE, sparsity=5, amplitude=10.0,
-                             seed=707)
-        focal = int(build_mu_star(mu_spec, 1800, 11).support[0]) + 1
-        spec = ExperimentSpec(
-            n=1800, p=11, mu_star=mu_spec,
-            methods=(MethodSpec(COSUFFICIENT, n2=300, mc_k=0),),
-            rho=0.3, fitter="LASSO", cv=CvConfig(folds=5),
-            split_proportion=1.0 / 3.0, replicates=512, base_seed=777,
-            variables=(focal,))
-        coverage = run_experiment(spec).summary()[0]["coverage"]
+        # Exact co-sufficient bounds on a support variable, in batches of
+        # 300 of the 1200 inference rows.
+        coverage = run_experiment(
+            _study("a7_cosufficient")).summary()[0]["coverage"]
 
         # Gaussian batch law: the sufficient statistic U'X is preserved.
         # H is the hat matrix of U = (1, Z), by least squares.
@@ -356,14 +333,11 @@ class TestA8BatchSizeGapDirection:
 
 class TestA9InSampleRobustness:
     def test_null_coverage_with_insample_covariate_fit(self, capsys):
-        mu_star = build_mu_star(
-            MuStarSpec(LINEAR_SPARSE, sparsity=10, amplitude=5.0, seed=101),
-            600, 40)
-        support = {int(v) for v in mu_star.support}
-        nulls = tuple(j + 1 for j in range(40) if j not in support)
-        spec = _linear_design(replicates=128, base_seed=909, variables=nulls,
-                              misspecification=MISSPEC_INSAMPLE,
-                              misspec_m_rows=600)
+        # A1's design with X | Z refit in sample, on the null variables.
+        spec = _study("a9_insample_nulls")
+        nulls = spec.variables
+        support = {int(j) + 1 for j in spec.realized_mu_star.support}
+        assert not support & set(nulls)
         coverages = [row["coverage"] for row in run_experiment(spec).summary()]
         pooled = float(np.mean(coverages))
         ok = pooled >= 0.90
@@ -447,14 +421,7 @@ class TestA10WeightedIdentity:
 
 class TestA11Determinism:
     def test_simulate_csvs_byte_identical_across_threads(self, capsys, tmp_path):
-        spec = ExperimentSpec(
-            n=150, p=6,
-            mu_star=MuStarSpec(LINEAR_SPARSE, sparsity=2, amplitude=10.0,
-                               seed=5),
-            methods=(MethodSpec(MMSE_EXACT), MethodSpec(MMSE_MC, big_k=8)),
-            fitter=FIT_MU_STAR, replicates=4, base_seed=11)
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(spec.to_json())
+        spec_path = STUDIES / "a11_determinism.json"
         blobs = []
         for tag, threads in (("a", "1"), ("b", "1"), ("c", "2")):
             out_dir = tmp_path / tag

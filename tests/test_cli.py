@@ -450,7 +450,12 @@ def test_infer_exit_contract(small_files, kind, fit, method, k, m, n2, split,
     (["infer", "--mu", "MU", "--method", "cosufficient", "--alpha", "0"],
      "alpha"),
     (["infer", "--mu", "MU", "--fit", "ols"], "exactly one of --mu or --fit"),
-    (["infer"], "exactly one of --mu or --fit")])
+    (["infer"], "exactly one of --mu or --fit"),
+    (["infer", "--fit", "lasso", "--seed", "-1"], "--seed must be"),
+    (["infer", "--mu", "MU", "--method", "mmse_mc", "--seed", "-1"],
+     "--seed must be"),
+    (["infer", "--mu", "MU", "--seed", str(2 ** 64)], "--seed must be"),
+    (["fit", "--fitter", "ols", "--seed", "-1"], "--seed must be")])
 def test_options_checked_before_any_file_is_read(tmp_path, capsys, argv,
                                                  message):
     # Every input is missing, so a run that opens one exits 3 (EXIT_IO).
@@ -608,6 +613,8 @@ class TestSimulate:
         ((), "rho", "0.3", "spec JSON: rho must be a number"),
         ((), "replicates", 2.5, "spec JSON: replicates must be an integer"),
         ((), "base_seed", True, "spec JSON: base_seed must be an integer"),
+        ((), "base_seed", -1, "base_seed must be a whole number"),
+        (("mu_star",), "seed", -4, "mu_star seed must be a whole number"),
         ((), "variables", [1, True], "spec JSON: variables must be null or"),
         ((), "variables", [1.5, 2.9], "variables must be distinct whole"),
         (("mu_star",), "amplitude", "10", "mu_star JSON: amplitude must be"),

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from floodgate import (ConfidenceLevel, Dataset, LcbReport, delta_method_se,
                        normal_cdf, normal_quantile, sample_mean_cov, split)
 from floodgate import core
-from floodgate.core import ratio_lcb, reports_to_csv, seeded_rng
+from floodgate.core import philox_rng, ratio_lcb, reports_to_csv, seeded_rng
 from floodgate.errors import (ShapeError, SizeError, ValidationError)
 
 
@@ -226,6 +226,14 @@ class TestSeededRng:
     def test_keys_are_ordered(self):
         assert seeded_rng(1, 2).random() != seeded_rng(2, 1).random()
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5, 1.5])
+    def test_seed_outside_the_key_range_is_rejected(self, seed):
+        # -1 once keyed Philox as 2^64 - 1 does; one seed, one stream.
+        for rng in (philox_rng, seeded_rng, lambda s: seeded_rng(3, s)):
+            with pytest.raises(ValidationError, match="seed must be a whole"):
+                rng(seed)
+        assert philox_rng(2 ** 64 - 1).random() != philox_rng(0).random()
+
 
 class TestSplit:
     def _data(self, n):
@@ -418,6 +426,10 @@ class TestDataset:
         # Python's float reads these; numpy's parser does not.
         ("y,x1,z1\n1,1_0,3\n", ValidationError, "1_0"),
         ("y,x1,z1\n1,\u0661,3\n", ValidationError, "non-numeric"),
+        # Without x_cols a column that is not y, x<digits> or z<digits>
+        # was dropped (w1) or failed in int() (zeta).
+        ("y,x1,w1,z1\n1,2,3,4\n", ValidationError, r"\['w1'\]"),
+        ("y,x1,zeta,z1\n1,2,3,4\n", ValidationError, r"\['zeta'\]"),
     ])
     def test_csv_read_error_contract(self, tmp_path, text, error, match):
         path = tmp_path / "bad.csv"

@@ -285,11 +285,14 @@ class TestMonteCarloMoments:
         truth = 4.0 * 0.5        # beta^2 Var(X|Z)
         assert total / reps == pytest.approx(truth, abs=0.1)
 
-    def test_needs_two_rows(self):
+    @pytest.mark.parametrize("bound", [floodgate_lcb,
+                                       floodgate_lcb_scale_free])
+    def test_needs_two_rows(self, bound):
+        # The scale-free bound checks the size before y.std(ddof=1).
         model = _simple_model()
         data = Dataset(np.array([1.0]), np.array([[1.0]]), np.array([[0.0]]))
         with pytest.raises(SizeError):
-            floodgate_lcb(data, _mu(), model, FloodgateConfig(big_k=2))
+            bound(data, _mu(), model, FloodgateConfig(big_k=2))
 
 
 def _materialised_samples(data, mu, model, cfg):

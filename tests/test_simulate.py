@@ -3,6 +3,7 @@ import math
 import pickle
 import re
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,6 +416,19 @@ class TestExperimentSpec:
         back = ExperimentSpec.from_json(spec.to_json())
         assert back == spec
         assert back.cv.lambda_grid == (0.5, 0.1) and back.variables == (1, 3)
+
+    def test_study_files_are_specs(self):
+        # Each checked-in design constructs, and its file holds what
+        # to_json writes of it: no key the reader drops or fills in.
+        studies = sorted((Path(__file__).resolve().parents[1]
+                          / "studies").glob("*.json"))
+        assert [path.stem for path in studies] == [
+            "a11_determinism", "a1_linear_coverage", "a4_halfwidth",
+            "a6_logistic_macm", "a7_cosufficient", "a9_insample_nulls"]
+        for path in studies:
+            text = path.read_text(encoding="utf-8")
+            spec = ExperimentSpec.from_json(text)
+            assert json.loads(text) == json.loads(spec.to_json()), path.name
 
     def test_method_labels(self):
         assert MethodSpec(MMSE_MC, big_k=2).label == "MMSE_MC_K2"
