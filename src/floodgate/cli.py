@@ -22,8 +22,8 @@ from .core import (ConfidenceLevel, Dataset, check_seed, check_split,
 from .covariates import model_from_json
 from .errors import FloodgateError, ValidationError
 # fit_lasso: read by perfbench's test_tracer_install_and_uninstall_restore_every_binding
-from .regression import (FITTERS, PENALIZED, CvConfig, fit, fit_lasso,
-                         regression_from_json)
+from .regression import (FITTERS, GRAM_FITTERS, PENALIZED, CvConfig, fit,
+                         fit_lasso, regression_from_json)
 from .simulate import METHODS, ExperimentSpec, run_experiment
 
 EXIT_OK = 0
@@ -40,12 +40,13 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_path: Path, command: str, config: dict,
-                    inputs: list[Path]) -> None:
+                    inputs: dict[Path, str]) -> None:
+    """The run manifest; inputs maps each input file to its SHA-256."""
     manifest = {
         "command": command,
         "version": __version__,
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): digest for p, digest in inputs.items()},
     }
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True),
@@ -91,9 +92,21 @@ def _resolve_run_options(args) -> CvConfig | None:
     return CvConfig(folds=args.cv_folds) if reads["cv_folds"] else None
 
 
+def _fit_folds(fitter: str | None, cv: CvConfig | None,
+               seed: int) -> tuple[int, int] | None:
+    """Dataset.from_csv's `folds`: a Gram fitter reads only the fold
+    moments of its fit rows, so the read keeps no fit row."""
+    if fitter is None or fitter.upper() not in GRAM_FITTERS:
+        return None
+    return cv.folds, seed
+
+
 def _cmd_fit(args) -> int:
     cv = _resolve_run_options(args)
-    data = Dataset.from_csv(args.data, x_cols=args.x_cols)
+    digest = hashlib.sha256()
+    data = Dataset.from_csv(args.data, x_cols=args.x_cols,
+                            folds=_fit_folds(args.fitter, cv, args.seed),
+                            digest=digest)
     mu = fit(args.fitter.upper(), data, cv, args.seed)
     out = Path(args.out)
     out.write_text(mu.to_json(), encoding="utf-8")
@@ -101,7 +114,7 @@ def _cmd_fit(args) -> int:
                     {"data": args.data, "fitter": args.fitter,
                      "cv_folds": args.cv_folds, "seed": args.seed,
                      "x_cols": args.x_cols},
-                    [Path(args.data)])
+                    {Path(args.data): digest.hexdigest()})
     return EXIT_OK
 
 
@@ -113,15 +126,19 @@ def _cmd_infer(args) -> int:
     bound = method.bound(args.alpha, args.seed, **{
         name: counts.get(name, args.k) for name in method.reads})
     # With --fit the rows go from the parse straight into the two parts.
+    digest = hashlib.sha256()
     data = Dataset.from_csv(
         args.data, x_cols=args.x_cols,
-        split_at=None if args.mu is not None else (args.split, args.seed))
+        split_at=None if args.mu is not None else (args.split, args.seed),
+        folds=_fit_folds(args.fit, cv, args.seed), digest=digest)
     model = model_from_json(Path(args.model).read_text(encoding="utf-8"))
-    inputs = [Path(args.data), Path(args.model)]
+    # The CSV's hash is the read's: the file is not read again.
+    inputs = {Path(args.data): digest.hexdigest(),
+              Path(args.model): _sha256(Path(args.model))}
     if args.mu is not None:
         mu = regression_from_json(Path(args.mu).read_text(encoding="utf-8"))
         infer_part = data
-        inputs.append(Path(args.mu))
+        inputs[Path(args.mu)] = _sha256(Path(args.mu))
     else:
         mu = fit(args.fit.upper(), data.fit_part, cv, args.seed)
         infer_part = data.infer_part
@@ -149,7 +166,7 @@ def _cmd_simulate(args) -> int:
     result.write_csvs(detail, summary)
     _write_manifest(detail, "simulate",
                     {"spec": args.spec, "out_dir": args.out_dir},
-                    [Path(args.spec)])
+                    {Path(args.spec): _sha256(Path(args.spec))})
     return EXIT_OK
 
 

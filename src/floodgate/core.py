@@ -8,8 +8,10 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
 import re
 import reprlib
+import stat
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NoReturn, Sequence
@@ -391,8 +393,9 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path, x_cols: Sequence[str] | None = None, *,
-                 split_at: tuple[float, int] | None = None
-                 ) -> "Dataset | SplitDataset":
+                 split_at: tuple[float, int] | None = None,
+                 folds: tuple[int, int] | None = None,
+                 digest=None) -> "Dataset | SplitDataset | FoldMoments":
         """Read a dataset CSV with a header row.
 
         By default the header must name columns y, x1..x{d_x}, z1..z{d_z}.
@@ -407,44 +410,190 @@ class Dataset:
         is read as UTF-8; a leading byte-order mark (as spreadsheets
         write) is skipped.
 
+        A first, binary pass counts the body's rows (its non-empty
+        lines) and feeds every byte to ``digest``, a hashlib object, when
+        one is given; the body is then parsed once, a chunk at a time,
+        and each chunk's rows go straight into their destination. A
+        parse that does not give the counted rows raises ValidationError.
+
         With ``split_at=(proportion, seed)`` the result is
         ``split(Dataset.from_csv(path, x_cols), proportion, seed)``, bit
-        for bit, but the rows go from the parse straight into the two
-        parts: the full dataset is never made.
+        for bit, but the full dataset is never made. With
+        ``folds=(folds, seed)`` the fit rows (every row without
+        ``split_at``) are not kept: they are summed into their
+        ``FoldMoments`` under the labels ``fold_assignments(n_fit,
+        folds, seed)``, which take the place of the fit part.
         """
-        rows = _CsvRows(path, x_cols)
+        rows = _CsvRows(path, x_cols, folds, digest)
         if split_at is not None:
             return split(rows, *split_at)
         return rows.gather([None], "F")[0]
 
 
-# Values per parsed chunk of a dataset CSV. The parse holds the table
-# once, as chunks; each is dropped as soon as it is copied into its
-# destination, whose pages are first written then, so resident memory
-# stays near one table plus a chunk. With 2^21-value chunks `infer
-# --fit` on a 100 000 x 42 table peaked at 95 MB of RSS, against 76 MB.
+def fold_assignments(n: int, folds: int, seed: int) -> np.ndarray:
+    """Deterministic fold labels in [0, folds) from (seed, n): a seeded
+    permutation of 0, 1, ..., folds - 1, 0, 1, ... (n labels), in the
+    smallest unsigned type that holds them. The shuffle moves positions
+    whatever the type, so the labels equal those of an int64 array."""
+    cycle = np.arange(folds, dtype=np.min_scalar_type(max(folds - 1, 0)))
+    return seeded_rng(seed, n).permutation(np.resize(cycle, n))
+
+
+def check_folds(n: int, folds: int) -> None:
+    """Rejects cross-validation on fewer rows than folds."""
+    if n < folds:
+        raise SizeError(f"need n >= folds = {folds}, got n = {n}")
+
+
+class FoldMoments:
+    """The co-moments of the columns [x, z, y] of a set of fit rows, per
+    cross-validation fold, in place of the rows: each fold's row count,
+    mean and centred cross-products, and each column's min and max over
+    every row. Fold f holds the rows labelled f by
+    ``fold_assignments(n, folds, seed)``, in the order they are added.
+
+    Rows come in blocks (``add``). Every value is first shifted by the
+    first row's, then a block's moments are taken about its own mean and
+    merged into its folds' by Chan, Golub & LeVeque (1983), so a column
+    far from zero, such as 1e6 + N(0, 1), keeps its digits. ``mean`` is
+    of the shifted values.
+    """
+
+    def __init__(self, n: int, d_x: int, d_z: int, folds: int,
+                 seed: int) -> None:
+        check_folds(n, folds)
+        width = d_x + d_z + 1
+        self.n, self.d_x, self.d_z = n, d_x, d_z
+        self.folds, self.seed = folds, seed
+        self.labels = fold_assignments(n, folds, seed)
+        self.count = np.zeros(folds)
+        self.mean = np.zeros((folds, width))
+        self.cross = np.zeros((folds, width, width))
+        self.low = np.full(width, np.inf)
+        self.high = np.full(width, -np.inf)
+        self.shift, self.added = None, 0
+
+    @classmethod
+    def of_rows(cls, data: Dataset, folds: int, seed: int) -> "FoldMoments":
+        """The moments of data's rows, added a block of about
+        ``_CSV_CHUNK_VALUES`` values at a time."""
+        moments = cls(data.n, data.d_x, data.d_z, folds, seed)
+        step = max(1, _CSV_CHUNK_VALUES // (data.d_x + data.d_z + 1))
+        for lo in range(0, data.n, step):
+            hi = lo + step
+            moments.add(np.column_stack([data.x[lo:hi], data.z[lo:hi],
+                                         data.y[lo:hi]]))
+        return moments.result()
+
+    def add(self, block: np.ndarray) -> None:
+        """Adds the next rows: an (m, d_x + d_z + 1) block in [x, z, y]
+        column order, which is overwritten."""
+        labels = self.labels[self.added:self.added + len(block)]
+        self.added += len(block)
+        if not len(block):
+            return
+        low, high = block.min(axis=0), block.max(axis=0)
+        np.minimum(self.low, low, out=self.low)
+        np.maximum(self.high, high, out=self.high)
+        if not (np.isfinite(low).all() and np.isfinite(high).all()):
+            return          # result() refuses the moments
+        if self.shift is None:
+            self.shift = block[0].copy()
+        block -= self.shift
+        for f in range(self.folds):
+            part = block[labels == f]
+            rows = len(part)
+            if not rows:
+                continue
+            mean = part.mean(axis=0)
+            part -= mean
+            had = self.count[f]
+            self.count[f] = had + rows
+            delta = mean - self.mean[f]
+            self.mean[f] += delta * (rows / self.count[f])
+            self.cross[f] += part.T @ part
+            self.cross[f] += np.outer(delta, delta * (had * rows / self.count[f]))
+
+    def result(self) -> "FoldMoments":
+        """Itself, once every row is added; raises ValidationError, as
+        Dataset does, when a value is not finite."""
+        if self.added != self.n:
+            raise ValidationError(f"{self.added} rows added to the moments "
+                                  f"of {self.n}")
+        for name, cols in (("y", slice(-1, None)), ("x", slice(0, self.d_x)),
+                           ("z", slice(self.d_x, -1))):
+            if not (np.isfinite(self.low[cols]).all()
+                    and np.isfinite(self.high[cols]).all()):
+                raise ValidationError(f"{name} contains non-finite values")
+        return self
+
+    def about_mean(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mean of every row, and each fold's cross-products about
+        it: an (folds, width, width) stack whose sum over folds is the
+        centred cross-products of every row."""
+        mean = self.count @ self.mean / self.n
+        delta = self.mean - mean
+        return mean + self.shift, self.cross + np.einsum(
+            "f,fj,fk->fjk", self.count, delta, delta)
+
+
+# Values per parsed chunk of a dataset CSV. Each chunk is dropped as soon
+# as its rows are copied into their destination, whose pages are first
+# written then, so resident memory stays near the destination plus a
+# chunk. With 2^21-value chunks `infer --fit` on a 100 000 x 42 table
+# peaked at 95 MB of RSS, against 76 MB.
 _CSV_CHUNK_VALUES = 1 << 15
+
+# Bytes per read of the counting pass.
+_COUNT_BYTES = 1 << 16
+
+
+def _count_lines(fh, digest) -> int:
+    """The non-empty lines of a binary file, by np.loadtxt's rule, which
+    bytes.splitlines follows: CRLF, CR and LF each end a line, and an
+    empty line is no row. Feeds every byte to digest (a hashlib object)
+    when it is not None."""
+    lines, carry = 0, b""
+    while block := fh.read(_COUNT_BYTES):
+        if digest is not None:
+            digest.update(block)
+        parts = (carry + block).splitlines()
+        # A block's last line may go on in the next block; an LF that
+        # starts the next block after a CR reads as an empty line.
+        carry = parts.pop() if block[-1:] not in (b"\n", b"\r") else b""
+        lines += len(parts) - parts.count(b"")
+    return lines + bool(carry)
 
 
 class _CsvRows:
-    """The body of a dataset CSV, parsed in chunks of about
-    ``_CSV_CHUNK_VALUES`` values, and which columns are y, x and z.
-    ``gather`` copies the rows out, chunk by chunk, and drops the chunks."""
+    """A dataset CSV: its header checked, its body's rows counted (``n``)
+    by a binary pass, and which columns are y, x and z; ``folds``, when
+    set to (folds, seed), makes the first part that ``gather`` returns a
+    FoldMoments. ``gather`` parses the body once, in chunks of about
+    ``_CSV_CHUNK_VALUES`` values, and streams their rows into the parts."""
 
-    def __init__(self, path, x_cols: Sequence[str] | None) -> None:
+    def __init__(self, path, x_cols: Sequence[str] | None,
+                 folds: tuple[int, int] | None = None, digest=None) -> None:
+        self.path, self.folds = path, folds
         with open(path, newline="", encoding="utf-8-sig") as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                raise ValidationError(
+                    f"{path}: not a regular file; a dataset CSV is read "
+                    "twice, to count its rows and to parse them")
+            reader = csv.reader(fh)
             try:
-                header = next(csv.reader(fh))
+                header = next(reader)
             except StopIteration:
                 raise ValidationError(f"{path}: empty file") from None
-            if "y" not in header:
-                raise ValidationError(f"{path}: no 'y' column in header")
-            repeated = sorted({h for h in header if header.count(h) > 1})
-            if repeated:
-                raise ValidationError(f"{path}: repeated header names {repeated}")
-            self.chunks = _parse_body(fh, path, len(header))
-        self.n = sum(len(chunk) for chunk in self.chunks)
-        if not self.n:
+            header_lines = reader.line_num
+        if "y" not in header:
+            raise ValidationError(f"{path}: no 'y' column in header")
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise ValidationError(f"{path}: repeated header names {repeated}")
+        with open(path, "rb") as fh:
+            self.n = _count_lines(fh, digest) - header_lines
+        if self.n <= 0:
             raise SizeError(f"{path}: no data rows")
         if x_cols is None:
             unnamed = [h for h in header
@@ -469,68 +618,102 @@ class _CsvRows:
             x_names = list(x_cols)
             z_names = [h for h in header if h != "y" and h not in x_names]
         col = {name: j for j, name in enumerate(header)}
-        self.y_col = col["y"]
-        self.x_cols = [col[c] for c in x_names]
-        self.z_cols = [col[c] for c in z_names]
+        self.width, self.d_x, self.d_z = len(header), len(x_names), len(z_names)
+        self.columns = np.array([col[c] for c in x_names + z_names + ["y"]])
 
     def gather(self, masks: Sequence[np.ndarray | None],
-               order: str) -> list["Dataset"]:
-        """One Dataset per boolean row mask (None: every row), its rows
-        in file order and its x and z in `order`. A chunk's rows of a
-        mask are taken as one block and copied out column by column, and
-        the chunk is dropped at once, so the chunks can be gathered once."""
-        outs = [(np.empty(m), np.empty((m, len(self.x_cols)), order=order),
-                 np.empty((m, len(self.z_cols)), order=order))
-                for m in (self.n if mask is None else np.count_nonzero(mask)
-                          for mask in masks)]
-        filled = [0] * len(masks)
+               order: str) -> list["Dataset | FoldMoments"]:
+        """One part per boolean row mask (None: every row), its rows in
+        file order: a Dataset with x and z in `order`, or for the first
+        mask, when ``folds`` is set, its FoldMoments. Each chunk's rows of
+        a mask are copied into its part, and the chunk is dropped at once.
+        A fault in the body is named by ``_csv_body_fault`` once the parts
+        are dropped."""
+        sizes = [self.n if mask is None else int(np.count_nonzero(mask))
+                 for mask in masks]
+        parts = [FoldMoments(m, self.d_x, self.d_z, *self.folds)
+                 if k == 0 and self.folds is not None
+                 else _RowsPart(m, self.columns, self.d_x, order)
+                 for k, m in enumerate(sizes)]
+        fault = self._stream(masks, parts)
+        if fault is not None:
+            del parts
+            _csv_body_fault(self.path, self.width, fault)
+        return [part.result() for part in parts]
+
+    def _stream(self, masks, parts) -> str | None:
+        """Parses the body into the parts; returns np.loadtxt's reason
+        when it refuses a chunk, else None."""
+        step = max(1, _CSV_CHUNK_VALUES // self.width)
         start = 0
-        for i in range(len(self.chunks)):
-            chunk, self.chunks[i] = self.chunks[i], None
-            stop = start + len(chunk)
-            for k, (mask, (y, x, z)) in enumerate(zip(masks, outs)):
-                rows = chunk if mask is None else chunk[mask[start:stop]]
-                lo = filled[k]
-                hi = filled[k] = lo + len(rows)
-                y[lo:hi] = rows[:, self.y_col]
-                for dest, cols in ((x, self.x_cols), (z, self.z_cols)):
-                    for j, c in enumerate(cols):
-                        dest[lo:hi, j] = rows[:, c]
-                del rows    # before the next mask's rows are taken
-            start = stop
-        return [Dataset(*arrays) for arrays in outs]
+        with open(self.path, newline="", encoding="utf-8-sig") as fh, \
+                warnings.catch_warnings():
+            # loadtxt warns of a chunk that holds only blank lines.
+            warnings.simplefilter("ignore", UserWarning)
+            next(csv.reader(fh))
+            while start < self.n:
+                try:
+                    chunk = np.loadtxt(fh, delimiter=",", ndmin=2,
+                                       comments=None, quotechar='"',
+                                       max_rows=step)
+                except ValueError as exc:
+                    # numpy counts rows from the start of its chunk.
+                    return re.sub(r"at row (\d+)",
+                                  lambda m: f"at row {int(m[1]) + start}",
+                                  str(exc), count=1)
+                if not len(chunk):
+                    break
+                if chunk.shape[1] != self.width:
+                    return f"rows have {chunk.shape[1]} cells"
+                stop = start + len(chunk)
+                if stop > self.n:
+                    break
+                for mask, part in zip(masks, parts):
+                    keep = slice(None) if mask is None else mask[start:stop]
+                    if isinstance(part, FoldMoments):   # one [x, z, y] copy
+                        rows = chunk[np.ix_(np.arange(len(chunk))[keep],
+                                            self.columns)]
+                    else:
+                        rows = chunk[keep]
+                    part.add(rows)
+                    del rows    # before the next mask's rows are taken
+                del chunk       # before the next chunk is parsed
+                start = stop
+            # Rows past the counted ones are a disagreement too.
+            if start == self.n and any(line.strip("\r\n") for line in fh):
+                start = -1
+        if start != self.n:
+            raise ValidationError(
+                f"{self.path}: the body's {self.n} non-empty lines did not "
+                f"parse to {self.n} rows")
+        return None
 
 
-def _parse_body(fh, path, width: int) -> list[np.ndarray]:
-    """The rows of a dataset CSV body after its header, parsed by
-    np.loadtxt from fh in chunks of about ``_CSV_CHUNK_VALUES`` values;
-    a fault is named by ``_csv_body_fault``."""
-    step = max(1, _CSV_CHUNK_VALUES // width)
-    chunks, rows = [], 0
-    with warnings.catch_warnings():
-        # An empty body is the caller's SizeError; loadtxt also warns
-        # of each chunk's blank lines.
-        warnings.simplefilter("ignore", UserWarning)
-        while True:
-            try:
-                chunk = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
-                                   quotechar='"', max_rows=step)
-            except ValueError as exc:
-                chunks.clear()
-                # numpy counts rows from the start of its chunk.
-                reason = re.sub(r"at row (\d+)",
-                                lambda m: f"at row {int(m[1]) + rows}",
-                                str(exc), count=1)
-                _csv_body_fault(path, width, reason)
-            if len(chunk):
-                if chunk.shape[1] != width:
-                    chunks.clear()
-                    _csv_body_fault(path, width,
-                                    f"rows have {chunk.shape[1]} cells")
-                chunks.append(chunk)
-                rows += len(chunk)
-            if len(chunk) < step:
-                return chunks
+class _RowsPart:
+    """A Dataset part being filled, a block of CSV rows at a time: y, and
+    x and z in `order`, from the rows' columns [x, z, y]."""
+
+    def __init__(self, m: int, columns: np.ndarray, d_x: int,
+                 order: str) -> None:
+        self.y = np.empty(m)
+        self.x = np.empty((m, d_x), order=order)
+        self.z = np.empty((m, len(columns) - d_x - 1), order=order)
+        self.columns, self.filled = columns, 0
+
+    def add(self, rows: np.ndarray) -> None:
+        """Copies the rows out column by column: no block-sized copy."""
+        lo = self.filled
+        self.filled = hi = lo + len(rows)
+        self.y[lo:hi] = rows[:, self.columns[-1]]
+        d_x = self.x.shape[1]
+        for j, c in enumerate(self.columns[:-1]):
+            if j < d_x:
+                self.x[lo:hi, j] = rows[:, c]
+            else:
+                self.z[lo:hi, j - d_x] = rows[:, c]
+
+    def result(self) -> Dataset:
+        return Dataset(self.y, self.x, self.z)
 
 
 def _csv_body_rows(path):
@@ -568,9 +751,10 @@ def _csv_body_fault(path, width: int, reason: str) -> NoReturn:
 @dataclass(frozen=True)
 class SplitDataset:
     """A disjoint partition of a dataset into a fitting part and an
-    inference part; the partition depends on the seed only."""
+    inference part; the partition depends on the seed only. A CSV read
+    with ``folds`` holds the fit part's FoldMoments, not its rows."""
 
-    fit_part: Dataset
+    fit_part: "Dataset | FoldMoments"
     infer_part: Dataset
 
 

@@ -48,16 +48,27 @@ class FloodgateConfig:
 # Values held at once: the copies of one block of null_mu_blocks (every
 # Monte Carlo path), and the tiled z per generic-mu chunk in mu_on_copies.
 # A block's steps run in place, so about one block (4 MB) is alive at a
-# time. Each block also pays O(n d_z) for a linear mu's z @ coef, so much
-# smaller blocks slow a bound on many rows.
+# time. A linear mu's z part is computed once per stream of blocks.
 _BLOCK_VALUES = 1 << 19
 
 # Values in the weighted bound's one buffer for its weighted squares.
 _WEIGHTED_SLICE_VALUES = 1 << 14
 
 
+def linear_z_part(mu: WorkingRegression, z: np.ndarray) -> np.ndarray | None:
+    """intercept + z @ z_coef of a LinearWorkingRegression, the part of
+    its linear predictor that the copies share; None for another mu."""
+    if not isinstance(mu, LinearWorkingRegression):
+        return None
+    base = np.full(len(z), mu.intercept)
+    if len(mu.z_coef):
+        base = base + z @ mu.z_coef
+    return base
+
+
 def mu_on_copies(mu: WorkingRegression, copies: np.ndarray,
-                 z: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+                 z: np.ndarray, *, overwrite: bool = False,
+                 z_part: np.ndarray | None = None) -> np.ndarray:
     """mu on a (K, n, d_x) stack of copies of x, each paired with the n
     rows of z; shape (K, n). A generic mu gets chunks of copies whose
     tiled z holds about _BLOCK_VALUES values, so its value on a row must
@@ -65,13 +76,12 @@ def mu_on_copies(mu: WorkingRegression, copies: np.ndarray,
     breaks this in the last bits: BLAS rounds a product's last rows
     differently, so moving the chunk cuts can change them. With
     overwrite and one focal column, mu is evaluated into the copies' own
-    storage, which the result then shares."""
+    storage, which the result then shares. A linear mu's
+    ``linear_z_part(mu, z)`` is computed here unless `z_part` gives it."""
     big_k, n, d_x = copies.shape
     if isinstance(mu, LinearWorkingRegression):
         # Evaluate the z part once instead of retiling it per copy.
-        base = np.full(n, mu.intercept)
-        if len(mu.z_coef):
-            base = base + z @ mu.z_coef
+        base = linear_z_part(mu, z) if z_part is None else z_part
         # One (K, n) array, then in place; a sum has the same bits in
         # either operand order.
         if d_x == 1 and len(mu.x_coef) == 1:
@@ -120,23 +130,28 @@ def conditional_moments(rows, mu: WorkingRegression):
 
 
 def mu_null_values(mu: WorkingRegression, model: CovariateModel, rows,
-                   big_k: int, seed: int | np.random.Generator) -> np.ndarray:
+                   big_k: int, seed: int | np.random.Generator, *,
+                   z_part: np.ndarray | None = None) -> np.ndarray:
     """mu on K null copies of x drawn from model on rows; shape (K, n).
     A Generator seed continues its stream, as in sample_null_copies. The
-    draws are fresh, so a linear mu is evaluated over them."""
+    draws are fresh, so a linear mu is evaluated over them; `z_part` is
+    as in mu_on_copies."""
     return mu_on_copies(mu, model.sample_null_copies(rows, big_k, seed).copies,
-                        rows.z, overwrite=True)
+                        rows.z, overwrite=True, z_part=z_part)
 
 
 def null_mu_blocks(mu: WorkingRegression, model: CovariateModel, rows,
                    count: int, rng: int | np.random.Generator):
     """Yield mu on count null copies in (rows, n) blocks of at most
     max(1, _BLOCK_VALUES // n) copies, one mu_null_values call each, from
-    one continuing stream (a Generator continues across calls)."""
+    one continuing stream (a Generator continues across calls). A linear
+    mu's z part is computed once, for every block."""
     rng = philox_rng(rng)
     step = max(1, _BLOCK_VALUES // len(rows.z))
+    z_part = linear_z_part(mu, rows.z)
     for start in range(0, count, step):
-        yield mu_null_values(mu, model, rows, min(step, count - start), rng)
+        yield mu_null_values(mu, model, rows, min(step, count - start), rng,
+                             z_part=z_part)
 
 
 def fold_sum(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:

@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, check_json_values, normal_quantile, seeded_rng
+from .core import (Dataset, FoldMoments, check_folds, check_json_values,
+                   fold_assignments, normal_quantile)
 from .errors import (DegenerateLabelsError, ShapeError, SingularDesignError,
                      SizeError, ValidationError)
 
@@ -36,9 +37,11 @@ LASSO = "LASSO"
 LOGIT_L1 = "LOGIT_L1"
 LOGIT_L2 = "LOGIT_L2"
 CUSTOM = "CUSTOM"
-# The fitters of `fit`; the penalized ones read a CvConfig.
+# The fitters of `fit`; the penalized ones read a CvConfig, and the Gram
+# fitters need only the FoldMoments of their fit rows.
 PENALIZED = (RIDGE, LASSO, LOGIT_L1, LOGIT_L2)
 FITTERS = (OLS,) + PENALIZED
+GRAM_FITTERS = (RIDGE, LASSO)
 
 _LINK_IDENTITY = "identity"
 _LINK_BINARY_MEAN = "binary_mean"   # mu = 2 expit(f) - 1
@@ -176,13 +179,7 @@ class CvConfig:
 
     def check_rows(self, n: int) -> None:
         """Rejects a fit on fewer rows than folds."""
-        if n < self.folds:
-            raise SizeError(f"need n >= folds = {self.folds}, got n = {n}")
-
-
-def fold_assignments(n: int, folds: int, seed: int) -> np.ndarray:
-    """Deterministic fold labels in [0, folds) from (seed, n)."""
-    return seeded_rng(seed, n).permutation(np.arange(n) % folds)
+        check_folds(n, self.folds)
 
 
 def full_rank_qr(design: np.ndarray, message: str):
@@ -447,27 +444,43 @@ def _active_set_paths(loss, grid: np.ndarray, l1: bool):
 
 class _CrossValidation:
     """The CV pipeline of the penalized fitters. The set-up drops the
-    constant columns of [x, z] (with a warning), takes the `means` and
-    `sds` of the kept ones (`keep`) and assigns the rows to `folds`;
-    `standardized` gives the kept columns, standardized, on a set of
-    rows, `grid` is the penalty rule and `fitted` the read-out. Each
-    fitter brings its own checks, solver and CV loss."""
+    constant columns of [x, z] (with a warning) and takes the `means` and
+    `sds` of the kept ones (`keep`), from the rows or from their
+    FoldMoments; `grid` is the penalty rule and `fitted` the read-out.
+    On rows it also assigns them to `folds`, and `standardized` gives the
+    kept columns, standardized, on a set of rows. Each fitter brings its
+    own checks, solver and CV loss."""
 
-    def __init__(self, fit_part: Dataset, cv: CvConfig, seed: int) -> None:
-        n, d_x = fit_part.x.shape
-        cv.check_rows(n)
-        self.folds = fold_assignments(n, cv.folds, seed)
-        self.x, self.z = fit_part.x, fit_part.z
-        width = d_x + self.z.shape[1]
-        # Constant by value, as a constant column's std can round above
-        # 0; a varying column's std can also underflow to 0. By max = min
-        # (the values are finite), on one contiguous copy of a column at
-        # a time: each std and mean equals the column-major design's
-        # w.std(axis=0) and w.mean(axis=0) bit for bit.
-        moments = np.empty((3, width))
-        for j, col in enumerate([*self.x.T, *self.z.T]):
-            col = np.ascontiguousarray(col)
-            moments[:, j] = col.max() > col.min(), col.std(), col.mean()
+    def __init__(self, fit_part: Dataset | FoldMoments, cv: CvConfig,
+                 seed: int) -> None:
+        if isinstance(fit_part, FoldMoments):
+            if (fit_part.folds, fit_part.seed) != (cv.folds, seed):
+                raise ValidationError(
+                    f"fold moments were summed for {fit_part.folds} folds and "
+                    f"seed {fit_part.seed}, not {cv.folds} and {seed}")
+            d_x, width = fit_part.d_x, fit_part.d_x + fit_part.d_z
+            mean, cross = fit_part.about_mean()
+            # Constant by value, as below; the sd is the root mean square
+            # deviation, as numpy's std.
+            moments = np.stack([fit_part.high > fit_part.low,
+                                np.sqrt(np.diagonal(cross.sum(axis=0))
+                                        / fit_part.n), mean])[:, :width]
+        else:
+            n, d_x = fit_part.x.shape
+            cv.check_rows(n)
+            self.folds = fold_assignments(n, cv.folds, seed)
+            self.x, self.z = fit_part.x, fit_part.z
+            width = d_x + self.z.shape[1]
+            # Constant by value, as a constant column's std can round
+            # above 0; a varying column's std can also underflow to 0. By
+            # max = min (the values are finite), on one contiguous copy of
+            # a column at a time: each std and mean equals the
+            # column-major design's w.std(axis=0) and w.mean(axis=0) bit
+            # for bit.
+            moments = np.empty((3, width))
+            for j, col in enumerate([*self.x.T, *self.z.T]):
+                col = np.ascontiguousarray(col)
+                moments[:, j] = col.max() > col.min(), col.std(), col.mean()
         self.keep = np.flatnonzero((moments[0] > 0) & (moments[1] > 0))
         if not len(self.keep):
             raise SingularDesignError("all columns of [x, z] are constant")
@@ -527,29 +540,34 @@ class _CrossValidation:
                          "newton_steps": steps, **own})
 
 
-def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
-                      kind: str) -> LinearWorkingRegression:
+def _penalized_linear(fit_part: Dataset | FoldMoments, cv: CvConfig,
+                      seed: int, kind: str) -> LinearWorkingRegression:
+    """LASSO or ridge from the FoldMoments of the fit rows (rows are
+    summed into them first)."""
+    if isinstance(fit_part, Dataset):
+        fit_part = FoldMoments.of_rows(fit_part, cv.folds, seed)
     pipe = _CrossValidation(fit_part, cv, seed)
-    n, p = len(fit_part.y), len(pipe.keep)
-    y_mean = fit_part.y.mean()
-    yc = fit_part.y - y_mean
+    n, p = fit_part.n, len(pipe.keep)
+    mean, cross = fit_part.about_mean()
 
-    # One stack of problems: the CV folds, then the full data (last).
-    # Each fold's validation block gives its Gram; the full Gram is
-    # their sum and a fold's is the full one less its own.
-    vas = [np.flatnonzero(pipe.folds == f) for f in range(cv.folds)]
+    # Each fold's cross-products of [standardized kept columns, centred
+    # y] are its validation block's Gram, cvec and sum of squares; the
+    # full Gram is their sum and a fold's training one is the full one
+    # less its own. One stack of problems: the CV folds, then the full
+    # data (last).
+    cols = np.append(pipe.keep, fit_part.d_x + fit_part.d_z)
+    scale = np.append(1.0 / pipe.sds, 1.0)
+    va = cross[:, cols[:, None], cols]
+    va *= scale[:, None] * scale
+    del cross
+    gram_all, cvec_all = va[:, :p, :p].sum(axis=0), va[:, :p, p].sum(axis=0)
+    n_tr = n - fit_part.count
     grams = np.empty((cv.folds + 1, p, p))
     cvecs = np.empty((cv.folds + 1, p))
-    for f, va in enumerate(vas):
-        w_va = pipe.standardized(va)
-        grams[f] = w_va.T @ w_va
-        cvecs[f] = w_va.T @ yc[va]
-        del w_va        # before the next fold's block is made
-    gram_all, cvec_all = grams[:-1].sum(axis=0), cvecs[:-1].sum(axis=0)
-    for f, va in enumerate(vas):
-        n_tr = n - len(va)
-        grams[f] = (gram_all - grams[f]) / n_tr
-        cvecs[f] = (cvec_all - cvecs[f]) / n_tr
+    np.subtract(gram_all, va[:, :p, :p], out=grams[:-1])
+    grams[:-1] /= n_tr[:, None, None]
+    np.subtract(cvec_all, va[:, :p, p], out=cvecs[:-1])
+    cvecs[:-1] /= n_tr[:, None]
     grams[-1] = gram_all / n
     cvecs[-1] = cvec_all / n
     grid = pipe.grid(float(np.max(np.abs(cvecs[-1]))))
@@ -563,35 +581,31 @@ def _penalized_linear(fit_part: Dataset, cv: CvConfig, seed: int,
         path, converged, steps = _active_set_paths(
             _Quadratic(grams, cvecs), grid, True)
 
-    # The residuals come p penalty levels at a time, so that they are
-    # no larger than the fold's block.
-    cv_err = np.zeros(len(grid))
-    for f, va in enumerate(vas):
-        w_va = pipe.standardized(va)
-        for lo in range(0, len(grid), p):
-            resid = w_va @ path[f, lo:lo + p].T
-            np.subtract(yc[va, None], resid, out=resid)
-            resid *= resid
-            cv_err[lo:lo + p] += resid.sum(axis=0)
-        del w_va, resid
+    # A validation fold's squared error at b is yy - 2 b'c + b'Gb.
+    folds = path[:-1]
+    cv_err = (va[:, p, p][:, None]
+              - 2.0 * np.einsum("flj,fj->fl", folds, va[:, :p, p])
+              + np.einsum("flj,fjk,flk->fl", folds, va[:, :p, :p], folds)
+              ).sum(axis=0)
     best = int(np.argmin(cv_err))
-    return pipe.fitted(kind, grid, best, y_mean, path[-1, best], converged, steps,
-                       cv_errors=cv_err / n)
+    return pipe.fitted(kind, grid, best, mean[-1], path[-1, best], converged,
+                       steps, cv_errors=cv_err / n)
 
 
-def fit_lasso(fit_part: Dataset, cv: CvConfig = CvConfig(),
+def fit_lasso(fit_part: Dataset | FoldMoments, cv: CvConfig = CvConfig(),
               seed: int = 0) -> LinearWorkingRegression:
     """L1-penalized least squares, solved exactly at each penalty level
     by the active-set engine (`_active_set_paths`) on the downdated
-    fold Grams; the penalty level is chosen by k-fold CV. The
-    diagnostics add the `cv_errors`."""
+    fold Grams, which come from the FoldMoments of the fit rows; the
+    penalty level is chosen by k-fold CV. The diagnostics add the
+    `cv_errors`."""
     return _penalized_linear(fit_part, cv, seed, LASSO)
 
 
-def fit_ridge(fit_part: Dataset, cv: CvConfig = CvConfig(),
+def fit_ridge(fit_part: Dataset | FoldMoments, cv: CvConfig = CvConfig(),
               seed: int = 0) -> LinearWorkingRegression:
-    """L2-penalized least squares, closed-form per penalty level; the
-    diagnostics add the `cv_errors`."""
+    """L2-penalized least squares, closed-form per penalty level on the
+    fold Grams of fit_lasso; the diagnostics add the `cv_errors`."""
     return _penalized_linear(fit_part, cv, seed, RIDGE)
 
 
@@ -635,9 +649,12 @@ def fit_logistic(fit_part: Dataset, penalty: str = "L1",
                        link=_LINK_BINARY_MEAN, cv_deviance=cv_dev / n)
 
 
-def fit(name: str, fit_part: Dataset, cv: CvConfig | None,
+def fit(name: str, fit_part: Dataset | FoldMoments, cv: CvConfig | None,
         seed: int) -> LinearWorkingRegression:
-    """Fits fitter `name`, one of FITTERS, on fit_part."""
+    """Fits fitter `name`, one of FITTERS, on fit_part: rows, or for one
+    of GRAM_FITTERS their FoldMoments."""
+    if isinstance(fit_part, FoldMoments) and name not in GRAM_FITTERS:
+        raise ValidationError(f"{name} fits rows, not fold moments")
     if name == OLS:
         return fit_ols(fit_part)
     if name == RIDGE:

@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,9 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from floodgate import (Ar1Model, CvConfig, Dataset, DiscreteMarkovChain,
                        ExperimentSpec, FloodgateConfig, GaussianLinearModel,
                        LinearWorkingRegression, MacmConfig, MethodSpec,
-                       MuStarSpec, cosufficient_lcb, fit_logistic, fit_ridge,
-                       floodgate_lcb, floodgate_lcb_scale_free, macm_lcb,
-                       regression_from_json)
+                       MuStarSpec, cosufficient_lcb, fit_lasso, fit_logistic,
+                       fit_ridge, floodgate_lcb, floodgate_lcb_scale_free,
+                       macm_lcb, regression_from_json)
+from floodgate import cli
 from floodgate.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from floodgate.regression import OLS
 from floodgate.simulate import FIT_MU_STAR, LINEAR_SPARSE, MMSE_EXACT, MMSE_MC
@@ -86,6 +88,29 @@ class TestInfer:
                               .read_text())
         assert manifest["command"] == "infer"
         assert workspace["data"] in manifest["inputs"]
+
+    @pytest.mark.parametrize("source", [["--mu", "mu"], ["--fit", "lasso"],
+                                        ["--fit", "ols"]])
+    def test_manifest_hash_of_the_csv_comes_from_its_read(
+            self, workspace, monkeypatch, source):
+        # The counting pass hashes the CSV; the manifest hashes only the
+        # JSON inputs, and records the same SHA-256 as before.
+        hashed = []
+        sha256 = cli._sha256
+        monkeypatch.setattr(cli, "_sha256",
+                            lambda path: hashed.append(str(path)) or sha256(path))
+        flag, value = source
+        out = workspace["dir"] / "hashed.csv"
+        assert main(["infer", workspace["data"], "--model", workspace["model"],
+                     flag, workspace.get(value, value), "--method",
+                     "mmse_exact", "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((workspace["dir"] / "hashed.csv.manifest.json")
+                              .read_text())
+        data = Path(workspace["data"])
+        assert manifest["inputs"][str(data)] == hashlib.sha256(
+            data.read_bytes()).hexdigest()
+        assert str(data) not in hashed and workspace["model"] in hashed
+        assert set(manifest["inputs"]) == {str(data), *hashed}
 
     def test_mc_inference_seed_determinism(self, workspace):
         outs = []
@@ -507,6 +532,23 @@ class TestFit:
                      "--out", str(tmp_path / "fit.json")])
         assert code == EXIT_VALIDATION
         assert "all columns of [x, z] are constant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fitter", ["lasso", "ridge"])
+    def test_streamed_gram_fit_matches_the_fit_of_the_rows(self, workspace,
+                                                           fitter):
+        # fit --fitter lasso|ridge keeps no row: it sums the CSV into fold
+        # moments as it parses, and fits what the rows in memory give.
+        out = workspace["dir"] / "gram.json"
+        assert main(["fit", workspace["data"], "--fitter", fitter,
+                     "--cv-folds", "4", "--seed", "5", "--x-cols", "z2", "x1",
+                     "--out", str(out)]) == EXIT_OK
+        got = regression_from_json(out.read_text())
+        rows = Dataset.from_csv(workspace["data"], x_cols=["z2", "x1"])
+        want = (fit_lasso if fitter == "lasso" else fit_ridge)(
+            rows, CvConfig(folds=4), 5)
+        assert np.allclose(got.x_coef, want.x_coef, rtol=1e-12, atol=0.0)
+        assert np.allclose(got.z_coef, want.z_coef, rtol=1e-12, atol=0.0)
+        assert got.intercept == pytest.approx(want.intercept, rel=1e-12)
 
     def test_fit_is_deterministic(self, workspace):
         texts = []

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import warnings
@@ -650,6 +651,168 @@ class TestChunkedCsv:
                    fmt="%.12g", delimiter=",", newline="\r\n",
                    header="y,x1,x2,z1,z2", comments="")
         assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+# Bodies whose rows np.loadtxt must agree with the counting pass on,
+# each behind the header "y,x1"; "\r" alone also ends a line for both.
+_LINE_BODIES = {
+    "lf": "1,2\n3,4\n",
+    "blank_lines": "\n1,2\n\n\n3,4\n\n5,6\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "crlf_blank": "1,2\r\n\r\n3,4\r\n\r\n\r\n5,6\r\n",
+    "no_final_newline": "1,2\n3,4",
+    "crlf_no_final_newline": "1,2\r\n3,4",
+    "trailing_blank_lines": "1,2\n3,4\n\n\n\n",
+    "crlf_trailing_blank": "1,2\r\n3,4\r\n\r\n\r\n",
+    "lone_cr": "1,2\r3,4\r\r5,6",
+    "cr_before_crlf": "1,2\r\r\n3,4\n\r\r\n",
+    "one_row": "1,2",
+}
+
+
+class TestRowCount:
+    """The counting pass counts a body's rows by np.loadtxt's rule, at
+    every read size, and a parse that disagrees is refused."""
+
+    @pytest.mark.parametrize("bom", [False, True])
+    @pytest.mark.parametrize("name", sorted(_LINE_BODIES))
+    @pytest.mark.parametrize("read_bytes", [1, 2, 3, 5, 1 << 18])
+    def test_count_matches_loadtxt(self, monkeypatch, tmp_path, name, bom,
+                                   read_bytes):
+        monkeypatch.setattr(core, "_COUNT_BYTES", read_bytes)
+        text = ("\ufeff" if bom else "") + "y,x1\n" + _LINE_BODIES[name]
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            want = np.loadtxt(io.StringIO(_LINE_BODIES[name], newline=""),
+                              delimiter=",", ndmin=2, comments=None,
+                              quotechar='"')
+        assert core._CsvRows(path, None).n == len(want)
+        got = Dataset.from_csv(path)
+        assert np.array_equal(np.column_stack([got.y, got.x]), want)
+
+    def test_count_matches_loadtxt_on_a_chunked_table(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_chunked_text(40).encode("utf-8"))
+        assert core._CsvRows(path, None).n == _loadtxt_reference(path).n
+
+    @pytest.mark.parametrize("miscount", [-1, 1])
+    def test_a_parse_that_disagrees_is_refused(self, monkeypatch, tmp_path,
+                                               miscount):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_chunked_text(10).encode("utf-8"))
+        count = core._count_lines
+        monkeypatch.setattr(core, "_count_lines",
+                            lambda fh, digest: count(fh, digest) + miscount)
+        for kwargs in ({}, {"split_at": (0.5, 1)}, {"folds": (3, 1)}):
+            with pytest.raises(ValidationError, match="did not parse"):
+                Dataset.from_csv(path, **kwargs)
+
+    def test_digest_is_the_files_sha256(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_chunked_text(10).encode("utf-8"))
+        digest = hashlib.sha256()
+        Dataset.from_csv(path, split_at=(0.5, 0), digest=digest)
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_only_a_regular_file_is_read(self):
+        # A pipe or a device cannot be read twice.
+        with pytest.raises(ValidationError, match="not a regular file"):
+            Dataset.from_csv("/dev/null")
+
+    def test_fault_messages_name_the_fault_first(self, tmp_path):
+        # The header is checked before the body is counted or parsed.
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"y,y,x1\n1,2\n")
+        with pytest.raises(ValidationError, match="repeated header names"):
+            Dataset.from_csv(path)
+        path.write_bytes(b"y,x1\n\r\n\n")
+        with pytest.raises(SizeError, match="no data rows"):
+            Dataset.from_csv(path)
+
+
+def _fold_reference(data: Dataset, folds: int, seed: int):
+    """Each fold's count, mean and centred cross-products of [x, z, y],
+    by numpy on the fold's stacked rows."""
+    w = np.column_stack([data.x, data.z, data.y])
+    labels = core.fold_assignments(data.n, folds, seed)
+    parts = [w[labels == f] for f in range(folds)]
+    return (np.array([len(part) for part in parts]),
+            np.array([part.mean(axis=0) for part in parts]),
+            np.array([(part - part.mean(axis=0)).T @ (part - part.mean(axis=0))
+                      for part in parts]))
+
+
+class TestFoldMoments:
+    @pytest.mark.parametrize("rows", [4, 3 * _CHUNK_ROWS + 1, 40])
+    @pytest.mark.parametrize("folds", [2, 3])
+    def test_streamed_moments_match_the_stacked_folds(
+            self, small_chunks, tmp_path, rows, folds):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_chunked_text(rows).encode("utf-8"))
+        for x_cols in (None, ["z2", "x1"]):
+            data = Dataset.from_csv(path, x_cols=x_cols)
+            moments = Dataset.from_csv(path, x_cols=x_cols, folds=(folds, 4))
+            count, mean, cross = _fold_reference(data, folds, 4)
+            assert np.array_equal(moments.count, count)
+            scale = np.abs(np.column_stack([data.x, data.z, data.y])).max(axis=0)
+            assert np.all(np.abs(moments.mean + moments.shift - mean)
+                          <= 1e-14 * scale)
+            assert np.all(np.abs(moments.cross - cross)
+                          <= 1e-13 * rows * np.outer(scale, scale))
+            w = np.column_stack([data.x, data.z, data.y])
+            assert np.array_equal(moments.low, w.min(axis=0))
+            assert np.array_equal(moments.high, w.max(axis=0))
+
+    @pytest.mark.parametrize("proportion, seed", [(0.5, 0), (0.3, 7)])
+    def test_split_at_read_with_folds(self, small_chunks, tmp_path,
+                                      proportion, seed):
+        # The inference part is split's, bit for bit; the fit part is the
+        # fold moments of split's fit part.
+        path = tmp_path / "d.csv"
+        path.write_bytes(_chunked_text(40).encode("utf-8"))
+        got = Dataset.from_csv(path, split_at=(proportion, seed),
+                               folds=(3, seed))
+        want = split(Dataset.from_csv(path), proportion, seed)
+        assert _same_dataset(got.infer_part, want.infer_part)
+        ref = core.FoldMoments.of_rows(want.fit_part, 3, seed)
+        assert np.array_equal(got.fit_part.count, ref.count)
+        assert np.allclose(got.fit_part.about_mean()[0], ref.about_mean()[0],
+                           rtol=1e-13, atol=0.0)
+        assert np.array_equal(got.fit_part.low, ref.low)
+
+    def test_offset_column_keeps_its_digits(self):
+        rng = np.random.default_rng(3)
+        n = 5000
+        x = 1e6 + rng.standard_normal((n, 1))
+        data = Dataset(rng.standard_normal(n), x, rng.standard_normal((n, 2)))
+        moments = core.FoldMoments.of_rows(data, 5, 1)
+        mean, cross = moments.about_mean()
+        var = np.diagonal(cross.sum(axis=0)) / n
+        assert var[0] == pytest.approx(x.var(), rel=1e-12)
+        assert mean[0] == pytest.approx(x.mean(), rel=1e-15)
+
+    @pytest.mark.parametrize("cell, name", [("nan", "y"), ("inf", "x"),
+                                            ("-inf", "z")])
+    def test_non_finite_values_are_refused_as_dataset_does(
+            self, tmp_path, cell, name):
+        path = tmp_path / "d.csv"
+        rows = [["1.0", "2.0", "3.0"]] * 6
+        at = {"y": 0, "x": 1, "z": 2}[name]
+        rows[4] = [cell if j == at else v for j, v in enumerate(rows[4])]
+        path.write_text("y,x1,z1\n" + "\n".join(",".join(r) for r in rows),
+                        encoding="utf-8")
+        for kwargs in ({}, {"folds": (2, 0)}):
+            with pytest.raises(ValidationError,
+                               match=f"{name} contains non-finite values"):
+                Dataset.from_csv(path, **kwargs)
+
+    def test_fewer_rows_than_folds(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_chunked_text(4).encode("utf-8"))
+        with pytest.raises(SizeError, match="need n >= folds = 5, got n = 4"):
+            Dataset.from_csv(path, folds=(5, 0))
 
 
 class TestLcbReport:

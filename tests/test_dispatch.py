@@ -37,7 +37,10 @@ INFER_CASES = {
 }
 
 # (lcb, point, se) of each case, recorded before the method table and
-# regression.fit replaced the per-front-end dispatch.
+# regression.fit replaced the per-front-end dispatch. The LASSO and ridge
+# fits (fit_lasso, fit_ridge and every row of the LASSO replicate) were
+# recorded again when those fitters moved to fold co-moments: each value
+# moved by at most 2.4e-14 relative, and no MACM indicator flipped.
 GOLDEN = {
     "cosufficient": [
         "0x1.aed168056b619p-2",
@@ -54,7 +57,7 @@ GOLDEN = {
     "fit_lasso": [
         "0x1.584ee0e4878b6p-2",
         "0x1.e90fd446b7083p-2",
-        "0x1.b80521bd0c9b1p-1"],
+        "0x1.b80521bd0c9b0p-1"],
     "fit_logit_l1": [
         "0x1.732838554f376p-2",
         "0x1.012043671f7dfp-1",
@@ -69,8 +72,8 @@ GOLDEN = {
         "0x1.a9bfaab13817ep-1"],
     "fit_ridge": [
         "0x1.5612d86454b8ap-2",
-        "0x1.e1f9ada3e1f80p-2",
-        "0x1.a9455cae3bf1cp-1"],
+        "0x1.e1f9ada3e1f81p-2",
+        "0x1.a9455cae3bf1dp-1"],
     "macm": [
         "0x1.37f0902e543c0p-2",
         "0x1.a5d3996fa82e9p-2",
@@ -102,102 +105,102 @@ GOLDEN = {
     "replicate/v1/COSUFFICIENT_N2_20": [
         "0x1.10ee8947c4137p-3",
         "0x1.ba0862d7f176cp-3",
-        "0x1.cbc348ae4f281p-4"],
+        "0x1.cbc348ae4f282p-4"],
     "replicate/v1/COSUFFICIENT_N2_25": [
-        "0x1.ac7165a5453c8p-3",
+        "0x1.ac7165a5453c7p-3",
         "0x1.fd6e22841a9b6p-3",
-        "0x1.89e4e068ac776p-5"],
+        "0x1.89e4e068ac77bp-5"],
     "replicate/v1/MACM": [
         "0x1.5d1795da0caafp-3",
         "0x1.4fdf3b645a1cap-2",
         "0x1.ea6561a671e46p-2"],
     "replicate/v1/MMSE_EXACT": [
-        "0x1.98fd6bd46269fp-3",
+        "0x1.98fd6bd46269ep-3",
         "0x1.5e9f47586c24ep-2",
-        "0x1.bc31f90349075p-1"],
+        "0x1.bc31f90349077p-1"],
     "replicate/v1/MMSE_MC_K50": [
-        "0x1.b8677f6ffcad2p-3",
+        "0x1.b8677f6ffcad3p-3",
         "0x1.6d401d3c70667p-2",
-        "0x1.b8ea6037e05e1p-1"],
+        "0x1.b8ea6037e05e0p-1"],
     "replicate/v2/COSUFFICIENT_N2_20": [
-        "0x1.15f9707d0d354p-4",
-        "0x1.906f45972f87bp-3",
-        "0x1.636b968fb25b6p-3"],
+        "0x1.15f9707d0d34cp-4",
+        "0x1.906f45972f876p-3",
+        "0x1.636b968fb25b5p-3"],
     "replicate/v2/COSUFFICIENT_N2_25": [
-        "0x1.fc0358ba4d260p-9",
-        "0x1.a9a494c2c42f6p-4",
-        "0x1.f23dec3882365p-4"],
+        "0x1.fc0358ba4d1a0p-9",
+        "0x1.a9a494c2c42f3p-4",
+        "0x1.f23dec3882368p-4"],
     "replicate/v2/MACM": [
         "0x1.083b2564244c0p-7",
         "0x1.5a1cac083126ep-3",
         "0x1.f4f3e5866f7f3p-2"],
     "replicate/v2/MMSE_EXACT": [
         "0x0.0p+0",
-        "0x1.f481d58c51a3ep-4",
-        "0x1.911e31f2565a7p-1"],
+        "0x1.f481d58c51a3dp-4",
+        "0x1.911e31f2565a8p-1"],
     "replicate/v2/MMSE_MC_K50": [
         "0x0.0p+0",
-        "0x1.e0a204cad5362p-4",
-        "0x1.8d746e3552c2ap-1"],
+        "0x1.e0a204cad535dp-4",
+        "0x1.8d746e3552c2bp-1"],
     "replicate/v3/COSUFFICIENT_N2_20": [
         "0x0.0p+0",
-        "0x1.24b9ffa43fbf8p-4",
-        "0x1.d55872f4792ffp-4"],
+        "0x1.24b9ffa43fbfcp-4",
+        "0x1.d55872f479302p-4"],
     "replicate/v3/COSUFFICIENT_N2_25": [
-        "0x1.80b4bc6f165f8p-7",
-        "0x1.5631493ee38f9p-4",
-        "0x1.659afbd54f080p-4"],
+        "0x1.80b4bc6f16698p-7",
+        "0x1.5631493ee3904p-4",
+        "0x1.659afbd54f075p-4"],
     "replicate/v3/MACM": [
         "0x0.0p+0",
         "0x1.eb851eb851eb4p-6",
         "0x1.0aa089a1bf318p-1"],
     "replicate/v3/MMSE_EXACT": [
         "0x0.0p+0",
-        "0x1.07521d66163b0p-4",
+        "0x1.07521d66163afp-4",
         "0x1.7d9f2d3d62c0ap-1"],
     "replicate/v3/MMSE_MC_K50": [
         "0x0.0p+0",
-        "0x1.fd50d819da485p-5",
+        "0x1.fd50d819da482p-5",
         "0x1.8e71af6381404p-1"],
     "replicate/v4/COSUFFICIENT_N2_20": [
-        "0x1.c4566efc87e0fp-5",
+        "0x1.c4566efc87e0dp-5",
         "0x1.dc873a2d03975p-4",
-        "0x1.5458c80fb949ep-4"],
+        "0x1.5458c80fb94a0p-4"],
     "replicate/v4/COSUFFICIENT_N2_25": [
-        "0x1.5b5991f1fa348p-5",
-        "0x1.6ecb3971ed2c9p-3",
+        "0x1.5b5991f1fa344p-5",
+        "0x1.6ecb3971ed2c8p-3",
         "0x1.54671ca82a5b0p-3"],
     "replicate/v4/MACM": [
         "0x1.07c31461cfbf0p-4",
         "0x1.dd2f1a9fbe76ep-3",
         "0x1.066960fbdb8e7p-1"],
     "replicate/v4/MMSE_EXACT": [
-        "0x1.6381eefd2c87cp-5",
-        "0x1.660b88bd709bep-3",
-        "0x1.991b47daab904p-1"],
+        "0x1.6381eefd2c878p-5",
+        "0x1.660b88bd709bbp-3",
+        "0x1.991b47daab900p-1"],
     "replicate/v4/MMSE_MC_K50": [
-        "0x1.360cbff4378a8p-6",
-        "0x1.304f075fa26c7p-3",
+        "0x1.360cbff4378b0p-6",
+        "0x1.304f075fa26c8p-3",
         "0x1.939c71dab2064p-1"],
     "replicate/v5/COSUFFICIENT_N2_20": [
         "0x0.0p+0",
-        "-0x1.99f438162269cp-7",
-        "0x1.db21d91646e8ep-3"],
+        "-0x1.99f4381622650p-7",
+        "0x1.db21d91646e8cp-3"],
     "replicate/v5/COSUFFICIENT_N2_25": [
         "0x0.0p+0",
-        "-0x1.eeecb3b53ddc6p-4",
-        "0x1.48abc10da90b9p-2"],
+        "-0x1.eeecb3b53ddb6p-4",
+        "0x1.48abc10da90bap-2"],
     "replicate/v5/MACM": [
         "0x0.0p+0",
         "0x1.a9fbe76c8b437p-7",
         "0x1.04e22c608dd55p-1"],
     "replicate/v5/MMSE_EXACT": [
         "0x0.0p+0",
-        "-0x1.f63804eb74f19p-5",
-        "0x1.d603fce54030cp-1"],
+        "-0x1.f63804eb74f20p-5",
+        "0x1.d603fce540311p-1"],
     "replicate/v5/MMSE_MC_K50": [
         "0x0.0p+0",
-        "-0x1.9f986f1da401fp-5",
+        "-0x1.9f986f1da4001p-5",
         "0x1.d4fa435678e23p-1"],
 }
 

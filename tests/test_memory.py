@@ -1,5 +1,6 @@
-"""Each full-size array on the infer path exists once, and the Monte
-Carlo paths, the simulation's MACM oracle among them, hold one block.
+"""Each full-size array on the infer path exists once, a Gram fitter's
+fit rows are not kept at all, and the Monte Carlo paths, the
+simulation's MACM oracle among them, hold one block.
 
 Peaks are tracemalloc's count of the bytes allocated during a call
 (numpy reports its array buffers to it), so they are deterministic and
@@ -68,25 +69,31 @@ def test_from_csv_keeps_only_its_three_arrays(files):
     data, held, peak = _traced(lambda: Dataset.from_csv(files / "data.csv"))
     assert data.n == N_ROWS and data.d_x + data.d_z == N_COVARIATES
     assert held <= 1.05 * TABLE_BYTES
-    # The parse table and the three copies, each once.
-    assert peak <= 2.05 * TABLE_BYTES
+    # The three arrays, made once the rows are counted, and the parse of
+    # one chunk: no table of parsed chunks.
+    assert peak <= 1.15 * TABLE_BYTES
 
 
-def test_csv_fault_scan_holds_less_than_a_good_read(files, tmp_path):
-    # A non-numeric cell in the last row: the parse up to it, then the
-    # fault scan one row at a time, not the body as Python lists.
+def test_csv_fault_scan_holds_one_row(files, tmp_path):
+    # A non-numeric cell in the last row: the parse up to it, then, with
+    # the parts dropped, the fault scan one row at a time, not the body
+    # as Python lists.
     head, last = (files / "data.csv").read_bytes().rstrip().rsplit(b"\r\n", 1)
     bad = tmp_path / "bad.csv"
     bad.write_bytes(head + b"\r\n" + last.rsplit(b",", 1)[0] + b",abc\r\n")
-    _, _, good = _traced(lambda: Dataset.from_csv(files / "data.csv"))
 
     def read_bad():
         with pytest.raises(ValidationError, match="abc"):
             Dataset.from_csv(bad)
 
+    def scan():
+        with pytest.raises(ValidationError, match="abc"):
+            core._csv_body_fault(bad, 1 + N_COVARIATES, "a reason")
+
     _, _, peak = _traced(read_bad)
-    assert peak < good
     assert peak <= 1.1 * TABLE_BYTES
+    _, _, peak = _traced(scan)
+    assert peak <= 0.02 * TABLE_BYTES
 
 
 @pytest.mark.parametrize("fit", [fit_lasso, fit_ridge])
@@ -110,16 +117,42 @@ def test_penalized_fit_holds_fold_blocks_not_the_design(files, fit):
         assert 3 * block + 6 * n * 8 < n * width * 8
 
 
-def test_infer_fit_peaks_at_two_tables(files, tmp_path):
+@pytest.mark.parametrize("fitter", ["lasso", "ridge"])
+def test_infer_fit_peaks_below_three_quarters_of_a_table(files, tmp_path,
+                                                         fitter):
+    # The inference half (half a table), a chunk's parse and the fit
+    # half's fold moments and labels; the fit rows are never kept.
     def infer(name):
         return main(["infer", str(files / name), "--model",
-                     str(files / "model.json"), "--fit", "lasso", "--method",
+                     str(files / "model.json"), "--fit", fitter, "--method",
                      "mmse_exact", "--out", str(tmp_path / f"{name}.out")])
 
     assert infer("small.csv") == 0      # imports and caches come first
     code, _, peak = _traced(lambda: infer("data.csv"))
     assert code == 0
-    assert peak <= 2.1 * TABLE_BYTES
+    assert peak <= 0.75 * TABLE_BYTES
+
+
+@pytest.mark.parametrize("fitter", ["lasso", "ridge"])
+def test_fit_command_peak_does_not_grow_with_rows(files, tmp_path, fitter):
+    # Every row is a fit row and goes into the fold moments, so 80 000
+    # rows peak as 20 000 do, within one chunk of parsed values and the
+    # (folds, width, width) fold stack; the fold labels, one byte a row,
+    # are the only array of n.
+    big = tmp_path / "big.csv"
+    _table(4 * N_ROWS, 7).to_csv(big)
+
+    def fit(path):
+        return main(["fit", str(path), "--fitter", fitter, "--out",
+                     str(tmp_path / "mu.json")])
+
+    assert fit(files / "small.csv") == 0
+    peaks = [_traced(lambda: fit(path))[2] for path in (files / "data.csv", big)]
+    width = 1 + N_COVARIATES
+    chunk = core._CSV_CHUNK_VALUES * 8
+    stack = (CvConfig().folds + 1) * width * width * 8
+    assert abs(peaks[1] - peaks[0]) <= chunk + stack
+    assert max(peaks) <= 0.3 * TABLE_BYTES
 
 
 def _copula_mu(d_z):

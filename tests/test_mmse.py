@@ -126,6 +126,65 @@ class TestMuNullValues:
             assert np.array_equal(z_rows, np.tile(z, (len(z_rows) // 50, 1)))
 
 
+def _multi_block_bounds():
+    """An MC mMSE bound (K = 700, three 262-copy blocks per stream) and an
+    MC MACM bound (M = 4n = 8000, 31 blocks, then K = 300) on 2000 rows
+    of an AR(1) model, each with a linear mu on five z columns."""
+    n = 2000
+    model = Ar1Model(6, 0.4, 2)
+    x, z = model.sample_joint(n, 1)
+    rng = np.random.default_rng(4)
+    coef = np.array([0.5, -0.3, 0.0, 0.2, 0.1])
+    data = Dataset(x[:, 0] + z @ coef + rng.standard_normal(n), x, z)
+    mu = LinearWorkingRegression("CUSTOM", 0.2, np.array([1.1]), coef)
+    mmse_rep = floodgate_lcb(data, mu, model,
+                             FloodgateConfig(big_k=700, seed=3))
+    f = 1.1 * x[:, 0] + z @ coef
+    y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-f)), 1.0, -1.0)
+    mu_b = LinearWorkingRegression("CUSTOM", 0.1, np.array([1.1]), coef,
+                                   link="binary_mean")
+    macm_rep = macm_lcb(Dataset(y, x, z), mu_b, model,
+                        MacmConfig(k_copies=300, seed=5))
+    return mmse_rep, macm_rep
+
+
+class TestLinearZPartOncePerStream:
+    """A linear mu's intercept + z @ z_coef is computed once per stream of
+    copy blocks, and every block still takes one mu_null_values call."""
+
+    def test_multi_block_bounds_are_pinned(self):
+        # (lcb, point, se), recorded with z @ z_coef computed per block.
+        got = [[float(v).hex() for v in (rep.lcb, rep.point, rep.se)]
+               for rep in _multi_block_bounds()]
+        assert got == [
+            ["0x1.9c1c5e6db2126p-1", "0x1.ba669dbf5ba05p-1",
+             "0x1.9bc5c8317ce83p+0"],
+            ["0x1.0aa6a08eb08ebp-2", "0x1.2e693d69a6454p-2",
+             "0x1.e622ceecb23d5p-2"]]
+
+    def test_one_z_part_per_stream(self, monkeypatch):
+        calls = {"z_part": 0, "blocks": 0}
+        z_part, values = mmse.linear_z_part, mmse.mu_null_values
+
+        def counted_z_part(mu, z):
+            calls["z_part"] += 1
+            return z_part(mu, z)
+
+        def counted_values(*args, **kwargs):
+            calls["blocks"] += 1
+            return values(*args, **kwargs)
+
+        monkeypatch.setattr(mmse, "linear_z_part", counted_z_part)
+        monkeypatch.setattr(mmse, "mu_null_values", counted_values)
+        _multi_block_bounds()
+        step = mmse._BLOCK_VALUES // 2000
+        # mMSE: centring and moment streams of K = 700; MACM: M = 8000,
+        # then K = 300. Exact conditional moments take no stream.
+        assert calls["z_part"] == 4
+        assert calls["blocks"] == (2 * -(-700 // step) + -(-8000 // step)
+                                   + -(-300 // step))
+
+
 class TestExactMoments:
     def test_hand_computed_samples(self):
         sigma2 = 0.5

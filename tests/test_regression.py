@@ -12,7 +12,7 @@ from floodgate import (CustomRegression, CvConfig, Dataset,
                        fit_ols, fit_ridge, ols_oracle_lcb,
                        regression_from_json)
 from floodgate import regression
-from floodgate.core import split
+from floodgate.core import FoldMoments, split
 from floodgate.errors import (DegenerateLabelsError, ShapeError,
                               SingularDesignError, SizeError, ValidationError)
 from floodgate.regression import LASSO, LOGIT_L1, LOGIT_L2, OLS, RIDGE, fold_assignments
@@ -696,6 +696,130 @@ class TestFitRidge:
         fit = fit_ridge(data, CvConfig(folds=5), seed=0)
         grid = fit.diagnostics["lambda_grid"]
         assert fit.diagnostics["lambda"] < grid[0] / 10
+
+
+def _row_penalized_linear(data, cv, seed, kind):
+    """The row-based CV that fold co-moments replaced, as it was: each
+    fold's standardized validation block gives its Gram and cvec (the
+    full ones are their sum, a training fold's the full less its own),
+    and the CV error is summed over the validation rows' residuals."""
+    pipe = regression._CrossValidation(data, cv, seed)
+    n, p = data.n, len(pipe.keep)
+    y_mean = data.y.mean()
+    yc = data.y - y_mean
+    vas = [np.flatnonzero(pipe.folds == f) for f in range(cv.folds)]
+    grams = np.empty((cv.folds + 1, p, p))
+    cvecs = np.empty((cv.folds + 1, p))
+    for f, va in enumerate(vas):
+        w_va = pipe.standardized(va)
+        grams[f], cvecs[f] = w_va.T @ w_va, w_va.T @ yc[va]
+    gram_all, cvec_all = grams[:-1].sum(axis=0), cvecs[:-1].sum(axis=0)
+    for f, va in enumerate(vas):
+        grams[f] = (gram_all - grams[f]) / (n - len(va))
+        cvecs[f] = (cvec_all - cvecs[f]) / (n - len(va))
+    grams[-1], cvecs[-1] = gram_all / n, cvec_all / n
+    grid = pipe.grid(float(np.max(np.abs(cvecs[-1]))))
+    if kind == RIDGE:
+        path = np.stack([np.linalg.solve(grams + lam * np.eye(p),
+                                         cvecs[..., None])[..., 0]
+                         for lam in grid], axis=1)
+        converged, steps = np.ones(path.shape[:2], dtype=bool), 0
+    else:
+        path, converged, steps = regression._active_set_paths(
+            regression._Quadratic(grams, cvecs), grid, True)
+    cv_err = np.zeros(len(grid))
+    for f, va in enumerate(vas):
+        resid = yc[va, None] - pipe.standardized(va) @ path[f].T
+        cv_err += (resid * resid).sum(axis=0)
+    best = int(np.argmin(cv_err))
+    return pipe.fitted(kind, grid, best, y_mean, path[-1, best], converged,
+                       steps, cv_errors=cv_err / n)
+
+
+def _assert_same_fit(got, want):
+    """The same penalty index and zero pattern, and coefficients,
+    intercept and CV errors within 1e-10 relative."""
+    grid = want.diagnostics["lambda_grid"]
+    assert np.allclose(got.diagnostics["lambda_grid"], grid, rtol=1e-12,
+                       atol=0.0)
+    assert (np.flatnonzero(got.diagnostics["lambda_grid"]
+                           == got.diagnostics["lambda"])
+            == np.flatnonzero(grid == want.diagnostics["lambda"])).all()
+    for a, b in ((got.x_coef, want.x_coef), (got.z_coef, want.z_coef)):
+        assert np.array_equal(a == 0.0, b == 0.0)
+        assert np.allclose(a, b, rtol=1e-10, atol=0.0)
+    assert got.intercept == pytest.approx(want.intercept, rel=1e-10, abs=0.0)
+    assert np.allclose(got.diagnostics["cv_errors"],
+                       want.diagnostics["cv_errors"], rtol=1e-10, atol=0.0)
+
+
+def _moment_design(kind, seed=3, n=900):
+    """Designs the fold moments must fit as the rows did."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n, 8))
+    w[:, 1:] = 0.5 * w[:, :-1] + math.sqrt(0.75) * w[:, 1:]
+    beta = np.array([1.0, 0.0, 0.6, 0.0, -0.4, 0.0, 0.0, 0.3])
+    noise = 0.05 if kind == "r2_above_0.99" else 1.0
+    y = 2.0 + w @ beta + noise * rng.standard_normal(n)
+    if kind == "offset_1e6":
+        w[:, 3] += 1e6
+    if kind == "constant":
+        w[:, 5] = 3.7
+    return Dataset(y, w[:, :1], w[:, 1:])
+
+
+class TestFoldMomentFits:
+    """LASSO and ridge fit from fold co-moments pick what the row-based
+    CV picked, from rows in memory and from a streamed CSV."""
+
+    @pytest.mark.parametrize("kind", [LASSO, RIDGE])
+    @pytest.mark.parametrize("design", ["plain", "offset_1e6", "constant",
+                                        "r2_above_0.99"])
+    @pytest.mark.parametrize("folds", [2, 3, 10])
+    def test_matches_row_based_cv(self, kind, design, folds):
+        data = _moment_design(design)
+        cv = CvConfig(folds=folds, num_lambdas=30)
+        fitter = fit_lasso if kind == LASSO else fit_ridge
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            got = fitter(data, cv, 4)
+            want = _row_penalized_linear(data, cv, 4, kind)
+        messages = [str(w.message) for w in seen]
+        assert messages[:len(messages) // 2] == messages[len(messages) // 2:]
+        if design == "constant":
+            assert messages[0].startswith("dropping 1 constant column(s)")
+            assert got.z_coef[4] == 0.0
+        if design == "r2_above_0.99":
+            resid = data.y - got.predict(data.x, data.z)
+            assert 1.0 - resid.var() / data.y.var() > 0.99
+        _assert_same_fit(got, want)
+
+    @pytest.mark.parametrize("kind", [LASSO, RIDGE])
+    @pytest.mark.parametrize("x_cols", [None, ["z3", "x1"]])
+    def test_streamed_csv_matches_row_based_cv(self, tmp_path, kind, x_cols):
+        data = _moment_design("offset_1e6", seed=5, n=3000)
+        path = tmp_path / "d.csv"
+        data.to_csv(path)
+        cv = CvConfig(folds=3, num_lambdas=30)
+        fitter = fit_lasso if kind == LASSO else fit_ridge
+        read = Dataset.from_csv(path, x_cols=x_cols)
+        _assert_same_fit(fitter(Dataset.from_csv(path, x_cols=x_cols,
+                                                 folds=(3, 6)), cv, 6),
+                         _row_penalized_linear(read, cv, 6, kind))
+        parts = Dataset.from_csv(path, x_cols=x_cols, split_at=(0.4, 6),
+                                 folds=(3, 6))
+        want = split(read, 0.4, 6).fit_part
+        _assert_same_fit(fitter(parts.fit_part, cv, 6),
+                         _row_penalized_linear(want, cv, 6, kind))
+
+    def test_moments_need_their_own_folds_and_seed(self):
+        moments = FoldMoments.of_rows(_linear_data(n=60), 3, 1)
+        with pytest.raises(ValidationError, match="3 folds and seed 1"):
+            fit_lasso(moments, CvConfig(folds=4), 1)
+        with pytest.raises(ValidationError, match="3 folds and seed 1"):
+            fit_ridge(moments, CvConfig(folds=3), 2)
+        with pytest.raises(ValidationError, match="fits rows"):
+            regression.fit(OLS, moments, None, 1)
 
 
 class TestFitLogistic:
